@@ -219,15 +219,30 @@ def render_verdict(v: Verdict) -> str:
     return "\n".join(lines)
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="group spec, e.g. Z6 or Z2xZ4")
     p.add_argument("--order-range", help="inclusive order range, e.g. 3..16")
     p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only")
     p.add_argument("--min-size", type=int, default=5, help="minimum subset size for the sum-count bound")
-    p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
+    p.add_argument("--witness-cap", type=_int_at_least(0), default=DEFAULT_WITNESS_CAP)
     p.add_argument("--symmetry", action="store_true",
                    help="search orbit representatives under unit multiplication (cyclic groups)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="largest group order to exhaust")
     p.add_argument("--first-only", action="store_true",
                    help="stop the counterexample search at the first witness")

@@ -6,8 +6,9 @@ A combination c_1 < c_2 < ... < c_k of nonnegative integers has rank
 
 and ranks enumerate combinations in colexicographic order, which coincides
 with the numeric order of their bitmasks.  The searches in `groupsums.verify`
-split work into contiguous rank windows, so results are independent of how
-many workers process them.
+walk combinations in this order, and a counterexample search that stops at
+its first witness reports that witness's rank plus one as the number of
+candidates it checked.
 
 >>> [rank(c) for c in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]]
 [0, 1, 2, 3, 4, 5]
@@ -49,17 +50,3 @@ def mask_of(combo: Iterable[int]) -> int:
         bits |= 1 << c
     return bits
 
-
-def windows(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, total) into at most `parts` contiguous half-open windows."""
-    if parts < 1:
-        raise ValueError("need at least one window")
-    parts = min(parts, total) or 1
-    step, extra = divmod(total, parts)
-    out = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out

@@ -9,9 +9,10 @@ tuple (x1, ..., xk) with 0 <= xi < di, identified with the mixed-radix index
 
 in which the first factor varies fastest.  A subset of a group is a length-|G|
 bit-vector over element indices, stored as an arbitrary-precision integer;
-translating a subset by a group element is then a masked shift (a plain
-rotation in the cyclic case), which is what keeps the search loops in
-`groupsums.verify` branch-free and fast.
+translating a subset by a group element is then one masked shift per
+nonzero coordinate (a plain rotation in the cyclic case), looked up per
+element, which is what keeps the search loops in `groupsums.verify`
+branch-free and fast.
 
 Negation and doubling tables are precomputed at construction, so element
 arithmetic, 2-torsion and halving counts are table lookups.  Groups are
@@ -114,6 +115,7 @@ class AbelianGroup:
         "double_table",
         "_strides",
         "_mask_cache",
+        "_translator",
     )
 
     def __init__(self, factors: Iterable[int], max_order: int = DEFAULT_MAX_ORDER):
@@ -136,7 +138,8 @@ class AbelianGroup:
             strides.append(s)
             s *= d
         self._strides = tuple(strides)
-        self._mask_cache: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._mask_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self._translator = None
         self.neg_table, self.double_table = self._build_tables()
 
     def _build_tables(self) -> tuple[list[int], list[int]]:
@@ -171,6 +174,10 @@ class AbelianGroup:
 
     def __hash__(self) -> int:
         return hash(self.factors)
+
+    def __reduce__(self):
+        # rebuilt from its factors: the cached translator is a closure
+        return (AbelianGroup, (self.factors, self.order))
 
     def __len__(self) -> int:
         return self.order
@@ -259,13 +266,13 @@ class AbelianGroup:
 
     # -- bit-vector translation ----------------------------------------------
 
-    def _axis_masks(self, axis: int, r: int) -> tuple[int, int, int]:
-        """(shift, low_mask, high_mask) for adding r to coordinate `axis`.
+    def _axis_masks(self, axis: int, r: int) -> tuple[int, int, int, int]:
+        """(low_mask, high_mask, up, down) for adding r to coordinate `axis`.
 
         Within every block of B = stride*d consecutive indices, coordinates
-        below d-r move up by r*stride bits and the rest wrap down by the
-        complementary amount; the masks select the two parts in every block
-        at once.
+        below d-r move up by `up` = r*stride bits and the rest wrap down by
+        `down` = B - up; the masks select the two parts in every block at
+        once.
         """
         key = (axis, r)
         cached = self._mask_cache.get(key)
@@ -278,27 +285,38 @@ class AbelianGroup:
         rep = self.full_mask // ((1 << block) - 1)
         low = ((1 << (block - shift)) - 1) * rep
         high = (((1 << shift) - 1) << (block - shift)) * rep
-        out = (shift, low, high)
+        out = (low, high, shift, block - shift)
         self._mask_cache[key] = out
         return out
 
+    def _axis_ops(self, g: int) -> tuple[tuple[int, int, int, int], ...]:
+        """The masked shifts that add element index g, one per nonzero coordinate."""
+        ops = []
+        for axis, (s, d) in enumerate(zip(self._strides, self.factors)):
+            r = g // s % d
+            if r:
+                ops.append(self._axis_masks(axis, r))
+        return tuple(ops)
+
     def translate_bits(self, bits: int, g: int) -> int:
         """Image of a subset bit-vector under adding element index g."""
-        if g == 0:
-            return bits
-        if len(self.factors) == 1:
-            m = self.order
-            return ((bits << g) | (bits >> (m - g))) & self.full_mask
-        for axis, d in enumerate(self.factors):
-            r = (g // self._strides[axis]) % d
-            if r:
-                shift, low, high = self._axis_masks(axis, r)
-                block = self._strides[axis] * d
-                bits = ((bits & low) << shift) | ((bits & high) >> (block - shift))
-        return bits
+        return self.translator()(bits, g)
 
     def translator(self):
-        """A (bits, element_index) -> bits closure, specialised per group."""
+        """The (bits, element_index) -> bits function of this group.
+
+        A cyclic group rotates the whole vector.  Any other group looks the
+        element up in a table of its masked shifts, one per nonzero
+        coordinate; the top coordinate's block is the whole vector, so its
+        shift is a rotation too.  Entries are filled on first use, so the
+        table holds only the elements actually translated.  The function is
+        built once and kept on the group.
+        """
+        if self._translator is None:
+            self._translator = self._build_translator()
+        return self._translator
+
+    def _build_translator(self):
         if self.order == 1:
             return lambda bits, g: bits
         if len(self.factors) == 1:
@@ -311,7 +329,19 @@ class AbelianGroup:
                 return ((bits << g) | (bits >> (m - g))) & mask
 
             return rotate
-        return self.translate_bits
+        table: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
+        axis_ops = self._axis_ops
+
+        def shift(bits: int, g: int) -> int:
+            try:
+                ops = table[g]
+            except KeyError:
+                ops = table[g] = axis_ops(g)
+            for low, high, up, down in ops:
+                bits = ((bits & low) << up) | ((bits & high) >> down)
+            return bits
+
+        return shift
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,20 @@ Every verifier enumerates candidate subsets in colexicographic order (the
 numeric order of their bitmasks) with incremental sumset state carried down
 the recursion, and prunes a subtree as soon as the partial state already
 covers the group: nothing below it can be a violation or an extremal case.
-The candidate space is split into contiguous rank windows; windows are
-processed independently (optionally in parallel processes) and merged with
-associative bookkeeping, so a certificate never depends on the worker count.
+With one worker the whole tree is walked in one pass.  With `jobs` workers
+it is cut into subtree tasks, each fixing the top elements of its
+candidates: the largest subtree is split on its next element until none
+holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
+counts.  Tasks run in worker processes in mask order and are merged in that
+order with associative bookkeeping, so a certificate never depends on the
+worker count.
 
 `checked` in a certificate is the number of candidate subsets implied by the
-parameters (a binomial count, computed arithmetically); violation and
-equality counts are exact.  Witness lists are capped but always retain, per
-number of uncovered elements, the first witness exhibiting that deficiency.
+parameters (a binomial count, computed arithmetically), or for a search
+stopped at its first witness, that witness's colex rank plus one; violation
+and equality counts are exact.  Witness lists are capped but always retain,
+per number of uncovered elements, the first witness exhibiting that
+deficiency.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
-from .colex import windows
+from .colex import rank
 from .groups import AbelianGroup, cyclic_units, torsion_two, unit_permutation
 
 DEFAULT_BUDGET = 24
@@ -98,7 +104,13 @@ class Verdict:
         return cls.from_dict(json.loads(text))
 
 
-# -- window scans ------------------------------------------------------------
+# -- subtree scans -----------------------------------------------------------
+#
+# A task is a pair (fixed, bound): `fixed` is a bitmask of pool positions
+# already chosen, all of them at or above `bound`, and the task covers every
+# candidate that extends `fixed` by positions below `bound`.  Its candidates
+# form one contiguous run of the mask order, so tasks taken in order tile
+# the whole scan in order.
 
 
 def _blank_stats() -> dict:
@@ -110,7 +122,7 @@ def _blank_stats() -> dict:
         "witnesses": [],
         "eq_count": 0,
         "eq_witnesses": [],
-        "first_rank": None,
+        "first": None,
     }
 
 
@@ -127,10 +139,9 @@ def _merge_stats(parts: list[dict], cap: int) -> dict:
                 out["reps"][d] = mask
         out["witnesses"].extend(part["witnesses"])
         out["eq_witnesses"].extend(part["eq_witnesses"])
-        if part["first_rank"] is not None:
-            if out["first_rank"] is None or part["first_rank"] < out["first_rank"]:
-                out["first_rank"] = part["first_rank"]
-    # windows arrive in rank order and each local list is ascending, so the
+        if out["first"] is None:
+            out["first"] = part["first"]
+    # tasks arrive in mask order and each local list is ascending, so the
     # concatenations are globally ascending already
     out["witnesses"] = out["witnesses"][:cap]
     out["eq_witnesses"] = out["eq_witnesses"][:cap]
@@ -151,16 +162,17 @@ def _scan_cover_fixed(
     pool: tuple[int, ...],
     k: int,
     layers: int,
-    lo: int,
-    hi: int,
     cap: int,
     unit_perms,
     stop_on_first: bool,
+    fixed: int,
+    bound: int,
 ) -> dict:
-    """Size-k subsets of `pool` in colex rank window [lo, hi).
+    """Size-k subsets of `pool` in the subtree task (fixed, bound).
 
     layers=2 checks A together with its pair sums; layers=3 checks the
-    three-element sums alone.  Witness masks are bitmasks of element indices.
+    three-element sums alone.  The first layer of sums is A itself, so its
+    bitmask doubles as the witness mask.
     """
     tr = G.translator()
     full = G.full_mask
@@ -168,11 +180,9 @@ def _scan_cover_fixed(
     stats = _blank_stats()
     stop = False
 
-    def leaf(base: int, amask: int, cover: int) -> None:
+    def leaf(amask: int, cover: int) -> None:
         # only reached when cover != full
         nonlocal stop
-        if base < lo or base >= hi:
-            return
         orbit = 1
         if unit_perms is not None:
             images = [_apply_perm(amask, p) for p in unit_perms]
@@ -187,58 +197,47 @@ def _scan_cover_fixed(
             stats["reps"][d] = amask
         if len(stats["witnesses"]) < cap:
             stats["witnesses"].append(amask)
-        if stats["first_rank"] is None:
-            stats["first_rank"] = base
+        if stats["first"] is None:
+            stats["first"] = amask
         if stop_on_first:
             stop = True
 
+    dp1 = dp2 = dp3 = 0
+    for c in _mask_indices(fixed):
+        e = pool[c]
+        dp1, dp2, dp3 = dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e)
+
     if layers == 2:
 
-        def rec(j: int, bound: int, base: int, amask: int, dp1: int, dp2: int) -> None:
+        def rec(j: int, bound: int, dp1: int, dp2: int) -> None:
             cover = dp1 | dp2
             if cover == full:
                 return
             if j == 0:
-                leaf(base, amask, cover)
+                leaf(dp1, cover)
                 return
             for c in range(j - 1, bound):
-                b2 = base + comb(c, j)
-                if b2 >= hi:
-                    break
-                if b2 + comb(c, j - 1) <= lo:
-                    continue
                 e = pool[c]
-                rec(j - 1, c, b2, amask | (1 << e), dp1 | (1 << e), dp2 | tr(dp1, e))
+                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e))
                 if stop:
                     return
 
-        rec(k, len(pool), 0, 0, 0, 0)
+        rec(k - fixed.bit_count(), bound, dp1, dp2)
     else:
 
-        def rec3(j, bound, base, amask, dp1, dp2, dp3) -> None:
+        def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int) -> None:
             if dp3 == full:
                 return
             if j == 0:
-                leaf(base, amask, dp3)
+                leaf(dp1, dp3)
                 return
             for c in range(j - 1, bound):
-                b2 = base + comb(c, j)
-                if b2 >= hi:
-                    break
-                if b2 + comb(c, j - 1) <= lo:
-                    continue
                 e = pool[c]
-                rec3(
-                    j - 1, c, b2,
-                    amask | (1 << e),
-                    dp1 | (1 << e),
-                    dp2 | tr(dp1, e),
-                    dp3 | tr(dp2, e),
-                )
+                rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e))
                 if stop:
                     return
 
-        rec3(k, len(pool), 0, 0, 0, 0, 0)
+        rec3(k - fixed.bit_count(), bound, dp1, dp2, dp3)
     return stats
 
 
@@ -246,9 +245,9 @@ def _scan_sigma_fixed(
     G: AbelianGroup,
     pool: tuple[int, ...],
     k: int,
-    lo: int,
-    hi: int,
     cap: int,
+    fixed: int,
+    bound: int,
 ) -> dict:
     """Size-k subsets whose full subset-sum set is checked against G."""
     tr = G.translator()
@@ -256,12 +255,10 @@ def _scan_sigma_fixed(
     order = G.order
     stats = _blank_stats()
 
-    def rec(j: int, bound: int, base: int, amask: int, acc: int) -> None:
+    def rec(j: int, bound: int, amask: int, acc: int) -> None:
         if acc == full:
             return
         if j == 0:
-            if base < lo or base >= hi:
-                return
             d = order - acc.bit_count()
             stats["rep_violations"] += 1
             stats["violations"] += 1
@@ -270,30 +267,29 @@ def _scan_sigma_fixed(
                 stats["reps"][d] = amask
             if len(stats["witnesses"]) < cap:
                 stats["witnesses"].append(amask)
-            if stats["first_rank"] is None:
-                stats["first_rank"] = base
+            if stats["first"] is None:
+                stats["first"] = amask
             return
         for c in range(j - 1, bound):
-            b2 = base + comb(c, j)
-            if b2 >= hi:
-                break
-            if b2 + comb(c, j - 1) <= lo:
-                continue
             e = pool[c]
-            rec(j - 1, c, b2, amask | (1 << e), acc | tr(acc, e) | (1 << e))
+            rec(j - 1, c, amask | (1 << e), acc | tr(acc, e) | (1 << e))
 
-    rec(k, len(pool), 0, 0, 0)
+    amask = acc = 0
+    for c in _mask_indices(fixed):
+        e = pool[c]
+        amask, acc = amask | (1 << e), acc | tr(acc, e) | (1 << e)
+    rec(k - fixed.bit_count(), bound, amask, acc)
     return stats
 
 
 def _scan_bound_sweep(
     G: AbelianGroup,
     min_size: int,
-    lo: int,
-    hi: int,
     cap: int,
+    fixed: int,
+    bound: int,
 ) -> dict:
-    """All subsets of G \\ {0} of size >= min_size, masks in [lo, hi).
+    """All subsets of G \\ {0} of size >= min_size in the task (fixed, bound).
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, and a subtree is dropped once
@@ -304,7 +300,6 @@ def _scan_bound_sweep(
     order = G.order
     tr = G.translator()
     full = G.full_mask
-    npool = order - 1
     stats = _blank_stats()
 
     def extend_closure(H: int, e: int) -> int:
@@ -315,7 +310,7 @@ def _scan_bound_sweep(
         return H
 
     def rec(pmask: int, size: int, limit: int, acc: int, H: int) -> None:
-        if size >= min_size and lo <= pmask < hi:
+        if size >= min_size:
             if H == full:
                 got = acc.bit_count()
                 need = order if 2 * size >= order else 2 * size
@@ -327,8 +322,8 @@ def _scan_bound_sweep(
                         stats["reps"][d] = pmask << 1
                     if len(stats["witnesses"]) < cap:
                         stats["witnesses"].append(pmask << 1)
-                    if stats["first_rank"] is None:
-                        stats["first_rank"] = pmask
+                    if stats["first"] is None:
+                        stats["first"] = pmask << 1
                 elif 2 * size < order and got == 2 * size:
                     stats["eq_count"] += 1
                     if len(stats["eq_witnesses"]) < cap:
@@ -338,16 +333,15 @@ def _scan_bound_sweep(
         if size + limit < min_size:
             return
         for p in range(limit):
-            child = pmask | (1 << p)
-            if child >= hi:
-                break
-            if pmask + (1 << (p + 1)) <= lo:
-                continue
             e = p + 1
             new_h = H if (H >> e) & 1 else extend_closure(H, e)
-            rec(child, size + 1, p, acc | tr(acc, e) | (1 << e), new_h)
+            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), new_h)
 
-    rec(0, 0, npool, 0, 1)
+    acc, H = 0, 1
+    for p in _mask_indices(fixed):
+        e = p + 1
+        acc, H = acc | tr(acc, e) | (1 << e), H if (H >> e) & 1 else extend_closure(H, e)
+    rec(fixed, fixed.bit_count(), bound, acc, H)
     return stats
 
 
@@ -359,34 +353,73 @@ def _group_for(factors: tuple[int, ...]) -> AbelianGroup:
     return AbelianGroup(factors)
 
 
-def _run_window(task) -> dict:
-    kind, factors, payload, lo, hi = task
+def _run_task(task) -> dict:
+    kind, factors, payload, fixed, bound = task
     G = _group_for(factors)
     if kind == "cover":
         return _scan_cover_fixed(
-            G, payload["pool"], payload["k"], payload["layers"], lo, hi,
-            payload["cap"], payload["unit_perms"], payload["stop_on_first"],
+            G, payload["pool"], payload["k"], payload["layers"], payload["cap"],
+            payload["unit_perms"], payload["stop_on_first"], fixed, bound,
         )
     if kind == "sigma":
-        return _scan_sigma_fixed(G, payload["pool"], payload["k"], lo, hi, payload["cap"])
+        return _scan_sigma_fixed(G, payload["pool"], payload["k"], payload["cap"], fixed, bound)
     if kind == "sweep":
-        return _scan_bound_sweep(G, payload["min_size"], lo, hi, payload["cap"])
+        return _scan_bound_sweep(G, payload["min_size"], payload["cap"], fixed, bound)
     raise ValueError(f"unknown scan kind {kind!r}")
 
 
-def _execute(kind: str, G: AbelianGroup, payload: dict, total: int, jobs: int, cap: int) -> dict:
-    jobs = max(1, int(jobs))
-    if total <= 0:
-        return _blank_stats()
-    tasks = [(kind, G.factors, payload, lo, hi) for lo, hi in windows(total, jobs)]
+def _subtree_tasks(kind: str, G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
+    """The scan's tasks in mask order: the root at jobs=1, otherwise the
+    root split on its next position until no task holds more than
+    1/(4*jobs) of the candidates (or it is a single candidate)."""
+    if kind == "sweep":
+        root = (0, G.order - 1)
+
+        def count(task: tuple[int, int]) -> int:
+            return 1 << task[1]
+
+        def children(task: tuple[int, int]) -> list[tuple[int, int]]:
+            # the node itself, then one subtree per next position
+            fixed, bound = task
+            return [(fixed, 0)] + [(fixed | (1 << p), p) for p in range(bound)] if bound else []
+    else:
+        k = payload["k"]
+        root = (0, len(payload["pool"]))
+
+        def count(task: tuple[int, int]) -> int:
+            return comb(task[1], k - task[0].bit_count())
+
+        def children(task: tuple[int, int]) -> list[tuple[int, int]]:
+            fixed, bound = task
+            j = k - fixed.bit_count()
+            return [(fixed | (1 << c), c) for c in range(j - 1, bound)] if j else []
+
+    if jobs == 1:
+        return [root]
+    total = count(root)
+
+    def split(task: tuple[int, int]) -> list[tuple[int, int]]:
+        kids = children(task)
+        if not kids or 4 * jobs * count(task) <= total:
+            return [task]
+        return [t for kid in kids for t in split(kid)]
+
+    return split(root)
+
+
+def _execute(kind: str, G: AbelianGroup, payload: dict, jobs: int, cap: int) -> dict:
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
+    if cap < 0:
+        raise ValueError(f"witness cap {cap} is negative")
+    tasks = [(kind, G.factors, payload, fixed, bound)
+             for fixed, bound in _subtree_tasks(kind, G, payload, jobs)]
     if len(tasks) == 1:
-        parts = [_run_window(tasks[0])]
-    elif jobs == 1:
-        parts = [_run_window(t) for t in tasks]
+        parts = [_run_task(tasks[0])]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=jobs) as pool:
-            parts = pool.map(_run_window, tasks)
+            parts = pool.map(_run_task, tasks, chunksize=1)
     return _merge_stats(parts, cap)
 
 
@@ -469,7 +502,7 @@ def verify_pair_cover_threshold(
         "stop_on_first": False,
     }
     total = comb(G.order - 1, threshold)
-    stats = _execute("cover", G, payload, total, jobs, witness_cap)
+    stats = _execute("cover", G, payload, jobs, witness_cap)
     params["violations"] = stats["violations"]
     if perms is not None:
         params["symmetry"] = True
@@ -516,7 +549,7 @@ def search_lemma2_counterexamples(
         "stop_on_first": not exhaustive,
     }
     total = comb(m - 1, size)
-    stats = _execute("cover", G, payload, total, jobs, witness_cap)
+    stats = _execute("cover", G, payload, jobs, witness_cap)
     found = stats["violations"] > 0
     params: dict = {"subset_size": size, "exhaustive": bool(exhaustive)}
     if exhaustive:
@@ -525,9 +558,11 @@ def search_lemma2_counterexamples(
         params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats["hist"].items())}
         witnesses = _witnesses_with_reps(stats, witness_cap)
     else:
-        checked = (stats["first_rank"] + 1) if found else total
+        first = _mask_indices(stats["first"]) if found else []
+        # pool position of element e is e - 1
+        checked = rank([e - 1 for e in first]) + 1 if found else total
         params["violations"] = 1 if found else 0
-        witnesses = [_mask_indices(stats["witnesses"][0])] if found else []
+        witnesses = [first][:witness_cap] if found else []
     if perms is not None:
         params["symmetry"] = True
         params["expansion_factor"] = len(perms)
@@ -559,7 +594,7 @@ def verify_subset_sum_bound(
     _check_budget(G.order, budget)
     npool = G.order - 1
     payload = {"min_size": min_size, "cap": witness_cap}
-    stats = _execute("sweep", G, payload, 1 << npool, jobs, witness_cap)
+    stats = _execute("sweep", G, payload, jobs, witness_cap)
     checked = sum(comb(npool, j) for j in range(min_size, npool + 1))
     params = {
         "min_size": min_size,
@@ -601,7 +636,7 @@ def critical_number(
     answer: int | None = None
     for s in range(1, n):
         payload = {"pool": pool, "k": s, "cap": witness_cap}
-        stats = _execute("sigma", G, payload, comb(n - 1, s), jobs, witness_cap)
+        stats = _execute("sigma", G, payload, jobs, witness_cap)
         failures_by_size[str(s)] = stats["violations"]
         if stats["violations"] == 0:
             answer = s
@@ -665,7 +700,7 @@ def verify_three_fold_cover(
         "stop_on_first": False,
     }
     total = comb(m, size)
-    stats = _execute("cover", G, payload, total, jobs, witness_cap)
+    stats = _execute("cover", G, payload, jobs, witness_cap)
     params: dict = {"subset_size": size, "violations": stats["violations"]}
     if perms is not None:
         params["symmetry"] = True

@@ -24,6 +24,7 @@ from groupsums import (
     sigma,
     torsion_two,
     unit_permutation,
+    verify_pair_cover_threshold,
     verify_subset_sum_bound,
     verify_three_fold_cover,
     critical_number,
@@ -200,9 +201,22 @@ def check_jobs_determinism() -> None:
     b = search_lemma2_counterexamples(12, jobs=2)
     c = search_lemma2_counterexamples(12, jobs=5)
     assert a.core() == b.core() == c.core()
+    for m in (13, 14):
+        runs = [search_lemma2_counterexamples(m, exhaustive=False, jobs=j).core() for j in (1, 2, 5)]
+        assert runs[0] == runs[1] == runs[2], m
     G16 = AbelianGroup.cyclic(16)
-    assert verify_subset_sum_bound(G16, jobs=1).core() == verify_subset_sum_bound(G16, jobs=4).core()
+    for min_size in (1, 5):
+        serial = verify_subset_sum_bound(G16, min_size, jobs=1).core()
+        assert serial == verify_subset_sum_bound(G16, min_size, jobs=4).core(), min_size
     assert verify_three_fold_cover(12, jobs=1).core() == verify_three_fold_cover(12, jobs=3).core()
     ca, va = critical_number(AbelianGroup.cyclic(10), jobs=1)
     cb, vb = critical_number(AbelianGroup.cyclic(10), jobs=3)
     assert ca == cb and va.core() == vb.core()
+    Z2xZ6 = AbelianGroup((2, 6))
+    Z2cubed = AbelianGroup((2, 2, 2))
+    for run in (
+        lambda j: verify_pair_cover_threshold(Z2xZ6, jobs=j),
+        lambda j: verify_subset_sum_bound(Z2xZ6, jobs=j),
+        lambda j: critical_number(Z2cubed, jobs=j)[1],
+    ):
+        assert run(1).core() == run(3).core()

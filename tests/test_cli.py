@@ -133,6 +133,26 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_bad_jobs_and_witness_cap_exit_two(capsys):
+    for flag, value in (("--jobs", "0"), ("--jobs", "-2"), ("--witness-cap", "-1"), ("--jobs", "two")):
+        code, out, err = run(capsys, "verify", "lemma2", "--group", "Z8", flag, value)
+        assert code == 2, (flag, value)
+        assert out == "" and f"argument {flag}" in err
+
+
+def test_first_only_with_zero_witness_cap(capsys):
+    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z12", "--first-only", "--json")
+    assert code == 1
+    capped = json.loads(out)
+    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z12", "--first-only",
+                       "--witness-cap", "0", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "refuted" and payload["witnesses"] == []
+    assert payload["checked"] == capped["checked"]
+    assert payload["params"] == capped["params"]
+
+
 def test_budget_exit_three(capsys):
     code, _, err = run(capsys, "verify", "lemma2", "--group", "Z40")
     assert code == 3

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from groupsums.colex import mask_of, rank, unrank, windows
+from groupsums.colex import mask_of, rank, unrank
 
 
 def test_rank_unrank_round_trip():
@@ -25,16 +25,3 @@ def test_unrank_rejects_nonsense():
     with pytest.raises(ValueError):
         unrank(-1, 3)
 
-
-def test_windows_partition():
-    for total, parts in [(10, 3), (7, 1), (5, 9), (1, 4), (100, 7)]:
-        ws = windows(total, parts)
-        assert ws[0][0] == 0 and ws[-1][1] == total
-        for (a, b), (c, d) in zip(ws, ws[1:]):
-            assert b == c and a < b
-        assert len(ws) <= parts
-
-
-def test_windows_need_a_part():
-    with pytest.raises(ValueError):
-        windows(10, 0)

@@ -13,6 +13,7 @@ from groupsums import (
     invariant_factors,
     is_generating,
     parse_group_spec,
+    sigma,
     subgroup_generated,
     torsion_two,
     unit_permutation,
@@ -171,18 +172,32 @@ def test_translate_matches_addition():
     import random
 
     rng = random.Random(99)
-    for G in all_groups_up_to(24):
-        for _ in range(30):
-            bits = rng.getrandbits(G.order) & G.full_mask
-            g = rng.randrange(G.order)
-            expect = 0
-            b = bits
-            while b:
-                low = b & -b
-                expect |= 1 << G.add_index(low.bit_length() - 1, g)
-                b ^= low
-            assert G.translate_bits(bits, g) == expect
-            assert G.translator()(bits, g) == expect
+    for G in all_groups_up_to(32):
+        tr = G.translator()
+        for bits in [rng.getrandbits(G.order) for _ in range(3)]:
+            A = GroupSubset(G, bits)
+            for g in range(G.order):
+                expect = 0
+                b = bits
+                while b:
+                    low = b & -b
+                    expect |= 1 << G.add_index(low.bit_length() - 1, g)
+                    b ^= low
+                assert G.translate_bits(bits, g) == expect, (G.spec, bits, g)
+                assert tr(bits, g) == expect, (G.spec, bits, g)
+                assert A.translate(g).bits == expect, (G.spec, bits, g)
+
+
+def test_translator_is_cached_and_filled_lazily():
+    import pickle
+
+    G = parse_group_spec("Z2^12")
+    tr = G.translator()
+    assert G.translator() is tr
+    assert sigma(GroupSubset.from_indices(G, [1, 2, 4])).cardinality == 7
+    (table,) = [c.cell_contents for c in tr.__closure__ if isinstance(c.cell_contents, dict)]
+    assert sorted(table) == [1, 2, 4]
+    assert pickle.loads(pickle.dumps(G)) == G
 
 
 # -- torsion and halvings ------------------------------------------------------

@@ -162,6 +162,13 @@ def test_lemma2_first_only_mode():
     assert ok.checked == comb(12, 7)
 
 
+def test_jobs_and_witness_cap_validated():
+    with pytest.raises(ValueError):
+        search_lemma2_counterexamples(8, jobs=0)
+    with pytest.raises(ValueError):
+        verify_subset_sum_bound(parse_group_spec("Z7"), witness_cap=-1)
+
+
 def test_lemma2_rejects_tiny_m():
     with pytest.raises(ValueError):
         search_lemma2_counterexamples(2)
