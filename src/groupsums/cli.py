@@ -61,8 +61,14 @@ def parse_element_list(G: AbelianGroup, text: str) -> GroupSubset:
     if not text:
         return GroupSubset(G, 0)
     if "(" in text:
+        # split() keeps the tuple bodies at odd positions and the text
+        # around them at even ones, which must be commas and nothing else
+        parts = _TUPLE_RE.split(text)
+        between = [p.strip() for p in parts[::2]]
+        if between[0] or between[-1] or any(p != "," for p in between[1:-1]):
+            raise ValueError(f"bad element list {text!r}, expected tuples like (1,0),(0,2)")
         indices = []
-        for inner in _TUPLE_RE.findall(text):
+        for inner in parts[1::2]:
             coords = tuple(int(x) for x in inner.split(","))
             indices.append(G.tuple_to_index(coords))
         return GroupSubset.from_indices(G, indices)

@@ -14,10 +14,10 @@ nonzero coordinate (a plain rotation in the cyclic case), looked up per
 element, which is what keeps the search loops in `groupsums.verify`
 branch-free and fast.
 
-Negation and doubling tables are precomputed at construction, so element
-arithmetic, 2-torsion and halving counts are table lookups.  Groups are
-immutable after construction and compare equal exactly when their invariant
-factors agree.
+Negation and doubling tables are built on first use, so element negation,
+2-torsion and halving counts are table lookups while constructing a large
+group stays cheap.  Groups are immutable after construction and compare
+equal exactly when their invariant factors agree.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class AbelianGroup:
         "factors",
         "order",
         "full_mask",
-        "neg_table",
-        "double_table",
+        "_neg_table",
+        "_double_table",
         "_strides",
         "_mask_cache",
         "_translator",
@@ -140,30 +140,35 @@ class AbelianGroup:
         self._strides = tuple(strides)
         self._mask_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._translator = None
-        self.neg_table, self.double_table = self._build_tables()
+        self._neg_table: list[int] | None = None
+        self._double_table: list[int] | None = None
 
-    def _build_tables(self) -> tuple[list[int], list[int]]:
-        factors = self.factors
-        k = len(factors)
-        neg = [0] * self.order
-        dbl = [0] * self.order
-        tup = [0] * k
-        for i in range(self.order):
-            ni = 0
-            di = 0
-            for axis in range(k - 1, -1, -1):
-                d = factors[axis]
-                x = tup[axis]
-                ni = ni * d + (d - x) % d
-                di = di * d + (2 * x) % d
-            neg[i] = ni
-            dbl[i] = di
-            for axis in range(k):
-                tup[axis] += 1
-                if tup[axis] < factors[axis]:
-                    break
-                tup[axis] = 0
-        return neg, dbl
+    @property
+    def neg_table(self) -> list[int]:
+        """neg_table[i] is the index of -x for the element x of index i."""
+        if self._neg_table is None:
+            self._neg_table = self._coordinatewise_table(lambda x, d: -x % d)
+        return self._neg_table
+
+    @property
+    def double_table(self) -> list[int]:
+        """double_table[i] is the index of 2x for the element x of index i."""
+        if self._double_table is None:
+            self._double_table = self._coordinatewise_table(lambda x, d: 2 * x % d)
+        return self._double_table
+
+    def _coordinatewise_table(self, op) -> list[int]:
+        """Index table of the map applying op(x, d) to every coordinate.
+
+        Built from the top factor down: an index is x + d*rest with x the
+        coordinate of the current factor d, so each step is one
+        comprehension over the table of the higher factors.
+        """
+        table = [0]
+        for d in reversed(self.factors):
+            images = [op(x, d) for x in range(d)]
+            table = [y + d * rest for rest in table for y in images]
+        return table
 
     # -- identity and rendering ------------------------------------------
 

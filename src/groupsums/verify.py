@@ -3,15 +3,22 @@ reproducible certificates.
 
 Every verifier enumerates candidate subsets in colexicographic order (the
 numeric order of their bitmasks) with incremental sumset state carried down
-the recursion, and prunes a subtree as soon as the partial state already
-covers the group: nothing below it can be a violation or an extremal case.
+the recursion, and prunes a subtree once nothing below it can be a violation
+or an extremal case.  The subset-sum scans prune when the partial state
+already covers the group.  The cover scans look ahead: a node with j picks
+left is dropped unless some uncovered x has at least j candidates that
+avoid every element whose addition would cover it (x itself and x - A for
+the pair cover, x - (A +^ A) for the three-fold sums), since otherwise every
+leaf below it covers the group.
+
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 it is cut into subtree tasks, each fixing the top elements of its
 candidates: the largest subtree is split on its next element until none
 holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
 counts.  Tasks run in worker processes in mask order and are merged in that
 order with associative bookkeeping, so a certificate never depends on the
-worker count.
+worker count.  `critical_number` runs one scan per subset size and keeps
+one worker pool open across them.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically), or for a search
@@ -26,6 +33,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -173,12 +181,23 @@ def _scan_cover_fixed(
     layers=2 checks A together with its pair sums; layers=3 checks the
     three-element sums alone.  The first layer of sums is A itself, so its
     bitmask doubles as the witness mask.
+
+    A node with j picks left from pool[0:bound] is dropped unless some
+    uncovered x could survive to a leaf, which needs j candidates avoiding
+    every element whose addition covers x: x and x - A for layers=2,
+    x - (A +^ A) for layers=3.  The scan carries the negated lower layers
+    (n1 = -A, n2 = -(A +^ A)) so that those sets are single translates.
     """
     tr = G.translator()
+    neg = G.neg_table
     full = G.full_mask
     order = G.order
     stats = _blank_stats()
     stop = False
+    # free[b]: the elements at pool positions below b, a node's candidates
+    free = [0]
+    for e in pool:
+        free.append(free[-1] | (1 << e))
 
     def leaf(amask: int, cover: int) -> None:
         # only reached when cover != full
@@ -202,42 +221,63 @@ def _scan_cover_fixed(
         if stop_on_first:
             stop = True
 
-    dp1 = dp2 = dp3 = 0
+    dp1 = dp2 = dp3 = n1 = n2 = 0
     for c in _mask_indices(fixed):
         e = pool[c]
         dp1, dp2, dp3 = dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e)
+        n1, n2 = n1 | (1 << neg[e]), n2 | tr(n1, neg[e])
 
     if layers == 2:
 
-        def rec(j: int, bound: int, dp1: int, dp2: int) -> None:
+        def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
             cover = dp1 | dp2
             if cover == full:
                 return
             if j == 0:
                 leaf(dp1, cover)
                 return
+            avail = free[bound]
+            uncovered = full ^ cover
+            while uncovered:
+                low = uncovered & -uncovered
+                if (avail & ~(low | tr(n1, low.bit_length() - 1))).bit_count() >= j:
+                    break
+                uncovered ^= low
+            else:
+                return
             for c in range(j - 1, bound):
                 e = pool[c]
-                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e))
+                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
                 if stop:
                     return
 
-        rec(k - fixed.bit_count(), bound, dp1, dp2)
+        rec(k - fixed.bit_count(), bound, dp1, dp2, n1)
     else:
 
-        def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int) -> None:
+        def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
             if dp3 == full:
                 return
             if j == 0:
                 leaf(dp1, dp3)
                 return
+            avail = free[bound]
+            uncovered = full ^ dp3
+            while uncovered:
+                low = uncovered & -uncovered
+                if (avail & ~tr(n2, low.bit_length() - 1)).bit_count() >= j:
+                    break
+                uncovered ^= low
+            else:
+                return
             for c in range(j - 1, bound):
                 e = pool[c]
-                rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e))
+                ne = neg[e]
+                rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
+                     n1 | (1 << ne), n2 | tr(n1, ne))
                 if stop:
                     return
 
-        rec3(k - fixed.bit_count(), bound, dp1, dp2, dp3)
+        rec3(k - fixed.bit_count(), bound, dp1, dp2, dp3, n1, n2)
     return stats
 
 
@@ -407,7 +447,17 @@ def _subtree_tasks(kind: str, G: AbelianGroup, payload: dict, jobs: int) -> list
     return split(root)
 
 
-def _execute(kind: str, G: AbelianGroup, payload: dict, jobs: int, cap: int) -> dict:
+def _worker_pool(jobs: int):
+    """A fork pool of `jobs` workers, or an empty context at jobs=1."""
+    if jobs == 1:
+        return nullcontext()
+    return multiprocessing.get_context("fork").Pool(processes=jobs)
+
+
+def _execute(kind: str, G: AbelianGroup, payload: dict, jobs: int, cap: int, workers=None) -> dict:
+    """Run one scan as subtree tasks and merge them in mask order.  A caller
+    that runs several scans passes its open pool as `workers`; otherwise a
+    pool is started for this scan alone when it has more than one task."""
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     if cap < 0:
@@ -416,10 +466,11 @@ def _execute(kind: str, G: AbelianGroup, payload: dict, jobs: int, cap: int) -> 
              for fixed, bound in _subtree_tasks(kind, G, payload, jobs)]
     if len(tasks) == 1:
         parts = [_run_task(tasks[0])]
+    elif workers is not None:
+        parts = workers.map(_run_task, tasks, chunksize=1)
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            parts = pool.map(_run_task, tasks, chunksize=1)
+        with _worker_pool(jobs) as workers:
+            parts = workers.map(_run_task, tasks, chunksize=1)
     return _merge_stats(parts, cap)
 
 
@@ -634,14 +685,15 @@ def critical_number(
     failures_by_size: dict[str, int] = {}
     last_witness_mask: int | None = None
     answer: int | None = None
-    for s in range(1, n):
-        payload = {"pool": pool, "k": s, "cap": witness_cap}
-        stats = _execute("sigma", G, payload, jobs, witness_cap)
-        failures_by_size[str(s)] = stats["violations"]
-        if stats["violations"] == 0:
-            answer = s
-            break
-        last_witness_mask = stats["witnesses"][0] if stats["witnesses"] else None
+    with _worker_pool(jobs) as workers:
+        for s in range(1, n):
+            payload = {"pool": pool, "k": s, "cap": witness_cap}
+            stats = _execute("sigma", G, payload, jobs, witness_cap, workers)
+            failures_by_size[str(s)] = stats["violations"]
+            if stats["violations"] == 0:
+                answer = s
+                break
+            last_witness_mask = stats["witnesses"][0] if stats["witnesses"] else None
     if answer is None:
         raise CriticalNumberNotFound(f"no size up to {n - 1} forces coverage in {G.spec}")
     known = _known_critical_value(G)

@@ -8,7 +8,9 @@ order <= 32, and full scans of order <= 64 for the halving/torsion facts.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+from itertools import combinations
 from math import comb
 
 from groupsums import (
@@ -29,6 +31,7 @@ from groupsums import (
     verify_three_fold_cover,
     critical_number,
 )
+from groupsums.verify import _execute
 
 
 def all_groups_up_to(max_order: int) -> list[AbelianGroup]:
@@ -220,3 +223,66 @@ def check_jobs_determinism() -> None:
         lambda j: critical_number(Z2cubed, jobs=j)[1],
     ):
         assert run(1).core() == run(3).core()
+
+
+def _expected_cover_stats(G: AbelianGroup, deficits: dict[int, int], perms, cap: int) -> dict:
+    """Scan statistics derived from every violating mask and its deficiency;
+    under unit multiplication only orbit minima are listed, but the counts
+    stay totals because the deficiency is invariant."""
+    reps_listed = [
+        mask for mask in sorted(deficits)
+        if perms is None or mask == min(GroupSubset(G, mask).map_indices(p).bits for p in perms)
+    ]
+    hist: dict[int, int] = {}
+    first_of: dict[int, int] = {}
+    for mask in sorted(deficits):
+        d = deficits[mask]
+        hist[d] = hist.get(d, 0) + 1
+        first_of.setdefault(d, mask)
+    return {
+        "violations": len(deficits),
+        "rep_violations": len(reps_listed),
+        "hist": hist,
+        "reps": first_of,
+        "witnesses": reps_listed[:cap],
+        "first": reps_listed[0] if reps_listed else None,
+    }
+
+
+def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
+    """The cover scan, look-ahead pruning included, against brute force over
+    every k-subset of the pool, for every group of order <= max_order and
+    every k from 1 to the pool size: layers=2 on G \\ {0} (A with its pair
+    sums) and layers=3 on G (three-element sums).  Each case runs at jobs 1
+    and 3, stopped at the first violation, and on cyclic groups under unit
+    multiplication.  Returns the number of subsets checked."""
+    checked = 0
+    keys = ("violations", "rep_violations", "hist", "reps", "witnesses", "first")
+    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
+        for G in all_groups_up_to(max_order):
+            unit_perms = None
+            if G.is_cyclic and G.order >= 2:
+                unit_perms = tuple(unit_permutation(G, u) for u in cyclic_units(G.order))
+            for layers, pool in ((2, tuple(range(1, G.order))), (3, tuple(range(G.order)))):
+                for k in range(1, len(pool) + 1):
+                    deficits = {}
+                    for combo in combinations(pool, k):
+                        A = GroupSubset.from_indices(G, combo)
+                        cover = naive_subset_sums(A, 3) if layers == 3 else A | naive_subset_sums(A, 2)
+                        if cover.cardinality < G.order:
+                            deficits[A.bits] = G.order - cover.cardinality
+                        checked += 1
+                    for perms in (None, unit_perms) if unit_perms else (None,):
+                        want = _expected_cover_stats(G, deficits, perms, cap)
+                        for stop_on_first in (False, True):
+                            payload = {"pool": pool, "k": k, "layers": layers, "cap": cap,
+                                       "unit_perms": perms, "stop_on_first": stop_on_first}
+                            for jobs in (1, 3):
+                                got = _execute("cover", G, payload, jobs, cap, workers)
+                                where = (G.spec, layers, k, perms is not None, stop_on_first, jobs)
+                                if stop_on_first:
+                                    assert got["first"] == want["first"], where
+                                    assert (got["violations"] > 0) == bool(deficits), where
+                                else:
+                                    assert {key: got[key] for key in keys} == want, where
+    return checked

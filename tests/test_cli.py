@@ -46,6 +46,17 @@ def test_parse_element_list_rejects_bad_index():
         parse_element_list(G, "7")
 
 
+def test_element_list_rejects_text_outside_tuples(capsys):
+    code, out, err = run(capsys, "paircover", "--group", "Z2xZ4", "--set", "(1,0),junk")
+    assert code == 2 and out == ""
+    assert "bad element list" in err
+    G = parse_group_spec("Z2xZ4")
+    for text in ("(1,0)(0,2)", "x(1,0)", "(1,0),,(0,2)", "(1,0),", "(1,0),5"):
+        with pytest.raises(ValueError):
+            parse_element_list(G, text)
+    assert parse_element_list(G, " (1,0) , (0,2) ").indices() == (1, 4)
+
+
 def test_parse_order_range():
     assert list(parse_order_range("3..5")) == [3, 4, 5]
     with pytest.raises(ValueError):

@@ -200,6 +200,16 @@ def test_translator_is_cached_and_filled_lazily():
     assert pickle.loads(pickle.dumps(G)) == G
 
 
+def test_tables_are_built_on_first_use():
+    G = parse_group_spec("Z2^16")
+    assert G._neg_table is None and G._double_table is None
+    assert G.neg_table[5] == 5 and G._double_table is None
+    assert torsion_two(G).cardinality == G.order
+    for H in all_groups_up_to(24):
+        for i in range(H.order):
+            assert H.double_table[i] == H.add_index(i, i)
+
+
 # -- torsion and halvings ------------------------------------------------------
 
 

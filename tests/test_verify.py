@@ -23,7 +23,7 @@ from groupsums import (
     verify_three_fold_cover,
 )
 
-from property_checks import check_jobs_determinism, check_monotonicity
+from property_checks import check_cover_scan_brute_force, check_jobs_determinism, check_monotonicity
 
 
 # -- pair-cover threshold -------------------------------------------------------
@@ -342,6 +342,11 @@ def test_three_fold_cover_preconditions():
 
 def test_monotonicity_licenses_minimal_size_checks():
     check_monotonicity(trials=100)
+
+
+def test_cover_scan_matches_brute_force():
+    # every group of order <= 12, every k: violations exist near the prune frontier
+    assert check_cover_scan_brute_force(12) > 10_000
 
 
 def test_jobs_determinism():
