@@ -24,16 +24,11 @@ from .subsets import h_hat, pair_cover, sigma
 from .verify import (
     DEFAULT_BUDGET,
     DEFAULT_WITNESS_CAP,
-    KNOWN_STATEMENTS,
     REFUTED,
+    STATEMENTS,
     BudgetExceededError,
     Verdict,
-    critical_number,
-    search_lemma2_counterexamples,
     sweep,
-    verify_pair_cover_threshold,
-    verify_subset_sum_bound,
-    verify_three_fold_cover,
 )
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)$")
@@ -52,6 +47,8 @@ def parse_order_range(text: str) -> range:
     a, b = int(m.group(1)), int(m.group(2))
     if a > b:
         raise ValueError(f"empty order range {text!r}")
+    if a < 1:
+        raise ValueError(f"order range {text!r} starts below 1, the order of the trivial group")
     return range(a, b + 1)
 
 
@@ -105,11 +102,9 @@ def _construct_command(args) -> int:
     if args.kind == "tight":
         G, A = tight_example(args.k)
         params = {"k": args.k, "subset_sum_count": sigma(A).cardinality}
-    elif args.kind == "even-ce":
-        G, A = even_counterexample(args.m)
-        params = {"m": args.m, "pair_cover_missing": _missing(G, A)}
-    elif args.kind == "mod4-ce":
-        G, A = two_mod_four_counterexample(args.m)
+    elif args.kind in ("even-ce", "mod4-ce"):
+        build = even_counterexample if args.kind == "even-ce" else two_mod_four_counterexample
+        G, A = build(args.m)
         params = {"m": args.m, "pair_cover_missing": _missing(G, A)}
     else:
         G = parse_group_spec(args.group)
@@ -149,56 +144,22 @@ def _groups_command(args) -> int:
     return 0
 
 
-def _verify_single(statement: str, args) -> list[Verdict]:
-    common = dict(witness_cap=args.witness_cap, jobs=args.jobs, budget=args.budget)
-    G = parse_group_spec(args.group)
-    if statement == "lemma2-search":
-        if not G.is_cyclic:
-            raise ValueError("the pair-cover search runs on cyclic groups")
-        return [search_lemma2_counterexamples(
-            G.order, exhaustive=not args.first_only, symmetry=args.symmetry, **common)]
-    if statement == "thm4":
-        if not G.is_cyclic:
-            raise ValueError("the three-fold cover statement is about cyclic groups")
-        return [verify_three_fold_cover(G.order, symmetry=args.symmetry, **common)]
-    if statement == "prop3.2":
-        return [verify_pair_cover_threshold(G, symmetry=args.symmetry, **common)]
-    if statement == "thm1":
-        return [verify_subset_sum_bound(G, args.min_size, **common)]
-    return [critical_number(G, **common)[1]]
-
-
 def _verify_command(args) -> int:
-    if args.which == "sweep":
-        statement = args.statement
-        if statement not in KNOWN_STATEMENTS:
-            raise ValueError(f"unknown statement {statement!r}; known: {', '.join(KNOWN_STATEMENTS)}")
+    statement = STATEMENTS[args.statement]
+    options = {name: getattr(args, name) for name in _OPTION_FLAGS if hasattr(args, name)}
+    stray = [_OPTION_FLAGS[name][0] for name in options if name not in statement.options]
+    if stray:
+        raise ValueError(f"{statement.id} takes no {', '.join(stray)}")
+    if args.cyclic and args.group is not None:
+        raise ValueError("--cyclic needs --order-range")
+    common = dict(witness_cap=args.witness_cap, jobs=args.jobs, budget=args.budget)
+    if args.group is not None:
+        verdicts = [statement.run(parse_group_spec(args.group), **common, **options)]
     else:
-        statement = {
-            "prop3": "prop3.2",
-            "lemma2": "lemma2-search",
-            "thm1": "thm1",
-            "thm4": "thm4",
-            "thm5": "thm5",
-        }[args.which]
-    if getattr(args, "group", None):
-        verdicts = _verify_single(statement, args)
-    elif getattr(args, "order_range", None):
-        verdicts = sweep(
-            statement,
-            parse_order_range(args.order_range),
-            cyclic_only=args.cyclic,
-            min_size=args.min_size,
-            witness_cap=args.witness_cap,
-            jobs=args.jobs,
-            symmetry=args.symmetry,
-            budget=args.budget,
-            exhaustive=not args.first_only,
-        )
-    else:
-        raise ValueError("need --group or --order-range")
+        verdicts = sweep(statement.id, parse_order_range(args.order_range),
+                         cyclic_only=args.cyclic, **common, **options)
     if args.json:
-        if len(verdicts) == 1 and args.which != "sweep" and getattr(args, "group", None):
+        if args.which != "sweep" and args.group is not None:
             print(verdicts[0].to_json())
         else:
             print(dumps([v.to_dict() for v in verdicts]))
@@ -240,18 +201,29 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_common_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", help="group spec, e.g. Z6 or Z2xZ4")
-    p.add_argument("--order-range", help="inclusive order range, e.g. 3..16")
-    p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only")
-    p.add_argument("--min-size", type=int, default=5, help="minimum subset size for the sum-count bound")
+# the flag of each statement option (`Statement.options`); a subcommand
+# offers only its statement's, and without the flag `run`'s default holds
+_OPTION_FLAGS = {
+    "symmetry": ("--symmetry", dict(
+        action="store_true",
+        help="search orbit representatives under unit multiplication (cyclic groups)")),
+    "exhaustive": ("--first-only", dict(
+        action="store_false", help="stop the counterexample search at the first witness")),
+    "min_size": ("--min-size", dict(type=int, help="minimum subset size for the sum-count bound (default 5)")),
+}
+
+
+def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--group", help="group spec, e.g. Z6 or Z2xZ4")
+    where.add_argument("--order-range", help="inclusive order range, e.g. 3..16")
+    p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only (with --order-range)")
     p.add_argument("--witness-cap", type=_int_at_least(0), default=DEFAULT_WITNESS_CAP)
-    p.add_argument("--symmetry", action="store_true",
-                   help="search orbit representatives under unit multiplication (cyclic groups)")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="largest group order to exhaust")
-    p.add_argument("--first-only", action="store_true",
-                   help="stop the counterexample search at the first witness")
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
+    for name in options:
+        flag, kwargs = _OPTION_FLAGS[name]
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
     p.add_argument("--json", action="store_true")
 
 
@@ -273,32 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="generate a checked extremal or counterexample subset")
     csub = c.add_subparsers(dest="kind", required=True)
-    p = csub.add_parser("tight")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_construct_command)
-    p = csub.add_parser("even-ce")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_construct_command)
-    p = csub.add_parser("mod4-ce")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_construct_command)
-    p = csub.add_parser("near-tight")
-    p.add_argument("--group", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_construct_command)
+    for kind, flag, value_type in (("tight", "--k", int), ("even-ce", "--m", int),
+                                   ("mod4-ce", "--m", int), ("near-tight", "--group", str)):
+        p = csub.add_parser(kind)
+        p.add_argument(flag, type=value_type, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_construct_command)
 
     v = sub.add_parser("verify", help="run an exhaustive verifier")
     vsub = v.add_subparsers(dest="which", required=True)
-    for name in ("prop3", "lemma2", "thm1", "thm4", "thm5"):
-        p = vsub.add_parser(name)
-        _add_common_verify_flags(p)
-        p.set_defaults(func=_verify_command)
-    p = vsub.add_parser("sweep")
-    p.add_argument("--statement", required=True, help=f"one of: {', '.join(KNOWN_STATEMENTS)}")
-    _add_common_verify_flags(p)
+    for statement in STATEMENTS.values():
+        p = vsub.add_parser(statement.alias, help=f"verify {statement.id}")
+        _add_verify_flags(p, statement.options)
+        p.set_defaults(func=_verify_command, statement=statement.id)
+    p = vsub.add_parser("sweep", help="verify any statement, named by --statement")
+    p.add_argument("--statement", required=True, choices=STATEMENTS)
+    _add_verify_flags(p, _OPTION_FLAGS)
     p.set_defaults(func=_verify_command)
 
     g = sub.add_parser("groups", help="list abelian groups of an order")

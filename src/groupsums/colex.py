@@ -12,14 +12,12 @@ candidates it checked.
 
 >>> [rank(c) for c in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]]
 [0, 1, 2, 3, 4, 5]
->>> unrank(4, 2)
-(1, 3)
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def rank(combo: Sequence[int]) -> int:
@@ -27,26 +25,3 @@ def rank(combo: Sequence[int]) -> int:
     for i, c in enumerate(combo, start=1):
         r += comb(c, i)
     return r
-
-
-def unrank(r: int, k: int) -> tuple[int, ...]:
-    if r < 0 or k < 0:
-        raise ValueError("rank and size must be nonnegative")
-    out = [0] * k
-    for i in range(k, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
-        out[i - 1] = c
-        r -= comb(c, i)
-    if r != 0:
-        raise ValueError("rank is not consistent with the combination size")
-    return tuple(out)
-
-
-def mask_of(combo: Iterable[int]) -> int:
-    bits = 0
-    for c in combo:
-        bits |= 1 << c
-    return bits
-

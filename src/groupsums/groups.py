@@ -36,6 +36,20 @@ class GroupSpecError(ValueError):
     """Raised for malformed group descriptions or out-of-range orders."""
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending.
+
+    >>> bit_indices(0b10110)
+    [1, 2, 4]
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, as {prime: exponent}.
 
@@ -191,11 +205,6 @@ class AbelianGroup:
         return f"AbelianGroup({self.factors})"
 
     @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Alias for `factors`, the divisibility chain d1 | d2 | ... | dk."""
-        return self.factors
-
-    @property
     def spec(self) -> str:
         """Canonical textual form, e.g. "Z2 x Z4"; the trivial group is "Z1"."""
         if not self.factors:
@@ -237,10 +246,6 @@ class AbelianGroup:
             raise ValueError(f"index {i} out of range for {self.spec}")
         return GroupElement(self, i)
 
-    def elements(self) -> Iterator["GroupElement"]:
-        for i in range(self.order):
-            yield GroupElement(self, i)
-
     def _index_of(self, x: "GroupElement | int") -> int:
         if isinstance(x, GroupElement):
             if x.group != self:
@@ -259,9 +264,6 @@ class AbelianGroup:
             s = self._strides[axis]
             out = out * d + ((i // s) % d + (j // s) % d) % d
         return out
-
-    def neg_index(self, i: int) -> int:
-        return self.neg_table[i]
 
     def add(self, x: "GroupElement | int", y: "GroupElement | int") -> "GroupElement":
         return GroupElement(self, self.add_index(self._index_of(x), self._index_of(y)))
@@ -402,22 +404,12 @@ class GroupSubset:
             bits |= 1 << group._index_of(i)
         return cls(group, bits)
 
-    @classmethod
-    def full(cls, group: AbelianGroup) -> "GroupSubset":
-        return cls(group, group.full_mask)
-
     @property
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(bit_indices(self.bits))
 
     def _same_group(self, other: "GroupSubset") -> None:
         if self.group != other.group:
@@ -456,12 +448,9 @@ class GroupSubset:
         return self.map_indices(self.group.neg_table)
 
     def map_indices(self, perm) -> "GroupSubset":
-        bits = self.bits
         out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << perm[low.bit_length() - 1]
-            bits ^= low
+        for i in bit_indices(self.bits):
+            out |= 1 << perm[i]
         return GroupSubset(self.group, out)
 
     def __eq__(self, other: object) -> bool:
@@ -480,7 +469,7 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> AbelianGr
     """Parse "Z<n>" atoms joined by "x", with optional "^e" exponents.
 
     The result is always in canonical invariant-factor form, so coprime
-    factors collapse:
+    factors collapse, and "Z1" is the trivial group, as `spec` renders it:
 
     >>> parse_group_spec("Z9").factors
     (9,)
@@ -490,6 +479,8 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> AbelianGr
     (6,)
     >>> parse_group_spec("Z2 x Z4").factors
     (2, 4)
+    >>> parse_group_spec("Z1").order
+    1
     """
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
@@ -501,8 +492,8 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> AbelianGr
             raise GroupSpecError(f"bad group atom {atom!r} in {text!r}")
         n = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
-        if n < 2:
-            raise GroupSpecError(f"cyclic order {n} < 2 in {text!r}")
+        if n < 1:
+            raise GroupSpecError(f"cyclic order {n} < 1 in {text!r}")
         if e < 1:
             raise GroupSpecError(f"exponent {e} < 1 in {text!r}")
         orders.extend([n] * e)

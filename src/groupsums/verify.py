@@ -20,6 +20,10 @@ order with associative bookkeeping, so a certificate never depends on the
 worker count.  `critical_number` runs one scan per subset size and keeps
 one worker pool open across them.
 
+Each statement is a `Statement` in the `STATEMENTS` registry, from which the
+CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
+its violating leaves in a `ScanStats` record; task records merge in mask order.
+
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically), or for a search
 stopped at its first witness, that witness's colex rank plus one; violation
@@ -34,13 +38,22 @@ import json
 import multiprocessing
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 from . import __version__
 from .colex import rank
-from .groups import AbelianGroup, cyclic_units, torsion_two, unit_permutation
+from .groups import (
+    AbelianGroup,
+    bit_indices,
+    cyclic_units,
+    enumerate_groups_of_order,
+    torsion_two,
+    unit_permutation,
+)
 
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
@@ -48,8 +61,6 @@ DEFAULT_WITNESS_CAP = 16
 VERIFIED = "verified"
 REFUTED = "refuted"
 VACUOUS = "vacuous"
-
-KNOWN_STATEMENTS = ("prop3.2", "lemma2-search", "thm1", "thm4", "thm5")
 
 
 class BudgetExceededError(RuntimeError):
@@ -74,16 +85,7 @@ class Verdict:
     toolchain_version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "group": self.group,
-            "params": dict(self.params),
-            "status": self.status,
-            "checked": self.checked,
-            "witnesses": [list(w) for w in self.witnesses],
-            "elapsed_ms": self.elapsed_ms,
-            "toolchain_version": self.toolchain_version,
-        }
+        return asdict(self)
 
     def core(self) -> dict:
         """Everything except the timing; two runs of the same job agree here."""
@@ -96,16 +98,7 @@ class Verdict:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Verdict":
-        return cls(
-            statement=d["statement"],
-            group=d["group"],
-            params=dict(d["params"]),
-            status=d["status"],
-            checked=d["checked"],
-            witnesses=[list(w) for w in d["witnesses"]],
-            elapsed_ms=d["elapsed_ms"],
-            toolchain_version=d["toolchain_version"],
-        )
+        return cls(**deepcopy({f.name: d[f.name] for f in fields(cls)}))
 
     @classmethod
     def from_json(cls, text: str) -> "Verdict":
@@ -121,61 +114,62 @@ class Verdict:
 # the whole scan in order.
 
 
-def _blank_stats() -> dict:
-    return {
-        "violations": 0,
-        "rep_violations": 0,
-        "hist": {},
-        "reps": {},
-        "witnesses": [],
-        "eq_count": 0,
-        "eq_witnesses": [],
-        "first": None,
-    }
+@dataclass
+class ScanStats:
+    """What a scan or one of its tasks found, in mask order.  `record` files a
+    violating leaf of deficiency d, counted with its orbit weight in
+    `violations` and `hist` and once in `rep_violations`; `reps` keeps the
+    first mask per d, `witnesses` the first `cap`.  The bound sweep adds its
+    equality cases to `eq_count` and `eq_witnesses`."""
 
+    cap: int
+    violations: int = 0
+    rep_violations: int = 0
+    hist: dict[int, int] = field(default_factory=dict)
+    reps: dict[int, int] = field(default_factory=dict)
+    witnesses: list[int] = field(default_factory=list)
+    eq_count: int = 0
+    eq_witnesses: list[int] = field(default_factory=list)
+    first: int | None = None
 
-def _merge_stats(parts: list[dict], cap: int) -> dict:
-    out = _blank_stats()
-    for part in parts:
-        out["violations"] += part["violations"]
-        out["eq_count"] += part["eq_count"]
-        out["rep_violations"] += part["rep_violations"]
-        for d, c in part["hist"].items():
-            out["hist"][d] = out["hist"].get(d, 0) + c
-        for d, mask in part["reps"].items():
-            if d not in out["reps"] or mask < out["reps"][d]:
-                out["reps"][d] = mask
-        out["witnesses"].extend(part["witnesses"])
-        out["eq_witnesses"].extend(part["eq_witnesses"])
-        if out["first"] is None:
-            out["first"] = part["first"]
-    # tasks arrive in mask order and each local list is ascending, so the
-    # concatenations are globally ascending already
-    out["witnesses"] = out["witnesses"][:cap]
-    out["eq_witnesses"] = out["eq_witnesses"][:cap]
-    return out
+    def record(self, mask: int, d: int, weight: int = 1) -> None:
+        self.rep_violations += 1
+        self.violations += weight
+        self.hist[d] = self.hist.get(d, 0) + weight
+        if d not in self.reps:
+            self.reps[d] = mask
+        if len(self.witnesses) < self.cap:
+            self.witnesses.append(mask)
+        if self.first is None:
+            self.first = mask
 
-
-def _apply_perm(mask: int, perm) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+    def merge(self, later: "ScanStats") -> None:
+        """Add the stats of the tasks that follow this one in mask order."""
+        self.violations += later.violations
+        self.rep_violations += later.rep_violations
+        self.eq_count += later.eq_count
+        for d, c in later.hist.items():
+            self.hist[d] = self.hist.get(d, 0) + c
+        for d, mask in later.reps.items():
+            self.reps.setdefault(d, mask)
+        self.witnesses += later.witnesses[:self.cap - len(self.witnesses)]
+        self.eq_witnesses += later.eq_witnesses[:self.cap - len(self.eq_witnesses)]
+        if self.first is None:
+            self.first = later.first
 
 
 def _scan_cover_fixed(
     G: AbelianGroup,
+    fixed: int,
+    bound: int,
+    *,
     pool: tuple[int, ...],
     k: int,
     layers: int,
     cap: int,
     unit_perms,
     stop_on_first: bool,
-    fixed: int,
-    bound: int,
-) -> dict:
+) -> ScanStats:
     """Size-k subsets of `pool` in the subtree task (fixed, bound).
 
     layers=2 checks A together with its pair sums; layers=3 checks the
@@ -192,7 +186,7 @@ def _scan_cover_fixed(
     neg = G.neg_table
     full = G.full_mask
     order = G.order
-    stats = _blank_stats()
+    stats = ScanStats(cap)
     stop = False
     # free[b]: the elements at pool positions below b, a node's candidates
     free = [0]
@@ -204,25 +198,16 @@ def _scan_cover_fixed(
         nonlocal stop
         orbit = 1
         if unit_perms is not None:
-            images = [_apply_perm(amask, p) for p in unit_perms]
+            members = bit_indices(amask)
+            images = [sum(1 << perm[i] for i in members) for perm in unit_perms]
             if amask > min(images):
                 return
             orbit = len(set(images))
-        d = order - cover.bit_count()
-        stats["rep_violations"] += 1
-        stats["violations"] += orbit
-        stats["hist"][d] = stats["hist"].get(d, 0) + orbit
-        if d not in stats["reps"]:
-            stats["reps"][d] = amask
-        if len(stats["witnesses"]) < cap:
-            stats["witnesses"].append(amask)
-        if stats["first"] is None:
-            stats["first"] = amask
-        if stop_on_first:
-            stop = True
+        stats.record(amask, order - cover.bit_count(), orbit)
+        stop = stop_on_first
 
     dp1 = dp2 = dp3 = n1 = n2 = 0
-    for c in _mask_indices(fixed):
+    for c in bit_indices(fixed):
         e = pool[c]
         dp1, dp2, dp3 = dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e)
         n1, n2 = n1 | (1 << neg[e]), n2 | tr(n1, neg[e])
@@ -283,39 +268,31 @@ def _scan_cover_fixed(
 
 def _scan_sigma_fixed(
     G: AbelianGroup,
+    fixed: int,
+    bound: int,
+    *,
     pool: tuple[int, ...],
     k: int,
     cap: int,
-    fixed: int,
-    bound: int,
-) -> dict:
+) -> ScanStats:
     """Size-k subsets whose full subset-sum set is checked against G."""
     tr = G.translator()
     full = G.full_mask
     order = G.order
-    stats = _blank_stats()
+    stats = ScanStats(cap)
 
     def rec(j: int, bound: int, amask: int, acc: int) -> None:
         if acc == full:
             return
         if j == 0:
-            d = order - acc.bit_count()
-            stats["rep_violations"] += 1
-            stats["violations"] += 1
-            stats["hist"][d] = stats["hist"].get(d, 0) + 1
-            if d not in stats["reps"]:
-                stats["reps"][d] = amask
-            if len(stats["witnesses"]) < cap:
-                stats["witnesses"].append(amask)
-            if stats["first"] is None:
-                stats["first"] = amask
+            stats.record(amask, order - acc.bit_count())
             return
         for c in range(j - 1, bound):
             e = pool[c]
             rec(j - 1, c, amask | (1 << e), acc | tr(acc, e) | (1 << e))
 
     amask = acc = 0
-    for c in _mask_indices(fixed):
+    for c in bit_indices(fixed):
         e = pool[c]
         amask, acc = amask | (1 << e), acc | tr(acc, e) | (1 << e)
     rec(k - fixed.bit_count(), bound, amask, acc)
@@ -324,11 +301,12 @@ def _scan_sigma_fixed(
 
 def _scan_bound_sweep(
     G: AbelianGroup,
-    min_size: int,
-    cap: int,
     fixed: int,
     bound: int,
-) -> dict:
+    *,
+    min_size: int,
+    cap: int,
+) -> ScanStats:
     """All subsets of G \\ {0} of size >= min_size in the task (fixed, bound).
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
@@ -340,7 +318,7 @@ def _scan_bound_sweep(
     order = G.order
     tr = G.translator()
     full = G.full_mask
-    stats = _blank_stats()
+    stats = ScanStats(cap)
 
     def extend_closure(H: int, e: int) -> int:
         shifted = tr(H, e)
@@ -355,19 +333,11 @@ def _scan_bound_sweep(
                 got = acc.bit_count()
                 need = order if 2 * size >= order else 2 * size
                 if got < need:
-                    stats["violations"] += 1
-                    d = need - got
-                    stats["hist"][d] = stats["hist"].get(d, 0) + 1
-                    if d not in stats["reps"]:
-                        stats["reps"][d] = pmask << 1
-                    if len(stats["witnesses"]) < cap:
-                        stats["witnesses"].append(pmask << 1)
-                    if stats["first"] is None:
-                        stats["first"] = pmask << 1
+                    stats.record(pmask << 1, need - got)
                 elif 2 * size < order and got == 2 * size:
-                    stats["eq_count"] += 1
-                    if len(stats["eq_witnesses"]) < cap:
-                        stats["eq_witnesses"].append(pmask << 1)
+                    stats.eq_count += 1
+                    if len(stats.eq_witnesses) < cap:
+                        stats.eq_witnesses.append(pmask << 1)
         if acc == full:
             return
         if size + limit < min_size:
@@ -378,7 +348,7 @@ def _scan_bound_sweep(
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), new_h)
 
     acc, H = 0, 1
-    for p in _mask_indices(fixed):
+    for p in bit_indices(fixed):
         e = p + 1
         acc, H = acc | tr(acc, e) | (1 << e), H if (H >> e) & 1 else extend_closure(H, e)
     rec(fixed, fixed.bit_count(), bound, acc, H)
@@ -393,26 +363,16 @@ def _group_for(factors: tuple[int, ...]) -> AbelianGroup:
     return AbelianGroup(factors)
 
 
-def _run_task(task) -> dict:
-    kind, factors, payload, fixed, bound = task
-    G = _group_for(factors)
-    if kind == "cover":
-        return _scan_cover_fixed(
-            G, payload["pool"], payload["k"], payload["layers"], payload["cap"],
-            payload["unit_perms"], payload["stop_on_first"], fixed, bound,
-        )
-    if kind == "sigma":
-        return _scan_sigma_fixed(G, payload["pool"], payload["k"], payload["cap"], fixed, bound)
-    if kind == "sweep":
-        return _scan_bound_sweep(G, payload["min_size"], payload["cap"], fixed, bound)
-    raise ValueError(f"unknown scan kind {kind!r}")
+def _run_task(task) -> ScanStats:
+    scan, factors, payload, fixed, bound = task
+    return scan(_group_for(factors), fixed, bound, **payload)
 
 
-def _subtree_tasks(kind: str, G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
+def _subtree_tasks(scan, G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
     """The scan's tasks in mask order: the root at jobs=1, otherwise the
     root split on its next position until no task holds more than
     1/(4*jobs) of the candidates (or it is a single candidate)."""
-    if kind == "sweep":
+    if scan is _scan_bound_sweep:
         root = (0, G.order - 1)
 
         def count(task: tuple[int, int]) -> int:
@@ -454,50 +414,36 @@ def _worker_pool(jobs: int):
     return multiprocessing.get_context("fork").Pool(processes=jobs)
 
 
-def _execute(kind: str, G: AbelianGroup, payload: dict, jobs: int, cap: int, workers=None) -> dict:
-    """Run one scan as subtree tasks and merge them in mask order.  A caller
-    that runs several scans passes its open pool as `workers`; otherwise a
-    pool is started for this scan alone when it has more than one task."""
+def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
+    """Run `scan(G, fixed, bound, **payload)` as subtree tasks and merge them
+    in mask order.  A caller that runs several scans passes its open pool as
+    `workers`; otherwise a pool is started for this scan alone when it has
+    more than one task."""
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
-    if cap < 0:
-        raise ValueError(f"witness cap {cap} is negative")
-    tasks = [(kind, G.factors, payload, fixed, bound)
-             for fixed, bound in _subtree_tasks(kind, G, payload, jobs)]
+    if payload["cap"] < 0:
+        raise ValueError(f"witness cap {payload['cap']} is negative")
+    tasks = [(scan, G.factors, payload, fixed, bound)
+             for fixed, bound in _subtree_tasks(scan, G, payload, jobs)]
     if len(tasks) == 1:
-        parts = [_run_task(tasks[0])]
-    elif workers is not None:
+        return _run_task(tasks[0])
+    if workers is not None:
         parts = workers.map(_run_task, tasks, chunksize=1)
     else:
         with _worker_pool(jobs) as workers:
             parts = workers.map(_run_task, tasks, chunksize=1)
-    return _merge_stats(parts, cap)
+    stats = ScanStats(payload["cap"])
+    for part in parts:
+        stats.merge(part)
+    return stats
 
 
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _witnesses_with_reps(stats: dict, cap: int) -> list[list[int]]:
+def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
     """First-`cap` witnesses in mask order, forcing in one representative
     per observed deficiency."""
-    protected = set(stats["reps"].values())
-    pool = sorted(set(stats["witnesses"]) | protected)
-    excess = len(pool) - cap
-    if excess > 0:
-        kept = []
-        for mask in reversed(pool):
-            if excess > 0 and mask not in protected:
-                excess -= 1
-                continue
-            kept.append(mask)
-        pool = sorted(kept)[:cap]
-    return [_mask_indices(m) for m in pool]
+    protected = set(stats.reps.values())
+    others = sorted(set(stats.witnesses) - protected)[:max(0, cap - len(protected))]
+    return [bit_indices(m) for m in sorted(protected.union(others))[:cap]]
 
 
 def _check_budget(order: int, budget: int) -> None:
@@ -509,12 +455,35 @@ def _elapsed_ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
 
 
-def _unit_perms_or_none(G: AbelianGroup, symmetry: bool):
-    if not symmetry:
-        return None
-    if not G.is_cyclic:
-        raise ValueError("symmetry reduction is only available for cyclic groups")
-    return tuple(unit_permutation(G, u) for u in cyclic_units(G.order))
+def _cover_scan(
+    G: AbelianGroup,
+    pool: tuple[int, ...],
+    k: int,
+    layers: int,
+    params: dict,
+    *,
+    witness_cap: int,
+    jobs: int,
+    symmetry: bool,
+    stop_on_first: bool = False,
+) -> ScanStats:
+    """The cover scan of the size-k subsets of `pool`, shared by prop3.2,
+    lemma2-search and thm4.  Puts the violation count in `params`, and
+    with `symmetry` (cyclic groups only) the orbit bookkeeping too."""
+    perms = None
+    if symmetry:
+        if not G.is_cyclic:
+            raise ValueError("symmetry reduction is only available for cyclic groups")
+        perms = tuple(unit_permutation(G, u) for u in cyclic_units(G.order))
+    payload = {"pool": pool, "k": k, "layers": layers, "cap": witness_cap,
+               "unit_perms": perms, "stop_on_first": stop_on_first}
+    stats = _execute(_scan_cover_fixed, G, payload, jobs)
+    params["violations"] = stats.violations
+    if perms is not None:
+        params["symmetry"] = True
+        params["expansion_factor"] = len(perms)
+        params["orbit_reps_found"] = stats.rep_violations
+    return stats
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -543,26 +512,11 @@ def verify_pair_cover_threshold(
         params["available_nonzero"] = G.order - 1
         return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
     _check_budget(G.order, budget)
-    perms = _unit_perms_or_none(G, symmetry)
-    payload = {
-        "pool": tuple(range(1, G.order)),
-        "k": threshold,
-        "layers": 2,
-        "cap": witness_cap,
-        "unit_perms": perms,
-        "stop_on_first": False,
-    }
-    total = comb(G.order - 1, threshold)
-    stats = _execute("cover", G, payload, jobs, witness_cap)
-    params["violations"] = stats["violations"]
-    if perms is not None:
-        params["symmetry"] = True
-        params["expansion_factor"] = len(perms)
-        params["orbit_reps_found"] = stats["rep_violations"]
-    status = REFUTED if stats["violations"] else VERIFIED
+    stats = _cover_scan(G, tuple(range(1, G.order)), threshold, 2, params,
+                        witness_cap=witness_cap, jobs=jobs, symmetry=symmetry)
     return Verdict(
-        "prop3.2", G.spec, params, status, total,
-        _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
+        "prop3.2", G.spec, params, REFUTED if stats.violations else VERIFIED,
+        comb(G.order - 1, threshold), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
     )
 
 
@@ -590,34 +544,20 @@ def search_lemma2_counterexamples(
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
-    perms = _unit_perms_or_none(G, symmetry)
-    payload = {
-        "pool": tuple(range(1, m)),
-        "k": size,
-        "layers": 2,
-        "cap": witness_cap,
-        "unit_perms": perms,
-        "stop_on_first": not exhaustive,
-    }
-    total = comb(m - 1, size)
-    stats = _execute("cover", G, payload, jobs, witness_cap)
-    found = stats["violations"] > 0
     params: dict = {"subset_size": size, "exhaustive": bool(exhaustive)}
+    stats = _cover_scan(G, tuple(range(1, m)), size, 2, params, witness_cap=witness_cap,
+                        jobs=jobs, symmetry=symmetry, stop_on_first=not exhaustive)
+    found = stats.violations > 0
     if exhaustive:
-        checked = total
-        params["violations"] = stats["violations"]
-        params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats["hist"].items())}
+        checked = comb(m - 1, size)
+        params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
         witnesses = _witnesses_with_reps(stats, witness_cap)
     else:
-        first = _mask_indices(stats["first"]) if found else []
+        first = bit_indices(stats.first) if found else []
         # pool position of element e is e - 1
-        checked = rank([e - 1 for e in first]) + 1 if found else total
+        checked = rank([e - 1 for e in first]) + 1 if found else comb(m - 1, size)
         params["violations"] = 1 if found else 0
         witnesses = [first][:witness_cap] if found else []
-    if perms is not None:
-        params["symmetry"] = True
-        params["expansion_factor"] = len(perms)
-        params["orbit_reps_found"] = stats["rep_violations"]
     status = REFUTED if found else VERIFIED
     return Verdict("lemma2-search", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
 
@@ -644,19 +584,18 @@ def verify_subset_sum_bound(
         raise ValueError(f"need min_size >= 1, got {min_size}")
     _check_budget(G.order, budget)
     npool = G.order - 1
-    payload = {"min_size": min_size, "cap": witness_cap}
-    stats = _execute("sweep", G, payload, jobs, witness_cap)
+    stats = _execute(_scan_bound_sweep, G, {"min_size": min_size, "cap": witness_cap}, jobs)
     checked = sum(comb(npool, j) for j in range(min_size, npool + 1))
     params = {
         "min_size": min_size,
-        "violations": stats["violations"],
-        "equality_count": stats["eq_count"],
+        "violations": stats.violations,
+        "equality_count": stats.eq_count,
     }
-    if stats["violations"]:
+    if stats.violations:
         witnesses = _witnesses_with_reps(stats, witness_cap)
         status = REFUTED
     else:
-        witnesses = [_mask_indices(m_) for m_ in stats["eq_witnesses"]]
+        witnesses = [bit_indices(m_) for m_ in stats.eq_witnesses]
         status = VERIFIED
     return Verdict("thm1", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
 
@@ -688,12 +627,12 @@ def critical_number(
     with _worker_pool(jobs) as workers:
         for s in range(1, n):
             payload = {"pool": pool, "k": s, "cap": witness_cap}
-            stats = _execute("sigma", G, payload, jobs, witness_cap, workers)
-            failures_by_size[str(s)] = stats["violations"]
-            if stats["violations"] == 0:
+            stats = _execute(_scan_sigma_fixed, G, payload, jobs, workers)
+            failures_by_size[str(s)] = stats.violations
+            if stats.violations == 0:
                 answer = s
                 break
-            last_witness_mask = stats["witnesses"][0] if stats["witnesses"] else None
+            last_witness_mask = stats.witnesses[0] if stats.witnesses else None
     if answer is None:
         raise CriticalNumberNotFound(f"no size up to {n - 1} forces coverage in {G.spec}")
     known = _known_critical_value(G)
@@ -705,7 +644,7 @@ def critical_number(
     }
     status = REFUTED if known is not None and answer != known else VERIFIED
     checked = sum(comb(n - 1, s) for s in range(1, answer + 1))
-    witnesses = [_mask_indices(last_witness_mask)] if last_witness_mask is not None else []
+    witnesses = [bit_indices(last_witness_mask)] if last_witness_mask is not None else []
     return answer, Verdict("thm5", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
 
 
@@ -742,27 +681,52 @@ def verify_three_fold_cover(
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
-    perms = _unit_perms_or_none(G, symmetry)
-    payload = {
-        "pool": tuple(range(m)),
-        "k": size,
-        "layers": 3,
-        "cap": witness_cap,
-        "unit_perms": perms,
-        "stop_on_first": False,
-    }
-    total = comb(m, size)
-    stats = _execute("cover", G, payload, jobs, witness_cap)
-    params: dict = {"subset_size": size, "violations": stats["violations"]}
-    if perms is not None:
-        params["symmetry"] = True
-        params["expansion_factor"] = len(perms)
-        params["orbit_reps_found"] = stats["rep_violations"]
-    status = REFUTED if stats["violations"] else VERIFIED
+    params: dict = {"subset_size": size}
+    stats = _cover_scan(G, tuple(range(m)), size, 3, params,
+                        witness_cap=witness_cap, jobs=jobs, symmetry=symmetry)
     return Verdict(
-        "thm4", G.spec, params, status, total,
-        _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
+        "thm4", G.spec, params, REFUTED if stats.violations else VERIFIED,
+        comb(m, size), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
     )
+
+
+# -- statement registry ----------------------------------------------------------
+
+
+def _lemma2_on(G: AbelianGroup, **kwargs) -> Verdict:
+    if not G.is_cyclic:
+        raise ValueError("the pair-cover search runs on cyclic groups")
+    return search_lemma2_counterexamples(G.order, **kwargs)
+
+
+def _thm4_on(G: AbelianGroup, **kwargs) -> Verdict:
+    if not G.is_cyclic:
+        raise ValueError("the three-fold cover statement is about cyclic groups")
+    return verify_three_fold_cover(G.order, **kwargs)
+
+
+@dataclass(frozen=True)
+class Statement:
+    """One statement of the paper.  `run(G, *, witness_cap, jobs, budget,
+    **kw)` checks it on one group, where `kw` takes only names in `options`.
+    A sweep visits the orders n with `in_domain(n)`, and only the cyclic
+    group of each when `cyclic_only`."""
+
+    id: str
+    alias: str
+    cyclic_only: bool
+    in_domain: Callable[[int], bool]
+    run: Callable[..., Verdict]
+    options: tuple[str, ...]
+
+
+STATEMENTS = {st.id: st for st in (
+    Statement("prop3.2", "prop3", False, lambda n: True, verify_pair_cover_threshold, ("symmetry",)),
+    Statement("lemma2-search", "lemma2", True, lambda n: n >= 3, _lemma2_on, ("exhaustive", "symmetry")),
+    Statement("thm1", "thm1", False, lambda n: True, verify_subset_sum_bound, ("min_size",)),
+    Statement("thm4", "thm4", True, lambda n: n >= 12 and n % 2 == 0, _thm4_on, ("symmetry",)),
+    Statement("thm5", "thm5", False, lambda n: n >= 3, lambda G, **kw: critical_number(G, **kw)[1], ()),
+)}
 
 
 def sweep(
@@ -770,45 +734,25 @@ def sweep(
     orders,
     *,
     cyclic_only: bool = False,
-    min_size: int = 5,
     witness_cap: int = DEFAULT_WITNESS_CAP,
     jobs: int = 1,
-    symmetry: bool = False,
     budget: int = DEFAULT_BUDGET,
-    exhaustive: bool = True,
+    **options,
 ) -> list[Verdict]:
-    """Run one verifier over all abelian (or all cyclic) groups of the given
-    orders, skipping orders outside the statement's domain.  Verdicts come
-    back in order, then by isomorphism class."""
-    from .groups import enumerate_groups_of_order
-
-    if statement not in KNOWN_STATEMENTS:
-        raise ValueError(f"unknown statement {statement!r}; expected one of {KNOWN_STATEMENTS}")
+    """Run one statement over all abelian (or all cyclic) groups of the
+    given orders, skipping orders outside its domain.  `options` are the
+    statement's own keywords (`Statement.options`); `symmetry` applies to
+    the cyclic groups only.  Verdicts come back in order, then by
+    isomorphism class."""
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
+    st = STATEMENTS[statement]
     out: list[Verdict] = []
     for n in orders:
-        if statement == "lemma2-search":
-            if n >= 3:
-                out.append(search_lemma2_counterexamples(
-                    n, exhaustive=exhaustive, witness_cap=witness_cap,
-                    jobs=jobs, symmetry=symmetry, budget=budget))
+        if not st.in_domain(n):
             continue
-        if statement == "thm4":
-            if n >= 12 and n % 2 == 0:
-                out.append(verify_three_fold_cover(
-                    n, witness_cap=witness_cap, jobs=jobs,
-                    symmetry=symmetry, budget=budget))
-            continue
-        groups = [AbelianGroup.cyclic(n)] if cyclic_only else enumerate_groups_of_order(n)
-        for G in groups:
-            if statement == "prop3.2":
-                out.append(verify_pair_cover_threshold(
-                    G, witness_cap=witness_cap, jobs=jobs,
-                    symmetry=symmetry and G.is_cyclic, budget=budget))
-            elif statement == "thm1":
-                out.append(verify_subset_sum_bound(
-                    G, min_size, witness_cap=witness_cap, jobs=jobs, budget=budget))
-            elif statement == "thm5":
-                if G.order >= 3:
-                    out.append(critical_number(
-                        G, witness_cap=witness_cap, jobs=jobs, budget=budget)[1])
+        for G in [AbelianGroup.cyclic(n)] if cyclic_only or st.cyclic_only else enumerate_groups_of_order(n):
+            # unit orbits exist on cyclic groups alone
+            kw = dict(options, symmetry=False) if options.get("symmetry") and not G.is_cyclic else options
+            out.append(st.run(G, witness_cap=witness_cap, jobs=jobs, budget=budget, **kw))
     return out

@@ -31,7 +31,7 @@ from groupsums import (
     verify_three_fold_cover,
     critical_number,
 )
-from groupsums.verify import _execute
+from groupsums.verify import _execute, _scan_cover_fixed
 
 
 def all_groups_up_to(max_order: int) -> list[AbelianGroup]:
@@ -278,11 +278,11 @@ def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
                             payload = {"pool": pool, "k": k, "layers": layers, "cap": cap,
                                        "unit_perms": perms, "stop_on_first": stop_on_first}
                             for jobs in (1, 3):
-                                got = _execute("cover", G, payload, jobs, cap, workers)
+                                got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
                                 where = (G.spec, layers, k, perms is not None, stop_on_first, jobs)
                                 if stop_on_first:
-                                    assert got["first"] == want["first"], where
-                                    assert (got["violations"] > 0) == bool(deficits), where
+                                    assert got.first == want["first"], where
+                                    assert (got.violations > 0) == bool(deficits), where
                                 else:
-                                    assert {key: got[key] for key in keys} == want, where
+                                    assert {key: getattr(got, key) for key in keys} == want, where
     return checked

@@ -1,9 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from groupsums.cli import dumps, main, parse_element_list, parse_order_range
-from groupsums import parse_group_spec
+from groupsums import enumerate_groups_of_order, parse_group_spec
+from groupsums.verify import STATEMENTS, Verdict, sweep
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -63,6 +69,8 @@ def test_parse_order_range():
         parse_order_range("5..3")
     with pytest.raises(ValueError):
         parse_order_range("3-5")
+    with pytest.raises(ValueError):
+        parse_order_range("0..4")
 
 
 def test_verify_lemma2_json_exit_code(capsys):
@@ -181,3 +189,74 @@ def test_symmetry_flag(capsys):
     payload = json.loads(out)
     assert payload["params"]["symmetry"] is True
     assert payload["params"]["expansion_factor"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    "verify thm1 --group Z6 --symmetry",
+    "verify thm1 --group Z6 --first-only",
+    "verify prop3 --group Z6 --first-only",
+    "verify prop3 --group Z6 --min-size 99",
+    "verify thm5 --group Z6 --symmetry",
+    "verify lemma2 --group Z8 --order-range 3..4",
+    "verify lemma2 --group Z8 --cyclic",
+    "verify sweep --statement lemma2-search --group Z8 --cyclic",
+    "verify thm1 --group Z6 --budget -5",
+    "verify thm1 --group Z6 --budget 0",
+    "verify sweep --statement thm1 --order-range 3..4 --symmetry",
+    "verify sweep --statement prop3.2 --order-range 3..4 --min-size 3",
+    "verify sweep --statement thm4 --order-range 12..12 --first-only",
+])
+def test_verify_rejects_flags_it_would_drop(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "", argv
+    assert err.strip(), argv
+
+
+def test_sweep_keeps_its_shared_flags(capsys):
+    # --symmetry reduces the cyclic groups of a prop3.2 sweep and leaves the rest
+    code, out, _ = run(capsys, "verify", "sweep", "--statement", "prop3.2", "--order-range", "7..8",
+                       "--symmetry", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [(v["group"], v["params"].get("symmetry")) for v in payload] == [
+        ("Z7", True), ("Z8", True), ("Z2 x Z4", None), ("Z2 x Z2 x Z2", None)]
+    # a sweep over one group still prints a list
+    code, out, _ = run(capsys, "verify", "sweep", "--statement", "thm1", "--group", "Z6", "--json")
+    assert code == 0 and [v["group"] for v in json.loads(out)] == ["Z6"]
+
+
+def test_cli_and_sweep_agree_on_every_statement(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    listed = re.search(r"\{([^}]*)\}", out).group(1).split(",")
+    assert sorted(listed) == sorted([st.alias for st in STATEMENTS.values()] + ["sweep"])
+    for st in STATEMENTS.values():
+        for n in range(1, 15):
+            if not st.in_domain(n):
+                continue
+            swept = [v.core() for v in sweep(st.id, [n])]
+            groups = [G for G in enumerate_groups_of_order(n) if G.is_cyclic or not st.cyclic_only]
+            single = []
+            for G in groups:
+                code, out, _ = run(capsys, "verify", st.alias, "--group", G.spec, "--json")
+                assert code in (0, 1), (st.id, G.spec)
+                single.append(Verdict.from_json(out).core())
+            assert swept == single, (st.id, n)
+
+
+def _readme_cli_lines() -> list[str]:
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs(capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "groupsums", line
+        code, out, err = run(capsys, *argv[1:])
+        # the lemma2 searches refute the claim on even orders
+        assert code == (1 if "lemma2" in line else 0), (line, err)
+        assert out, line
