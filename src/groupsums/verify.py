@@ -4,12 +4,14 @@ reproducible certificates.
 Every verifier enumerates candidate subsets in colexicographic order (the
 numeric order of their bitmasks) with incremental sumset state carried down
 the recursion, and prunes a subtree once nothing below it can be a violation
-or an extremal case.  The subset-sum scans prune when the partial state
-already covers the group.  The cover scans look ahead: a node with j picks
-left is dropped unless some uncovered x has at least j candidates that
-avoid every element whose addition would cover it (x itself and x - A for
-the pair cover, x - (A +^ A) for the three-fold sums), since otherwise every
-leaf below it covers the group.
+or an extremal case.  The subset-sum scans walk the subset lattice of
+G \\ {0} and prune when the partial sums already cover the group; the thm1
+sweep also drops a node whose sums outnumber twice the largest set below
+it.  The cover scans look ahead: a node with j picks left is dropped unless
+some uncovered x has at least j candidates that avoid every element whose
+addition would cover it (x itself and x - A for the pair cover,
+x - (A +^ A) for the three-fold sums), since otherwise every leaf below it
+covers the group.
 
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 it is cut into subtree tasks, each fixing the top elements of its
@@ -17,8 +19,8 @@ candidates: the largest subtree is split on its next element until none
 holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
 counts.  Tasks run in worker processes in mask order and are merged in that
 order with associative bookkeeping, so a certificate never depends on the
-worker count.  `critical_number` runs one scan per subset size and keeps
-one worker pool open across them.
+worker count.  `critical_number` walks the lattice once and files each
+failing set under its size.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
@@ -37,7 +39,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -120,7 +121,9 @@ class ScanStats:
     violating leaf of deficiency d, counted with its orbit weight in
     `violations` and `hist` and once in `rep_violations`; `reps` keeps the
     first mask per d, `witnesses` the first `cap`.  The bound sweep adds its
-    equality cases to `eq_count` and `eq_witnesses`."""
+    equality cases to `eq_count` and `eq_witnesses`.  The thm5 lattice walk
+    files each failing set with d = its size, so `hist` counts failures by
+    size and `reps[s]` is the first failing set of size s in colex order."""
 
     cap: int
     violations: int = 0
@@ -266,39 +269,6 @@ def _scan_cover_fixed(
     return stats
 
 
-def _scan_sigma_fixed(
-    G: AbelianGroup,
-    fixed: int,
-    bound: int,
-    *,
-    pool: tuple[int, ...],
-    k: int,
-    cap: int,
-) -> ScanStats:
-    """Size-k subsets whose full subset-sum set is checked against G."""
-    tr = G.translator()
-    full = G.full_mask
-    order = G.order
-    stats = ScanStats(cap)
-
-    def rec(j: int, bound: int, amask: int, acc: int) -> None:
-        if acc == full:
-            return
-        if j == 0:
-            stats.record(amask, order - acc.bit_count())
-            return
-        for c in range(j - 1, bound):
-            e = pool[c]
-            rec(j - 1, c, amask | (1 << e), acc | tr(acc, e) | (1 << e))
-
-    amask = acc = 0
-    for c in bit_indices(fixed):
-        e = pool[c]
-        amask, acc = amask | (1 << e), acc | tr(acc, e) | (1 << e)
-    rec(k - fixed.bit_count(), bound, amask, acc)
-    return stats
-
-
 def _scan_bound_sweep(
     G: AbelianGroup,
     fixed: int,
@@ -310,10 +280,17 @@ def _scan_bound_sweep(
     """All subsets of G \\ {0} of size >= min_size in the task (fixed, bound).
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
-    is the contiguous mask interval it tiles, and a subtree is dropped once
-    the running subset-sum set saturates, since every superset then meets the
-    bound trivially, generates, and can be neither a violation nor an
-    equality case.
+    is the contiguous mask interval it tiles, visited node first and in mask
+    order.  After the node itself is checked, its subtree is dropped when:
+
+    - the running subset-sum set saturates, since every superset then meets
+      the bound trivially, generates, and can be neither a violation nor an
+      equality case;
+    - |acc| > 2 * (size + limit).  A descendant S' adds at most `limit`
+      positions, so |S'| <= size + limit, and sigma(S') contains acc; hence
+      |sigma(S')| > 2|S'| >= min(|G|, 2|S'|), which is neither a violation
+      nor an equality case |sigma(S')| = 2|S'|;
+    - size + limit < min_size, since no descendant is large enough.
     """
     order = G.order
     tr = G.translator()
@@ -338,9 +315,7 @@ def _scan_bound_sweep(
                     stats.eq_count += 1
                     if len(stats.eq_witnesses) < cap:
                         stats.eq_witnesses.append(pmask << 1)
-        if acc == full:
-            return
-        if size + limit < min_size:
+        if acc == full or acc.bit_count() > 2 * (size + limit) or size + limit < min_size:
             return
         for p in range(limit):
             e = p + 1
@@ -352,6 +327,35 @@ def _scan_bound_sweep(
         e = p + 1
         acc, H = acc | tr(acc, e) | (1 << e), H if (H >> e) & 1 else extend_closure(H, e)
     rec(fixed, fixed.bit_count(), bound, acc, H)
+    return stats
+
+
+def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int, *, cap: int) -> ScanStats:
+    """Every nonempty subset of G \\ {0} in the task (fixed, bound) whose
+    subset-sum set misses part of G, filed under its size.
+
+    The walk is the one of `_scan_bound_sweep`, so within each size the
+    sets arrive in colex order.  A subtree is dropped once the running
+    subset-sum set saturates, since every superset then covers G too.
+    """
+    tr = G.translator()
+    full = G.full_mask
+    stats = ScanStats(cap)
+
+    def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+        if acc == full:
+            return
+        if size:
+            stats.record(pmask << 1, size)
+        for p in range(limit):
+            e = p + 1
+            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
+
+    acc = 0
+    for p in bit_indices(fixed):
+        e = p + 1
+        acc |= tr(acc, e) | (1 << e)
+    rec(fixed, fixed.bit_count(), bound, acc)
     return stats
 
 
@@ -368,11 +372,13 @@ def _run_task(task) -> ScanStats:
     return scan(_group_for(factors), fixed, bound, **payload)
 
 
-def _subtree_tasks(scan, G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
+def _subtree_tasks(G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
     """The scan's tasks in mask order: the root at jobs=1, otherwise the
     root split on its next position until no task holds more than
-    1/(4*jobs) of the candidates (or it is a single candidate)."""
-    if scan is _scan_bound_sweep:
+    1/(4*jobs) of the candidates (or it is a single candidate).  A scan
+    without a subset size `k` in its payload walks the whole subset lattice
+    of G \\ {0}; the others walk the size-k subsets of their pool."""
+    if "k" not in payload:
         root = (0, G.order - 1)
 
         def count(task: tuple[int, int]) -> int:
@@ -407,30 +413,23 @@ def _subtree_tasks(scan, G: AbelianGroup, payload: dict, jobs: int) -> list[tupl
     return split(root)
 
 
-def _worker_pool(jobs: int):
-    """A fork pool of `jobs` workers, or an empty context at jobs=1."""
-    if jobs == 1:
-        return nullcontext()
-    return multiprocessing.get_context("fork").Pool(processes=jobs)
-
-
 def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
     """Run `scan(G, fixed, bound, **payload)` as subtree tasks and merge them
-    in mask order.  A caller that runs several scans passes its open pool as
-    `workers`; otherwise a pool is started for this scan alone when it has
-    more than one task."""
+    in mask order.  A caller that runs several scans may pass its open pool
+    as `workers`; otherwise a fork pool of `jobs` workers is started for
+    this scan alone when it has more than one task."""
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     if payload["cap"] < 0:
         raise ValueError(f"witness cap {payload['cap']} is negative")
     tasks = [(scan, G.factors, payload, fixed, bound)
-             for fixed, bound in _subtree_tasks(scan, G, payload, jobs)]
+             for fixed, bound in _subtree_tasks(G, payload, jobs)]
     if len(tasks) == 1:
         return _run_task(tasks[0])
     if workers is not None:
         parts = workers.map(_run_task, tasks, chunksize=1)
     else:
-        with _worker_pool(jobs) as workers:
+        with multiprocessing.get_context("fork").Pool(processes=jobs) as workers:
             parts = workers.map(_run_task, tasks, chunksize=1)
     stats = ScanStats(payload["cap"])
     for part in parts:
@@ -608,33 +607,23 @@ def critical_number(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, Verdict]:
     """Smallest s such that every size-s subset of G \\ {0} has full
-    subset-sum coverage, by exhausting sizes upward.
+    subset-sum coverage, by one walk of the subset lattice.
 
     Coverage failures propagate downward (a failing set's subsets fail), so
-    the first size with zero failures is the answer and every smaller size
-    was refutable; the verdict carries the first failing witness at size
-    s - 1 plus exact failure counts per size.
+    the failing sizes are exactly 1..s-1 and every smaller size was
+    refutable; the verdict carries the first failing witness in colex order
+    at size s - 1 plus exact failure counts per size.
     """
     t0 = time.perf_counter()
     if G.order < 3:
         raise ValueError(f"need |G| >= 3, got {G.order}")
     _check_budget(G.order, budget)
     n = G.order
-    pool = tuple(range(1, n))
-    failures_by_size: dict[str, int] = {}
-    last_witness_mask: int | None = None
-    answer: int | None = None
-    with _worker_pool(jobs) as workers:
-        for s in range(1, n):
-            payload = {"pool": pool, "k": s, "cap": witness_cap}
-            stats = _execute(_scan_sigma_fixed, G, payload, jobs, workers)
-            failures_by_size[str(s)] = stats.violations
-            if stats.violations == 0:
-                answer = s
-                break
-            last_witness_mask = stats.witnesses[0] if stats.witnesses else None
-    if answer is None:
+    stats = _execute(_scan_sigma_lattice, G, {"cap": witness_cap}, jobs)
+    answer = max(stats.hist) + 1
+    if answer > n - 1:
         raise CriticalNumberNotFound(f"no size up to {n - 1} forces coverage in {G.spec}")
+    failures_by_size = {str(s): stats.hist.get(s, 0) for s in range(1, answer + 1)}
     known = _known_critical_value(G)
     params = {
         "critical_number": answer,
@@ -644,7 +633,7 @@ def critical_number(
     }
     status = REFUTED if known is not None and answer != known else VERIFIED
     checked = sum(comb(n - 1, s) for s in range(1, answer + 1))
-    witnesses = [bit_indices(last_witness_mask)] if last_witness_mask is not None else []
+    witnesses = [bit_indices(stats.reps[answer - 1])] if witness_cap else []
     return answer, Verdict("thm5", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
 
 

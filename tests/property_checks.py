@@ -31,7 +31,12 @@ from groupsums import (
     verify_three_fold_cover,
     critical_number,
 )
-from groupsums.verify import _execute, _scan_cover_fixed
+from groupsums.verify import (
+    _execute,
+    _scan_bound_sweep,
+    _scan_cover_fixed,
+    _scan_sigma_lattice,
+)
 
 
 def all_groups_up_to(max_order: int) -> list[AbelianGroup]:
@@ -223,6 +228,20 @@ def check_jobs_determinism() -> None:
         lambda j: critical_number(Z2cubed, jobs=j)[1],
     ):
         assert run(1).core() == run(3).core()
+    # thm5 is one lattice walk, split into tasks at jobs > 1
+    for G in (AbelianGroup.cyclic(12), Z2xZ6, Z2cubed):
+        runs = [critical_number(G, jobs=j)[1].core() for j in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2], G.spec
+    capped = critical_number(AbelianGroup.cyclic(12), witness_cap=16)[1]
+    for jobs in (1, 3):
+        bare = critical_number(AbelianGroup.cyclic(12), witness_cap=0, jobs=jobs)[1]
+        assert bare.witnesses == []
+        assert bare.params["failures_by_size"] == capped.params["failures_by_size"], jobs
+    # the thm1 size look-ahead prunes most at small min_size
+    for G in (Z2xZ6, G16):
+        for min_size in range(1, 7):
+            serial = verify_subset_sum_bound(G, min_size, jobs=1).core()
+            assert serial == verify_subset_sum_bound(G, min_size, jobs=3).core(), (G.spec, min_size)
 
 
 def _expected_cover_stats(G: AbelianGroup, deficits: dict[int, int], perms, cap: int) -> dict:
@@ -285,4 +304,86 @@ def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
                                     assert (got.violations > 0) == bool(deficits), where
                                 else:
                                     assert {key: getattr(got, key) for key in keys} == want, where
+    return checked
+
+
+def _lattice_table(G: AbelianGroup) -> dict[int, tuple[int, int, bool]]:
+    """mask -> (|S|, |sigma(S)|, S generates G) for every nonempty S in
+    G \\ {0}, in mask order.  With t the top element of S and R = S - {t},
+    sigma(S) = sigma(R) | {t} | (sigma(R) + t) and <S> is the closure of
+    <R> | {t} under addition, both computed from `G.add_index` tables."""
+    n = G.order
+    rows = [[G.add_index(x, t) for x in range(n)] for t in range(n)]
+
+    def shift(bits: int, t: int) -> int:
+        return sum(1 << rows[t][x] for x in range(n) if bits >> x & 1)
+
+    closures: dict[tuple[int, int], int] = {}
+
+    def close(H: int, t: int) -> int:
+        if (H, t) not in closures:
+            reached = H | 1 << t
+            frontier = [x for x in range(n) if reached >> x & 1]
+            while frontier:
+                x = frontier.pop()
+                for y in range(n):
+                    z = rows[y][x]
+                    if reached >> y & 1 and not reached >> z & 1:
+                        reached |= 1 << z
+                        frontier.append(z)
+            closures[H, t] = reached
+        return closures[H, t]
+
+    sig, gen, table = {0: 0}, {0: 1}, {}
+    for mask in range(2, 1 << n, 2):
+        t = mask.bit_length() - 1
+        rest = mask ^ (1 << t)
+        sig[mask] = sig[rest] | 1 << t | shift(sig[rest], t)
+        gen[mask] = close(gen[rest], t)
+        table[mask] = (mask.bit_count(), sig[mask].bit_count(), gen[mask] == G.full_mask)
+    return table
+
+
+def check_subset_sum_scans_brute_force(max_order: int = 12, cap: int = 3) -> int:
+    """Both subset-sum scans against every subset of G \\ {0}: the thm1
+    sweep at every min_size from 1 to |G| - 1 (violations, equality cases
+    and their witnesses), and the thm5 lattice walk (failing sets filed by
+    size).  The groups are those of order <= max_order, where each subset's
+    sums are also checked against `naive_subset_sums`, and Z3xZ6, the
+    smallest group on which pruning the thm1 sweep at
+    |sums| >= 2 * (largest size below) instead of > loses equality cases.
+    Every case runs at jobs 1 and 3 on one shared pool.  Returns the number
+    of subsets checked."""
+    keys = ("violations", "rep_violations", "hist", "reps", "witnesses", "first")
+    checked = 0
+    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
+        for G in all_groups_up_to(max_order) + [AbelianGroup((3, 6))]:
+            n = G.order
+            table = _lattice_table(G)
+            if n <= max_order:
+                for mask, (_, got, _) in table.items():
+                    assert got == naive_subset_sums(GroupSubset(G, mask)).cardinality, (G.spec, mask)
+            checked += len(table)
+            failing = {mask: size for mask, (size, got, _) in table.items() if got < n}
+            want = _expected_cover_stats(G, failing, None, cap)
+            for jobs in (1, 3):
+                got = _execute(_scan_sigma_lattice, G, {"cap": cap}, jobs, workers)
+                assert {key: getattr(got, key) for key in keys} == want, (G.spec, jobs)
+            # generating sets below the bound, and equality cases, of any size
+            deficits, equal = {}, []
+            for mask, (size, got, generates) in table.items():
+                if generates and got < min(n, 2 * size):
+                    deficits[mask] = min(n, 2 * size) - got
+                elif generates and got == 2 * size < n:
+                    equal.append(mask)
+            for min_size in range(1, n):
+                big = {mask: d for mask, d in deficits.items() if table[mask][0] >= min_size}
+                want = _expected_cover_stats(G, big, None, cap)
+                eq = [mask for mask in equal if table[mask][0] >= min_size]
+                for jobs in (1, 3):
+                    got = _execute(_scan_bound_sweep, G, {"min_size": min_size, "cap": cap},
+                                   jobs, workers)
+                    where = (G.spec, min_size, jobs)
+                    assert {key: getattr(got, key) for key in keys} == want, where
+                    assert (got.eq_count, got.eq_witnesses) == (len(eq), eq[:cap]), where
     return checked

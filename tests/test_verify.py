@@ -23,7 +23,12 @@ from groupsums import (
     verify_three_fold_cover,
 )
 
-from property_checks import check_cover_scan_brute_force, check_jobs_determinism, check_monotonicity
+from property_checks import (
+    check_cover_scan_brute_force,
+    check_jobs_determinism,
+    check_monotonicity,
+    check_subset_sum_scans_brute_force,
+)
 
 
 # -- pair-cover threshold -------------------------------------------------------
@@ -347,6 +352,11 @@ def test_monotonicity_licenses_minimal_size_checks():
 def test_cover_scan_matches_brute_force():
     # every group of order <= 12, every k: violations exist near the prune frontier
     assert check_cover_scan_brute_force(12) > 10_000
+
+
+def test_subset_sum_scans_match_brute_force():
+    # every group of order <= 12 plus Z3xZ6: 2**17 - 1 subsets from Z3xZ6 alone
+    assert check_subset_sum_scans_brute_force(12) > 130_000
 
 
 def test_jobs_determinism():
