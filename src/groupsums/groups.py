@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Iterator
 
 DEFAULT_MAX_ORDER = 1 << 20
@@ -542,6 +542,16 @@ def count_halvings(G: AbelianGroup, g: GroupElement | int) -> int:
     return sum(1 for d in G.double_table if d == target)
 
 
+def extend_subgroup(tr, H: int, e: int) -> int:
+    """The subgroup H + <e>, for a subgroup bitmask H and an element index e,
+    as the fixpoint of H |= H + e; `tr` is the group's `translator()`."""
+    shifted = tr(H, e)
+    while shifted & ~H:
+        H |= shifted
+        shifted = tr(shifted, e)
+    return H
+
+
 def subgroup_generated(G: AbelianGroup, S: GroupSubset) -> GroupSubset:
     """Closure of S together with 0 and all inverses, i.e. the subgroup <S>."""
     if S.group != G:
@@ -549,29 +559,10 @@ def subgroup_generated(G: AbelianGroup, S: GroupSubset) -> GroupSubset:
     tr = G.translator()
     closure = 1
     for s in S.indices():
-        if closure >> s & 1:
-            continue
-        shifted = tr(closure, s)
-        while shifted & ~closure:
-            closure |= shifted
-            shifted = tr(shifted, s)
+        closure = extend_subgroup(tr, closure, s)
     return GroupSubset(G, closure)
 
 
 def is_generating(G: AbelianGroup, S: GroupSubset) -> bool:
     return subgroup_generated(G, S).bits == G.full_mask
 
-
-def cyclic_units(m: int) -> list[int]:
-    """Multipliers coprime to m; these are the automorphisms of Z_m."""
-    return [u for u in range(1, m) if gcd(u, m) == 1]
-
-
-def unit_permutation(G: AbelianGroup, u: int) -> tuple[int, ...]:
-    """Index permutation of multiplication by the unit u on a cyclic group."""
-    if not G.is_cyclic:
-        raise ValueError(f"{G.spec} is not cyclic")
-    m = G.order
-    if gcd(u, m) != 1:
-        raise ValueError(f"{u} is not a unit mod {m}")
-    return tuple((u * i) % m for i in range(m))

@@ -50,10 +50,9 @@ from .colex import rank
 from .groups import (
     AbelianGroup,
     bit_indices,
-    cyclic_units,
     enumerate_groups_of_order,
+    extend_subgroup,
     torsion_two,
-    unit_permutation,
 )
 
 DEFAULT_BUDGET = 24
@@ -118,38 +117,32 @@ class Verdict:
 @dataclass
 class ScanStats:
     """What a scan or one of its tasks found, in mask order.  `record` files a
-    violating leaf of deficiency d, counted with its orbit weight in
-    `violations` and `hist` and once in `rep_violations`; `reps` keeps the
-    first mask per d, `witnesses` the first `cap`.  The bound sweep adds its
-    equality cases to `eq_count` and `eq_witnesses`.  The thm5 lattice walk
-    files each failing set with d = its size, so `hist` counts failures by
-    size and `reps[s]` is the first failing set of size s in colex order."""
+    violating leaf of deficiency d in `violations` and `hist`; `reps` keeps
+    the first mask per d, so the first mask recorded is the least of them,
+    and `witnesses` the first `cap`.  The bound sweep adds its equality
+    cases to `eq_count` and `eq_witnesses`.  The thm5 lattice walk files
+    each failing set with d = its size, so `hist` counts failures by size
+    and `reps[s]` is the first failing set of size s in colex order."""
 
     cap: int
     violations: int = 0
-    rep_violations: int = 0
     hist: dict[int, int] = field(default_factory=dict)
     reps: dict[int, int] = field(default_factory=dict)
     witnesses: list[int] = field(default_factory=list)
     eq_count: int = 0
     eq_witnesses: list[int] = field(default_factory=list)
-    first: int | None = None
 
-    def record(self, mask: int, d: int, weight: int = 1) -> None:
-        self.rep_violations += 1
-        self.violations += weight
-        self.hist[d] = self.hist.get(d, 0) + weight
+    def record(self, mask: int, d: int) -> None:
+        self.violations += 1
+        self.hist[d] = self.hist.get(d, 0) + 1
         if d not in self.reps:
             self.reps[d] = mask
         if len(self.witnesses) < self.cap:
             self.witnesses.append(mask)
-        if self.first is None:
-            self.first = mask
 
     def merge(self, later: "ScanStats") -> None:
         """Add the stats of the tasks that follow this one in mask order."""
         self.violations += later.violations
-        self.rep_violations += later.rep_violations
         self.eq_count += later.eq_count
         for d, c in later.hist.items():
             self.hist[d] = self.hist.get(d, 0) + c
@@ -157,8 +150,6 @@ class ScanStats:
             self.reps.setdefault(d, mask)
         self.witnesses += later.witnesses[:self.cap - len(self.witnesses)]
         self.eq_witnesses += later.eq_witnesses[:self.cap - len(self.eq_witnesses)]
-        if self.first is None:
-            self.first = later.first
 
 
 def _scan_cover_fixed(
@@ -170,7 +161,6 @@ def _scan_cover_fixed(
     k: int,
     layers: int,
     cap: int,
-    unit_perms,
     stop_on_first: bool,
 ) -> ScanStats:
     """Size-k subsets of `pool` in the subtree task (fixed, bound).
@@ -199,14 +189,7 @@ def _scan_cover_fixed(
     def leaf(amask: int, cover: int) -> None:
         # only reached when cover != full
         nonlocal stop
-        orbit = 1
-        if unit_perms is not None:
-            members = bit_indices(amask)
-            images = [sum(1 << perm[i] for i in members) for perm in unit_perms]
-            if amask > min(images):
-                return
-            orbit = len(set(images))
-        stats.record(amask, order - cover.bit_count(), orbit)
+        stats.record(amask, order - cover.bit_count())
         stop = stop_on_first
 
     dp1 = dp2 = dp3 = n1 = n2 = 0
@@ -297,13 +280,6 @@ def _scan_bound_sweep(
     full = G.full_mask
     stats = ScanStats(cap)
 
-    def extend_closure(H: int, e: int) -> int:
-        shifted = tr(H, e)
-        while shifted & ~H:
-            H |= shifted
-            shifted = tr(shifted, e)
-        return H
-
     def rec(pmask: int, size: int, limit: int, acc: int, H: int) -> None:
         if size >= min_size:
             if H == full:
@@ -319,13 +295,13 @@ def _scan_bound_sweep(
             return
         for p in range(limit):
             e = p + 1
-            new_h = H if (H >> e) & 1 else extend_closure(H, e)
+            new_h = H if (H >> e) & 1 else extend_subgroup(tr, H, e)
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), new_h)
 
     acc, H = 0, 1
     for p in bit_indices(fixed):
         e = p + 1
-        acc, H = acc | tr(acc, e) | (1 << e), H if (H >> e) & 1 else extend_closure(H, e)
+        acc, H = acc | tr(acc, e) | (1 << e), H if (H >> e) & 1 else extend_subgroup(tr, H, e)
     rec(fixed, fixed.bit_count(), bound, acc, H)
     return stats
 
@@ -416,8 +392,9 @@ def _subtree_tasks(G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int,
 def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
     """Run `scan(G, fixed, bound, **payload)` as subtree tasks and merge them
     in mask order.  A caller that runs several scans may pass its open pool
-    as `workers`; otherwise a fork pool of `jobs` workers is started for
-    this scan alone when it has more than one task."""
+    as `workers`; otherwise a fork pool of `jobs` workers, or one per task
+    if there are fewer, is started for this scan alone when it has more than
+    one task."""
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     if payload["cap"] < 0:
@@ -429,7 +406,7 @@ def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> S
     if workers is not None:
         parts = workers.map(_run_task, tasks, chunksize=1)
     else:
-        with multiprocessing.get_context("fork").Pool(processes=jobs) as workers:
+        with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as workers:
             parts = workers.map(_run_task, tasks, chunksize=1)
     stats = ScanStats(payload["cap"])
     for part in parts:
@@ -463,25 +440,14 @@ def _cover_scan(
     *,
     witness_cap: int,
     jobs: int,
-    symmetry: bool,
     stop_on_first: bool = False,
 ) -> ScanStats:
     """The cover scan of the size-k subsets of `pool`, shared by prop3.2,
-    lemma2-search and thm4.  Puts the violation count in `params`, and
-    with `symmetry` (cyclic groups only) the orbit bookkeeping too."""
-    perms = None
-    if symmetry:
-        if not G.is_cyclic:
-            raise ValueError("symmetry reduction is only available for cyclic groups")
-        perms = tuple(unit_permutation(G, u) for u in cyclic_units(G.order))
+    lemma2-search and thm4.  Puts the violation count in `params`."""
     payload = {"pool": pool, "k": k, "layers": layers, "cap": witness_cap,
-               "unit_perms": perms, "stop_on_first": stop_on_first}
+               "stop_on_first": stop_on_first}
     stats = _execute(_scan_cover_fixed, G, payload, jobs)
     params["violations"] = stats.violations
-    if perms is not None:
-        params["symmetry"] = True
-        params["expansion_factor"] = len(perms)
-        params["orbit_reps_found"] = stats.rep_violations
     return stats
 
 
@@ -493,7 +459,6 @@ def verify_pair_cover_threshold(
     *,
     witness_cap: int = DEFAULT_WITNESS_CAP,
     jobs: int = 1,
-    symmetry: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Check that every A in G \\ {0} with 2|A| >= |G| + |G_2| pair-covers G.
@@ -512,7 +477,7 @@ def verify_pair_cover_threshold(
         return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
     _check_budget(G.order, budget)
     stats = _cover_scan(G, tuple(range(1, G.order)), threshold, 2, params,
-                        witness_cap=witness_cap, jobs=jobs, symmetry=symmetry)
+                        witness_cap=witness_cap, jobs=jobs)
     return Verdict(
         "prop3.2", G.spec, params, REFUTED if stats.violations else VERIFIED,
         comb(G.order - 1, threshold), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
@@ -525,7 +490,6 @@ def search_lemma2_counterexamples(
     exhaustive: bool = True,
     witness_cap: int = DEFAULT_WITNESS_CAP,
     jobs: int = 1,
-    symmetry: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Hunt for A in Z_m \\ {0} with 2|A| >= m whose pair cover misses
@@ -545,14 +509,14 @@ def search_lemma2_counterexamples(
     size = (m + 1) // 2
     params: dict = {"subset_size": size, "exhaustive": bool(exhaustive)}
     stats = _cover_scan(G, tuple(range(1, m)), size, 2, params, witness_cap=witness_cap,
-                        jobs=jobs, symmetry=symmetry, stop_on_first=not exhaustive)
+                        jobs=jobs, stop_on_first=not exhaustive)
     found = stats.violations > 0
     if exhaustive:
         checked = comb(m - 1, size)
         params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
         witnesses = _witnesses_with_reps(stats, witness_cap)
     else:
-        first = bit_indices(stats.first) if found else []
+        first = bit_indices(min(stats.reps.values())) if found else []
         # pool position of element e is e - 1
         checked = rank([e - 1 for e in first]) + 1 if found else comb(m - 1, size)
         params["violations"] = 1 if found else 0
@@ -655,7 +619,6 @@ def verify_three_fold_cover(
     *,
     witness_cap: int = DEFAULT_WITNESS_CAP,
     jobs: int = 1,
-    symmetry: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Check that for even m >= 12 every subset of Z_m of size m/2 + 1 has
@@ -671,8 +634,7 @@ def verify_three_fold_cover(
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
     params: dict = {"subset_size": size}
-    stats = _cover_scan(G, tuple(range(m)), size, 3, params,
-                        witness_cap=witness_cap, jobs=jobs, symmetry=symmetry)
+    stats = _cover_scan(G, tuple(range(m)), size, 3, params, witness_cap=witness_cap, jobs=jobs)
     return Verdict(
         "thm4", G.spec, params, REFUTED if stats.violations else VERIFIED,
         comb(m, size), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
@@ -710,10 +672,10 @@ class Statement:
 
 
 STATEMENTS = {st.id: st for st in (
-    Statement("prop3.2", "prop3", False, lambda n: True, verify_pair_cover_threshold, ("symmetry",)),
-    Statement("lemma2-search", "lemma2", True, lambda n: n >= 3, _lemma2_on, ("exhaustive", "symmetry")),
+    Statement("prop3.2", "prop3", False, lambda n: True, verify_pair_cover_threshold, ()),
+    Statement("lemma2-search", "lemma2", True, lambda n: n >= 3, _lemma2_on, ("exhaustive",)),
     Statement("thm1", "thm1", False, lambda n: True, verify_subset_sum_bound, ("min_size",)),
-    Statement("thm4", "thm4", True, lambda n: n >= 12 and n % 2 == 0, _thm4_on, ("symmetry",)),
+    Statement("thm4", "thm4", True, lambda n: n >= 12 and n % 2 == 0, _thm4_on, ()),
     Statement("thm5", "thm5", False, lambda n: n >= 3, lambda G, **kw: critical_number(G, **kw)[1], ()),
 )}
 
@@ -730,9 +692,8 @@ def sweep(
 ) -> list[Verdict]:
     """Run one statement over all abelian (or all cyclic) groups of the
     given orders, skipping orders outside its domain.  `options` are the
-    statement's own keywords (`Statement.options`); `symmetry` applies to
-    the cyclic groups only.  Verdicts come back in order, then by
-    isomorphism class."""
+    statement's own keywords (`Statement.options`).  Verdicts come back in
+    order, then by isomorphism class."""
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
     st = STATEMENTS[statement]
@@ -741,7 +702,5 @@ def sweep(
         if not st.in_domain(n):
             continue
         for G in [AbelianGroup.cyclic(n)] if cyclic_only or st.cyclic_only else enumerate_groups_of_order(n):
-            # unit orbits exist on cyclic groups alone
-            kw = dict(options, symmetry=False) if options.get("symmetry") and not G.is_cyclic else options
-            out.append(st.run(G, witness_cap=witness_cap, jobs=jobs, budget=budget, **kw))
+            out.append(st.run(G, witness_cap=witness_cap, jobs=jobs, budget=budget, **options))
     return out

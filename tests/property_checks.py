@@ -11,13 +11,12 @@ from __future__ import annotations
 import multiprocessing
 import random
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from groupsums import (
     AbelianGroup,
     GroupSubset,
     count_halvings,
-    cyclic_units,
     enumerate_groups_of_order,
     h_hat,
     naive_subset_sums,
@@ -25,7 +24,6 @@ from groupsums import (
     search_lemma2_counterexamples,
     sigma,
     torsion_two,
-    unit_permutation,
     verify_pair_cover_threshold,
     verify_subset_sum_bound,
     verify_three_fold_cover,
@@ -135,8 +133,9 @@ def check_automorphism_equivariance(max_order: int = 32, seed: int = 0xF00D) -> 
         G = AbelianGroup.cyclic(m)
         A = random_subset(rng, G, max_card=9)
         h = rng.randint(0, A.cardinality + 1)
-        for u in cyclic_units(m):
-            perm = unit_permutation(G, u)
+        units = [u for u in range(1, m) if gcd(u, m) == 1]
+        for u in units:
+            perm = tuple(u * i % m for i in range(m))
             image = A.map_indices(perm)
             assert sigma(image) == sigma(A).map_indices(perm)
             assert h_hat(image, h) == h_hat(A, h).map_indices(perm)
@@ -244,14 +243,8 @@ def check_jobs_determinism() -> None:
             assert serial == verify_subset_sum_bound(G, min_size, jobs=3).core(), (G.spec, min_size)
 
 
-def _expected_cover_stats(G: AbelianGroup, deficits: dict[int, int], perms, cap: int) -> dict:
-    """Scan statistics derived from every violating mask and its deficiency;
-    under unit multiplication only orbit minima are listed, but the counts
-    stay totals because the deficiency is invariant."""
-    reps_listed = [
-        mask for mask in sorted(deficits)
-        if perms is None or mask == min(GroupSubset(G, mask).map_indices(p).bits for p in perms)
-    ]
+def _expected_cover_stats(deficits: dict[int, int], cap: int) -> dict:
+    """Scan statistics derived from every violating mask and its deficiency."""
     hist: dict[int, int] = {}
     first_of: dict[int, int] = {}
     for mask in sorted(deficits):
@@ -260,11 +253,9 @@ def _expected_cover_stats(G: AbelianGroup, deficits: dict[int, int], perms, cap:
         first_of.setdefault(d, mask)
     return {
         "violations": len(deficits),
-        "rep_violations": len(reps_listed),
         "hist": hist,
         "reps": first_of,
-        "witnesses": reps_listed[:cap],
-        "first": reps_listed[0] if reps_listed else None,
+        "witnesses": sorted(deficits)[:cap],
     }
 
 
@@ -273,15 +264,12 @@ def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
     every k-subset of the pool, for every group of order <= max_order and
     every k from 1 to the pool size: layers=2 on G \\ {0} (A with its pair
     sums) and layers=3 on G (three-element sums).  Each case runs at jobs 1
-    and 3, stopped at the first violation, and on cyclic groups under unit
-    multiplication.  Returns the number of subsets checked."""
+    and 3, and stopped at the first violation.  Returns the number of
+    subsets checked."""
     checked = 0
-    keys = ("violations", "rep_violations", "hist", "reps", "witnesses", "first")
+    keys = ("violations", "hist", "reps", "witnesses")
     with multiprocessing.get_context("fork").Pool(processes=3) as workers:
         for G in all_groups_up_to(max_order):
-            unit_perms = None
-            if G.is_cyclic and G.order >= 2:
-                unit_perms = tuple(unit_permutation(G, u) for u in cyclic_units(G.order))
             for layers, pool in ((2, tuple(range(1, G.order))), (3, tuple(range(G.order)))):
                 for k in range(1, len(pool) + 1):
                     deficits = {}
@@ -291,19 +279,19 @@ def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
                         if cover.cardinality < G.order:
                             deficits[A.bits] = G.order - cover.cardinality
                         checked += 1
-                    for perms in (None, unit_perms) if unit_perms else (None,):
-                        want = _expected_cover_stats(G, deficits, perms, cap)
-                        for stop_on_first in (False, True):
-                            payload = {"pool": pool, "k": k, "layers": layers, "cap": cap,
-                                       "unit_perms": perms, "stop_on_first": stop_on_first}
-                            for jobs in (1, 3):
-                                got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
-                                where = (G.spec, layers, k, perms is not None, stop_on_first, jobs)
-                                if stop_on_first:
-                                    assert got.first == want["first"], where
-                                    assert (got.violations > 0) == bool(deficits), where
-                                else:
-                                    assert {key: getattr(got, key) for key in keys} == want, where
+                    want = _expected_cover_stats(deficits, cap)
+                    for stop_on_first in (False, True):
+                        payload = {"pool": pool, "k": k, "layers": layers, "cap": cap,
+                                   "stop_on_first": stop_on_first}
+                        for jobs in (1, 3):
+                            got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
+                            where = (G.spec, layers, k, stop_on_first, jobs)
+                            if stop_on_first:
+                                first = min(got.reps.values(), default=None)
+                                assert first == min(deficits, default=None), where
+                                assert (got.violations > 0) == bool(deficits), where
+                            else:
+                                assert {key: getattr(got, key) for key in keys} == want, where
     return checked
 
 
@@ -354,7 +342,7 @@ def check_subset_sum_scans_brute_force(max_order: int = 12, cap: int = 3) -> int
     |sums| >= 2 * (largest size below) instead of > loses equality cases.
     Every case runs at jobs 1 and 3 on one shared pool.  Returns the number
     of subsets checked."""
-    keys = ("violations", "rep_violations", "hist", "reps", "witnesses", "first")
+    keys = ("violations", "hist", "reps", "witnesses")
     checked = 0
     with multiprocessing.get_context("fork").Pool(processes=3) as workers:
         for G in all_groups_up_to(max_order) + [AbelianGroup((3, 6))]:
@@ -365,7 +353,7 @@ def check_subset_sum_scans_brute_force(max_order: int = 12, cap: int = 3) -> int
                     assert got == naive_subset_sums(GroupSubset(G, mask)).cardinality, (G.spec, mask)
             checked += len(table)
             failing = {mask: size for mask, (size, got, _) in table.items() if got < n}
-            want = _expected_cover_stats(G, failing, None, cap)
+            want = _expected_cover_stats(failing, cap)
             for jobs in (1, 3):
                 got = _execute(_scan_sigma_lattice, G, {"cap": cap}, jobs, workers)
                 assert {key: getattr(got, key) for key in keys} == want, (G.spec, jobs)
@@ -378,7 +366,7 @@ def check_subset_sum_scans_brute_force(max_order: int = 12, cap: int = 3) -> int
                     equal.append(mask)
             for min_size in range(1, n):
                 big = {mask: d for mask, d in deficits.items() if table[mask][0] >= min_size}
-                want = _expected_cover_stats(G, big, None, cap)
+                want = _expected_cover_stats(big, cap)
                 eq = [mask for mask in equal if table[mask][0] >= min_size]
                 for jobs in (1, 3):
                     got = _execute(_scan_bound_sweep, G, {"min_size": min_size, "cap": cap},

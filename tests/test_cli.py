@@ -183,14 +183,6 @@ def test_budget_flag_lifts_the_cap(capsys):
     assert code == 1
 
 
-def test_symmetry_flag(capsys):
-    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z8", "--symmetry", "--json")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["params"]["symmetry"] is True
-    assert payload["params"]["expansion_factor"] == 4
-
-
 @pytest.mark.parametrize("argv", [
     "verify thm1 --group Z6 --symmetry",
     "verify thm1 --group Z6 --first-only",
@@ -205,6 +197,10 @@ def test_symmetry_flag(capsys):
     "verify sweep --statement thm1 --order-range 3..4 --symmetry",
     "verify sweep --statement prop3.2 --order-range 3..4 --min-size 3",
     "verify sweep --statement thm4 --order-range 12..12 --first-only",
+    "verify prop3 --group Z7 --symmetry",
+    "verify lemma2 --group Z8 --symmetry",
+    "verify thm4 --group Z12 --symmetry",
+    "verify sweep --statement prop3.2 --order-range 7..8 --symmetry",
 ])
 def test_verify_rejects_flags_it_would_drop(capsys, argv):
     code, out, err = run(capsys, *argv.split())
@@ -213,13 +209,6 @@ def test_verify_rejects_flags_it_would_drop(capsys, argv):
 
 
 def test_sweep_keeps_its_shared_flags(capsys):
-    # --symmetry reduces the cyclic groups of a prop3.2 sweep and leaves the rest
-    code, out, _ = run(capsys, "verify", "sweep", "--statement", "prop3.2", "--order-range", "7..8",
-                       "--symmetry", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert [(v["group"], v["params"].get("symmetry")) for v in payload] == [
-        ("Z7", True), ("Z8", True), ("Z2 x Z4", None), ("Z2 x Z2 x Z2", None)]
     # a sweep over one group still prints a list
     code, out, _ = run(capsys, "verify", "sweep", "--statement", "thm1", "--group", "Z6", "--json")
     assert code == 0 and [v["group"] for v in json.loads(out)] == ["Z6"]

@@ -16,7 +16,6 @@ from groupsums import (
     sigma,
     subgroup_generated,
     torsion_two,
-    unit_permutation,
 )
 import groupsums.colex
 import groupsums.groups
@@ -335,12 +334,3 @@ def test_subset_overlong_bits_rejected():
     Z6 = parse_group_spec("Z6")
     with pytest.raises(ValueError):
         GroupSubset(Z6, 1 << 6)
-
-
-def test_unit_permutation_validation():
-    Z6 = parse_group_spec("Z6")
-    assert unit_permutation(Z6, 5) == (0, 5, 4, 3, 2, 1)
-    with pytest.raises(ValueError):
-        unit_permutation(Z6, 2)
-    with pytest.raises(ValueError):
-        unit_permutation(parse_group_spec("Z2xZ4"), 3)

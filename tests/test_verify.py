@@ -1,5 +1,6 @@
 import json
-from math import comb, gcd
+import multiprocessing
+from math import comb
 
 import pytest
 
@@ -22,6 +23,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
+from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
 
 from property_checks import (
     check_cover_scan_brute_force,
@@ -363,44 +365,36 @@ def test_jobs_determinism():
     check_jobs_determinism()
 
 
-def test_symmetry_reduction_matches_unreduced():
-    for m in (6, 7, 8, 9, 10, 11, 12, 13):
-        plain = search_lemma2_counterexamples(m)
-        reduced = search_lemma2_counterexamples(m, symmetry=True)
-        assert plain.status == reduced.status
-        assert plain.params["violations"] == reduced.params["violations"]
-        if plain.status == REFUTED:
-            assert plain.params["deficiency_histogram"] == reduced.params["deficiency_histogram"]
-        assert reduced.params["expansion_factor"] == sum(1 for u in range(1, m) if gcd(u, m) == 1)
-        assert reduced.params["orbit_reps_found"] <= plain.params["violations"]
-    plain = verify_three_fold_cover(12)
-    reduced = verify_three_fold_cover(12, symmetry=True)
-    assert plain.status == reduced.status == VERIFIED
+def test_pool_never_outnumbers_its_tasks(monkeypatch):
+    sizes = []
 
+    class RecordingPool:
+        """Stands in for a fork pool: notes its size and maps in this process."""
 
-def test_symmetry_rejected_for_noncyclic():
-    with pytest.raises(ValueError):
-        verify_pair_cover_threshold(parse_group_spec("Z2xZ4"), symmetry=True)
+        def __init__(self, processes):
+            sizes.append(processes)
 
+        def __enter__(self):
+            return self
 
-def test_symmetry_certificates_are_jobs_independent():
-    a = search_lemma2_counterexamples(10, symmetry=True, jobs=1)
-    b = search_lemma2_counterexamples(10, symmetry=True, jobs=3)
-    assert a.core() == b.core()
+        def __exit__(self, *exc):
+            return False
 
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
 
-def test_symmetry_witnesses_are_orbit_minima():
-    v = search_lemma2_counterexamples(8, symmetry=True)
-    perms = [tuple(u * i % 8 for i in range(8)) for u in (1, 3, 5, 7)]
-    for w in v.witnesses:
-        mask = sum(1 << i for i in w)
-        images = []
-        for p in perms:
-            img = 0
-            for i in w:
-                img |= 1 << p[i]
-            images.append(img)
-        assert mask == min(images)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
+    Z4, Z8 = AbelianGroup.cyclic(4), AbelianGroup.cyclic(8)
+    cases = [
+        (lambda jobs: critical_number(Z4, jobs=jobs)[1], Z4, {"cap": DEFAULT_WITNESS_CAP}, 16),
+        (lambda jobs: search_lemma2_counterexamples(8, jobs=jobs), Z8,
+         {"pool": tuple(range(1, 8)), "k": 4}, 64),
+    ]
+    for run, G, payload, jobs in cases:
+        sizes.clear()
+        tasks = _subtree_tasks(G, payload, jobs)
+        assert run(jobs).core() == run(1).core()
+        assert sizes and sizes[0] <= len(tasks) < jobs, (G.spec, sizes, len(tasks))
 
 
 def test_sweep_unknown_statement():
