@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .groups import (
     AbelianGroup,
-    GroupElement,
     GroupSpecError,
     GroupSubset,
     count_halvings,
@@ -41,7 +40,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "AbelianGroup",
-    "GroupElement",
     "GroupSpecError",
     "GroupSubset",
     "count_halvings",

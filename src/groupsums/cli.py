@@ -8,7 +8,6 @@ found and reported (expected for the even-order counterexample searches);
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -19,7 +18,7 @@ from .constructions import (
     tight_example,
     two_mod_four_counterexample,
 )
-from .groups import AbelianGroup, GroupSpecError, GroupSubset, enumerate_groups_of_order, is_generating, parse_group_spec
+from .groups import AbelianGroup, GroupSpecError, GroupSubset, enumerate_groups_of_order, is_generating, parse_group_spec, torsion_two
 from .subsets import h_hat, pair_cover, sigma
 from .verify import (
     DEFAULT_BUDGET,
@@ -28,16 +27,12 @@ from .verify import (
     STATEMENTS,
     BudgetExceededError,
     Verdict,
+    dumps,
     sweep,
 )
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)$")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def dumps(payload) -> str:
-    """Canonical JSON rendering; parsing and re-rendering is byte-identical."""
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def parse_order_range(text: str) -> range:
@@ -105,13 +100,13 @@ def _construct_command(args) -> int:
     elif args.kind in ("even-ce", "mod4-ce"):
         build = even_counterexample if args.kind == "even-ce" else two_mod_four_counterexample
         G, A = build(args.m)
-        params = {"m": args.m, "pair_cover_missing": _missing(G, A)}
+        params = {"m": args.m, "pair_cover_missing": _missing(A)}
     else:
         G = parse_group_spec(args.group)
         A = near_tight_construction(G)
         params = {
-            "torsion_size": sum(1 for d in G.double_table if d == 0),
-            "pair_cover_missing": _missing(G, A),
+            "torsion_size": torsion_two(G).cardinality,
+            "pair_cover_missing": _missing(A),
         }
     payload = {
         "construction": args.kind,
@@ -130,7 +125,7 @@ def _construct_command(args) -> int:
     return 0
 
 
-def _missing(G: AbelianGroup, A: GroupSubset) -> list[int]:
+def _missing(A: GroupSubset) -> list[int]:
     return list(pair_cover(A).complement().indices())
 
 

@@ -17,17 +17,18 @@ branch-free and fast.
 Negation and doubling tables are built on first use, so element negation,
 2-torsion and halving counts are table lookups while constructing a large
 group stays cheap.  Groups are immutable after construction and compare
-equal exactly when their invariant factors agree.
+equal exactly when their invariant factors agree.  Every group order is
+capped at `MAX_ORDER` = 2^20, since a subset of a larger group would be a
+bit-vector of more than a million bits.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator
 
-DEFAULT_MAX_ORDER = 1 << 20
+MAX_ORDER = 1 << 20
 
 _ATOM_RE = re.compile(r"Z(\d+)(?:\^(\d+))?$", re.IGNORECASE)
 
@@ -132,7 +133,7 @@ class AbelianGroup:
         "_translator",
     )
 
-    def __init__(self, factors: Iterable[int], max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, factors: Iterable[int]):
         factors = tuple(int(d) for d in factors)
         for d in factors:
             if d < 2:
@@ -141,8 +142,8 @@ class AbelianGroup:
             if b % a != 0:
                 raise GroupSpecError(f"{factors} is not a divisibility chain")
         order = prod(factors) if factors else 1
-        if order > max_order:
-            raise GroupSpecError(f"order {order} exceeds the maximum {max_order}")
+        if order > MAX_ORDER:
+            raise GroupSpecError(f"order {order} exceeds the maximum {MAX_ORDER}")
         self.factors = factors
         self.order = order
         self.full_mask = (1 << order) - 1
@@ -196,7 +197,7 @@ class AbelianGroup:
 
     def __reduce__(self):
         # rebuilt from its factors: the cached translator is a closure
-        return (AbelianGroup, (self.factors, self.order))
+        return (AbelianGroup, (self.factors,))
 
     def __len__(self) -> int:
         return self.order
@@ -216,10 +217,10 @@ class AbelianGroup:
         return len(self.factors) <= 1
 
     @classmethod
-    def cyclic(cls, m: int, max_order: int = DEFAULT_MAX_ORDER) -> "AbelianGroup":
+    def cyclic(cls, m: int) -> "AbelianGroup":
         if m == 1:
-            return cls((), max_order)
-        return cls((m,), max_order)
+            return cls(())
+        return cls((m,))
 
     # -- element encoding --------------------------------------------------
 
@@ -241,16 +242,7 @@ class AbelianGroup:
             i = i * d + x
         return i
 
-    def element(self, i: int) -> "GroupElement":
-        if not 0 <= i < self.order:
-            raise ValueError(f"index {i} out of range for {self.spec}")
-        return GroupElement(self, i)
-
-    def _index_of(self, x: "GroupElement | int") -> int:
-        if isinstance(x, GroupElement):
-            if x.group != self:
-                raise ValueError(f"element of {x.group.spec} used in {self.spec}")
-            return x.index
+    def _index_of(self, x: int) -> int:
         if not 0 <= x < self.order:
             raise ValueError(f"index {x} out of range for {self.spec}")
         return x
@@ -264,12 +256,6 @@ class AbelianGroup:
             s = self._strides[axis]
             out = out * d + ((i // s) % d + (j // s) % d) % d
         return out
-
-    def add(self, x: "GroupElement | int", y: "GroupElement | int") -> "GroupElement":
-        return GroupElement(self, self.add_index(self._index_of(x), self._index_of(y)))
-
-    def neg(self, x: "GroupElement | int") -> "GroupElement":
-        return GroupElement(self, self.neg_table[self._index_of(x)])
 
     # -- bit-vector translation ----------------------------------------------
 
@@ -351,37 +337,6 @@ class AbelianGroup:
         return shift
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of an AbelianGroup, identified by its mixed-radix index."""
-
-    group: AbelianGroup
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.group.order:
-            raise ValueError(f"index {self.index} out of range for {self.group.spec}")
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.group.index_to_tuple(self.index)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, other)
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.neg(self)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, self.group.neg_table[self.group._index_of(other)])
-
-    def __int__(self) -> int:
-        return self.index
-
-    def __repr__(self) -> str:
-        return f"<{self.coords} in {self.group.spec}>"
-
-
 class GroupSubset:
     """A subset of group elements as a length-|G| bit-vector.
 
@@ -398,7 +353,7 @@ class GroupSubset:
         self.bits = bits
 
     @classmethod
-    def from_indices(cls, group: AbelianGroup, indices: Iterable[int | GroupElement]) -> "GroupSubset":
+    def from_indices(cls, group: AbelianGroup, indices: Iterable[int]) -> "GroupSubset":
         bits = 0
         for i in indices:
             bits |= 1 << group._index_of(i)
@@ -415,7 +370,7 @@ class GroupSubset:
         if self.group != other.group:
             raise ValueError(f"subset of {other.group.spec} used with {self.group.spec}")
 
-    def __contains__(self, x: int | GroupElement) -> bool:
+    def __contains__(self, x: int) -> bool:
         return bool(self.bits >> self.group._index_of(x) & 1)
 
     def __iter__(self) -> Iterator[int]:
@@ -439,7 +394,7 @@ class GroupSubset:
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, ~self.bits & self.group.full_mask)
 
-    def translate(self, g: int | GroupElement) -> "GroupSubset":
+    def translate(self, g: int) -> "GroupSubset":
         """The set {a + g : a in self}."""
         return GroupSubset(self.group, self.group.translate_bits(self.bits, self.group._index_of(g)))
 
@@ -465,7 +420,7 @@ class GroupSubset:
         return f"GroupSubset({self.group.spec}, {{{', '.join(map(str, self.indices()))}}})"
 
 
-def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> AbelianGroup:
+def parse_group_spec(text: str) -> AbelianGroup:
     """Parse "Z<n>" atoms joined by "x", with optional "^e" exponents.
 
     The result is always in canonical invariant-factor form, so coprime
@@ -496,13 +451,16 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> AbelianGr
             raise GroupSpecError(f"cyclic order {n} < 1 in {text!r}")
         if e < 1:
             raise GroupSpecError(f"exponent {e} < 1 in {text!r}")
+        if n == 1:
+            continue  # the trivial group, whatever its exponent
+        # n**e >= 2**e, so a large e is rejected before n**e is computed
+        if e >= MAX_ORDER.bit_length() or prod(orders) * n**e > MAX_ORDER:
+            raise GroupSpecError(f"order of {text!r} exceeds the maximum {MAX_ORDER}")
         orders.extend([n] * e)
-        if prod(orders) > max_order:
-            raise GroupSpecError(f"order of {text!r} exceeds the maximum {max_order}")
-    return AbelianGroup(invariant_factors(orders), max_order)
+    return AbelianGroup(invariant_factors(orders))
 
 
-def enumerate_groups_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[AbelianGroup]:
+def enumerate_groups_of_order(n: int) -> list[AbelianGroup]:
     """All abelian groups of order n, one per isomorphism class.
 
     Classes are produced by choosing a partition of each prime exponent,
@@ -516,13 +474,13 @@ def enumerate_groups_of_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> lis
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n > max_order:
-        raise GroupSpecError(f"order {n} exceeds the maximum {max_order}")
+    if n > MAX_ORDER:
+        raise GroupSpecError(f"order {n} exceeds the maximum {MAX_ORDER}")
     primes = sorted(factorize(n).items())
     pools: list[list[int]] = [[]]
     for p, e in primes:
         pools = [base + [p**part_e for part_e in part] for base in pools for part in _partitions(e)]
-    groups = [AbelianGroup(invariant_factors(orders), max_order) for orders in pools]
+    groups = [AbelianGroup(invariant_factors(orders)) for orders in pools]
     groups.sort(key=lambda g: (len(g.factors), g.factors))
     return groups
 
@@ -536,7 +494,7 @@ def torsion_two(G: AbelianGroup) -> GroupSubset:
     return GroupSubset(G, bits)
 
 
-def count_halvings(G: AbelianGroup, g: GroupElement | int) -> int:
+def count_halvings(G: AbelianGroup, g: int) -> int:
     """How many x in G satisfy 2x = g; always 0 or the 2-torsion size."""
     target = G._index_of(g)
     return sum(1 for d in G.double_table if d == target)

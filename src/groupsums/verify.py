@@ -63,6 +63,11 @@ REFUTED = "refuted"
 VACUOUS = "vacuous"
 
 
+def dumps(payload) -> str:
+    """Canonical JSON rendering; parsing and re-rendering is byte-identical."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 class BudgetExceededError(RuntimeError):
     """The group is larger than the configured exhaustive-search budget."""
 
@@ -94,7 +99,7 @@ class Verdict:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "Verdict":
@@ -161,7 +166,7 @@ def _scan_cover_fixed(
     k: int,
     layers: int,
     cap: int,
-    stop_on_first: bool,
+    stop_on_first: bool = False,
 ) -> ScanStats:
     """Size-k subsets of `pool` in the subtree task (fixed, bound).
 
@@ -431,26 +436,6 @@ def _elapsed_ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
 
 
-def _cover_scan(
-    G: AbelianGroup,
-    pool: tuple[int, ...],
-    k: int,
-    layers: int,
-    params: dict,
-    *,
-    witness_cap: int,
-    jobs: int,
-    stop_on_first: bool = False,
-) -> ScanStats:
-    """The cover scan of the size-k subsets of `pool`, shared by prop3.2,
-    lemma2-search and thm4.  Puts the violation count in `params`."""
-    payload = {"pool": pool, "k": k, "layers": layers, "cap": witness_cap,
-               "stop_on_first": stop_on_first}
-    stats = _execute(_scan_cover_fixed, G, payload, jobs)
-    params["violations"] = stats.violations
-    return stats
-
-
 # -- verifiers ----------------------------------------------------------------
 
 
@@ -476,8 +461,9 @@ def verify_pair_cover_threshold(
         params["available_nonzero"] = G.order - 1
         return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
     _check_budget(G.order, budget)
-    stats = _cover_scan(G, tuple(range(1, G.order)), threshold, 2, params,
-                        witness_cap=witness_cap, jobs=jobs)
+    payload = {"pool": tuple(range(1, G.order)), "k": threshold, "layers": 2, "cap": witness_cap}
+    stats = _execute(_scan_cover_fixed, G, payload, jobs)
+    params["violations"] = stats.violations
     return Verdict(
         "prop3.2", G.spec, params, REFUTED if stats.violations else VERIFIED,
         comb(G.order - 1, threshold), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
@@ -508,11 +494,13 @@ def search_lemma2_counterexamples(
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
     params: dict = {"subset_size": size, "exhaustive": bool(exhaustive)}
-    stats = _cover_scan(G, tuple(range(1, m)), size, 2, params, witness_cap=witness_cap,
-                        jobs=jobs, stop_on_first=not exhaustive)
+    payload = {"pool": tuple(range(1, m)), "k": size, "layers": 2, "cap": witness_cap,
+               "stop_on_first": not exhaustive}
+    stats = _execute(_scan_cover_fixed, G, payload, jobs)
     found = stats.violations > 0
     if exhaustive:
         checked = comb(m - 1, size)
+        params["violations"] = stats.violations
         params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
         witnesses = _witnesses_with_reps(stats, witness_cap)
     else:
@@ -633,8 +621,9 @@ def verify_three_fold_cover(
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
-    params: dict = {"subset_size": size}
-    stats = _cover_scan(G, tuple(range(m)), size, 3, params, witness_cap=witness_cap, jobs=jobs)
+    payload = {"pool": tuple(range(m)), "k": size, "layers": 3, "cap": witness_cap}
+    stats = _execute(_scan_cover_fixed, G, payload, jobs)
+    params = {"subset_size": size, "violations": stats.violations}
     return Verdict(
         "thm4", G.spec, params, REFUTED if stats.violations else VERIFIED,
         comb(m, size), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),

@@ -37,9 +37,9 @@ from groupsums.verify import (
 )
 
 
-def all_groups_up_to(max_order: int) -> list[AbelianGroup]:
+def all_groups_up_to(max_n: int) -> list[AbelianGroup]:
     out: list[AbelianGroup] = []
-    for n in range(1, max_order + 1):
+    for n in range(1, max_n + 1):
         out.extend(enumerate_groups_of_order(n))
     return out
 
@@ -49,10 +49,10 @@ def random_subset(rng: random.Random, G: AbelianGroup, max_card: int) -> GroupSu
     return GroupSubset.from_indices(G, rng.sample(range(G.order), card))
 
 
-def check_oracle_equivalence_exhaustive(max_order: int = 12) -> int:
+def check_oracle_equivalence_exhaustive(max_n: int = 12) -> int:
     """DP vs naive enumeration for every subset of every group, every h."""
     checked = 0
-    for G in all_groups_up_to(max_order):
+    for G in all_groups_up_to(max_n):
         for mask in range(1 << G.order):
             A = GroupSubset(G, mask)
             assert sigma(A) == naive_subset_sums(A), (G.spec, A.indices())
@@ -62,9 +62,9 @@ def check_oracle_equivalence_exhaustive(max_order: int = 12) -> int:
     return checked
 
 
-def check_oracle_equivalence_random(max_order: int = 32, trials: int = 80, seed: int = 0xD1CE) -> None:
+def check_oracle_equivalence_random(max_n: int = 32, trials: int = 80, seed: int = 0xD1CE) -> None:
     rng = random.Random(seed)
-    groups = [G for G in all_groups_up_to(max_order) if G.order >= 2]
+    groups = [G for G in all_groups_up_to(max_n) if G.order >= 2]
     for _ in range(trials):
         G = rng.choice(groups)
         A = random_subset(rng, G, max_card=10)
@@ -73,10 +73,10 @@ def check_oracle_equivalence_random(max_order: int = 32, trials: int = 80, seed:
         assert h_hat(A, h) == naive_subset_sums(A, h), (G.spec, A.indices(), h)
 
 
-def check_monotonicity(trials: int = 100, max_order: int = 32, seed: int = 0xBEEF) -> None:
+def check_monotonicity(trials: int = 100, max_n: int = 32, seed: int = 0xBEEF) -> None:
     """A inside B forces h_hat, sigma and pair_cover containment."""
     rng = random.Random(seed)
-    groups = [G for G in all_groups_up_to(max_order) if G.order >= 2]
+    groups = [G for G in all_groups_up_to(max_n) if G.order >= 2]
     for _ in range(trials):
         G = rng.choice(groups)
         B = random_subset(rng, G, max_card=G.order)
@@ -95,7 +95,7 @@ def _full_sum_index(G: AbelianGroup, A: GroupSubset) -> int:
     return total
 
 
-def check_complement_identity(max_order: int = 32, seed: int = 0xFACE) -> None:
+def check_complement_identity(max_n: int = 32, seed: int = 0xFACE) -> None:
     """h_hat(A, |A| - h) is the reflection of h_hat(A, h) through the full sum."""
     rng = random.Random(seed)
 
@@ -109,15 +109,15 @@ def check_complement_identity(max_order: int = 32, seed: int = 0xFACE) -> None:
     for G in all_groups_up_to(8):
         for mask in range(1 << G.order):
             check_one(G, GroupSubset(G, mask))
-    groups = [G for G in all_groups_up_to(max_order) if G.order >= 2]
+    groups = [G for G in all_groups_up_to(max_n) if G.order >= 2]
     for _ in range(60):
         G = rng.choice(groups)
         check_one(G, random_subset(rng, G, max_card=9))
 
 
-def check_negation_equivariance(max_order: int = 32, trials: int = 60, seed: int = 0xACE) -> None:
+def check_negation_equivariance(max_n: int = 32, trials: int = 60, seed: int = 0xACE) -> None:
     rng = random.Random(seed)
-    groups = [G for G in all_groups_up_to(max_order) if G.order >= 2]
+    groups = [G for G in all_groups_up_to(max_n) if G.order >= 2]
     for _ in range(trials):
         G = rng.choice(groups)
         A = random_subset(rng, G, max_card=10)
@@ -126,10 +126,10 @@ def check_negation_equivariance(max_order: int = 32, trials: int = 60, seed: int
         assert sigma(A.negated()) == sigma(A).negated()
 
 
-def check_automorphism_equivariance(max_order: int = 32, seed: int = 0xF00D) -> None:
+def check_automorphism_equivariance(max_n: int = 32, seed: int = 0xF00D) -> None:
     """Multiplication by a unit commutes with the sumset operations (cyclic)."""
     rng = random.Random(seed)
-    for m in range(2, max_order + 1):
+    for m in range(2, max_n + 1):
         G = AbelianGroup.cyclic(m)
         A = random_subset(rng, G, max_card=9)
         h = rng.randint(0, A.cardinality + 1)
@@ -141,9 +141,9 @@ def check_automorphism_equivariance(max_order: int = 32, seed: int = 0xF00D) -> 
             assert h_hat(image, h) == h_hat(A, h).map_indices(perm)
 
 
-def check_cardinality_bounds(max_order: int = 24, trials: int = 80, seed: int = 7) -> None:
+def check_cardinality_bounds(max_n: int = 24, trials: int = 80, seed: int = 7) -> None:
     rng = random.Random(seed)
-    groups = [G for G in all_groups_up_to(max_order) if G.order >= 2]
+    groups = [G for G in all_groups_up_to(max_n) if G.order >= 2]
     for _ in range(trials):
         G = rng.choice(groups)
         A = random_subset(rng, G, max_card=12)
@@ -155,10 +155,10 @@ def check_cardinality_bounds(max_order: int = 24, trials: int = 80, seed: int = 
             assert (hs.cardinality > 0) == (0 <= h <= A.cardinality)
 
 
-def check_halving_counts(max_order: int = 64) -> int:
+def check_halving_counts(max_n: int = 64) -> int:
     """|{x : 2x = g}| is 0 or the 2-torsion size; doubling hits |G| points;
     |G| + |G_2| is even; the 2-torsion is a subgroup of the expected size."""
-    groups = all_groups_up_to(max_order)
+    groups = all_groups_up_to(max_n)
     for G in groups:
         t2 = torsion_two(G)
         g2 = t2.cardinality
@@ -178,10 +178,10 @@ def check_halving_counts(max_order: int = 64) -> int:
     return len(groups)
 
 
-def check_intersection_bound(max_order: int = 12) -> None:
+def check_intersection_bound(max_n: int = 12) -> None:
     """Above the pair-cover threshold, A0 = A + {0} meets g - A0 in at least
     |G_2| + 2 points for every g outside A."""
-    for G in all_groups_up_to(max_order):
+    for G in all_groups_up_to(max_n):
         n = G.order
         if n < 2:
             continue
@@ -259,9 +259,9 @@ def _expected_cover_stats(deficits: dict[int, int], cap: int) -> dict:
     }
 
 
-def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
+def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
     """The cover scan, look-ahead pruning included, against brute force over
-    every k-subset of the pool, for every group of order <= max_order and
+    every k-subset of the pool, for every group of order <= max_n and
     every k from 1 to the pool size: layers=2 on G \\ {0} (A with its pair
     sums) and layers=3 on G (three-element sums).  Each case runs at jobs 1
     and 3, and stopped at the first violation.  Returns the number of
@@ -269,7 +269,7 @@ def check_cover_scan_brute_force(max_order: int = 12, cap: int = 3) -> int:
     checked = 0
     keys = ("violations", "hist", "reps", "witnesses")
     with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for G in all_groups_up_to(max_order):
+        for G in all_groups_up_to(max_n):
             for layers, pool in ((2, tuple(range(1, G.order))), (3, tuple(range(G.order)))):
                 for k in range(1, len(pool) + 1):
                     deficits = {}
@@ -332,11 +332,11 @@ def _lattice_table(G: AbelianGroup) -> dict[int, tuple[int, int, bool]]:
     return table
 
 
-def check_subset_sum_scans_brute_force(max_order: int = 12, cap: int = 3) -> int:
+def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
     """Both subset-sum scans against every subset of G \\ {0}: the thm1
     sweep at every min_size from 1 to |G| - 1 (violations, equality cases
     and their witnesses), and the thm5 lattice walk (failing sets filed by
-    size).  The groups are those of order <= max_order, where each subset's
+    size).  The groups are those of order <= max_n, where each subset's
     sums are also checked against `naive_subset_sums`, and Z3xZ6, the
     smallest group on which pruning the thm1 sweep at
     |sums| >= 2 * (largest size below) instead of > loses equality cases.
@@ -345,10 +345,10 @@ def check_subset_sum_scans_brute_force(max_order: int = 12, cap: int = 3) -> int
     keys = ("violations", "hist", "reps", "witnesses")
     checked = 0
     with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for G in all_groups_up_to(max_order) + [AbelianGroup((3, 6))]:
+        for G in all_groups_up_to(max_n) + [AbelianGroup((3, 6))]:
             n = G.order
             table = _lattice_table(G)
-            if n <= max_order:
+            if n <= max_n:
                 for mask, (_, got, _) in table.items():
                     assert got == naive_subset_sums(GroupSubset(G, mask)).cardinality, (G.spec, mask)
             checked += len(table)

@@ -146,6 +146,7 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "verify", "thm4", "--group", "Z11")[0] == 2
     assert run(capsys, "verify", "thm1")[0] == 2  # neither --group nor --order-range
     assert run(capsys, "sigma", "--group", "Zfive", "--set", "1")[0] == 2
+    assert run(capsys, "sigma", "--group", "Z2^" + "9" * 30, "--set", "1")[:2] == (2, "")
     assert run(capsys, "verify", "sweep", "--statement", "thm9", "--order-range", "3..4")[0] == 2
     assert run(capsys, "construct", "tight", "--k", "2")[0] == 2
     assert run(capsys, "verify", "lemma2", "--group", "Z2xZ4")[0] == 2
@@ -237,6 +238,15 @@ def _readme_cli_lines() -> list[str]:
     text = README.read_text()
     block = re.search(r"## CLI\n\n```\n(.*?)```", text, re.S).group(1)
     return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_library_block_runs(capsys):
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    expected = re.search(r"print\(sigma\(A\)\.indices\(\)\)\s*# (.*)", block).group(1)
+    exec(block, {})
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert first == expected == "(0, 1, 3, 4, 6, 7, 9, 10, 12, 13)"
+    assert Verdict.from_json("\n".join(rest)).status == "verified"
 
 
 def test_readme_cli_block_runs(capsys):

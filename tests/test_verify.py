@@ -26,9 +26,9 @@ from groupsums import (
 from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
 
 from property_checks import (
-    check_cover_scan_brute_force,
     check_jobs_determinism,
     check_monotonicity,
+    check_scan_cover_fixed_brute_force,
     check_subset_sum_scans_brute_force,
 )
 
@@ -351,9 +351,9 @@ def test_monotonicity_licenses_minimal_size_checks():
     check_monotonicity(trials=100)
 
 
-def test_cover_scan_matches_brute_force():
+def test_scan_cover_fixed_matches_brute_force():
     # every group of order <= 12, every k: violations exist near the prune frontier
-    assert check_cover_scan_brute_force(12) > 10_000
+    assert check_scan_cover_fixed_brute_force(12) > 10_000
 
 
 def test_subset_sum_scans_match_brute_force():
