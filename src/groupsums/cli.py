@@ -145,19 +145,16 @@ def _verify_command(args) -> int:
     stray = [_OPTION_FLAGS[name][0] for name in options if name not in statement.options]
     if stray:
         raise ValueError(f"{statement.id} takes no {', '.join(stray)}")
-    if args.cyclic and args.group is not None:
-        raise ValueError("--cyclic needs --order-range")
     common = dict(witness_cap=args.witness_cap, jobs=args.jobs, budget=args.budget)
-    if args.group is not None:
-        verdicts = [statement.run(parse_group_spec(args.group), **common, **options)]
-    else:
+    if args.which == "sweep":
         verdicts = sweep(statement.id, parse_order_range(args.order_range),
                          cyclic_only=args.cyclic, **common, **options)
+        payload = [v.to_dict() for v in verdicts]
+    else:
+        verdicts = [statement.run(parse_group_spec(args.group), **common, **options)]
+        payload = verdicts[0].to_dict()
     if args.json:
-        if args.which != "sweep" and args.group is not None:
-            print(verdicts[0].to_json())
-        else:
-            print(dumps([v.to_dict() for v in verdicts]))
+        print(dumps(payload))
     else:
         for v in verdicts:
             print(render_verdict(v))
@@ -206,10 +203,6 @@ _OPTION_FLAGS = {
 
 
 def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
-    where = p.add_mutually_exclusive_group(required=True)
-    where.add_argument("--group", help="group spec, e.g. Z6 or Z2xZ4")
-    where.add_argument("--order-range", help="inclusive order range, e.g. 3..16")
-    p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only (with --order-range)")
     p.add_argument("--witness-cap", type=_int_at_least(0), default=DEFAULT_WITNESS_CAP)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
@@ -247,11 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run an exhaustive verifier")
     vsub = v.add_subparsers(dest="which", required=True)
     for statement in STATEMENTS.values():
-        p = vsub.add_parser(statement.alias, help=f"verify {statement.id}")
+        p = vsub.add_parser(statement.alias, help=f"verify {statement.id} on one group")
+        p.add_argument("--group", required=True, help="group spec, e.g. Z6 or Z2xZ4")
         _add_verify_flags(p, statement.options)
         p.set_defaults(func=_verify_command, statement=statement.id)
-    p = vsub.add_parser("sweep", help="verify any statement, named by --statement")
+    p = vsub.add_parser("sweep", help="verify a statement, named by --statement, on a range of orders")
     p.add_argument("--statement", required=True, choices=STATEMENTS)
+    p.add_argument("--order-range", required=True, help="inclusive order range, e.g. 3..16")
+    p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only")
     _add_verify_flags(p, _OPTION_FLAGS)
     p.set_defaults(func=_verify_command)
 

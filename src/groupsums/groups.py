@@ -29,6 +29,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 MAX_ORDER = 1 << 20
+_MAX_DIGITS = 64  # per number in a spec; far below the interpreter's int() limit
 
 _ATOM_RE = re.compile(r"Z(\d+)(?:\^(\d+))?$", re.IGNORECASE)
 
@@ -310,8 +311,6 @@ class AbelianGroup:
         return self._translator
 
     def _build_translator(self):
-        if self.order == 1:
-            return lambda bits, g: bits
         if len(self.factors) == 1:
             m = self.order
             mask = self.full_mask
@@ -445,6 +444,8 @@ def parse_group_spec(text: str) -> AbelianGroup:
         m = _ATOM_RE.fullmatch(atom)
         if m is None:
             raise GroupSpecError(f"bad group atom {atom!r} in {text!r}")
+        if any(len(g) > _MAX_DIGITS for g in m.groups() if g):
+            raise GroupSpecError(f"a number in {text!r} has more than {_MAX_DIGITS} digits")
         n = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
         if n < 1:

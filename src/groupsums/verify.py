@@ -17,10 +17,12 @@ With one worker the whole tree is walked in one pass.  With `jobs` workers
 it is cut into subtree tasks, each fixing the top elements of its
 candidates: the largest subtree is split on its next element until none
 holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
-counts.  Tasks run in worker processes in mask order and are merged in that
-order with associative bookkeeping, so a certificate never depends on the
-worker count.  `critical_number` walks the lattice once and files each
-failing set under its size.
+counts.  A task starts from the sums of its fixed elements (`h_hat`,
+`sigma`, `subgroup_generated`).  Tasks run in worker processes in mask order
+and are merged in that order with associative bookkeeping, so a certificate
+never depends on the worker count.  A cover scan that stops at its first
+witness raises `_FirstWitness` there.  `critical_number` walks the lattice
+once and files each failing set under its size.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
@@ -28,10 +30,10 @@ its violating leaves in a `ScanStats` record; task records merge in mask order.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically), or for a search
-stopped at its first witness, that witness's colex rank plus one; violation
-and equality counts are exact.  Witness lists are capped but always retain,
-per number of uncovered elements, the first witness exhibiting that
-deficiency.
+stopped at its first witness, that witness's colex rank (`_colex_rank`) plus
+one; violation and equality counts are exact.  Witness lists are capped but
+always retain, per number of uncovered elements, the first witness
+exhibiting that deficiency.
 """
 
 from __future__ import annotations
@@ -39,21 +41,24 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from contextlib import suppress
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import __version__
-from .colex import rank
 from .groups import (
     AbelianGroup,
+    GroupSubset,
     bit_indices,
     enumerate_groups_of_order,
     extend_subgroup,
+    subgroup_generated,
     torsion_two,
 )
+from .subsets import h_hat, sigma
 
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
@@ -157,6 +162,10 @@ class ScanStats:
         self.eq_witnesses += later.eq_witnesses[:self.cap - len(self.eq_witnesses)]
 
 
+class _FirstWitness(Exception):
+    """Raised at the first violating leaf of a cover scan that stops there."""
+
+
 def _scan_cover_fixed(
     G: AbelianGroup,
     fixed: int,
@@ -183,9 +192,7 @@ def _scan_cover_fixed(
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
-    order = G.order
     stats = ScanStats(cap)
-    stop = False
     # free[b]: the elements at pool positions below b, a node's candidates
     free = [0]
     for e in pool:
@@ -193,67 +200,60 @@ def _scan_cover_fixed(
 
     def leaf(amask: int, cover: int) -> None:
         # only reached when cover != full
-        nonlocal stop
-        stats.record(amask, order - cover.bit_count())
-        stop = stop_on_first
+        stats.record(amask, G.order - cover.bit_count())
+        if not stop_on_first:
+            return
+        raise _FirstWitness
 
-    dp1 = dp2 = dp3 = n1 = n2 = 0
-    for c in bit_indices(fixed):
-        e = pool[c]
-        dp1, dp2, dp3 = dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e)
-        n1, n2 = n1 | (1 << neg[e]), n2 | tr(n1, neg[e])
+    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
+        cover = dp1 | dp2
+        if cover == full:
+            return
+        if j == 0:
+            leaf(dp1, cover)
+            return
+        avail = free[bound]
+        uncovered = full ^ cover
+        while uncovered:
+            low = uncovered & -uncovered
+            if (avail & ~(low | tr(n1, low.bit_length() - 1))).bit_count() >= j:
+                break
+            uncovered ^= low
+        else:
+            return
+        for c in range(j - 1, bound):
+            e = pool[c]
+            rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
 
-    if layers == 2:
+    def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
+        if dp3 == full:
+            return
+        if j == 0:
+            leaf(dp1, dp3)
+            return
+        avail = free[bound]
+        uncovered = full ^ dp3
+        while uncovered:
+            low = uncovered & -uncovered
+            if (avail & ~tr(n2, low.bit_length() - 1)).bit_count() >= j:
+                break
+            uncovered ^= low
+        else:
+            return
+        for c in range(j - 1, bound):
+            e = pool[c]
+            ne = neg[e]
+            rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
+                 n1 | (1 << ne), n2 | tr(n1, ne))
 
-        def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
-            cover = dp1 | dp2
-            if cover == full:
-                return
-            if j == 0:
-                leaf(dp1, cover)
-                return
-            avail = free[bound]
-            uncovered = full ^ cover
-            while uncovered:
-                low = uncovered & -uncovered
-                if (avail & ~(low | tr(n1, low.bit_length() - 1))).bit_count() >= j:
-                    break
-                uncovered ^= low
-            else:
-                return
-            for c in range(j - 1, bound):
-                e = pool[c]
-                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
-                if stop:
-                    return
-
-        rec(k - fixed.bit_count(), bound, dp1, dp2, n1)
-    else:
-
-        def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
-            if dp3 == full:
-                return
-            if j == 0:
-                leaf(dp1, dp3)
-                return
-            avail = free[bound]
-            uncovered = full ^ dp3
-            while uncovered:
-                low = uncovered & -uncovered
-                if (avail & ~tr(n2, low.bit_length() - 1)).bit_count() >= j:
-                    break
-                uncovered ^= low
-            else:
-                return
-            for c in range(j - 1, bound):
-                e = pool[c]
-                ne = neg[e]
-                rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
-                     n1 | (1 << ne), n2 | tr(n1, ne))
-                if stop:
-                    return
-
-        rec3(k - fixed.bit_count(), bound, dp1, dp2, dp3, n1, n2)
+    A = GroupSubset.from_indices(G, (pool[c] for c in bit_indices(fixed)))
+    minus_a = A.negated()
+    with suppress(_FirstWitness):
+        if layers == 2:
+            rec(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, minus_a.bits)
+        else:
+            rec3(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, h_hat(A, 3).bits,
+                 minus_a.bits, h_hat(minus_a, 2).bits)
     return stats
 
 
@@ -303,11 +303,8 @@ def _scan_bound_sweep(
             new_h = H if (H >> e) & 1 else extend_subgroup(tr, H, e)
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), new_h)
 
-    acc, H = 0, 1
-    for p in bit_indices(fixed):
-        e = p + 1
-        acc, H = acc | tr(acc, e) | (1 << e), H if (H >> e) & 1 else extend_subgroup(tr, H, e)
-    rec(fixed, fixed.bit_count(), bound, acc, H)
+    S = GroupSubset(G, fixed << 1)
+    rec(fixed, fixed.bit_count(), bound, sigma(S).bits, subgroup_generated(G, S).bits)
     return stats
 
 
@@ -332,11 +329,7 @@ def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int, *, cap: int) ->
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
 
-    acc = 0
-    for p in bit_indices(fixed):
-        e = p + 1
-        acc |= tr(acc, e) | (1 << e)
-    rec(fixed, fixed.bit_count(), bound, acc)
+    rec(fixed, fixed.bit_count(), bound, sigma(GroupSubset(G, fixed << 1)).bits)
     return stats
 
 
@@ -427,6 +420,15 @@ def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
     return [bit_indices(m) for m in sorted(protected.union(others))[:cap]]
 
 
+def _colex_rank(combo: Sequence[int]) -> int:
+    """The number of k-combinations with a smaller bitmask than c_1 < ... < c_k.
+
+    >>> [_colex_rank(c) for c in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]]
+    [0, 1, 2, 3, 4, 5]
+    """
+    return sum(comb(c, i) for i, c in enumerate(combo, start=1))
+
+
 def _check_budget(order: int, budget: int) -> None:
     if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the search budget {budget}")
@@ -506,7 +508,7 @@ def search_lemma2_counterexamples(
     else:
         first = bit_indices(min(stats.reps.values())) if found else []
         # pool position of element e is e - 1
-        checked = rank([e - 1 for e in first]) + 1 if found else comb(m - 1, size)
+        checked = _colex_rank([e - 1 for e in first]) + 1 if found else comb(m - 1, size)
         params["violations"] = 1 if found else 0
         witnesses = [first][:witness_cap] if found else []
     status = REFUTED if found else VERIFIED

@@ -290,6 +290,8 @@ def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
                                 first = min(got.reps.values(), default=None)
                                 assert first == min(deficits, default=None), where
                                 assert (got.violations > 0) == bool(deficits), where
+                                # a single task records no leaf past its first violation
+                                assert jobs > 1 or got.violations == min(1, len(deficits)), where
                             else:
                                 assert {key: getattr(got, key) for key in keys} == want, where
     return checked

@@ -107,6 +107,32 @@ def test_sweep_json_round_trip(capsys):
     assert {v["status"] for v in payload} <= {"verified", "vacuous"}
 
 
+# (group, checked, threshold_size, torsion_size, available_nonzero or None)
+_PROP3_SWEEP_3_8 = [
+    ("Z3", 1, 2, 1, None), ("Z4", 1, 3, 2, None), ("Z2 x Z2", 0, 4, 4, 3),
+    ("Z5", 4, 3, 1, None), ("Z6", 5, 4, 2, None), ("Z7", 15, 4, 1, None),
+    ("Z8", 21, 5, 2, None), ("Z2 x Z4", 7, 6, 4, None), ("Z2 x Z2 x Z2", 0, 8, 8, 7),
+]
+
+
+def test_sweep_output_is_pinned(capsys):
+    # the bytes `verify prop3 --order-range 3..8 --json` printed before
+    # ranges moved to `verify sweep`, with elapsed_ms masked
+    expected = []
+    for group, checked, threshold, g2, available in _PROP3_SWEEP_3_8:
+        params = {"threshold_size": threshold, "torsion_size": g2, "violations": 0}
+        if available is not None:
+            params["available_nonzero"] = available
+        expected.append({
+            "checked": checked, "elapsed_ms": 0, "group": group, "params": params,
+            "statement": "prop3.2", "status": "vacuous" if available else "verified",
+            "toolchain_version": "0.1.0", "witnesses": [],
+        })
+    code, out, _ = run(capsys, "verify", "sweep", "--statement", "prop3.2", "--order-range", "3..8", "--json")
+    assert code == 0
+    assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == dumps(expected) + "\n"
+
+
 def test_jobs_flag_yields_identical_certificates(capsys):
     _, out1, _ = run(capsys, "verify", "lemma2", "--group", "Z12", "--json", "--jobs", "1")
     _, out2, _ = run(capsys, "verify", "lemma2", "--group", "Z12", "--json", "--jobs", "3")
@@ -144,9 +170,12 @@ def test_construct_commands(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "verify", "thm4", "--group", "Z11")[0] == 2
-    assert run(capsys, "verify", "thm1")[0] == 2  # neither --group nor --order-range
+    assert run(capsys, "verify", "thm1")[0] == 2  # no --group
     assert run(capsys, "sigma", "--group", "Zfive", "--set", "1")[0] == 2
     assert run(capsys, "sigma", "--group", "Z2^" + "9" * 30, "--set", "1")[:2] == (2, "")
+    huge = "Z" + "9" * 5000
+    code, out, err = run(capsys, "sigma", "--group", huge, "--set", "1")
+    assert (code, out) == (2, "") and repr(huge) in err
     assert run(capsys, "verify", "sweep", "--statement", "thm9", "--order-range", "3..4")[0] == 2
     assert run(capsys, "construct", "tight", "--k", "2")[0] == 2
     assert run(capsys, "verify", "lemma2", "--group", "Z2xZ4")[0] == 2
@@ -202,17 +231,14 @@ def test_budget_flag_lifts_the_cap(capsys):
     "verify lemma2 --group Z8 --symmetry",
     "verify thm4 --group Z12 --symmetry",
     "verify sweep --statement prop3.2 --order-range 7..8 --symmetry",
+    "verify prop3 --order-range 3..4",
+    "verify thm1 --group Z6 --cyclic",
+    "verify sweep --statement thm1 --group Z6",
 ])
 def test_verify_rejects_flags_it_would_drop(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == "", argv
     assert err.strip(), argv
-
-
-def test_sweep_keeps_its_shared_flags(capsys):
-    # a sweep over one group still prints a list
-    code, out, _ = run(capsys, "verify", "sweep", "--statement", "thm1", "--group", "Z6", "--json")
-    assert code == 0 and [v["group"] for v in json.loads(out)] == ["Z6"]
 
 
 def test_cli_and_sweep_agree_on_every_statement(capsys):

@@ -1,4 +1,7 @@
 import doctest
+import importlib
+import inspect
+import pkgutil
 from itertools import product
 from math import prod
 
@@ -17,16 +20,21 @@ from groupsums import (
     subgroup_generated,
     torsion_two,
 )
-import groupsums.colex
-import groupsums.groups
+import groupsums
 
 from property_checks import all_groups_up_to, check_halving_counts
 
 
 def test_module_doctests():
-    for mod in (groupsums.groups, groupsums.colex):
-        result = doctest.testmod(mod)
-        assert result.failed == 0 and result.attempted > 0
+    # every module whose source holds an example must run one, wherever it moves
+    found = []
+    for info in pkgutil.iter_modules(groupsums.__path__):
+        mod = importlib.import_module(f"groupsums.{info.name}")
+        if ">>>" in inspect.getsource(mod):
+            result = doctest.testmod(mod)
+            assert result.failed == 0 and result.attempted > 0, info.name
+            found.append(info.name)
+    assert found
 
 
 # -- parsing and canonical form --------------------------------------------
@@ -85,6 +93,10 @@ def test_parse_order_cap():
     with pytest.raises(GroupSpecError):
         parse_group_spec("Z3xZ2^20000000")
     assert parse_group_spec("Z1^" + "9" * 30 + "xZ6").factors == (6,)
+    # a number past the interpreter's int() digit limit is a spec error
+    for text in ("Z" + "9" * 5000, "Z2^" + "9" * 5000, "Z1^" + "9" * 5000):
+        with pytest.raises(GroupSpecError, match="in 'Z"):
+            parse_group_spec(text)
 
 
 def test_invariant_factor_chain_enforced():

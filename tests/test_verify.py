@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -23,7 +24,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
+from groupsums.verify import DEFAULT_WITNESS_CAP, _colex_rank as rank, _subtree_tasks
 
 from property_checks import (
     check_jobs_determinism,
@@ -438,3 +439,12 @@ def test_verdict_schema_keys():
         "witnesses", "elapsed_ms", "toolchain_version",
     }
     assert v.toolchain_version
+
+
+def test_rank_order_is_mask_order():
+    for n, k in [(7, 3), (9, 4)]:
+        combos = list(combinations(range(n), k))
+        by_rank = sorted(combos, key=rank)
+        by_mask = sorted(combos, key=lambda c: sum(1 << i for i in c))
+        assert by_rank == by_mask
+        assert [rank(c) for c in by_rank] == list(range(len(combos)))
