@@ -27,7 +27,6 @@ from .verify import (
     VACUOUS,
     VERIFIED,
     BudgetExceededError,
-    CriticalNumberNotFound,
     Verdict,
     critical_number,
     search_lemma2_counterexamples,
@@ -62,7 +61,6 @@ __all__ = [
     "VACUOUS",
     "VERIFIED",
     "BudgetExceededError",
-    "CriticalNumberNotFound",
     "Verdict",
     "critical_number",
     "search_lemma2_counterexamples",

@@ -196,8 +196,6 @@ def _int_at_least(minimum: int):
 # the flag of each statement option (`Statement.options`); a subcommand
 # offers only its statement's, and without the flag `run`'s default holds
 _OPTION_FLAGS = {
-    "exhaustive": ("--first-only", dict(
-        action="store_false", help="stop the counterexample search at the first witness")),
     "min_size": ("--min-size", dict(type=int, help="minimum subset size for the sum-count bound (default 5)")),
 }
 

@@ -292,10 +292,6 @@ class AbelianGroup:
                 ops.append(self._axis_masks(axis, r))
         return tuple(ops)
 
-    def translate_bits(self, bits: int, g: int) -> int:
-        """Image of a subset bit-vector under adding element index g."""
-        return self.translator()(bits, g)
-
     def translator(self):
         """The (bits, element_index) -> bits function of this group.
 
@@ -395,7 +391,7 @@ class GroupSubset:
 
     def translate(self, g: int) -> "GroupSubset":
         """The set {a + g : a in self}."""
-        return GroupSubset(self.group, self.group.translate_bits(self.bits, self.group._index_of(g)))
+        return GroupSubset(self.group, self.group.translator()(self.bits, self.group._index_of(g)))
 
     def negated(self) -> "GroupSubset":
         """The set {-a : a in self}."""

@@ -20,8 +20,7 @@ holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
 counts.  A task starts from the sums of its fixed elements (`h_hat`,
 `sigma`, `subgroup_generated`).  Tasks run in worker processes in mask order
 and are merged in that order with associative bookkeeping, so a certificate
-never depends on the worker count.  A cover scan that stops at its first
-witness raises `_FirstWitness` there.  `critical_number` walks the lattice
+never depends on the worker count.  `critical_number` walks the lattice
 once and files each failing set under its size.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
@@ -29,11 +28,9 @@ CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
 its violating leaves in a `ScanStats` record; task records merge in mask order.
 
 `checked` in a certificate is the number of candidate subsets implied by the
-parameters (a binomial count, computed arithmetically), or for a search
-stopped at its first witness, that witness's colex rank (`_colex_rank`) plus
-one; violation and equality counts are exact.  Witness lists are capped but
-always retain, per number of uncovered elements, the first witness
-exhibiting that deficiency.
+parameters (a binomial count, computed arithmetically); violation and
+equality counts are exact.  Witness lists are capped but always retain, per
+number of uncovered elements, the first witness exhibiting that deficiency.
 """
 
 from __future__ import annotations
@@ -41,12 +38,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from contextlib import suppress
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import __version__
 from .groups import (
@@ -75,10 +71,6 @@ def dumps(payload) -> str:
 
 class BudgetExceededError(RuntimeError):
     """The group is larger than the configured exhaustive-search budget."""
-
-
-class CriticalNumberNotFound(RuntimeError):
-    """No subset size up to |G| - 1 forces full subset-sum coverage."""
 
 
 @dataclass
@@ -162,10 +154,6 @@ class ScanStats:
         self.eq_witnesses += later.eq_witnesses[:self.cap - len(self.eq_witnesses)]
 
 
-class _FirstWitness(Exception):
-    """Raised at the first violating leaf of a cover scan that stops there."""
-
-
 def _scan_cover_fixed(
     G: AbelianGroup,
     fixed: int,
@@ -175,7 +163,6 @@ def _scan_cover_fixed(
     k: int,
     layers: int,
     cap: int,
-    stop_on_first: bool = False,
 ) -> ScanStats:
     """Size-k subsets of `pool` in the subtree task (fixed, bound).
 
@@ -198,19 +185,12 @@ def _scan_cover_fixed(
     for e in pool:
         free.append(free[-1] | (1 << e))
 
-    def leaf(amask: int, cover: int) -> None:
-        # only reached when cover != full
-        stats.record(amask, G.order - cover.bit_count())
-        if not stop_on_first:
-            return
-        raise _FirstWitness
-
     def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
         cover = dp1 | dp2
         if cover == full:
             return
         if j == 0:
-            leaf(dp1, cover)
+            stats.record(dp1, G.order - cover.bit_count())
             return
         avail = free[bound]
         uncovered = full ^ cover
@@ -229,7 +209,7 @@ def _scan_cover_fixed(
         if dp3 == full:
             return
         if j == 0:
-            leaf(dp1, dp3)
+            stats.record(dp1, G.order - dp3.bit_count())
             return
         avail = free[bound]
         uncovered = full ^ dp3
@@ -248,12 +228,11 @@ def _scan_cover_fixed(
 
     A = GroupSubset.from_indices(G, (pool[c] for c in bit_indices(fixed)))
     minus_a = A.negated()
-    with suppress(_FirstWitness):
-        if layers == 2:
-            rec(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, minus_a.bits)
-        else:
-            rec3(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, h_hat(A, 3).bits,
-                 minus_a.bits, h_hat(minus_a, 2).bits)
+    if layers == 2:
+        rec(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, minus_a.bits)
+    else:
+        rec3(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, h_hat(A, 3).bits,
+             minus_a.bits, h_hat(minus_a, 2).bits)
     return stats
 
 
@@ -420,15 +399,6 @@ def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
     return [bit_indices(m) for m in sorted(protected.union(others))[:cap]]
 
 
-def _colex_rank(combo: Sequence[int]) -> int:
-    """The number of k-combinations with a smaller bitmask than c_1 < ... < c_k.
-
-    >>> [_colex_rank(c) for c in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]]
-    [0, 1, 2, 3, 4, 5]
-    """
-    return sum(comb(c, i) for i, c in enumerate(combo, start=1))
-
-
 def _check_budget(order: int, budget: int) -> None:
     if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the search budget {budget}")
@@ -475,7 +445,6 @@ def verify_pair_cover_threshold(
 def search_lemma2_counterexamples(
     m: int,
     *,
-    exhaustive: bool = True,
     witness_cap: int = DEFAULT_WITNESS_CAP,
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
@@ -486,8 +455,9 @@ def search_lemma2_counterexamples(
     The claim under test says no such A exists; it holds for odd m (where it
     is the pair-cover threshold statement in disguise) and fails for every
     even m.  Only the minimal size ceil(m/2) is enumerated, by monotonicity.
-    With exhaustive=False the scan stops at the first counterexample and
-    `checked` reports how many candidates precede it in colex order.
+    The search is exhaustive: it counts every counterexample of that size by
+    deficiency and lists up to `witness_cap` of them, keeping the first
+    witness of each deficiency.
     """
     t0 = time.perf_counter()
     if m < 3:
@@ -495,24 +465,18 @@ def search_lemma2_counterexamples(
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
-    params: dict = {"subset_size": size, "exhaustive": bool(exhaustive)}
-    payload = {"pool": tuple(range(1, m)), "k": size, "layers": 2, "cap": witness_cap,
-               "stop_on_first": not exhaustive}
+    payload = {"pool": tuple(range(1, m)), "k": size, "layers": 2, "cap": witness_cap}
     stats = _execute(_scan_cover_fixed, G, payload, jobs)
-    found = stats.violations > 0
-    if exhaustive:
-        checked = comb(m - 1, size)
-        params["violations"] = stats.violations
-        params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
-        witnesses = _witnesses_with_reps(stats, witness_cap)
-    else:
-        first = bit_indices(min(stats.reps.values())) if found else []
-        # pool position of element e is e - 1
-        checked = _colex_rank([e - 1 for e in first]) + 1 if found else comb(m - 1, size)
-        params["violations"] = 1 if found else 0
-        witnesses = [first][:witness_cap] if found else []
-    status = REFUTED if found else VERIFIED
-    return Verdict("lemma2-search", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
+    params = {
+        "subset_size": size,
+        "exhaustive": True,  # always; certificates keep the key
+        "violations": stats.violations,
+        "deficiency_histogram": {str(d): c for d, c in sorted(stats.hist.items())},
+    }
+    return Verdict(
+        "lemma2-search", G.spec, params, REFUTED if stats.violations else VERIFIED,
+        comb(m - 1, size), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
+    )
 
 
 def verify_subset_sum_bound(
@@ -574,9 +538,10 @@ def critical_number(
     _check_budget(G.order, budget)
     n = G.order
     stats = _execute(_scan_sigma_lattice, G, {"cap": witness_cap}, jobs)
+    # No bound check is needed: for |G| >= 3, sigma(G \ {0}) = G (0 is
+    # x + (-x), or a + b + (a + b) in Z2^k), so answer <= n - 1; and the
+    # singletons always fail, so hist is not empty.
     answer = max(stats.hist) + 1
-    if answer > n - 1:
-        raise CriticalNumberNotFound(f"no size up to {n - 1} forces coverage in {G.spec}")
     failures_by_size = {str(s): stats.hist.get(s, 0) for s in range(1, answer + 1)}
     known = _known_critical_value(G)
     params = {
@@ -664,7 +629,7 @@ class Statement:
 
 STATEMENTS = {st.id: st for st in (
     Statement("prop3.2", "prop3", False, lambda n: True, verify_pair_cover_threshold, ()),
-    Statement("lemma2-search", "lemma2", True, lambda n: n >= 3, _lemma2_on, ("exhaustive",)),
+    Statement("lemma2-search", "lemma2", True, lambda n: n >= 3, _lemma2_on, ()),
     Statement("thm1", "thm1", False, lambda n: True, verify_subset_sum_bound, ("min_size",)),
     Statement("thm4", "thm4", True, lambda n: n >= 12 and n % 2 == 0, _thm4_on, ()),
     Statement("thm5", "thm5", False, lambda n: n >= 3, lambda G, **kw: critical_number(G, **kw)[1], ()),

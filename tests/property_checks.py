@@ -209,7 +209,7 @@ def check_jobs_determinism() -> None:
     c = search_lemma2_counterexamples(12, jobs=5)
     assert a.core() == b.core() == c.core()
     for m in (13, 14):
-        runs = [search_lemma2_counterexamples(m, exhaustive=False, jobs=j).core() for j in (1, 2, 5)]
+        runs = [search_lemma2_counterexamples(m, jobs=j).core() for j in (1, 2, 5)]
         assert runs[0] == runs[1] == runs[2], m
     G16 = AbelianGroup.cyclic(16)
     for min_size in (1, 5):
@@ -264,8 +264,7 @@ def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
     every k-subset of the pool, for every group of order <= max_n and
     every k from 1 to the pool size: layers=2 on G \\ {0} (A with its pair
     sums) and layers=3 on G (three-element sums).  Each case runs at jobs 1
-    and 3, and stopped at the first violation.  Returns the number of
-    subsets checked."""
+    and 3.  Returns the number of subsets checked."""
     checked = 0
     keys = ("violations", "hist", "reps", "witnesses")
     with multiprocessing.get_context("fork").Pool(processes=3) as workers:
@@ -280,20 +279,10 @@ def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
                             deficits[A.bits] = G.order - cover.cardinality
                         checked += 1
                     want = _expected_cover_stats(deficits, cap)
-                    for stop_on_first in (False, True):
-                        payload = {"pool": pool, "k": k, "layers": layers, "cap": cap,
-                                   "stop_on_first": stop_on_first}
-                        for jobs in (1, 3):
-                            got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
-                            where = (G.spec, layers, k, stop_on_first, jobs)
-                            if stop_on_first:
-                                first = min(got.reps.values(), default=None)
-                                assert first == min(deficits, default=None), where
-                                assert (got.violations > 0) == bool(deficits), where
-                                # a single task records no leaf past its first violation
-                                assert jobs > 1 or got.violations == min(1, len(deficits)), where
-                            else:
-                                assert {key: getattr(got, key) for key in keys} == want, where
+                    payload = {"pool": pool, "k": k, "layers": layers, "cap": cap}
+                    for jobs in (1, 3):
+                        got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
+                        assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k, jobs)
     return checked
 
 

@@ -189,19 +189,6 @@ def test_bad_jobs_and_witness_cap_exit_two(capsys):
         assert out == "" and f"argument {flag}" in err
 
 
-def test_first_only_with_zero_witness_cap(capsys):
-    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z12", "--first-only", "--json")
-    assert code == 1
-    capped = json.loads(out)
-    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z12", "--first-only",
-                       "--witness-cap", "0", "--json")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["status"] == "refuted" and payload["witnesses"] == []
-    assert payload["checked"] == capped["checked"]
-    assert payload["params"] == capped["params"]
-
-
 def test_budget_exit_three(capsys):
     code, _, err = run(capsys, "verify", "lemma2", "--group", "Z40")
     assert code == 3
@@ -209,7 +196,7 @@ def test_budget_exit_three(capsys):
 
 
 def test_budget_flag_lifts_the_cap(capsys):
-    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z26", "--budget", "26", "--first-only")
+    code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z26", "--budget", "26")
     assert code == 1
 
 
@@ -234,6 +221,8 @@ def test_budget_flag_lifts_the_cap(capsys):
     "verify prop3 --order-range 3..4",
     "verify thm1 --group Z6 --cyclic",
     "verify sweep --statement thm1 --group Z6",
+    "verify lemma2 --group Z8 --first-only",
+    "verify sweep --statement lemma2-search --order-range 4..6 --first-only",
 ])
 def test_verify_rejects_flags_it_would_drop(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -14,6 +14,7 @@ from groupsums import (
     VERIFIED,
     Verdict,
     critical_number,
+    enumerate_groups_of_order,
     naive_subset_sums,
     pair_cover,
     parse_group_spec,
@@ -24,7 +25,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.verify import DEFAULT_WITNESS_CAP, _colex_rank as rank, _subtree_tasks
+from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
 
 from property_checks import (
     check_jobs_determinism,
@@ -159,17 +160,6 @@ def test_lemma2_deficiency_witnesses_across_even_orders():
             assert list(two_mod_four_counterexample(m)[1].indices()) in v.witnesses
 
 
-def test_lemma2_first_only_mode():
-    v = search_lemma2_counterexamples(14, exhaustive=False)
-    assert v.status == REFUTED
-    assert v.checked == 1
-    assert v.witnesses == [[1, 2, 3, 4, 5, 6, 7]]
-    assert v.params["exhaustive"] is False
-    ok = search_lemma2_counterexamples(13, exhaustive=False)
-    assert ok.status == VERIFIED
-    assert ok.checked == comb(12, 7)
-
-
 def test_jobs_and_witness_cap_validated():
     with pytest.raises(ValueError):
         search_lemma2_counterexamples(8, jobs=0)
@@ -185,7 +175,7 @@ def test_lemma2_rejects_tiny_m():
 def test_lemma2_budget():
     with pytest.raises(BudgetExceededError):
         search_lemma2_counterexamples(30)
-    raised = search_lemma2_counterexamples(26, budget=26, exhaustive=False)
+    raised = search_lemma2_counterexamples(26, budget=26)
     assert raised.status == REFUTED
 
 
@@ -306,8 +296,6 @@ def test_critical_number_odd_order_has_no_known_value():
 
 
 def test_critical_number_upward_closure():
-    from itertools import combinations
-
     for spec in ("Z6", "Z8", "Z2xZ4"):
         G = parse_group_spec(spec)
         c, _ = critical_number(G)
@@ -324,6 +312,14 @@ def test_critical_number_upward_closure():
 def test_critical_number_rejects_tiny_groups():
     with pytest.raises(ValueError):
         critical_number(parse_group_spec("Z2"))
+
+
+def test_nonzero_elements_sum_to_every_element():
+    # why critical_number needs no bound check: sigma(G \ {0}) = G once |G| >= 3
+    groups = [G for n in range(3, 65) for G in enumerate_groups_of_order(n)]
+    assert len(groups) == 115
+    for G in groups:
+        assert sigma(GroupSubset.from_indices(G, range(1, G.order))).bits == G.full_mask, G.spec
 
 
 # -- three-fold cover -----------------------------------------------------------------
@@ -439,12 +435,3 @@ def test_verdict_schema_keys():
         "witnesses", "elapsed_ms", "toolchain_version",
     }
     assert v.toolchain_version
-
-
-def test_rank_order_is_mask_order():
-    for n, k in [(7, 3), (9, 4)]:
-        combos = list(combinations(range(n), k))
-        by_rank = sorted(combos, key=rank)
-        by_mask = sorted(combos, key=lambda c: sum(1 << i for i in c))
-        assert by_rank == by_mask
-        assert [rank(c) for c in by_rank] == list(range(len(combos)))
