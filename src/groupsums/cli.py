@@ -48,7 +48,9 @@ def parse_order_range(text: str) -> range:
 
 
 def parse_element_list(G: AbelianGroup, text: str) -> GroupSubset:
-    """Comma-separated element indices, or (a,b) tuples for multi-factor groups."""
+    """Comma-separated element indices, or (a,b) tuples for multi-factor
+    groups.  An element listed twice is an error, since the subset sums of a
+    multiset are not those of its set."""
     text = text.strip()
     if not text:
         return GroupSubset(G, 0)
@@ -59,12 +61,17 @@ def parse_element_list(G: AbelianGroup, text: str) -> GroupSubset:
         between = [p.strip() for p in parts[::2]]
         if between[0] or between[-1] or any(p != "," for p in between[1:-1]):
             raise ValueError(f"bad element list {text!r}, expected tuples like (1,0),(0,2)")
-        indices = []
-        for inner in parts[1::2]:
-            coords = tuple(int(x) for x in inner.split(","))
-            indices.append(G.tuple_to_index(coords))
-        return GroupSubset.from_indices(G, indices)
-    return GroupSubset.from_indices(G, (int(x) for x in text.split(",")))
+        elements = [tuple(int(x) for x in inner.split(",")) for inner in parts[1::2]]
+        indices = [G.tuple_to_index(t) for t in elements]
+    else:
+        elements = indices = [int(x) for x in text.split(",")]
+    A = GroupSubset.from_indices(G, indices)
+    seen = set()
+    for element, i in zip(elements, indices):
+        if i in seen:
+            raise ValueError(f"element {element} is listed more than once in {text!r}")
+        seen.add(i)
+    return A
 
 
 def _set_command(args, operation: str) -> int:

@@ -11,7 +11,11 @@ it.  The cover scans look ahead: a node with j picks left is dropped unless
 some uncovered x has at least j candidates that avoid every element whose
 addition would cover it (x itself and x - A for the pair cover,
 x - (A +^ A) for the three-fold sums), since otherwise every leaf below it
-covers the group.
+covers the group.  The pair-cover scans also count pairs: picks that miss x
+hold at most one of each pair {c, x - c} of those candidates.  At the root of
+a prop3.2 scan that count is at most (|G| - 2 + |G_2|)/2, the paper's
+counting bound, which is below the threshold (|G| + |G_2|)/2, so a verified
+prop3.2 scan stops at the root.
 
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 it is cut into subtree tasks, each fixing the top elements of its
@@ -175,15 +179,30 @@ def _scan_cover_fixed(
     every element whose addition covers x: x and x - A for layers=2,
     x - (A +^ A) for layers=3.  The scan carries the negated lower layers
     (n1 = -A, n2 = -(A +^ A)) so that those sets are single translates.
+
+    For layers=2, the picks T of a leaf that misses x also hold no two
+    distinct elements summing to x.  So with ok the candidates avoiding x
+    and x - A, |T| <= |ok| - |both|/2, where both = ok & (x - ok) without
+    the c with 2c = x, and a node needs that count, not |ok|, to reach j.
+    At the root of a prop3.2 scan (A empty, j = (|G| + |G_2|)/2) the count
+    is (|G| - 2 + h)/2 for the h halves of x (h <= |G_2|), the paper's
+    counting bound, which is below j: a verified scan stops at the root.
     """
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
     stats = ScanStats(cap)
-    # free[b]: the elements at pool positions below b, a node's candidates
+    # free[b]: the elements at pool positions below b, a node's candidates;
+    # nfree[b]: their negatives
     free = [0]
+    nfree = [0]
     for e in pool:
         free.append(free[-1] | (1 << e))
+        nfree.append(nfree[-1] | (1 << neg[e]))
+    # halves[x]: the elements c with 2c = x
+    halves = [0] * G.order
+    for c, x in enumerate(G.double_table):
+        halves[x] |= 1 << c
 
     def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
         cover = dp1 | dp2
@@ -193,11 +212,19 @@ def _scan_cover_fixed(
             stats.record(dp1, G.order - cover.bit_count())
             return
         avail = free[bound]
+        navail = nfree[bound]
         uncovered = full ^ cover
         while uncovered:
             low = uncovered & -uncovered
-            if (avail & ~(low | tr(n1, low.bit_length() - 1))).bit_count() >= j:
-                break
+            x = low.bit_length() - 1
+            ok = avail & ~(low | tr(n1, x))
+            size = ok.bit_count()
+            if size >= j:
+                # -ok = navail minus (A - x) and -x; leaving -x in adds only
+                # 0 to x - ok, and 0 is never in a layers=2 pool
+                both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
+                if size - (both.bit_count() >> 1) >= j:
+                    break
             uncovered ^= low
         else:
             return

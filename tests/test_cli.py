@@ -180,6 +180,9 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "construct", "tight", "--k", "2")[0] == 2
     assert run(capsys, "verify", "lemma2", "--group", "Z2xZ4")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    for group, text, repeated in (("Z6", "1,1,2", "1"), ("Z2xZ4", "(1,0),(1,0)", "(1, 0)")):
+        code, out, err = run(capsys, "sigma", "--group", group, "--set", text, "--json")
+        assert (code, out) == (2, "") and f"element {repeated} is listed more than once" in err
 
 
 def test_bad_jobs_and_witness_cap_exit_two(capsys):

@@ -25,7 +25,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
+from groupsums.verify import DEFAULT_WITNESS_CAP, _scan_cover_fixed, _subtree_tasks
 
 from property_checks import (
     check_jobs_determinism,
@@ -65,6 +65,33 @@ def test_threshold_vacuous_on_elementary_two_groups():
 def test_threshold_sweep_small_orders_never_refuted():
     for v in sweep("prop3.2", range(1, 17)):
         assert v.status in (VERIFIED, VACUOUS), v.group
+
+
+def test_threshold_scan_is_settled_at_the_root():
+    """At the root of a prop3.2 scan the pair-aware look-ahead bound is the
+    paper's counting bound, which is below the threshold, so the scan makes
+    O(|G|) translator calls rather than one per node.  A weaker look-ahead
+    changes no certificate; this count is what pins it."""
+    statuses = []
+    for n in range(1, 65):
+        for G in enumerate_groups_of_order(n):
+            v = verify_pair_cover_threshold(G, budget=64)
+            statuses.append(v.status)
+            if v.status == VACUOUS:
+                continue
+            calls = 0
+            tr = G.translator()
+
+            def counting(bits, g):
+                nonlocal calls
+                calls += 1
+                return tr(bits, g)
+
+            G._translator = counting
+            payload = {"pool": tuple(range(1, n)), "k": v.params["threshold_size"], "layers": 2, "cap": 1}
+            assert _scan_cover_fixed(G, 0, n - 1, **payload).violations == 0
+            assert 0 < calls <= 4 * n, (G.spec, calls)
+    assert (statuses.count(VERIFIED), statuses.count(VACUOUS)) == (110, 7)
 
 
 # -- lemma-2 counterexample search ------------------------------------------------
