@@ -44,7 +44,6 @@ import multiprocessing
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -115,9 +114,9 @@ class Verdict:
 #
 # A task is a pair (fixed, bound): `fixed` is a bitmask of pool positions
 # already chosen, all of them at or above `bound`, and the task covers every
-# candidate that extends `fixed` by positions below `bound`.  Its candidates
-# form one contiguous run of the mask order, so tasks taken in order tile
-# the whole scan in order.
+# candidate that extends `fixed` by positions below `bound`: one contiguous
+# run of the mask order, so tasks taken in order tile the scan in order.
+# The pool is G \ {0} (position p is element p + 1), or G in thm4's scan.
 
 
 @dataclass
@@ -163,18 +162,17 @@ def _scan_cover_fixed(
     fixed: int,
     bound: int,
     *,
-    pool: tuple[int, ...],
     k: int,
     layers: int,
     cap: int,
 ) -> ScanStats:
-    """Size-k subsets of `pool` in the subtree task (fixed, bound).
+    """Size-k subsets of the pool in the subtree task (fixed, bound).
 
-    layers=2 checks A together with its pair sums; layers=3 checks the
-    three-element sums alone.  The first layer of sums is A itself, so its
-    bitmask doubles as the witness mask.
+    layers=2 checks A with its pair sums over the pool G \\ {0}, layers=3 the
+    three-element sums alone over the pool G; pool position p is element
+    p + lo, lo = 1 or 0.  The first layer of sums, A, is the witness mask.
 
-    A node with j picks left from pool[0:bound] is dropped unless some
+    A node with j picks left below `bound` is dropped unless some
     uncovered x could survive to a leaf, which needs j candidates avoiding
     every element whose addition covers x: x and x - A for layers=2,
     x - (A +^ A) for layers=3.  The scan carries the negated lower layers
@@ -188,16 +186,16 @@ def _scan_cover_fixed(
     is (|G| - 2 + h)/2 for the h halves of x (h <= |G_2|), the paper's
     counting bound, which is below j: a verified scan stops at the root.
     """
+    lo = 1 if layers == 2 else 0
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
     stats = ScanStats(cap)
     # free[b]: the elements at pool positions below b, a node's candidates;
     # nfree[b]: their negatives
-    free = [0]
+    free = [((1 << b) - 1) << lo for b in range(G.order - lo + 1)]
     nfree = [0]
-    for e in pool:
-        free.append(free[-1] | (1 << e))
+    for e in range(lo, G.order):
         nfree.append(nfree[-1] | (1 << neg[e]))
     # halves[x]: the elements c with 2c = x
     halves = [0] * G.order
@@ -221,7 +219,7 @@ def _scan_cover_fixed(
             size = ok.bit_count()
             if size >= j:
                 # -ok = navail minus (A - x) and -x; leaving -x in adds only
-                # 0 to x - ok, and 0 is never in a layers=2 pool
+                # 0 to x - ok, and the layers=2 pool G \ {0} never holds 0
                 both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
                 if size - (both.bit_count() >> 1) >= j:
                     break
@@ -229,7 +227,7 @@ def _scan_cover_fixed(
         else:
             return
         for c in range(j - 1, bound):
-            e = pool[c]
+            e = c + lo
             rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
@@ -248,12 +246,12 @@ def _scan_cover_fixed(
         else:
             return
         for c in range(j - 1, bound):
-            e = pool[c]
+            e = c + lo
             ne = neg[e]
             rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
                  n1 | (1 << ne), n2 | tr(n1, ne))
 
-    A = GroupSubset.from_indices(G, (pool[c] for c in bit_indices(fixed)))
+    A = GroupSubset(G, fixed << lo)
     minus_a = A.negated()
     if layers == 2:
         rec(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, minus_a.bits)
@@ -342,14 +340,9 @@ def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int, *, cap: int) ->
 # -- parallel driver -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _group_for(factors: tuple[int, ...]) -> AbelianGroup:
-    return AbelianGroup(factors)
-
-
 def _run_task(task) -> ScanStats:
-    scan, factors, payload, fixed, bound = task
-    return scan(_group_for(factors), fixed, bound, **payload)
+    scan, G, payload, fixed, bound = task
+    return scan(G, fixed, bound, **payload)
 
 
 def _subtree_tasks(G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
@@ -370,7 +363,7 @@ def _subtree_tasks(G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int,
             return [(fixed, 0)] + [(fixed | (1 << p), p) for p in range(bound)] if bound else []
     else:
         k = payload["k"]
-        root = (0, len(payload["pool"]))
+        root = (0, G.order - (payload["layers"] == 2))
 
         def count(task: tuple[int, int]) -> int:
             return comb(task[1], k - task[0].bit_count())
@@ -398,13 +391,9 @@ def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> S
     in mask order.  A caller that runs several scans may pass its open pool
     as `workers`; otherwise a fork pool of `jobs` workers, or one per task
     if there are fewer, is started for this scan alone when it has more than
-    one task."""
-    if jobs < 1:
-        raise ValueError(f"need at least one job, got {jobs}")
-    if payload["cap"] < 0:
-        raise ValueError(f"witness cap {payload['cap']} is negative")
-    tasks = [(scan, G.factors, payload, fixed, bound)
-             for fixed, bound in _subtree_tasks(G, payload, jobs)]
+    one task.  A worker rebuilds G from its factors for each task."""
+    _check_run(jobs, payload["cap"])
+    tasks = [(scan, G, payload, fixed, bound) for fixed, bound in _subtree_tasks(G, payload, jobs)]
     if len(tasks) == 1:
         return _run_task(tasks[0])
     if workers is not None:
@@ -418,12 +407,27 @@ def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> S
     return stats
 
 
+def _cover_verdict(statement: str, G: AbelianGroup, params: dict, k: int, layers: int,
+                   witness_cap: int, jobs: int, t0: float) -> tuple[Verdict, ScanStats]:
+    """Certify the size-k subsets of the cover pool; any violation refutes."""
+    stats = _execute(_scan_cover_fixed, G, {"k": k, "layers": layers, "cap": witness_cap}, jobs)
+    params["violations"] = stats.violations
+    return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED,
+                   comb(G.order - (layers == 2), k), _witnesses_with_reps(stats, witness_cap),
+                   _elapsed_ms(t0)), stats
+
+
 def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
     """First-`cap` witnesses in mask order, forcing in one representative
     per observed deficiency."""
     protected = set(stats.reps.values())
     others = sorted(set(stats.witnesses) - protected)[:max(0, cap - len(protected))]
     return [bit_indices(m) for m in sorted(protected.union(others))[:cap]]
+
+
+def _check_run(jobs: int, cap: int) -> None:
+    if jobs < 1 or cap < 0:
+        raise ValueError(f"need jobs >= 1 and a witness cap >= 0, got {jobs} and {cap}")
 
 
 def _check_budget(order: int, budget: int) -> None:
@@ -453,6 +457,7 @@ def verify_pair_cover_threshold(
     verdict is vacuous.
     """
     t0 = time.perf_counter()
+    _check_run(jobs, witness_cap)
     g2 = torsion_two(G).cardinality
     threshold = (G.order + g2) // 2
     params: dict = {"threshold_size": threshold, "torsion_size": g2, "violations": 0}
@@ -460,13 +465,7 @@ def verify_pair_cover_threshold(
         params["available_nonzero"] = G.order - 1
         return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
     _check_budget(G.order, budget)
-    payload = {"pool": tuple(range(1, G.order)), "k": threshold, "layers": 2, "cap": witness_cap}
-    stats = _execute(_scan_cover_fixed, G, payload, jobs)
-    params["violations"] = stats.violations
-    return Verdict(
-        "prop3.2", G.spec, params, REFUTED if stats.violations else VERIFIED,
-        comb(G.order - 1, threshold), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
-    )
+    return _cover_verdict("prop3.2", G, params, threshold, 2, witness_cap, jobs, t0)[0]
 
 
 def search_lemma2_counterexamples(
@@ -492,18 +491,10 @@ def search_lemma2_counterexamples(
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
-    payload = {"pool": tuple(range(1, m)), "k": size, "layers": 2, "cap": witness_cap}
-    stats = _execute(_scan_cover_fixed, G, payload, jobs)
-    params = {
-        "subset_size": size,
-        "exhaustive": True,  # always; certificates keep the key
-        "violations": stats.violations,
-        "deficiency_histogram": {str(d): c for d, c in sorted(stats.hist.items())},
-    }
-    return Verdict(
-        "lemma2-search", G.spec, params, REFUTED if stats.violations else VERIFIED,
-        comb(m - 1, size), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
-    )
+    params = {"subset_size": size, "exhaustive": True}  # always; certificates keep the key
+    verdict, stats = _cover_verdict("lemma2-search", G, params, size, 2, witness_cap, jobs, t0)
+    params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
+    return verdict
 
 
 def verify_subset_sum_bound(
@@ -615,13 +606,7 @@ def verify_three_fold_cover(
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
-    payload = {"pool": tuple(range(m)), "k": size, "layers": 3, "cap": witness_cap}
-    stats = _execute(_scan_cover_fixed, G, payload, jobs)
-    params = {"subset_size": size, "violations": stats.violations}
-    return Verdict(
-        "thm4", G.spec, params, REFUTED if stats.violations else VERIFIED,
-        comb(m, size), _witnesses_with_reps(stats, witness_cap), _elapsed_ms(t0),
-    )
+    return _cover_verdict("thm4", G, {"subset_size": size}, size, 3, witness_cap, jobs, t0)[0]
 
 
 # -- statement registry ----------------------------------------------------------

@@ -279,7 +279,7 @@ def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
                             deficits[A.bits] = G.order - cover.cardinality
                         checked += 1
                     want = _expected_cover_stats(deficits, cap)
-                    payload = {"pool": pool, "k": k, "layers": layers, "cap": cap}
+                    payload = {"k": k, "layers": layers, "cap": cap}
                     for jobs in (1, 3):
                         got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
                         assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k, jobs)

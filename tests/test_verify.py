@@ -25,7 +25,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.verify import DEFAULT_WITNESS_CAP, _scan_cover_fixed, _subtree_tasks
+from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
 
 from property_checks import (
     check_jobs_determinism,
@@ -75,10 +75,6 @@ def test_threshold_scan_is_settled_at_the_root():
     statuses = []
     for n in range(1, 65):
         for G in enumerate_groups_of_order(n):
-            v = verify_pair_cover_threshold(G, budget=64)
-            statuses.append(v.status)
-            if v.status == VACUOUS:
-                continue
             calls = 0
             tr = G.translator()
 
@@ -88,10 +84,33 @@ def test_threshold_scan_is_settled_at_the_root():
                 return tr(bits, g)
 
             G._translator = counting
-            payload = {"pool": tuple(range(1, n)), "k": v.params["threshold_size"], "layers": 2, "cap": 1}
-            assert _scan_cover_fixed(G, 0, n - 1, **payload).violations == 0
-            assert 0 < calls <= 4 * n, (G.spec, calls)
+            v = verify_pair_cover_threshold(G, budget=64)
+            statuses.append(v.status)
+            if v.status != VACUOUS:
+                assert 0 < calls <= 4 * n, (G.spec, calls)
     assert (statuses.count(VERIFIED), statuses.count(VACUOUS)) == (110, 7)
+
+
+def test_threshold_checks_jobs_and_cap_before_vacuity():
+    for spec in ("Z2^2", "Z5"):
+        G = parse_group_spec(spec)
+        for kwargs in ({"jobs": 0, "witness_cap": -5}, {"jobs": 0}, {"witness_cap": -1}):
+            with pytest.raises(ValueError):
+                verify_pair_cover_threshold(G, **kwargs)
+    with pytest.raises(ValueError):
+        sweep("prop3.2", range(1, 3), jobs=0)
+
+
+def test_order_of_checks():
+    # the budget is checked before the cyclic group is built, which would
+    # raise GroupSpecError above the largest supported order
+    for run in (search_lemma2_counterexamples, verify_three_fold_cover):
+        with pytest.raises(BudgetExceededError):
+            run(2**21)
+    # prop3.2 decides vacuity before the budget
+    assert verify_pair_cover_threshold(parse_group_spec("Z2^8"), budget=1).status == VACUOUS
+    with pytest.raises(BudgetExceededError):
+        verify_pair_cover_threshold(parse_group_spec("Z5"), budget=4)
 
 
 # -- lemma-2 counterexample search ------------------------------------------------
@@ -412,7 +431,7 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
     cases = [
         (lambda jobs: critical_number(Z4, jobs=jobs)[1], Z4, {"cap": DEFAULT_WITNESS_CAP}, 16),
         (lambda jobs: search_lemma2_counterexamples(8, jobs=jobs), Z8,
-         {"pool": tuple(range(1, 8)), "k": 4}, 64),
+         {"k": 4, "layers": 2}, 64),
     ]
     for run, G, payload, jobs in cases:
         sizes.clear()
