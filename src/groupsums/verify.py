@@ -15,7 +15,10 @@ covers the group.  The pair-cover scans also count pairs: picks that miss x
 hold at most one of each pair {c, x - c} of those candidates.  At the root of
 a prop3.2 scan that count is at most (|G| - 2 + |G_2|)/2, the paper's
 counting bound, which is below the threshold (|G| + |G_2|)/2, so a verified
-prop3.2 scan stops at the root.
+prop3.2 scan stops at the root.  The three-fold scan counts pairs once per
+a in A: picks that miss x hold at most one of each pair {c, x - a - c},
+because a + c + (x - a - c) = x is a sum of three distinct elements when
+c and x - a - c are distinct candidates, and no candidate is in A.
 
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 it is cut into subtree tasks, each fixing the top elements of its
@@ -185,6 +188,14 @@ def _scan_cover_fixed(
     At the root of a prop3.2 scan (A empty, j = (|G| + |G_2|)/2) the count
     is (|G| - 2 + h)/2 for the h halves of x (h <= |G_2|), the paper's
     counting bound, which is below j: a verified scan stops at the root.
+
+    For layers=3 the same holds once per a in A: the picks T of a leaf that
+    miss x hold no two distinct c, x - a - c, since a + c + (x - a - c) = x
+    would be a sum of three distinct elements (no candidate is in A).  So
+    with ok the candidates avoiding x - (A +^ A), |T| <= |ok| - |both_a|/2,
+    where both_a = ok & (x - a - ok) without the c with 2c = x - a, and x
+    survives only if every a leaves that count at j or more; the loop over
+    a stops at the first that does not.
     """
     lo = 1 if layers == 2 else 0
     tr = G.translator()
@@ -240,8 +251,22 @@ def _scan_cover_fixed(
         uncovered = full ^ dp3
         while uncovered:
             low = uncovered & -uncovered
-            if (avail & ~tr(n2, low.bit_length() - 1)).bit_count() >= j:
-                break
+            x = low.bit_length() - 1
+            ok = avail & ~tr(n2, x)
+            size = ok.bit_count()
+            if size >= j:
+                # -ok = nfree[bound] minus (A +^ A) - x; y = x - a runs over
+                # the elements of x - A, and x - a - ok = -ok + y
+                nok = nfree[bound] & ~tr(dp2, neg[x])
+                ys = tr(n1, x)
+                while ys:
+                    ylow = ys & -ys
+                    y = ylow.bit_length() - 1
+                    if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:
+                        break
+                    ys ^= ylow
+                else:
+                    break  # no a rules x out: it may survive to a leaf
             uncovered ^= low
         else:
             return

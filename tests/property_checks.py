@@ -266,24 +266,44 @@ def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
     sums) and layers=3 on G (three-element sums).  Each case runs at jobs 1
     and 3.  Returns the number of subsets checked."""
     checked = 0
-    keys = ("violations", "hist", "reps", "witnesses")
     with multiprocessing.get_context("fork").Pool(processes=3) as workers:
         for G in all_groups_up_to(max_n):
-            for layers, pool in ((2, tuple(range(1, G.order))), (3, tuple(range(G.order)))):
-                for k in range(1, len(pool) + 1):
-                    deficits = {}
-                    for combo in combinations(pool, k):
-                        A = GroupSubset.from_indices(G, combo)
-                        cover = naive_subset_sums(A, 3) if layers == 3 else A | naive_subset_sums(A, 2)
-                        if cover.cardinality < G.order:
-                            deficits[A.bits] = G.order - cover.cardinality
-                        checked += 1
-                    want = _expected_cover_stats(deficits, cap)
-                    payload = {"k": k, "layers": layers, "cap": cap}
-                    for jobs in (1, 3):
-                        got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
-                        assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k, jobs)
+            for layers in (2, 3):
+                for k in range(1, G.order - (layers == 2) + 1):
+                    checked += _check_cover_case(G, layers, k, cap, workers)[0]
     return checked
+
+
+def check_three_fold_scan_on_thm4_orders(cap: int = 3) -> dict[str, int]:
+    """The three-fold cover scan against brute force on thm4's own orders,
+    one size below its threshold: Z14 at k = 7 and Z16 at k = 8, where
+    violations exist, at jobs 1 and 3.  Returns the violations per group."""
+    found = {}
+    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
+        for m in (14, 16):
+            found[f"Z{m}"] = _check_cover_case(AbelianGroup.cyclic(m), 3, m // 2, cap, workers)[1]
+    return found
+
+
+def _check_cover_case(G: AbelianGroup, layers: int, k: int, cap: int, workers) -> tuple[int, int]:
+    """One cover scan (A with its pair sums over G \\ {0} for layers=2, the
+    three-element sums over G for layers=3) against brute force over every
+    k-subset of its pool, at jobs 1 and 3.  Returns the number of subsets
+    checked and of violations."""
+    deficits = {}
+    pool = range(layers == 2, G.order)
+    for combo in combinations(pool, k):
+        A = GroupSubset.from_indices(G, combo)
+        cover = naive_subset_sums(A, 3) if layers == 3 else A | naive_subset_sums(A, 2)
+        if cover.cardinality < G.order:
+            deficits[A.bits] = G.order - cover.cardinality
+    want = _expected_cover_stats(deficits, cap)
+    payload = {"k": k, "layers": layers, "cap": cap}
+    keys = ("violations", "hist", "reps", "witnesses")
+    for jobs in (1, 3):
+        got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
+        assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k, jobs)
+    return comb(len(pool), k), len(deficits)
 
 
 def _lattice_table(G: AbelianGroup) -> dict[int, tuple[int, int, bool]]:

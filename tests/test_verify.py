@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import sys
 from itertools import combinations
 from math import comb
 
@@ -32,6 +33,7 @@ from property_checks import (
     check_monotonicity,
     check_scan_cover_fixed_brute_force,
     check_subset_sum_scans_brute_force,
+    check_three_fold_scan_on_thm4_orders,
 )
 
 
@@ -377,6 +379,32 @@ def test_three_fold_cover_counts():
         assert v.status == VERIFIED
         assert v.checked == count == comb(m, m // 2 + 1)
         assert v.params["violations"] == 0
+
+
+def test_three_fold_scan_node_count():
+    """The pair rule of the three-fold scan pins its node count: a weaker
+    look-ahead changes no certificate, only the number of `rec3` calls,
+    which is the same on every machine (76,310 and 133,951 without it)."""
+    for m, most in ((28, 2000), (30, 2500)):
+        nodes = 0
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code.co_name == "rec3":
+                nodes += 1
+
+        sys.setprofile(count)
+        try:
+            v = verify_three_fold_cover(m, budget=64)
+        finally:
+            sys.setprofile(None)
+        assert v.status == VERIFIED
+        assert 0 < nodes <= most, (m, nodes)
+
+
+def test_three_fold_scan_matches_brute_force_on_thm4_orders():
+    # one size below thm4's threshold, so the scan has violations to find
+    assert check_three_fold_scan_on_thm4_orders() == {"Z14": 212, "Z16": 34}
 
 
 def test_three_fold_cover_preconditions():
