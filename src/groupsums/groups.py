@@ -497,25 +497,19 @@ def count_halvings(G: AbelianGroup, g: int) -> int:
     return sum(1 for d in G.double_table if d == target)
 
 
-def extend_subgroup(tr, H: int, e: int) -> int:
-    """The subgroup H + <e>, for a subgroup bitmask H and an element index e,
-    as the fixpoint of H |= H + e; `tr` is the group's `translator()`."""
-    shifted = tr(H, e)
-    while shifted & ~H:
-        H |= shifted
-        shifted = tr(shifted, e)
-    return H
-
-
 def subgroup_generated(G: AbelianGroup, S: GroupSubset) -> GroupSubset:
-    """Closure of S together with 0 and all inverses, i.e. the subgroup <S>."""
+    """The subgroup <S>, grown from H = {0} by each s in S to H + <s>, the
+    fixpoint of H |= H + s."""
     if S.group != G:
         raise ValueError(f"subset of {S.group.spec} used with {G.spec}")
     tr = G.translator()
-    closure = 1
+    H = 1
     for s in S.indices():
-        closure = extend_subgroup(tr, closure, s)
-    return GroupSubset(G, closure)
+        shifted = tr(H, s)
+        while shifted & ~H:
+            H |= shifted
+            shifted = tr(shifted, s)
+    return GroupSubset(G, H)
 
 
 def is_generating(G: AbelianGroup, S: GroupSubset) -> bool:

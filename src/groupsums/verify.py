@@ -25,10 +25,10 @@ it is cut into subtree tasks, each fixing the top elements of its
 candidates: the largest subtree is split on its next element until none
 holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
 counts.  A task starts from the sums of its fixed elements (`h_hat`,
-`sigma`, `subgroup_generated`).  Tasks run in worker processes in mask order
-and are merged in that order with associative bookkeeping, so a certificate
-never depends on the worker count.  `critical_number` walks the lattice
-once and files each failing set under its size.
+`sigma`).  Tasks run in worker processes in mask order and are merged in
+that order with associative bookkeeping, so a certificate never depends on
+the worker count.  `critical_number` walks the lattice once and files each
+failing set under its size.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
@@ -47,6 +47,7 @@ import multiprocessing
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from math import comb
 from typing import Callable
 
@@ -56,8 +57,7 @@ from .groups import (
     GroupSubset,
     bit_indices,
     enumerate_groups_of_order,
-    extend_subgroup,
-    subgroup_generated,
+    is_generating,
     torsion_two,
 )
 from .subsets import h_hat, sigma
@@ -308,32 +308,35 @@ def _scan_bound_sweep(
       |sigma(S')| > 2|S'| >= min(|G|, 2|S'|), which is neither a violation
       nor an equality case |sigma(S')| = 2|S'|;
     - size + limit < min_size, since no descendant is large enough.
+
+    The bound holds only for generating sets, so only a node whose sums fall
+    short of it or meet it with equality asks whether its set S generates
+    G.  It asks that of its sums: S <= sigma(S) <= <S>, so <S> = <sigma(S)>.
+    Many sets share their sums, so the answer is cached per scan on `acc`.
     """
     order = G.order
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
+    generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
 
-    def rec(pmask: int, size: int, limit: int, acc: int, H: int) -> None:
+    def rec(pmask: int, size: int, limit: int, acc: int) -> None:
         if size >= min_size:
-            if H == full:
-                got = acc.bit_count()
-                need = order if 2 * size >= order else 2 * size
-                if got < need:
-                    stats.record(pmask << 1, need - got)
-                elif 2 * size < order and got == 2 * size:
-                    stats.eq_count += 1
-                    if len(stats.eq_witnesses) < cap:
-                        stats.eq_witnesses.append(pmask << 1)
+            got = acc.bit_count()
+            need = order if 2 * size >= order else 2 * size
+            if got < need and generates(acc):
+                stats.record(pmask << 1, need - got)
+            elif got == need < order and generates(acc):
+                stats.eq_count += 1
+                if len(stats.eq_witnesses) < cap:
+                    stats.eq_witnesses.append(pmask << 1)
         if acc == full or acc.bit_count() > 2 * (size + limit) or size + limit < min_size:
             return
         for p in range(limit):
             e = p + 1
-            new_h = H if (H >> e) & 1 else extend_subgroup(tr, H, e)
-            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), new_h)
+            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
 
-    S = GroupSubset(G, fixed << 1)
-    rec(fixed, fixed.bit_count(), bound, sigma(S).bits, subgroup_generated(G, S).bits)
+    rec(fixed, fixed.bit_count(), bound, sigma(GroupSubset(G, fixed << 1)).bits)
     return stats
 
 
@@ -413,10 +416,11 @@ def _subtree_tasks(G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int,
 
 def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
     """Run `scan(G, fixed, bound, **payload)` as subtree tasks and merge them
-    in mask order.  A caller that runs several scans may pass its open pool
-    as `workers`; otherwise a fork pool of `jobs` workers, or one per task
-    if there are fewer, is started for this scan alone when it has more than
-    one task.  A worker rebuilds G from its factors for each task."""
+    in mask order.  Only tests pass a shared pool as `workers`, to run
+    several scans on one pool; otherwise a fork pool of `jobs` workers, or
+    one per task if there are fewer, is started for this scan alone when it
+    has more than one task.  A worker rebuilds G from its factors for each
+    task."""
     _check_run(jobs, payload["cap"])
     tasks = [(scan, G, payload, fixed, bound) for fixed, bound in _subtree_tasks(G, payload, jobs)]
     if len(tasks) == 1:

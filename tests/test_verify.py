@@ -16,6 +16,7 @@ from groupsums import (
     Verdict,
     critical_number,
     enumerate_groups_of_order,
+    is_generating,
     naive_subset_sums,
     pair_cover,
     parse_group_spec,
@@ -430,6 +431,37 @@ def test_scan_cover_fixed_matches_brute_force():
 def test_subset_sum_scans_match_brute_force():
     # every group of order <= 12 plus Z3xZ6: 2**17 - 1 subsets from Z3xZ6 alone
     assert check_subset_sum_scans_brute_force(12) > 130_000
+
+
+def test_lattice_scan_counts(monkeypatch):
+    """A weaker prune or a lost generation cache changes no certificate, only
+    the number of `rec` calls and of generation tests, which are the same
+    on every machine: thm1 Z24 enters 132,181 nodes and makes 22 tests
+    (1,097 uncached), thm5 Z20 enters 40,798 nodes."""
+    nodes = tests = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec":
+            nodes += 1
+
+    def counted_is_generating(G, S):
+        nonlocal tests
+        tests += 1
+        return is_generating(G, S)
+
+    monkeypatch.setattr("groupsums.verify.is_generating", counted_is_generating)
+    for run, most_nodes, least_tests, most_tests in (
+        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), 133_000, 1, 24),
+        (lambda: critical_number(parse_group_spec("Z20")), 41_000, 0, 0),
+    ):
+        nodes = tests = 0
+        sys.setprofile(count)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        assert 0 < nodes <= most_nodes and least_tests <= tests <= most_tests, (nodes, tests)
 
 
 def test_jobs_determinism():
