@@ -23,6 +23,7 @@ from .subsets import h_hat, pair_cover, sigma
 from .verify import (
     DEFAULT_BUDGET,
     DEFAULT_WITNESS_CAP,
+    MAX_JOBS,
     REFUTED,
     STATEMENTS,
     BudgetExceededError,
@@ -185,8 +186,8 @@ def render_verdict(v: Verdict) -> str:
     return "\n".join(lines)
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than `minimum`."""
+def _int_in_range(minimum: int, maximum: int | None = None):
+    """argparse type: an integer from `minimum` up to `maximum`, if given."""
 
     def parse(text: str) -> int:
         try:
@@ -195,6 +196,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -208,9 +211,9 @@ _OPTION_FLAGS = {
 
 
 def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
-    p.add_argument("--witness-cap", type=_int_at_least(0), default=DEFAULT_WITNESS_CAP)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
-    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
+    p.add_argument("--witness-cap", type=_int_in_range(0), default=DEFAULT_WITNESS_CAP)
+    p.add_argument("--jobs", type=_int_in_range(1, MAX_JOBS), default=1, help=f"parallel worker processes, at most {MAX_JOBS}")
+    p.add_argument("--budget", type=_int_in_range(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
     for name in options:
         flag, kwargs = _OPTION_FLAGS[name]
         p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)

@@ -21,18 +21,19 @@ because a + c + (x - a - c) = x is a sum of three distinct elements when
 c and x - a - c are distinct candidates, and no candidate is in A.
 
 With one worker the whole tree is walked in one pass.  With `jobs` workers
-it is cut into subtree tasks, each fixing the top elements of its
-candidates: the largest subtree is split on its next element until none
-holds more than 1/(4*jobs) of the candidates, a bound computed from binomial
-counts.  A task starts from the sums of its fixed elements (`h_hat`,
-`sigma`).  Tasks run in worker processes in mask order and are merged in
-that order with associative bookkeeping, so a certificate never depends on
-the worker count.  `critical_number` walks the lattice once and files each
+the same walk is the top pass of a split: where it meets a subtree holding
+at most 1/(4*jobs) of the candidates, it files the subtree as a task instead
+of walking it.  The cover scans file after their look-ahead, so a subtree
+pruned at its root is never filed and a scan settled at its root files
+none.  A task starts from the sums of its fixed elements (`h_hat`, `sigma`).
+Tasks run in worker processes, and their records merge into the top pass's
+in any order, keeping the least masks, so a certificate never depends on the
+worker count.  `critical_number` walks the lattice once and files each
 failing set under its size.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
-its violating leaves in a `ScanStats` record; task records merge in mask order.
+its violating leaves in a `ScanStats` record; task records merge in any order.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -64,6 +65,7 @@ from .subsets import h_hat, sigma
 
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
+MAX_JOBS = 64
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -117,20 +119,24 @@ class Verdict:
 #
 # A task is a pair (fixed, bound): `fixed` is a bitmask of pool positions
 # already chosen, all of them at or above `bound`, and the task covers every
-# candidate that extends `fixed` by positions below `bound`: one contiguous
-# run of the mask order, so tasks taken in order tile the scan in order.
-# The pool is G \ {0} (position p is element p + 1), or G in thm4's scan.
+# candidate that extends `fixed` by positions below `bound`.  The pool is
+# G \ {0} (position p is element p + 1), or G in thm4's scan, and bound=None
+# is the whole pool.  At jobs > 1 a scan is the top pass of a split: it
+# files in `tasks` each subtree of at most `cut` = 1/(4*jobs) of its
+# candidates instead of walking it, the cover scans after the look-ahead and
+# the lattice scans on entry, and records the nodes it walks itself.
 
 
 @dataclass
 class ScanStats:
-    """What a scan or one of its tasks found, in mask order.  `record` files a
-    violating leaf of deficiency d in `violations` and `hist`; `reps` keeps
-    the first mask per d, so the first mask recorded is the least of them,
-    and `witnesses` the first `cap`.  The bound sweep adds its equality
-    cases to `eq_count` and `eq_witnesses`.  The thm5 lattice walk files
-    each failing set with d = its size, so `hist` counts failures by size
-    and `reps[s]` is the first failing set of size s in colex order."""
+    """What a scan or one of its tasks found.  Every walk records in
+    increasing mask order: `record` files a violating leaf of deficiency d
+    in `violations` and `hist`; `reps` keeps the first mask per d, which is
+    the least of them, and `witnesses` the first `cap`.  The bound sweep
+    adds its equality cases to `eq_count` and `eq_witnesses`.  The thm5
+    lattice walk files each failing set with d = its size, so `hist` counts
+    failures by size and `reps[s]` is the first failing set of size s in
+    colex order.  A top pass lists the subtrees it filed in `tasks`."""
 
     cap: int
     violations: int = 0
@@ -139,6 +145,7 @@ class ScanStats:
     witnesses: list[int] = field(default_factory=list)
     eq_count: int = 0
     eq_witnesses: list[int] = field(default_factory=list)
+    tasks: list[tuple[int, int]] = field(default_factory=list)
 
     def record(self, mask: int, d: int) -> None:
         self.violations += 1
@@ -148,26 +155,28 @@ class ScanStats:
         if len(self.witnesses) < self.cap:
             self.witnesses.append(mask)
 
-    def merge(self, later: "ScanStats") -> None:
-        """Add the stats of the tasks that follow this one in mask order."""
-        self.violations += later.violations
-        self.eq_count += later.eq_count
-        for d, c in later.hist.items():
+    def merge(self, other: "ScanStats") -> None:
+        """Add the stats of a walk over other candidates, keeping the least
+        masks, so parts merge in any order."""
+        self.violations += other.violations
+        self.eq_count += other.eq_count
+        for d, c in other.hist.items():
             self.hist[d] = self.hist.get(d, 0) + c
-        for d, mask in later.reps.items():
-            self.reps.setdefault(d, mask)
-        self.witnesses += later.witnesses[:self.cap - len(self.witnesses)]
-        self.eq_witnesses += later.eq_witnesses[:self.cap - len(self.eq_witnesses)]
+        for d, mask in other.reps.items():
+            self.reps[d] = min(mask, self.reps.get(d, mask))
+        self.witnesses = sorted(self.witnesses + other.witnesses)[:self.cap]
+        self.eq_witnesses = sorted(self.eq_witnesses + other.eq_witnesses)[:self.cap]
 
 
 def _scan_cover_fixed(
     G: AbelianGroup,
     fixed: int,
-    bound: int,
+    bound: int | None,
     *,
     k: int,
     layers: int,
     cap: int,
+    jobs: int = 1,
 ) -> ScanStats:
     """Size-k subsets of the pool in the subtree task (fixed, bound).
 
@@ -198,6 +207,8 @@ def _scan_cover_fixed(
     a stops at the first that does not.
     """
     lo = 1 if layers == 2 else 0
+    bound = G.order - lo if bound is None else bound
+    cut = comb(bound, k - fixed.bit_count()) // (4 * jobs) if jobs > 1 else 0
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
@@ -237,6 +248,9 @@ def _scan_cover_fixed(
             uncovered ^= low
         else:
             return
+        if cut and comb(bound, j) <= cut:
+            stats.tasks.append((dp1 >> lo, bound))
+            return
         for c in range(j - 1, bound):
             e = c + lo
             rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
@@ -270,6 +284,9 @@ def _scan_cover_fixed(
             uncovered ^= low
         else:
             return
+        if cut and comb(bound, j) <= cut:
+            stats.tasks.append((dp1 >> lo, bound))
+            return
         for c in range(j - 1, bound):
             e = c + lo
             ne = neg[e]
@@ -289,10 +306,11 @@ def _scan_cover_fixed(
 def _scan_bound_sweep(
     G: AbelianGroup,
     fixed: int,
-    bound: int,
+    bound: int | None,
     *,
     min_size: int,
     cap: int,
+    jobs: int = 1,
 ) -> ScanStats:
     """All subsets of G \\ {0} of size >= min_size in the task (fixed, bound).
 
@@ -319,8 +337,13 @@ def _scan_bound_sweep(
     full = G.full_mask
     stats = ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
+    bound = order - 1 if bound is None else bound
+    cut = (1 << bound) // (4 * jobs) if jobs > 1 else 0
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+        if cut and (1 << limit) <= cut:
+            stats.tasks.append((pmask, limit))
+            return
         if size >= min_size:
             got = acc.bit_count()
             need = order if 2 * size >= order else 2 * size
@@ -340,7 +363,8 @@ def _scan_bound_sweep(
     return stats
 
 
-def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int, *, cap: int) -> ScanStats:
+def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int | None, *, cap: int,
+                        jobs: int = 1) -> ScanStats:
     """Every nonempty subset of G \\ {0} in the task (fixed, bound) whose
     subset-sum set misses part of G, filed under its size.
 
@@ -351,9 +375,14 @@ def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int, *, cap: int) ->
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
+    bound = G.order - 1 if bound is None else bound
+    cut = (1 << bound) // (4 * jobs) if jobs > 1 else 0
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
         if acc == full:
+            return
+        if cut and (1 << limit) <= cut:
+            stats.tasks.append((pmask, limit))
             return
         if size:
             stats.record(pmask << 1, size)
@@ -373,64 +402,23 @@ def _run_task(task) -> ScanStats:
     return scan(G, fixed, bound, **payload)
 
 
-def _subtree_tasks(G: AbelianGroup, payload: dict, jobs: int) -> list[tuple[int, int]]:
-    """The scan's tasks in mask order: the root at jobs=1, otherwise the
-    root split on its next position until no task holds more than
-    1/(4*jobs) of the candidates (or it is a single candidate).  A scan
-    without a subset size `k` in its payload walks the whole subset lattice
-    of G \\ {0}; the others walk the size-k subsets of their pool."""
-    if "k" not in payload:
-        root = (0, G.order - 1)
-
-        def count(task: tuple[int, int]) -> int:
-            return 1 << task[1]
-
-        def children(task: tuple[int, int]) -> list[tuple[int, int]]:
-            # the node itself, then one subtree per next position
-            fixed, bound = task
-            return [(fixed, 0)] + [(fixed | (1 << p), p) for p in range(bound)] if bound else []
-    else:
-        k = payload["k"]
-        root = (0, G.order - (payload["layers"] == 2))
-
-        def count(task: tuple[int, int]) -> int:
-            return comb(task[1], k - task[0].bit_count())
-
-        def children(task: tuple[int, int]) -> list[tuple[int, int]]:
-            fixed, bound = task
-            j = k - fixed.bit_count()
-            return [(fixed | (1 << c), c) for c in range(j - 1, bound)] if j else []
-
-    if jobs == 1:
-        return [root]
-    total = count(root)
-
-    def split(task: tuple[int, int]) -> list[tuple[int, int]]:
-        kids = children(task)
-        if not kids or 4 * jobs * count(task) <= total:
-            return [task]
-        return [t for kid in kids for t in split(kid)]
-
-    return split(root)
-
-
 def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
-    """Run `scan(G, fixed, bound, **payload)` as subtree tasks and merge them
-    in mask order.  Only tests pass a shared pool as `workers`, to run
+    """Run `scan(G, 0, None, jobs=jobs, **payload)`, the whole walk at jobs=1
+    and the top pass of a split otherwise, then run the tasks it filed and
+    merge them in.  Only tests pass a shared pool as `workers`, to run
     several scans on one pool; otherwise a fork pool of `jobs` workers, or
     one per task if there are fewer, is started for this scan alone when it
-    has more than one task.  A worker rebuilds G from its factors for each
-    task."""
+    filed two or more tasks."""
     _check_run(jobs, payload["cap"])
-    tasks = [(scan, G, payload, fixed, bound) for fixed, bound in _subtree_tasks(G, payload, jobs)]
-    if len(tasks) == 1:
-        return _run_task(tasks[0])
-    if workers is not None:
+    stats = scan(G, 0, None, jobs=jobs, **payload)
+    tasks = [(scan, G, payload, fixed, bound) for fixed, bound in stats.tasks]
+    if len(tasks) < 2:
+        parts = map(_run_task, tasks)
+    elif workers is not None:
         parts = workers.map(_run_task, tasks, chunksize=1)
     else:
         with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as workers:
             parts = workers.map(_run_task, tasks, chunksize=1)
-    stats = ScanStats(payload["cap"])
     for part in parts:
         stats.merge(part)
     return stats
@@ -455,8 +443,8 @@ def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
 
 
 def _check_run(jobs: int, cap: int) -> None:
-    if jobs < 1 or cap < 0:
-        raise ValueError(f"need jobs >= 1 and a witness cap >= 0, got {jobs} and {cap}")
+    if not 1 <= jobs <= MAX_JOBS or cap < 0:
+        raise ValueError(f"need 1 <= jobs <= {MAX_JOBS} and a witness cap >= 0, got {jobs} and {cap}")
 
 
 def _check_budget(order: int, budget: int) -> None:
@@ -694,6 +682,10 @@ def sweep(
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
     st = STATEMENTS[statement]
+    _check_run(jobs, witness_cap)
+    stray = sorted(set(options) - set(st.options))
+    if stray:
+        raise ValueError(f"{statement} takes no {', '.join(stray)}")
     out: list[Verdict] = []
     for n in orders:
         if not st.in_domain(n):

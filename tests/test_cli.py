@@ -185,11 +185,13 @@ def test_usage_errors_exit_two(capsys):
         assert (code, out) == (2, "") and f"element {repeated} is listed more than once" in err
 
 
-def test_bad_jobs_and_witness_cap_exit_two(capsys):
-    for flag, value in (("--jobs", "0"), ("--jobs", "-2"), ("--witness-cap", "-1"), ("--jobs", "two")):
+def test_bad_jobs_and_witness_cap_exit_two(capsys, no_pool):
+    for flag, value in (("--jobs", "0"), ("--jobs", "-2"), ("--witness-cap", "-1"), ("--jobs", "two"),
+                        ("--jobs", "65")):
         code, out, err = run(capsys, "verify", "lemma2", "--group", "Z8", flag, value)
         assert code == 2, (flag, value)
         assert out == "" and f"argument {flag}" in err
+    assert run(capsys, "verify", "prop3", "--group", "Z7", "--jobs", "64")[0] == 0
 
 
 def test_budget_exit_three(capsys):

@@ -27,7 +27,13 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.verify import DEFAULT_WITNESS_CAP, _subtree_tasks
+from groupsums.verify import (
+    DEFAULT_WITNESS_CAP,
+    MAX_JOBS,
+    _scan_bound_sweep,
+    _scan_cover_fixed,
+    _scan_sigma_lattice,
+)
 
 from property_checks import (
     check_jobs_determinism,
@@ -102,6 +108,15 @@ def test_threshold_checks_jobs_and_cap_before_vacuity():
                 verify_pair_cover_threshold(G, **kwargs)
     with pytest.raises(ValueError):
         sweep("prop3.2", range(1, 3), jobs=0)
+
+
+def test_settled_scan_starts_no_pool(no_pool):
+    # a verified prop3.2 scan stops at its root, so at jobs 2 it files no task
+    for n in range(1, 33):
+        for G in enumerate_groups_of_order(n):
+            serial = verify_pair_cover_threshold(G, budget=64)
+            if serial.status != VACUOUS:
+                assert verify_pair_cover_threshold(G, jobs=2, budget=64).core() == serial.core(), G.spec
 
 
 def test_order_of_checks():
@@ -209,11 +224,21 @@ def test_lemma2_deficiency_witnesses_across_even_orders():
             assert list(two_mod_four_counterexample(m)[1].indices()) in v.witnesses
 
 
-def test_jobs_and_witness_cap_validated():
+def test_jobs_and_witness_cap_validated(no_pool):
     with pytest.raises(ValueError):
         search_lemma2_counterexamples(8, jobs=0)
     with pytest.raises(ValueError):
         verify_subset_sum_bound(parse_group_spec("Z7"), witness_cap=-1)
+    # too many jobs is refused before any pool starts
+    assert MAX_JOBS == 64
+    for run in (
+        lambda jobs: search_lemma2_counterexamples(16, jobs=jobs),
+        lambda jobs: verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=jobs),
+        lambda jobs: sweep("thm1", [4], jobs=jobs),
+    ):
+        with pytest.raises(ValueError):
+            run(MAX_JOBS + 1)
+    assert verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=MAX_JOBS).status == VERIFIED
 
 
 def test_lemma2_rejects_tiny_m():
@@ -487,17 +512,59 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
-    Z4, Z8 = AbelianGroup.cyclic(4), AbelianGroup.cyclic(8)
+    Z8, Z12 = AbelianGroup.cyclic(8), AbelianGroup.cyclic(12)
     cases = [
-        (lambda jobs: critical_number(Z4, jobs=jobs)[1], Z4, {"cap": DEFAULT_WITNESS_CAP}, 16),
-        (lambda jobs: search_lemma2_counterexamples(8, jobs=jobs), Z8,
-         {"k": 4, "layers": 2}, 64),
+        (lambda jobs: critical_number(Z8, jobs=jobs)[1], _scan_sigma_lattice, Z8, {}, 32),
+        (lambda jobs: search_lemma2_counterexamples(12, jobs=jobs), _scan_cover_fixed, Z12,
+         {"k": 6, "layers": 2}, 64),
     ]
-    for run, G, payload, jobs in cases:
+    for run, scan, G, payload, jobs in cases:
         sizes.clear()
-        tasks = _subtree_tasks(G, payload, jobs)
+        tasks = scan(G, 0, None, cap=DEFAULT_WITNESS_CAP, jobs=jobs, **payload).tasks
         assert run(jobs).core() == run(1).core()
-        assert sizes and sizes[0] <= len(tasks) < jobs, (G.spec, sizes, len(tasks))
+        assert sizes == [len(tasks)] and 2 <= len(tasks) < jobs, (G.spec, sizes, len(tasks))
+    # one job walks the whole tree itself
+    for scan, payload in ((_scan_cover_fixed, {"k": 6, "layers": 2}), (_scan_bound_sweep, {"min_size": 1}),
+                          (_scan_sigma_lattice, {})):
+        assert scan(Z12, 0, None, cap=DEFAULT_WITNESS_CAP, **payload).tasks == [], scan
+
+
+def test_split_files_only_live_tasks():
+    """At jobs 2 a cover scan's top pass files only subtrees that survive
+    its look-ahead, so each task enters more than one node: `rec` on lemma2
+    Z16, `rec3` on thm4 Z28.  A split by binomial counts alone, blind to the
+    prune, filed 89 tasks on thm4 Z28, 39 of them a single node."""
+    for m, layers, node, filed in ((16, 2, "rec", 38), (28, 3, "rec3", 50)):
+        G = AbelianGroup.cyclic(m)
+        payload = {"k": m // 2 + (layers == 3), "layers": layers, "cap": DEFAULT_WITNESS_CAP}
+        tasks = _scan_cover_fixed(G, 0, None, jobs=2, **payload).tasks
+        assert len(tasks) == filed, m
+        for fixed, bound in tasks:
+            nodes = 0
+
+            def count(frame, event, arg):
+                nonlocal nodes
+                if event == "call" and frame.f_code.co_name == node:
+                    nodes += 1
+
+            sys.setprofile(count)
+            try:
+                _scan_cover_fixed(G, fixed, bound, **payload)
+            finally:
+                sys.setprofile(None)
+            assert nodes > 1, (m, fixed, bound)
+
+
+def test_sweep_checks_its_inputs_before_its_loop():
+    # orders with no group in the domain must not hide a bad argument
+    for statement, orders, kwargs in (
+        ("thm4", range(1, 5), {"jobs": 0, "witness_cap": -5}),
+        ("thm5", range(1, 3), {"witness_cap": -1, "min_size": 3}),
+        ("prop3.2", range(1, 3), {"min_size": 3}),
+    ):
+        with pytest.raises(ValueError):
+            sweep(statement, orders, **kwargs)
+    assert [v.group for v in sweep("thm1", range(1, 3), min_size=3)] == ["Z1", "Z2"]
 
 
 def test_sweep_unknown_statement():
