@@ -23,10 +23,9 @@ c and x - a - c are distinct candidates, and no candidate is in A.
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 the same walk is the top pass of a split: where it meets a subtree holding
 at most 1/(4*jobs) of the candidates, it files the subtree as a task instead
-of walking it.  The cover scans file after their look-ahead, so a subtree
-pruned at its root is never filed and a scan settled at its root files
-none.  A task starts from the sums of its fixed elements (`h_hat`, `sigma`).
-Tasks run in worker processes, and their records merge into the top pass's
+of walking it.  Every scan files a node only once it passes its prune, so a
+scan settled at its root files none.  A task is the frame of its node, and
+a worker resumes the walk from it.  Task records merge into the top pass's
 in any order, keeping the least masks, so a certificate never depends on the
 worker count.  `critical_number` walks the lattice once and files each
 failing set under its size.
@@ -48,7 +47,7 @@ import multiprocessing
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache
+from functools import cache, partial
 from math import comb
 from typing import Callable
 
@@ -61,7 +60,6 @@ from .groups import (
     is_generating,
     torsion_two,
 )
-from .subsets import h_hat, sigma
 
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
@@ -117,14 +115,14 @@ class Verdict:
 
 # -- subtree scans -----------------------------------------------------------
 #
-# A task is a pair (fixed, bound): `fixed` is a bitmask of pool positions
-# already chosen, all of them at or above `bound`, and the task covers every
-# candidate that extends `fixed` by positions below `bound`.  The pool is
-# G \ {0} (position p is element p + 1), or G in thm4's scan, and bound=None
-# is the whole pool.  At jobs > 1 a scan is the top pass of a split: it
-# files in `tasks` each subtree of at most `cut` = 1/(4*jobs) of its
-# candidates instead of walking it, the cover scans after the look-ahead and
-# the lattice scans on entry, and records the nodes it walks itself.
+# A task is the frame of a node, the arguments of its recursive call:
+# (j, bound, dp1, dp2, n1) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3,
+# n1, n2) in the three-fold `rec3`, (pmask, size, limit, acc) in the lattice
+# scans; its subtree adds pool positions below `bound` or `limit`.  The pool
+# is G \ {0} (position p is element p + 1), or G in thm4's scan.  A scan walks
+# the subtree of `frame`, or the whole tree.  At jobs > 1 it is the top pass
+# of a split: it files in `tasks` each node past its prune whose subtree holds
+# at most `cut` = 1/(4*jobs) of the candidates, and walks the rest itself.
 
 
 @dataclass
@@ -145,7 +143,7 @@ class ScanStats:
     witnesses: list[int] = field(default_factory=list)
     eq_count: int = 0
     eq_witnesses: list[int] = field(default_factory=list)
-    tasks: list[tuple[int, int]] = field(default_factory=list)
+    tasks: list[tuple[int, ...]] = field(default_factory=list)
 
     def record(self, mask: int, d: int) -> None:
         self.violations += 1
@@ -170,15 +168,14 @@ class ScanStats:
 
 def _scan_cover_fixed(
     G: AbelianGroup,
-    fixed: int,
-    bound: int | None,
+    frame: tuple[int, ...] | None = None,
     *,
     k: int,
     layers: int,
     cap: int,
     jobs: int = 1,
 ) -> ScanStats:
-    """Size-k subsets of the pool in the subtree task (fixed, bound).
+    """Size-k subsets of the pool in the subtree of `frame`.
 
     layers=2 checks A with its pair sums over the pool G \\ {0}, layers=3 the
     three-element sums alone over the pool G; pool position p is element
@@ -207,8 +204,7 @@ def _scan_cover_fixed(
     a stops at the first that does not.
     """
     lo = 1 if layers == 2 else 0
-    bound = G.order - lo if bound is None else bound
-    cut = comb(bound, k - fixed.bit_count()) // (4 * jobs) if jobs > 1 else 0
+    cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
@@ -249,7 +245,7 @@ def _scan_cover_fixed(
         else:
             return
         if cut and comb(bound, j) <= cut:
-            stats.tasks.append((dp1 >> lo, bound))
+            stats.tasks.append((j, bound, dp1, dp2, n1))
             return
         for c in range(j - 1, bound):
             e = c + lo
@@ -285,7 +281,7 @@ def _scan_cover_fixed(
         else:
             return
         if cut and comb(bound, j) <= cut:
-            stats.tasks.append((dp1 >> lo, bound))
+            stats.tasks.append((j, bound, dp1, dp2, dp3, n1, n2))
             return
         for c in range(j - 1, bound):
             e = c + lo
@@ -293,30 +289,26 @@ def _scan_cover_fixed(
             rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
                  n1 | (1 << ne), n2 | tr(n1, ne))
 
-    A = GroupSubset(G, fixed << lo)
-    minus_a = A.negated()
     if layers == 2:
-        rec(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, minus_a.bits)
+        rec(*frame or (k, G.order - 1, 0, 0, 0))
     else:
-        rec3(k - fixed.bit_count(), bound, A.bits, h_hat(A, 2).bits, h_hat(A, 3).bits,
-             minus_a.bits, h_hat(minus_a, 2).bits)
+        rec3(*frame or (k, G.order, 0, 0, 0, 0, 0))
     return stats
 
 
 def _scan_bound_sweep(
     G: AbelianGroup,
-    fixed: int,
-    bound: int | None,
+    frame: tuple[int, int, int, int] | None = None,
     *,
     min_size: int,
     cap: int,
     jobs: int = 1,
 ) -> ScanStats:
-    """All subsets of G \\ {0} of size >= min_size in the task (fixed, bound).
+    """All subsets of G \\ {0} of size >= min_size in the subtree of `frame`.
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
-    order.  After the node itself is checked, its subtree is dropped when:
+    order.  Before a node is checked, it and its subtree are dropped when:
 
     - the running subset-sum set saturates, since every superset then meets
       the bound trivially, generates, and can be neither a violation nor an
@@ -326,6 +318,11 @@ def _scan_bound_sweep(
       |sigma(S')| > 2|S'| >= min(|G|, 2|S'|), which is neither a violation
       nor an equality case |sigma(S')| = 2|S'|;
     - size + limit < min_size, since no descendant is large enough.
+
+    Each rule also rules out the node itself (acc = G gives |sigma(S)| = |G|,
+    |acc| > 2 * (size + limit) gives |sigma(S)| > 2|S|, size + limit <
+    min_size gives |S| < min_size), so only a node that passes is checked or
+    filed as a task, and a dropped node is never a violation or equality case.
 
     The bound holds only for generating sets, so only a node whose sums fall
     short of it or meet it with equality asks whether its set S generates
@@ -337,15 +334,16 @@ def _scan_bound_sweep(
     full = G.full_mask
     stats = ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
-    bound = order - 1 if bound is None else bound
-    cut = (1 << bound) // (4 * jobs) if jobs > 1 else 0
+    cut = (1 << (order - 1)) // (4 * jobs) if jobs > 1 else 0
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+        got = acc.bit_count()
+        if acc == full or got > 2 * (size + limit) or size + limit < min_size:
+            return
         if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, limit))
+            stats.tasks.append((pmask, size, limit, acc))
             return
         if size >= min_size:
-            got = acc.bit_count()
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
                 stats.record(pmask << 1, need - got)
@@ -353,19 +351,17 @@ def _scan_bound_sweep(
                 stats.eq_count += 1
                 if len(stats.eq_witnesses) < cap:
                     stats.eq_witnesses.append(pmask << 1)
-        if acc == full or acc.bit_count() > 2 * (size + limit) or size + limit < min_size:
-            return
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
 
-    rec(fixed, fixed.bit_count(), bound, sigma(GroupSubset(G, fixed << 1)).bits)
+    rec(*frame or (0, 0, order - 1, 0))
     return stats
 
 
-def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int | None, *, cap: int,
-                        jobs: int = 1) -> ScanStats:
-    """Every nonempty subset of G \\ {0} in the task (fixed, bound) whose
+def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, int, int, int] | None = None, *,
+                        cap: int, jobs: int = 1) -> ScanStats:
+    """Every nonempty subset of G \\ {0} in the subtree of `frame` whose
     subset-sum set misses part of G, filed under its size.
 
     The walk is the one of `_scan_bound_sweep`, so within each size the
@@ -375,14 +371,13 @@ def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int | None, *, cap: 
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
-    bound = G.order - 1 if bound is None else bound
-    cut = (1 << bound) // (4 * jobs) if jobs > 1 else 0
+    cut = (1 << (G.order - 1)) // (4 * jobs) if jobs > 1 else 0
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
         if acc == full:
             return
         if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, limit))
+            stats.tasks.append((pmask, size, limit, acc))
             return
         if size:
             stats.record(pmask << 1, size)
@@ -390,35 +385,31 @@ def _scan_sigma_lattice(G: AbelianGroup, fixed: int, bound: int | None, *, cap: 
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
 
-    rec(fixed, fixed.bit_count(), bound, sigma(GroupSubset(G, fixed << 1)).bits)
+    rec(*frame or (0, 0, G.order - 1, 0))
     return stats
 
 
 # -- parallel driver -----------------------------------------------------------
 
 
-def _run_task(task) -> ScanStats:
-    scan, G, payload, fixed, bound = task
-    return scan(G, fixed, bound, **payload)
-
-
 def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
-    """Run `scan(G, 0, None, jobs=jobs, **payload)`, the whole walk at jobs=1
-    and the top pass of a split otherwise, then run the tasks it filed and
-    merge them in.  Only tests pass a shared pool as `workers`, to run
-    several scans on one pool; otherwise a fork pool of `jobs` workers, or
-    one per task if there are fewer, is started for this scan alone when it
-    filed two or more tasks."""
+    """Run `scan(G, jobs=jobs, **payload)`, the whole walk at jobs=1 and the
+    top pass of a split otherwise, then `scan(G, frame, **payload)` on each
+    frame it filed, and merge them in.  Only tests pass a shared pool as
+    `workers`, to run several scans on one pool; otherwise a fork pool of
+    `jobs` workers, or one per task if there are fewer, is started for this
+    scan alone when it filed two or more tasks."""
     _check_run(jobs, payload["cap"])
-    stats = scan(G, 0, None, jobs=jobs, **payload)
-    tasks = [(scan, G, payload, fixed, bound) for fixed, bound in stats.tasks]
+    stats = scan(G, jobs=jobs, **payload)
+    tasks = stats.tasks
+    run = partial(scan, G, **payload)
     if len(tasks) < 2:
-        parts = map(_run_task, tasks)
+        parts = map(run, tasks)
     elif workers is not None:
-        parts = workers.map(_run_task, tasks, chunksize=1)
+        parts = workers.map(run, tasks, chunksize=1)
     else:
         with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as workers:
-            parts = workers.map(_run_task, tasks, chunksize=1)
+            parts = workers.map(run, tasks, chunksize=1)
     for part in parts:
         stats.merge(part)
     return stats

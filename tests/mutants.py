@@ -1,19 +1,34 @@
 """Hand-made mutants of the search and the check that must fail on each.
 
-Each row names a source file, a text that occurs exactly once in it, the
-text to put in its place, and the pytest node that must fail once the
-replacement is made in a copy of the tree.  A row with `survives` set is an
-expected survivor: the mutant changes no certificate and no pinned count,
-and the string says why.  `test_mutants.py` checks that every old text
-still occurs exactly once, so a row goes stale loudly when the code moves.
+Each row says what the mutant breaks, names a source file, a text that
+occurs exactly once in it, the text to put in its place, and the pytest
+node that must fail once the replacement is made in a copy of the tree.  A
+row with `survives` set is an expected survivor: the mutant changes no
+certificate and no pinned count, and the string says why.
+`test_mutants.py` checks that every old text still occurs exactly once, so
+a row goes stale loudly when the code moves.
+
+`python tests/mutants.py` runs every row: it copies `src/`, `tests/` and
+`pyproject.toml` to a temporary directory, applies the row there and runs
+its check, one row at a time, after one run of all the checks on an
+unchanged copy.  It prints each row as killed or survived with its time and
+exits 1 if any row ends otherwise than its `survives` field says.  It uses
+the standard library and pytest only, and is not part of the test suite.
 """
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 from typing import NamedTuple
 
 
 class Mutant(NamedTuple):
+    what: str
     file: str
     old: str
     new: str
@@ -22,63 +37,178 @@ class Mutant(NamedTuple):
 
 
 VERIFY = "src/groupsums/verify.py"
-_FILE_TASK = """        if cut and comb(bound, j) <= cut:
-            stats.tasks.append((dp1 >> lo, bound))
+SPLIT = "tests/test_verify.py::test_split_files_only_live_tasks"
+POOL = "tests/test_verify.py::test_pool_never_outnumbers_its_tasks"
+FRAMES = "tests/test_verify.py::test_filed_frames_are_walk_states"
+COVER_BRUTE = "tests/test_verify.py::test_scan_cover_fixed_matches_brute_force"
+LATTICE_BRUTE = "tests/test_verify.py::test_subset_sum_scans_match_brute_force"
+REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
+LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
+GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
+
+_REC_FILES = """        if cut and comb(bound, j) <= cut:
+            stats.tasks.append((j, bound, dp1, dp2, n1))
             return
+"""
+_REC3_FILES = """        if cut and comb(bound, j) <= cut:
+            stats.tasks.append((j, bound, dp1, dp2, dp3, n1, n2))
+            return
+"""
+_PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
+_THM1_PRUNE = """        got = acc.bit_count()
+        if acc == full or got > 2 * (size + limit) or size + limit < min_size:
+            return
+"""
+_THM1_FILES = """        if cut and (1 << limit) <= cut:
+            stats.tasks.append((pmask, size, limit, acc))
+            return
+"""
+_THM1_CHECK = """        if size >= min_size:
+            need = order if 2 * size >= order else 2 * size
+            if got < need and generates(acc):
+                stats.record(pmask << 1, need - got)
+            elif got == need < order and generates(acc):
+                stats.eq_count += 1
+                if len(stats.eq_witnesses) < cap:
+                    stats.eq_witnesses.append(pmask << 1)
+"""
+_THM1_TESTS = """            if got < need and generates(acc):
+                stats.record(pmask << 1, need - got)
+            elif got == need < order and generates(acc):
 """
 
 MUTANTS = [
-    # the pair-cover scan files a task before its look-ahead
-    Mutant(VERIFY,
+    # -- the split and the merge
+    Mutant("the pair-cover scan files a task before its look-ahead", VERIFY,
            "        avail = free[bound]\n        navail = nfree[bound]\n",
-           _FILE_TASK + "        avail = free[bound]\n        navail = nfree[bound]\n",
-           "tests/test_verify.py::test_split_files_only_live_tasks"),
-    # the three-fold scan files a task before its look-ahead
-    Mutant(VERIFY,
+           _REC_FILES + "        avail = free[bound]\n        navail = nfree[bound]\n",
+           SPLIT),
+    Mutant("the three-fold scan files a task before its look-ahead", VERIFY,
            "        avail = free[bound]\n        uncovered = full ^ dp3\n",
-           _FILE_TASK + "        avail = free[bound]\n        uncovered = full ^ dp3\n",
-           "tests/test_verify.py::test_split_files_only_live_tasks"),
-    # a one-job cover scan splits itself too
-    Mutant(VERIFY,
-           "cut = comb(bound, k - fixed.bit_count()) // (4 * jobs) if jobs > 1 else 0",
-           "cut = comb(bound, k - fixed.bit_count()) // (4 * jobs) if jobs > 0 else 0",
-           "tests/test_verify.py::test_pool_never_outnumbers_its_tasks"),
-    # the merge keeps the greatest first mask per deficiency
-    Mutant(VERIFY,
+           _REC3_FILES + "        avail = free[bound]\n        uncovered = full ^ dp3\n",
+           SPLIT),
+    Mutant("a one-job cover scan splits itself too", VERIFY,
+           "cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0",
+           "cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 0 else 0",
+           POOL),
+    Mutant("the merge keeps the greatest first mask per deficiency", VERIFY,
            "self.reps[d] = min(mask, self.reps.get(d, mask))",
            "self.reps[d] = max(mask, self.reps.get(d, mask))",
-           "tests/test_verify.py::test_subset_sum_scans_match_brute_force"),
-    # the merge keeps the witnesses in arrival order
-    Mutant(VERIFY,
+           LATTICE_BRUTE),
+    Mutant("the merge keeps the witnesses in arrival order", VERIFY,
            "self.witnesses = sorted(self.witnesses + other.witnesses)[:self.cap]",
            "self.witnesses = (self.witnesses + other.witnesses)[:self.cap]",
-           "tests/test_verify.py::test_subset_sum_scans_match_brute_force"),
-    # the merge keeps the equality witnesses in arrival order
-    Mutant(VERIFY,
+           LATTICE_BRUTE),
+    Mutant("the merge keeps the equality witnesses in arrival order", VERIFY,
            "self.eq_witnesses = sorted(self.eq_witnesses + other.eq_witnesses)[:self.cap]",
            "self.eq_witnesses = (self.eq_witnesses + other.eq_witnesses)[:self.cap]",
-           "tests/test_verify.py::test_subset_sum_scans_match_brute_force"),
-    # the thm5 top pass files saturated subtrees as well: thm5 Z8 at jobs 32
-    # then files 43 tasks, more than its jobs, where it filed 23
-    Mutant(VERIFY,
-           """        if acc == full:
-            return
-        if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, limit))
-            return
-""",
-           """        if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, limit))
-            return
-        if acc == full:
-            return
-""",
-           "tests/test_verify.py::test_pool_never_outnumbers_its_tasks"),
-    # a single filed task starts a pool of one
-    Mutant(VERIFY,
+           LATTICE_BRUTE),
+    # thm5 Z8 at jobs 32 then files 43 tasks, more than its jobs, where it filed 23
+    Mutant("the thm5 top pass files saturated subtrees as well", VERIFY,
+           "        if acc == full:\n            return\n" + _THM1_FILES,
+           _THM1_FILES + "        if acc == full:\n            return\n",
+           POOL),
+    Mutant("a single filed task starts a pool of one", VERIFY,
            "    if len(tasks) < 2:\n",
            "    if not tasks:\n",
-           "tests/test_verify.py::test_pool_never_outnumbers_its_tasks",
+           POOL,
            survives="the task's records are the same in a worker, so only the fork cost "
                     "differs, and no tested scan files exactly one task"),
+    # -- the pair rule of the three-fold scan
+    Mutant("the pair rule keeps the c with 2c = x - a", VERIFY,
+           _PAIR_RULE, _PAIR_RULE.replace(" & ~halves[y]", ""),
+           COVER_BRUTE),
+    Mutant("the pair rule pairs c with x - c instead of x - a - c", VERIFY,
+           _PAIR_RULE, "if size - ((ok & tr(nok, x) & ~halves[x]).bit_count() >> 1) < j:",
+           COVER_BRUTE),
+    Mutant("the pair rule counts both elements of each pair", VERIFY,
+           _PAIR_RULE, _PAIR_RULE.replace(" >> 1", ""),
+           COVER_BRUTE),
+    Mutant("the pair rule drops x when its count reaches j exactly", VERIFY,
+           _PAIR_RULE, _PAIR_RULE.replace("< j", "<= j"),
+           COVER_BRUTE),
+    Mutant("the pair rule is off", VERIFY,
+           "                ys = tr(n1, x)\n",
+           "                ys = 0\n",
+           REC3_NODES),
+    # -- the thm1 sweep
+    Mutant("an equality case need not generate G", VERIFY,
+           "elif got == need < order and generates(acc):",
+           "elif got == need < order:",
+           LATTICE_BRUTE),
+    Mutant("a set whose sums are all of G counts as an equality case", VERIFY,
+           "elif got == need < order and generates(acc):",
+           "elif got == need and generates(acc):",
+           GOLDEN,
+           survives="sums that are all of G are pruned before the check, so `< order` "
+                    "never decides"),
+    Mutant("the generation cache is keyed on the set's size", VERIFY,
+           _THM1_TESTS,
+           _THM1_TESTS.replace("generates(acc)", "rec.__dict__.setdefault(size, generates(acc))"),
+           LATTICE_BRUTE),
+    # no certificate changes, since <S> = <sigma(S)>, but thm1 Z24 then makes
+    # 1,097 generation tests where the cache on the sums makes 22
+    Mutant("the generation test asks of S instead of its sums", VERIFY,
+           _THM1_TESTS,
+           _THM1_TESTS.replace("generates(acc)", "generates(pmask << 1)"),
+           LATTICE_COUNTS),
+    # thm1 Z28 at jobs 2 then files 100 tasks, not 88
+    Mutant("thm1 files a node before its prune", VERIFY,
+           _THM1_PRUNE + _THM1_FILES,
+           _THM1_FILES + _THM1_PRUNE,
+           FRAMES),
+    # each task's root is then checked by the top pass and again by its task
+    Mutant("thm1 checks a node before its prune and files it after", VERIFY,
+           _THM1_PRUNE + _THM1_FILES + _THM1_CHECK,
+           "        got = acc.bit_count()\n" + _THM1_CHECK
+           + _THM1_PRUNE.replace("        got = acc.bit_count()\n", "") + _THM1_FILES,
+           LATTICE_BRUTE),
 ]
+
+
+def _pytest(tree: Path, *checks: str) -> tuple[int, float]:
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *checks],
+                          cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode, time.perf_counter() - t0
+
+
+def _copy(root: Path, tree: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(root / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "pyproject.toml", tree)
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(root, Path(tmp))
+        code, took = _pytest(Path(tmp), *sorted({m.check for m in MUTANTS}))
+    print(f"unchanged tree: {'pass' if code == 0 else 'FAIL'} {took:5.1f} s")
+    if code != 0:
+        return 1
+    wrong = 0
+    for i, m in enumerate(MUTANTS, 1):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            _copy(root, tree)
+            source = (tree / m.file).read_text()
+            if source.count(m.old) != 1:
+                print(f"{i:2} stale     {m.what}")
+                wrong += 1
+                continue
+            (tree / m.file).write_text(source.replace(m.old, m.new))
+            code, took = _pytest(tree, m.check)
+        # pytest exits 1 when a test fails; other codes mean it could not run the check
+        verdict = {0: "survived", 1: "killed"}.get(code, f"error {code}")
+        expected = "survived" if m.survives else "killed"
+        wrong += verdict != expected
+        flag = "" if verdict == expected else "  <- expected " + expected
+        print(f"{i:2} {verdict:9} {took:5.1f} s  {m.what}{flag}")
+    print(f"{len(MUTANTS)} mutants, {wrong} unexpected, {time.perf_counter() - t0:.1f} s in all")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ from groupsums import (
     Verdict,
     critical_number,
     enumerate_groups_of_order,
+    h_hat,
     is_generating,
     naive_subset_sums,
     pair_cover,
@@ -520,13 +521,13 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
     ]
     for run, scan, G, payload, jobs in cases:
         sizes.clear()
-        tasks = scan(G, 0, None, cap=DEFAULT_WITNESS_CAP, jobs=jobs, **payload).tasks
+        tasks = scan(G, cap=DEFAULT_WITNESS_CAP, jobs=jobs, **payload).tasks
         assert run(jobs).core() == run(1).core()
         assert sizes == [len(tasks)] and 2 <= len(tasks) < jobs, (G.spec, sizes, len(tasks))
     # one job walks the whole tree itself
     for scan, payload in ((_scan_cover_fixed, {"k": 6, "layers": 2}), (_scan_bound_sweep, {"min_size": 1}),
                           (_scan_sigma_lattice, {})):
-        assert scan(Z12, 0, None, cap=DEFAULT_WITNESS_CAP, **payload).tasks == [], scan
+        assert scan(Z12, cap=DEFAULT_WITNESS_CAP, **payload).tasks == [], scan
 
 
 def test_split_files_only_live_tasks():
@@ -537,9 +538,9 @@ def test_split_files_only_live_tasks():
     for m, layers, node, filed in ((16, 2, "rec", 38), (28, 3, "rec3", 50)):
         G = AbelianGroup.cyclic(m)
         payload = {"k": m // 2 + (layers == 3), "layers": layers, "cap": DEFAULT_WITNESS_CAP}
-        tasks = _scan_cover_fixed(G, 0, None, jobs=2, **payload).tasks
+        tasks = _scan_cover_fixed(G, jobs=2, **payload).tasks
         assert len(tasks) == filed, m
-        for fixed, bound in tasks:
+        for task in tasks:
             nodes = 0
 
             def count(frame, event, arg):
@@ -549,10 +550,43 @@ def test_split_files_only_live_tasks():
 
             sys.setprofile(count)
             try:
-                _scan_cover_fixed(G, fixed, bound, **payload)
+                _scan_cover_fixed(G, task, **payload)
             finally:
                 sys.setprofile(None)
-            assert nodes > 1, (m, fixed, bound)
+            assert nodes > 1, (m, task)
+
+
+def test_filed_frames_are_walk_states():
+    """A task is the frame of the node it stands for, so at jobs 2 each
+    filed frame equals the walk's state recomputed from its picks alone:
+    the sums of A by `h_hat` in the cover scans, by `sigma` in the lattice
+    scans.  thm1 files a node only once it passes its prune: 88 tasks on
+    Z28, where filing before the prune gave 100."""
+    for m, layers in ((16, 2), (28, 3)):
+        G = AbelianGroup.cyclic(m)
+        k, lo = m // 2 + (layers == 3), layers == 2
+        tasks = _scan_cover_fixed(G, k=k, layers=layers, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
+        assert tasks, m
+        for frame in tasks:
+            bound, dp1 = frame[1:3]
+            A = GroupSubset(G, dp1)
+            minus_a = A.negated()
+            if layers == 2:
+                sums = (h_hat(A, 2).bits, minus_a.bits)
+            else:
+                sums = (h_hat(A, 2).bits, h_hat(A, 3).bits, minus_a.bits, h_hat(minus_a, 2).bits)
+            assert frame == (k - A.cardinality, bound, dp1) + sums, (m, frame)
+            assert (dp1 >> lo) & ((1 << bound) - 1) == 0, (m, frame)
+    Z28, Z24 = AbelianGroup.cyclic(28), AbelianGroup.cyclic(24)
+    thm1 = _scan_bound_sweep(Z28, min_size=5, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
+    thm5 = _scan_sigma_lattice(Z24, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
+    assert len(thm1) == 88 and thm5
+    for G, tasks in ((Z28, thm1), (Z24, thm5)):
+        for pmask, size, limit, acc in tasks:
+            assert size == pmask.bit_count() and pmask & ((1 << limit) - 1) == 0, (G.spec, pmask)
+            assert acc == sigma(GroupSubset(G, pmask << 1)).bits, (G.spec, pmask)
+    for pmask, size, limit, acc in thm1:
+        assert acc != Z28.full_mask and acc.bit_count() <= 2 * (size + limit) and size + limit >= 5, pmask
 
 
 def test_sweep_checks_its_inputs_before_its_loop():
