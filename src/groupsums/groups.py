@@ -173,6 +173,16 @@ class AbelianGroup:
             self._double_table = self._coordinatewise_table(lambda x, d: 2 * x % d)
         return self._double_table
 
+    @property
+    def exponent(self) -> int:
+        """The least e > 0 with e*x = 0 for every x: the largest invariant factor."""
+        return self.factors[-1] if self.factors else 1
+
+    def scaling_table(self, u: int) -> list[int]:
+        """scaling_table(u)[i] is the index of u*x for the element x of index
+        i; for u a unit mod the exponent, x -> ux is an automorphism."""
+        return self._coordinatewise_table(lambda x, d: u * x % d)
+
     def _coordinatewise_table(self, op) -> list[int]:
         """Index table of the map applying op(x, d) to every coordinate.
 

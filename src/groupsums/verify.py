@@ -20,6 +20,22 @@ a in A: picks that miss x hold at most one of each pair {c, x - a - c},
 because a + c + (x - a - c) = x is a sum of three distinct elements when
 c and x - a - c are distinct candidates, and no candidate is in A.
 
+The walks that count every set of a kind (the thm1 sweep, the thm5
+lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
+per orbit of the unit scalings x -> ux, u a unit mod the exponent of G.
+Each scaling is an automorphism, so it keeps sums, covers, deficiencies and
+generation, and a set's whole orbit is of its kind.  A walk enters a set
+only if its mask is the largest in its orbit, and files it once for every
+member of the orbit, listing the members that can still be among the least
+masks (`_Lanes`).  The rule passes to subtrees, as in orderly generation
+(R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): each walk reaches S from
+P = S \\ {min S}, and if some uP > P, the highest bit where they differ
+lies above min S, so uS > S.  A set that is not the largest of its orbit
+thus has no descendant that is, and its subtree is dropped.  A group of
+exponent <= 2 has no scaling but the identity, and its walk enters every
+set.
+
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 the same walk is the top pass of a split: where it meets a subtree holding
 at most 1/(4*jobs) of the candidates, it files the subtree as a task instead
@@ -36,8 +52,9 @@ its violating leaves in a `ScanStats` record; task records merge in any order.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
-equality counts are exact.  Witness lists are capped but always retain, per
-number of uncovered elements, the first witness exhibiting that deficiency.
+equality counts are exact.  Witness lists hold the least masks up to a cap
+but always retain, per number of uncovered elements, the least witness
+exhibiting that deficiency.
 """
 
 from __future__ import annotations
@@ -48,7 +65,7 @@ import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache, partial
-from math import comb
+from math import comb, gcd, inf
 from typing import Callable
 
 from . import __version__
@@ -116,9 +133,10 @@ class Verdict:
 # -- subtree scans -----------------------------------------------------------
 #
 # A task is the frame of a node, the arguments of its recursive call:
-# (j, bound, dp1, dp2, n1) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3,
-# n1, n2) in the three-fold `rec3`, (pmask, size, limit, acc) in the lattice
-# scans; its subtree adds pool positions below `bound` or `limit`.  The pool
+# (j, bound, dp1, dp2, n1, rep, imgs) in the pair-cover `rec`, (j, bound,
+# dp1, dp2, dp3, n1, n2) in the three-fold `rec3`, (pmask, size, limit, acc,
+# rep, imgs) in the lattice scans, where rep and imgs are the orbit lanes of
+# `_Lanes`; its subtree adds pool positions below `bound` or `limit`.  The pool
 # is G \ {0} (position p is element p + 1), or G in thm4's scan.  A scan walks
 # the subtree of `frame`, or the whole tree.  At jobs > 1 it is the top pass
 # of a split: it files in `tasks` each node past its prune whose subtree holds
@@ -127,14 +145,16 @@ class Verdict:
 
 @dataclass
 class ScanStats:
-    """What a scan or one of its tasks found.  Every walk records in
-    increasing mask order: `record` files a violating leaf of deficiency d
-    in `violations` and `hist`; `reps` keeps the first mask per d, which is
-    the least of them, and `witnesses` the first `cap`.  The bound sweep
-    adds its equality cases to `eq_count` and `eq_witnesses`.  The thm5
-    lattice walk files each failing set with d = its size, so `hist` counts
-    failures by size and `reps[s]` is the first failing set of size s in
-    colex order.  A top pass lists the subtrees it filed in `tasks`."""
+    """What a scan or one of its tasks found.  `record` files the violating
+    sets of deficiency d that one node stands for: it adds their number to
+    `violations` and `hist[d]`, keeps the least mask of deficiency d in
+    `reps[d]` and the `cap` least masks in `witnesses`.  `below(d)` bounds
+    the masks that can still change either, so a caller lists only those.
+    The bound sweep files its equality cases with `record_eq`, in `eq_count`
+    and the `cap` least in `eq_witnesses`.  The thm5 lattice walk files
+    each failing set with d = its size, so `hist` counts failures by size
+    and `reps[s]` is the least failing set of size s.  A top pass lists the
+    subtrees it filed in `tasks`."""
 
     cap: int
     violations: int = 0
@@ -145,13 +165,33 @@ class ScanStats:
     eq_witnesses: list[int] = field(default_factory=list)
     tasks: list[tuple[int, ...]] = field(default_factory=list)
 
-    def record(self, mask: int, d: int) -> None:
-        self.violations += 1
-        self.hist[d] = self.hist.get(d, 0) + 1
-        if d not in self.reps:
-            self.reps[d] = mask
-        if len(self.witnesses) < self.cap:
-            self.witnesses.append(mask)
+    def below(self, d: int) -> float:
+        """A mask of deficiency d at or above this changes neither `reps[d]`
+        nor `witnesses`: the larger of `reps[d]` and
+        `_kept_below(witnesses, cap)`."""
+        w = self.witnesses
+        if len(w) < self.cap:
+            return inf
+        rep = self.reps.get(d, inf)
+        return w[-1] if w and w[-1] > rep else rep
+
+    def record(self, d: int, count: int, masks: list[int]) -> None:
+        """File `count` sets of deficiency d, listing in `masks`, in
+        increasing order, every one of them below `below(d)`."""
+        self.violations += count
+        self.hist[d] = self.hist.get(d, 0) + count
+        if masks:
+            least = masks[0]
+            if least < self.reps.get(d, inf):
+                self.reps[d] = least
+            self.witnesses = sorted(self.witnesses + masks)[:self.cap]
+
+    def record_eq(self, count: int, masks: list[int]) -> None:
+        """File `count` equality cases, listing in `masks`, in increasing
+        order, every one of them below `_kept_below(eq_witnesses, cap)`."""
+        self.eq_count += count
+        if masks:
+            self.eq_witnesses = sorted(self.eq_witnesses + masks)[:self.cap]
 
     def merge(self, other: "ScanStats") -> None:
         """Add the stats of a walk over other candidates, keeping the least
@@ -164,6 +204,64 @@ class ScanStats:
             self.reps[d] = min(mask, self.reps.get(d, mask))
         self.witnesses = sorted(self.witnesses + other.witnesses)[:self.cap]
         self.eq_witnesses = sorted(self.eq_witnesses + other.eq_witnesses)[:self.cap]
+
+
+def _kept_below(kept: list[int], cap: int) -> float:
+    """A mask at or above this does not enter the `cap` least, `kept`."""
+    if len(kept) < cap:
+        return inf
+    return kept[-1] if kept else 0
+
+
+class _Lanes:
+    """The unit scalings x -> ux of G, u a unit mod the exponent of G,
+    packed for the orbit rule of the walks that count.
+
+    A scaling is an automorphism of G, so it keeps subset sums, pair covers,
+    deficiencies and generation: the orbit {uS} of a set S is all of one
+    kind.  A packed int has one lane per scaling other than the identity,
+    |G| bits and a guard bit above them.  A node with element mask S
+    carries `imgs`, whose lane for u holds uS, and `rep`, which holds S in
+    every lane with the guard bits set.  Adding element e to S ORs
+    `rep1[e]` into rep and `img1[e]` into imgs.  S is the largest of its
+    orbit exactly when no lane of rep - imgs borrows its guard bit, that is
+    when (rep - imgs) & guard == guard.  A group of exponent <= 2 has no
+    lane, and every set passes.
+    """
+
+    def __init__(self, G: AbelianGroup):
+        n = self.order = G.order
+        units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]
+        self.units = len(units) + 1
+        self.ones = sum(1 << (n + 1) * i for i in range(len(units)))
+        self.guard = self.ones << n
+        self.lane = (1 << n) - 1
+        self.rep1 = [self.ones << e for e in range(n)]
+        self.img1 = [0] * n
+        for i, u in enumerate(units):
+            for e, ue in enumerate(G.scaling_table(u)):
+                self.img1[e] |= 1 << (n + 1) * i + ue
+
+    def orbit(self, mask: int, rep: int, imgs: int, below: float) -> tuple[int, list[int]]:
+        """The size of the orbit of `mask`, the largest of its orbit, with
+        lanes `rep` and `imgs`, and its members below `below` in increasing
+        order.  The orbit has |U| / |stab| members for the |U| scalings;
+        the stabiliser is the identity and the lanes equal to `mask`."""
+        guard = self.guard
+        moved = ((rep ^ imgs) - self.ones) & guard
+        size = self.units // (self.units - moved.bit_count())
+        if mask < below:  # the largest member, so every member is below
+            members, hits = {mask}, guard
+        else:
+            hits = ~((imgs | guard) - below * self.ones) & guard
+            if not hits:
+                return size, []
+            members = set()
+        while hits:
+            low = hits & -hits
+            members.add(imgs >> (low.bit_length() - 1 - self.order) & self.lane)
+            hits ^= low
+        return size, sorted(members)
 
 
 def _scan_cover_fixed(
@@ -202,6 +300,10 @@ def _scan_cover_fixed(
     where both_a = ok & (x - a - ok) without the c with 2c = x - a, and x
     survives only if every a leaves that count at j or more; the loop over
     a stops at the first that does not.
+
+    The layers=2 walk enters only a set that is the largest of its orbit
+    under the unit scalings and files each leaf for its whole orbit
+    (`_Lanes`); the layers=3 walk enters every set.
     """
     lo = 1 if layers == 2 else 0
     cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0
@@ -209,6 +311,8 @@ def _scan_cover_fixed(
     neg = G.neg_table
     full = G.full_mask
     stats = ScanStats(cap)
+    lanes = _Lanes(G)
+    guard, rep1, img1, orbit = lanes.guard, lanes.rep1, lanes.img1, lanes.orbit
     # free[b]: the elements at pool positions below b, a node's candidates;
     # nfree[b]: their negatives
     free = [((1 << b) - 1) << lo for b in range(G.order - lo + 1)]
@@ -220,12 +324,13 @@ def _scan_cover_fixed(
     for c, x in enumerate(G.double_table):
         halves[x] |= 1 << c
 
-    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
+    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int) -> None:
         cover = dp1 | dp2
         if cover == full:
             return
         if j == 0:
-            stats.record(dp1, G.order - cover.bit_count())
+            d = G.order - cover.bit_count()
+            stats.record(d, *orbit(dp1, rep, imgs, stats.below(d)))
             return
         avail = free[bound]
         navail = nfree[bound]
@@ -245,17 +350,19 @@ def _scan_cover_fixed(
         else:
             return
         if cut and comb(bound, j) <= cut:
-            stats.tasks.append((j, bound, dp1, dp2, n1))
+            stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
             return
         for c in range(j - 1, bound):
             e = c + lo
-            rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
+            r, i = rep | rep1[e], imgs | img1[e]
+            if (r - i) & guard == guard:
+                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i)
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
         if dp3 == full:
             return
         if j == 0:
-            stats.record(dp1, G.order - dp3.bit_count())
+            stats.record(G.order - dp3.bit_count(), 1, [dp1])
             return
         avail = free[bound]
         uncovered = full ^ dp3
@@ -290,7 +397,7 @@ def _scan_cover_fixed(
                  n1 | (1 << ne), n2 | tr(n1, ne))
 
     if layers == 2:
-        rec(*frame or (k, G.order - 1, 0, 0, 0))
+        rec(*frame or (k, G.order - 1, 0, 0, 0, guard, 0))
     else:
         rec3(*frame or (k, G.order, 0, 0, 0, 0, 0))
     return stats
@@ -298,7 +405,7 @@ def _scan_cover_fixed(
 
 def _scan_bound_sweep(
     G: AbelianGroup,
-    frame: tuple[int, int, int, int] | None = None,
+    frame: tuple[int, ...] | None = None,
     *,
     min_size: int,
     cap: int,
@@ -308,7 +415,9 @@ def _scan_bound_sweep(
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
-    order.  Before a node is checked, it and its subtree are dropped when:
+    order.  It enters only a set that is the largest of its orbit under the
+    unit scalings and files it for its whole orbit (`_Lanes`).  Before a
+    node is checked, it and its subtree are dropped when:
 
     - the running subset-sum set saturates, since every superset then meets
       the bound trivially, generates, and can be neither a violation nor an
@@ -322,7 +431,8 @@ def _scan_bound_sweep(
     Each rule also rules out the node itself (acc = G gives |sigma(S)| = |G|,
     |acc| > 2 * (size + limit) gives |sigma(S)| > 2|S|, size + limit <
     min_size gives |S| < min_size), so only a node that passes is checked or
-    filed as a task, and a dropped node is never a violation or equality case.
+    filed as a task, and a dropped node is never a violation or equality case,
+    nor is any set of its orbit.
 
     The bound holds only for generating sets, so only a node whose sums fall
     short of it or meet it with equality asks whether its set S generates
@@ -335,57 +445,63 @@ def _scan_bound_sweep(
     stats = ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
     cut = (1 << (order - 1)) // (4 * jobs) if jobs > 1 else 0
+    lanes = _Lanes(G)
+    guard, rep1, img1, orbit = lanes.guard, lanes.rep1, lanes.img1, lanes.orbit
 
-    def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+    def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         got = acc.bit_count()
         if acc == full or got > 2 * (size + limit) or size + limit < min_size:
             return
         if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, size, limit, acc))
+            stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(pmask << 1, need - got)
-            elif got == need < order and generates(acc):
-                stats.eq_count += 1
-                if len(stats.eq_witnesses) < cap:
-                    stats.eq_witnesses.append(pmask << 1)
+                stats.record(need - got, *orbit(pmask << 1, rep, imgs, stats.below(need - got)))
+            elif got == need and generates(acc):
+                stats.record_eq(*orbit(pmask << 1, rep, imgs, _kept_below(stats.eq_witnesses, cap)))
         for p in range(limit):
             e = p + 1
-            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
+            r, i = rep | rep1[e], imgs | img1[e]
+            if (r - i) & guard == guard:
+                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
-    rec(*frame or (0, 0, order - 1, 0))
+    rec(*frame or (0, 0, order - 1, 0, guard, 0))
     return stats
 
 
-def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, int, int, int] | None = None, *,
+def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, ...] | None = None, *,
                         cap: int, jobs: int = 1) -> ScanStats:
     """Every nonempty subset of G \\ {0} in the subtree of `frame` whose
     subset-sum set misses part of G, filed under its size.
 
-    The walk is the one of `_scan_bound_sweep`, so within each size the
-    sets arrive in colex order.  A subtree is dropped once the running
-    subset-sum set saturates, since every superset then covers G too.
+    The walk is the one of `_scan_bound_sweep`, with its orbit rule.  A
+    subtree is dropped once the running subset-sum set saturates, since
+    every superset then covers G too.
     """
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
     cut = (1 << (G.order - 1)) // (4 * jobs) if jobs > 1 else 0
+    lanes = _Lanes(G)
+    guard, rep1, img1, orbit = lanes.guard, lanes.rep1, lanes.img1, lanes.orbit
 
-    def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+    def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         if acc == full:
             return
         if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, size, limit, acc))
+            stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
         if size:
-            stats.record(pmask << 1, size)
+            stats.record(size, *orbit(pmask << 1, rep, imgs, stats.below(size)))
         for p in range(limit):
             e = p + 1
-            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
+            r, i = rep | rep1[e], imgs | img1[e]
+            if (r - i) & guard == guard:
+                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
-    rec(*frame or (0, 0, G.order - 1, 0))
+    rec(*frame or (0, 0, G.order - 1, 0, guard, 0))
     return stats
 
 

@@ -44,10 +44,11 @@ COVER_BRUTE = "tests/test_verify.py::test_scan_cover_fixed_matches_brute_force"
 LATTICE_BRUTE = "tests/test_verify.py::test_subset_sum_scans_match_brute_force"
 REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
 LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
+ORBIT = "tests/test_verify.py::test_orbit_walks_match_plain_walks"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 
 _REC_FILES = """        if cut and comb(bound, j) <= cut:
-            stats.tasks.append((j, bound, dp1, dp2, n1))
+            stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
             return
 """
 _REC3_FILES = """        if cut and comb(bound, j) <= cut:
@@ -60,21 +61,34 @@ _THM1_PRUNE = """        got = acc.bit_count()
             return
 """
 _THM1_FILES = """        if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, size, limit, acc))
+            stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
 """
 _THM1_CHECK = """        if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(pmask << 1, need - got)
-            elif got == need < order and generates(acc):
-                stats.eq_count += 1
-                if len(stats.eq_witnesses) < cap:
-                    stats.eq_witnesses.append(pmask << 1)
+                stats.record(need - got, *orbit(pmask << 1, rep, imgs, stats.below(need - got)))
+            elif got == need and generates(acc):
+                stats.record_eq(*orbit(pmask << 1, rep, imgs, _kept_below(stats.eq_witnesses, cap)))
 """
 _THM1_TESTS = """            if got < need and generates(acc):
-                stats.record(pmask << 1, need - got)
-            elif got == need < order and generates(acc):
+                stats.record(need - got, *orbit(pmask << 1, rep, imgs, stats.below(need - got)))
+            elif got == need and generates(acc):
+"""
+_CANONICAL = "            if (r - i) & guard == guard:\n"
+_LATTICE_CHILD = _CANONICAL + """                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
+"""
+_THM1_CHILD = """                stats.record_eq(*orbit(pmask << 1, rep, imgs, _kept_below(stats.eq_witnesses, cap)))
+        for p in range(limit):
+            e = p + 1
+            r, i = rep | rep1[e], imgs | img1[e]
+""" + _LATTICE_CHILD
+_THM5_CHILD = """            stats.record(size, *orbit(pmask << 1, rep, imgs, stats.below(size)))
+        for p in range(limit):
+            e = p + 1
+            r, i = rep | rep1[e], imgs | img1[e]
+""" + _LATTICE_CHILD
+_REC_CHILD = _CANONICAL + """                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i)
 """
 
 MUTANTS = [
@@ -103,11 +117,11 @@ MUTANTS = [
            "self.eq_witnesses = sorted(self.eq_witnesses + other.eq_witnesses)[:self.cap]",
            "self.eq_witnesses = (self.eq_witnesses + other.eq_witnesses)[:self.cap]",
            LATTICE_BRUTE),
-    # thm5 Z8 at jobs 32 then files 43 tasks, more than its jobs, where it filed 23
+    # thm5 Z24 at jobs 2 then files saturated frames
     Mutant("the thm5 top pass files saturated subtrees as well", VERIFY,
            "        if acc == full:\n            return\n" + _THM1_FILES,
            _THM1_FILES + "        if acc == full:\n            return\n",
-           POOL),
+           FRAMES),
     Mutant("a single filed task starts a pool of one", VERIFY,
            "    if len(tasks) < 2:\n",
            "    if not tasks:\n",
@@ -133,26 +147,20 @@ MUTANTS = [
            REC3_NODES),
     # -- the thm1 sweep
     Mutant("an equality case need not generate G", VERIFY,
-           "elif got == need < order and generates(acc):",
-           "elif got == need < order:",
-           LATTICE_BRUTE),
-    Mutant("a set whose sums are all of G counts as an equality case", VERIFY,
-           "elif got == need < order and generates(acc):",
            "elif got == need and generates(acc):",
-           GOLDEN,
-           survives="sums that are all of G are pruned before the check, so `< order` "
-                    "never decides"),
+           "elif got == need:",
+           LATTICE_BRUTE),
     Mutant("the generation cache is keyed on the set's size", VERIFY,
            _THM1_TESTS,
            _THM1_TESTS.replace("generates(acc)", "rec.__dict__.setdefault(size, generates(acc))"),
            LATTICE_BRUTE),
     # no certificate changes, since <S> = <sigma(S)>, but thm1 Z24 then makes
-    # 1,097 generation tests where the cache on the sums makes 22
+    # 335 generation tests where the cache on the sums makes 11
     Mutant("the generation test asks of S instead of its sums", VERIFY,
            _THM1_TESTS,
            _THM1_TESTS.replace("generates(acc)", "generates(pmask << 1)"),
            LATTICE_COUNTS),
-    # thm1 Z28 at jobs 2 then files 100 tasks, not 88
+    # thm1 Z28 at jobs 2 then files 60 tasks, not 55
     Mutant("thm1 files a node before its prune", VERIFY,
            _THM1_PRUNE + _THM1_FILES,
            _THM1_FILES + _THM1_PRUNE,
@@ -162,6 +170,55 @@ MUTANTS = [
            _THM1_PRUNE + _THM1_FILES + _THM1_CHECK,
            "        got = acc.bit_count()\n" + _THM1_CHECK
            + _THM1_PRUNE.replace("        got = acc.bit_count()\n", "") + _THM1_FILES,
+           LATTICE_BRUTE),
+    # -- the orbit rule of the counting walks
+    # every walk is then the plain walk: thm1 Z24 enters 132,181 nodes
+    Mutant("the orbit rule is off", VERIFY,
+           "units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]",
+           "units = []",
+           LATTICE_COUNTS),
+    Mutant("the thm1 walk enters every set", VERIFY,
+           _THM1_CHILD, _THM1_CHILD.replace(_CANONICAL, "            if True:\n"),
+           LATTICE_BRUTE),
+    Mutant("the thm5 walk enters every set", VERIFY,
+           _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "            if True:\n"),
+           LATTICE_BRUTE),
+    Mutant("the pair-cover walk enters every set", VERIFY,
+           _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "            if True:\n"),
+           COVER_BRUTE),
+    Mutant("the thm5 walk enters a set only if it is greater than every other image", VERIFY,
+           _THM5_CHILD,
+           _THM5_CHILD.replace(_CANONICAL, "            if (r - i - lanes.ones) & guard == guard:\n"),
+           ORBIT),
+    Mutant("the pair-cover walk enters a set only if it is greater than every other image", VERIFY,
+           _REC_CHILD,
+           _REC_CHILD.replace(_CANONICAL, "            if (r - i - lanes.ones) & guard == guard:\n"),
+           COVER_BRUTE),
+    Mutant("an orbit counts as one set", VERIFY,
+           "size = self.units // (self.units - moved.bit_count())",
+           "size = 1",
+           LATTICE_BRUTE),
+    Mutant("an orbit's stabiliser is not counted", VERIFY,
+           "size = self.units // (self.units - moved.bit_count())",
+           "size = self.units",
+           LATTICE_BRUTE),
+    Mutant("the rep is the orbit's greatest listed member, the canonical mask, not its least",
+           VERIFY,
+           "            least = masks[0]\n",
+           "            least = masks[-1]\n",
+           LATTICE_BRUTE),
+    Mutant("the witnesses take only the greatest listed member of an orbit, the canonical mask",
+           VERIFY,
+           "self.witnesses = sorted(self.witnesses + masks)[:self.cap]",
+           "self.witnesses = sorted(self.witnesses + masks[-1:])[:self.cap]",
+           LATTICE_BRUTE),
+    Mutant("the equality witnesses take only the canonical mask of an orbit", VERIFY,
+           "self.eq_witnesses = sorted(self.eq_witnesses + masks)[:self.cap]",
+           "self.eq_witnesses = sorted(self.eq_witnesses + masks[-1:])[:self.cap]",
+           LATTICE_BRUTE),
+    Mutant("the listing bound ignores the least mask of the deficiency", VERIFY,
+           "return w[-1] if w and w[-1] > rep else rep",
+           "return w[-1] if w else rep",
            LATTICE_BRUTE),
 ]
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from functools import cache, partial
 from itertools import combinations
 from math import comb, gcd
+from unittest import mock
 
 from groupsums import (
     AbelianGroup,
@@ -19,6 +21,7 @@ from groupsums import (
     count_halvings,
     enumerate_groups_of_order,
     h_hat,
+    is_generating,
     naive_subset_sums,
     pair_cover,
     search_lemma2_counterexamples,
@@ -29,7 +32,9 @@ from groupsums import (
     verify_three_fold_cover,
     critical_number,
 )
+from groupsums import verify
 from groupsums.verify import (
+    ScanStats,
     _execute,
     _scan_bound_sweep,
     _scan_cover_fixed,
@@ -126,19 +131,36 @@ def check_negation_equivariance(max_n: int = 32, trials: int = 60, seed: int = 0
         assert sigma(A.negated()) == sigma(A).negated()
 
 
+def unit_scalings(G: AbelianGroup) -> list[tuple[int, ...]]:
+    """The index permutations x -> ux, coordinatewise, for every unit u mod
+    the exponent of G (its largest invariant factor), identity first."""
+    e = G.factors[-1] if G.factors else 1
+    return [
+        tuple(G.tuple_to_index(u * x % d for x, d in zip(G.index_to_tuple(i), G.factors))
+              for i in range(G.order))
+        for u in range(1, max(e, 2)) if gcd(u, e) == 1
+    ]
+
+
 def check_automorphism_equivariance(max_n: int = 32, seed: int = 0xF00D) -> None:
-    """Multiplication by a unit commutes with the sumset operations (cyclic)."""
+    """Scaling by a unit mod the exponent is an automorphism of every abelian
+    group: it commutes with sigma, h_hat and pair_cover and keeps
+    generation, which is what lets the counting walks visit one set per
+    orbit.  Each group is checked on a random set and on its part inside
+    2G, which generates no group of even order."""
     rng = random.Random(seed)
-    for m in range(2, max_n + 1):
-        G = AbelianGroup.cyclic(m)
+    for G in all_groups_up_to(max_n):
         A = random_subset(rng, G, max_card=9)
+        doubles = sum(1 << x for x in set(G.double_table))
         h = rng.randint(0, A.cardinality + 1)
-        units = [u for u in range(1, m) if gcd(u, m) == 1]
-        for u in units:
-            perm = tuple(u * i % m for i in range(m))
-            image = A.map_indices(perm)
-            assert sigma(image) == sigma(A).map_indices(perm)
-            assert h_hat(image, h) == h_hat(A, h).map_indices(perm)
+        for perm in unit_scalings(G):
+            assert sorted(perm) == list(range(G.order)), G.spec
+            for S in (A, GroupSubset(G, A.bits & doubles)):
+                image = S.map_indices(perm)
+                assert sigma(image) == sigma(S).map_indices(perm), (G.spec, perm)
+                assert h_hat(image, h) == h_hat(S, h).map_indices(perm), (G.spec, perm)
+                assert pair_cover(image) == pair_cover(S).map_indices(perm), (G.spec, perm)
+                assert is_generating(G, image) == is_generating(G, S), (G.spec, perm)
 
 
 def check_cardinality_bounds(max_n: int = 24, trials: int = 80, seed: int = 7) -> None:
@@ -386,3 +408,145 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
                     assert {key: getattr(got, key) for key in keys} == want, where
                     assert (got.eq_count, got.eq_witnesses) == (len(eq), eq[:cap]), where
     return checked
+
+
+# -- reference walks ------------------------------------------------------------
+#
+# The walks of the counting scans as they were before the orbit rule: every
+# set is entered and filed once, in increasing mask order.  They take a
+# scan's arguments, walk the whole tree at any `jobs` and file no task, so
+# `_execute` runs them in process.
+
+
+def plain_cover_scan(G: AbelianGroup, frame=None, *, k: int, layers: int, cap: int,
+                     jobs: int = 1) -> ScanStats:
+    """The pair-cover walk (layers=2) of `_scan_cover_fixed` without the orbit
+    rule: size-k subsets of G \\ {0}, with its look-ahead and pair count."""
+    assert layers == 2 and frame is None
+    tr = G.translator()
+    neg = G.neg_table
+    full = G.full_mask
+    stats = ScanStats(cap)
+    free = [((1 << b) - 1) << 1 for b in range(G.order)]
+    nfree = [0]
+    for e in range(1, G.order):
+        nfree.append(nfree[-1] | (1 << neg[e]))
+    halves = [0] * G.order
+    for c, x in enumerate(G.double_table):
+        halves[x] |= 1 << c
+
+    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int) -> None:
+        cover = dp1 | dp2
+        if cover == full:
+            return
+        if j == 0:
+            stats.record(G.order - cover.bit_count(), 1, [dp1])
+            return
+        avail = free[bound]
+        navail = nfree[bound]
+        uncovered = full ^ cover
+        while uncovered:
+            low = uncovered & -uncovered
+            x = low.bit_length() - 1
+            ok = avail & ~(low | tr(n1, x))
+            size = ok.bit_count()
+            if size >= j:
+                both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
+                if size - (both.bit_count() >> 1) >= j:
+                    break
+            uncovered ^= low
+        else:
+            return
+        for c in range(j - 1, bound):
+            e = c + 1
+            rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]))
+
+    rec(k, G.order - 1, 0, 0, 0)
+    return stats
+
+
+def plain_bound_sweep(G: AbelianGroup, frame=None, *, min_size: int, cap: int,
+                      jobs: int = 1) -> ScanStats:
+    """The thm1 walk of `_scan_bound_sweep` without the orbit rule."""
+    assert frame is None
+    order = G.order
+    tr = G.translator()
+    full = G.full_mask
+    stats = ScanStats(cap)
+    generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
+
+    def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+        got = acc.bit_count()
+        if acc == full or got > 2 * (size + limit) or size + limit < min_size:
+            return
+        if size >= min_size:
+            need = order if 2 * size >= order else 2 * size
+            if got < need and generates(acc):
+                stats.record(need - got, 1, [pmask << 1])
+            elif got == need < order and generates(acc):
+                stats.record_eq(1, [pmask << 1])
+        for p in range(limit):
+            e = p + 1
+            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
+
+    rec(0, 0, order - 1, 0)
+    return stats
+
+
+def plain_sigma_lattice(G: AbelianGroup, frame=None, *, cap: int, jobs: int = 1) -> ScanStats:
+    """The thm5 walk of `_scan_sigma_lattice` without the orbit rule."""
+    assert frame is None
+    tr = G.translator()
+    full = G.full_mask
+    stats = ScanStats(cap)
+
+    def rec(pmask: int, size: int, limit: int, acc: int) -> None:
+        if acc == full:
+            return
+        if size:
+            stats.record(size, 1, [pmask << 1])
+        for p in range(limit):
+            e = p + 1
+            rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
+
+    rec(0, 0, G.order - 1, 0)
+    return stats
+
+
+def _counting_cores(G: AbelianGroup, cap: int, jobs: int) -> list[dict]:
+    """Certificate cores of every statement whose scan counts with the orbit
+    rule on G: prop3.2, thm1 at min_size 1 and 5, thm5 and, on a cyclic
+    group, lemma2-search."""
+    runs = [lambda: verify_pair_cover_threshold(G, witness_cap=cap, jobs=jobs)]
+    runs += [lambda s=s: verify_subset_sum_bound(G, s, witness_cap=cap, jobs=jobs) for s in (1, 5)]
+    if G.order >= 3:
+        runs.append(lambda: critical_number(G, witness_cap=cap, jobs=jobs)[1])
+        if G.is_cyclic:
+            runs.append(lambda: search_lemma2_counterexamples(G.order, witness_cap=cap, jobs=jobs))
+    return [run().core() for run in runs]
+
+
+def orbit_check_groups(max_n: int = 20) -> list[AbelianGroup]:
+    """Every abelian group of order <= max_n, and Z2xZ2xZ6, whose orbit rule
+    has one lane like Z3xZ6's; Z2^4 has none."""
+    return all_groups_up_to(max_n) + [AbelianGroup((2, 2, 6))]
+
+
+def check_orbit_walks_match_plain_walks(groups: list[AbelianGroup], caps=(0, 1, 16)) -> int:
+    """The certificates of the orbit walks against those of the plain
+    reference walks, on every group in `groups` at every witness cap: the
+    orbit walks at jobs 1 and at jobs 3 on one shared pool, the plain walks
+    at jobs 1.  Returns the number of certificates compared."""
+    plain = {"_scan_bound_sweep": plain_bound_sweep, "_scan_sigma_lattice": plain_sigma_lattice,
+             "_scan_cover_fixed": plain_cover_scan}
+    compared = 0
+    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
+        for G in groups:
+            for cap in caps:
+                with mock.patch.multiple(verify, **plain):
+                    want = _counting_cores(G, cap, 1)
+                assert _counting_cores(G, cap, 1) == want, (G.spec, cap, 1)
+                with mock.patch.object(verify, "_execute", partial(_execute, workers=workers)):
+                    assert _counting_cores(G, cap, 3) == want, (G.spec, cap, 3)
+                compared += len(want)
+    return compared

@@ -28,6 +28,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
+from groupsums.groups import bit_indices
 from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
@@ -39,9 +40,12 @@ from groupsums.verify import (
 from property_checks import (
     check_jobs_determinism,
     check_monotonicity,
+    check_orbit_walks_match_plain_walks,
     check_scan_cover_fixed_brute_force,
     check_subset_sum_scans_brute_force,
     check_three_fold_scan_on_thm4_orders,
+    orbit_check_groups,
+    unit_scalings,
 )
 
 
@@ -460,10 +464,12 @@ def test_subset_sum_scans_match_brute_force():
 
 
 def test_lattice_scan_counts(monkeypatch):
-    """A weaker prune or a lost generation cache changes no certificate, only
-    the number of `rec` calls and of generation tests, which are the same
-    on every machine: thm1 Z24 enters 132,181 nodes and makes 22 tests
-    (1,097 uncached), thm5 Z20 enters 40,798 nodes."""
+    """A weaker prune, a lost generation cache or the orbit rule switched
+    off changes no certificate, only the number of `rec` calls and of
+    generation tests, which are the same on every machine: thm1 Z24 enters
+    19,727 nodes and makes 11 tests (132,181 nodes and 22 tests without the
+    orbit rule), thm5 Z20 enters 5,080 nodes (40,798) and lemma2 Z24
+    47,057 (196,655)."""
     nodes = tests = 0
 
     def count(frame, event, arg):
@@ -478,8 +484,9 @@ def test_lattice_scan_counts(monkeypatch):
 
     monkeypatch.setattr("groupsums.verify.is_generating", counted_is_generating)
     for run, most_nodes, least_tests, most_tests in (
-        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), 133_000, 1, 24),
-        (lambda: critical_number(parse_group_spec("Z20")), 41_000, 0, 0),
+        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), 20_000, 1, 12),
+        (lambda: critical_number(parse_group_spec("Z20")), 5_200, 0, 0),
+        (lambda: search_lemma2_counterexamples(24), 48_000, 0, 0),
     ):
         nodes = tests = 0
         sys.setprofile(count)
@@ -488,6 +495,11 @@ def test_lattice_scan_counts(monkeypatch):
         finally:
             sys.setprofile(None)
         assert 0 < nodes <= most_nodes and least_tests <= tests <= most_tests, (nodes, tests)
+
+
+def test_orbit_walks_match_plain_walks():
+    # every group of order <= 20 and Z2xZ2xZ6, at witness caps 0, 1 and 16
+    assert check_orbit_walks_match_plain_walks(orbit_check_groups(20)) == 432
 
 
 def test_jobs_determinism():
@@ -530,12 +542,32 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
         assert scan(Z12, cap=DEFAULT_WITNESS_CAP, **payload).tasks == [], scan
 
 
+def _images(G: AbelianGroup, mask: int) -> list[int]:
+    """The images of a subset of G under the unit scalings but the identity."""
+    return [sum(1 << perm[x] for x in bit_indices(mask)) for perm in unit_scalings(G)[1:]]
+
+
+def _lanes_of(G: AbelianGroup, mask: int) -> tuple[int, int]:
+    """The orbit lanes `rep` and `imgs` of the element mask of a subset:
+    one lane of |G| bits and a guard bit per unit scaling but the identity,
+    holding the mask with its guard bit in `rep` and the image in `imgs`."""
+    width = G.order + 1
+    rep = sum((mask | 1 << G.order) << width * i for i in range(len(unit_scalings(G)) - 1))
+    return rep, sum(image << width * i for i, image in enumerate(_images(G, mask)))
+
+
+def _is_canonical(G: AbelianGroup, mask: int) -> bool:
+    """Whether a subset of G is the largest of its orbit under the units."""
+    return all(image <= mask for image in _images(G, mask))
+
+
 def test_split_files_only_live_tasks():
     """At jobs 2 a cover scan's top pass files only subtrees that survive
-    its look-ahead, so each task enters more than one node: `rec` on lemma2
-    Z16, `rec3` on thm4 Z28.  A split by binomial counts alone, blind to the
-    prune, filed 89 tasks on thm4 Z28, 39 of them a single node."""
-    for m, layers, node, filed in ((16, 2, "rec", 38), (28, 3, "rec3", 50)):
+    its look-ahead, so each task enters more than one node, or has no child
+    that is the largest of its orbit: `rec` on lemma2 Z16, `rec3` on thm4
+    Z28.  A split by binomial counts alone, blind to the prune, filed 89
+    tasks on thm4 Z28, 39 of them a single node."""
+    for m, layers, node, filed in ((16, 2, "rec", 24), (28, 3, "rec3", 50)):
         G = AbelianGroup.cyclic(m)
         payload = {"k": m // 2 + (layers == 3), "layers": layers, "cap": DEFAULT_WITNESS_CAP}
         tasks = _scan_cover_fixed(G, jobs=2, **payload).tasks
@@ -553,15 +585,20 @@ def test_split_files_only_live_tasks():
                 _scan_cover_fixed(G, task, **payload)
             finally:
                 sys.setprofile(None)
-            assert nodes > 1, (m, task)
+            j, bound, dp1 = task[:3]
+            children = [dp1 | 1 << (c + (layers == 2)) for c in range(j - 1, bound)]
+            assert nodes > 1 or layers == 2 and not any(_is_canonical(G, c) for c in children), (m, task)
 
 
 def test_filed_frames_are_walk_states():
     """A task is the frame of the node it stands for, so at jobs 2 each
     filed frame equals the walk's state recomputed from its picks alone:
     the sums of A by `h_hat` in the cover scans, by `sigma` in the lattice
-    scans.  thm1 files a node only once it passes its prune: 88 tasks on
-    Z28, where filing before the prune gave 100."""
+    scans, and the orbit lanes of the pair-cover and lattice walks by unit
+    arithmetic.  Every filed node is the largest of its orbit.  The lattice
+    scans file a node only once it passes its prune, so no filed sums are
+    all of G, and thm1 files 55 tasks on Z28, where filing before the
+    prune gave 60."""
     for m, layers in ((16, 2), (28, 3)):
         G = AbelianGroup.cyclic(m)
         k, lo = m // 2 + (layers == 3), layers == 2
@@ -572,21 +609,26 @@ def test_filed_frames_are_walk_states():
             A = GroupSubset(G, dp1)
             minus_a = A.negated()
             if layers == 2:
-                sums = (h_hat(A, 2).bits, minus_a.bits)
+                sums = (h_hat(A, 2).bits, minus_a.bits) + _lanes_of(G, dp1)
+                assert _is_canonical(G, dp1), (m, frame)
             else:
                 sums = (h_hat(A, 2).bits, h_hat(A, 3).bits, minus_a.bits, h_hat(minus_a, 2).bits)
             assert frame == (k - A.cardinality, bound, dp1) + sums, (m, frame)
             assert (dp1 >> lo) & ((1 << bound) - 1) == 0, (m, frame)
-    Z28, Z24 = AbelianGroup.cyclic(28), AbelianGroup.cyclic(24)
+    Z28, Z24, Z8 = AbelianGroup.cyclic(28), AbelianGroup.cyclic(24), AbelianGroup.cyclic(8)
     thm1 = _scan_bound_sweep(Z28, min_size=5, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
     thm5 = _scan_sigma_lattice(Z24, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
-    assert len(thm1) == 88 and thm5
-    for G, tasks in ((Z28, thm1), (Z24, thm5)):
-        for pmask, size, limit, acc in tasks:
+    # a deep split, where saturated nodes lie above the cut
+    deep = _scan_sigma_lattice(Z8, cap=DEFAULT_WITNESS_CAP, jobs=32).tasks
+    assert len(thm1) == 55 and thm5 and deep
+    for G, tasks in ((Z28, thm1), (Z24, thm5), (Z8, deep)):
+        for pmask, size, limit, acc, rep, imgs in tasks:
             assert size == pmask.bit_count() and pmask & ((1 << limit) - 1) == 0, (G.spec, pmask)
-            assert acc == sigma(GroupSubset(G, pmask << 1)).bits, (G.spec, pmask)
-    for pmask, size, limit, acc in thm1:
-        assert acc != Z28.full_mask and acc.bit_count() <= 2 * (size + limit) and size + limit >= 5, pmask
+            assert acc == sigma(GroupSubset(G, pmask << 1)).bits != G.full_mask, (G.spec, pmask)
+            assert (rep, imgs) == _lanes_of(G, pmask << 1), (G.spec, pmask)
+            assert _is_canonical(G, pmask << 1), (G.spec, pmask)
+    for pmask, size, limit, acc, _, _ in thm1:
+        assert acc.bit_count() <= 2 * (size + limit) and size + limit >= 5, pmask
 
 
 def test_sweep_checks_its_inputs_before_its_loop():
