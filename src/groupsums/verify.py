@@ -64,7 +64,7 @@ import multiprocessing
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from math import comb, gcd, inf
 from typing import Callable
 
@@ -146,15 +146,16 @@ class Verdict:
 @dataclass
 class ScanStats:
     """What a scan or one of its tasks found.  `record` files the violating
-    sets of deficiency d that one node stands for: it adds their number to
-    `violations` and `hist[d]`, keeps the least mask of deficiency d in
-    `reps[d]` and the `cap` least masks in `witnesses`.  `below(d)` bounds
-    the masks that can still change either, so a caller lists only those.
-    The bound sweep files its equality cases with `record_eq`, in `eq_count`
-    and the `cap` least in `eq_witnesses`.  The thm5 lattice walk files
-    each failing set with d = its size, so `hist` counts failures by size
-    and `reps[s]` is the least failing set of size s.  A top pass lists the
-    subtrees it filed in `tasks`."""
+    sets of deficiency d that one node stands for, the node alone or, given
+    its `_Lanes`, its whole orbit: it adds their number to `violations` and
+    `hist[d]`, keeps the least mask of deficiency d in `reps[d]` and the
+    `cap` least masks in `witnesses`.  A walk files its orbits in any mask
+    order, and its single sets in increasing order.  The bound sweep files
+    its equality cases with `record_eq`, in `eq_count` and the `cap` least
+    in `eq_witnesses`.  The thm5 lattice walk files each failing set with
+    d = its size, so `hist` counts failures by size and `reps[s]` is the
+    least failing set of size s.  A top pass lists the subtrees it filed in
+    `tasks`."""
 
     cap: int
     violations: int = 0
@@ -167,31 +168,46 @@ class ScanStats:
 
     def below(self, d: int) -> float:
         """A mask of deficiency d at or above this changes neither `reps[d]`
-        nor `witnesses`: the larger of `reps[d]` and
-        `_kept_below(witnesses, cap)`."""
-        w = self.witnesses
-        if len(w) < self.cap:
-            return inf
-        rep = self.reps.get(d, inf)
-        return w[-1] if w and w[-1] > rep else rep
+        nor `witnesses`."""
+        return max(_kept_below(self.witnesses, self.cap), self.reps.get(d, inf))
 
-    def record(self, d: int, count: int, masks: list[int]) -> None:
-        """File `count` sets of deficiency d, listing in `masks`, in
-        increasing order, every one of them below `below(d)`."""
+    def record(self, d: int, mask: int, lanes: _Lanes | None = None, rep: int = 0,
+               imgs: int = 0) -> None:
+        """File the sets of deficiency d that the node `mask` stands for.
+        Given `lanes` with a lane, `mask` is the largest of its orbit, with
+        lanes `rep` and `imgs`, and stands for the whole orbit, of which
+        only the members below `below(d)` are listed.  Otherwise it stands
+        for itself, and the walk files such nodes in increasing mask order,
+        so the first masks are the least."""
+        if lanes is None or not lanes.ones:
+            self.violations += 1
+            self.hist[d] = self.hist.get(d, 0) + 1
+            if d not in self.reps:
+                self.reps[d] = mask
+            if len(self.witnesses) < self.cap:
+                self.witnesses.append(mask)
+            return
+        count, members = lanes.orbit(mask, rep, imgs, self.below(d))
         self.violations += count
         self.hist[d] = self.hist.get(d, 0) + count
-        if masks:
-            least = masks[0]
+        if members:
+            least = members[0]
             if least < self.reps.get(d, inf):
                 self.reps[d] = least
-            self.witnesses = sorted(self.witnesses + masks)[:self.cap]
+            self.witnesses = sorted(self.witnesses + members)[:self.cap]
 
-    def record_eq(self, count: int, masks: list[int]) -> None:
-        """File `count` equality cases, listing in `masks`, in increasing
-        order, every one of them below `_kept_below(eq_witnesses, cap)`."""
+    def record_eq(self, mask: int, lanes: _Lanes | None = None, rep: int = 0, imgs: int = 0) -> None:
+        """File the equality cases that the node `mask` stands for, as
+        `record` files violations."""
+        if lanes is None or not lanes.ones:
+            self.eq_count += 1
+            if len(self.eq_witnesses) < self.cap:
+                self.eq_witnesses.append(mask)
+            return
+        count, members = lanes.orbit(mask, rep, imgs, _kept_below(self.eq_witnesses, self.cap))
         self.eq_count += count
-        if masks:
-            self.eq_witnesses = sorted(self.eq_witnesses + masks)[:self.cap]
+        if members:
+            self.eq_witnesses = sorted(self.eq_witnesses + members)[:self.cap]
 
     def merge(self, other: "ScanStats") -> None:
         """Add the stats of a walk over other candidates, keeping the least
@@ -222,12 +238,19 @@ class _Lanes:
     kind.  A packed int has one lane per scaling other than the identity,
     |G| bits and a guard bit above them.  A node with element mask S
     carries `imgs`, whose lane for u holds uS, and `rep`, which holds S in
-    every lane with the guard bits set.  Adding element e to S ORs
-    `rep1[e]` into rep and `img1[e]` into imgs.  S is the largest of its
-    orbit exactly when no lane of rep - imgs borrows its guard bit, that is
-    when (rep - imgs) & guard == guard.  A group of exponent <= 2 has no
-    lane, and every set passes.
+    every lane with the guard bits set (0 for the empty set).  Adding
+    element e to S ORs `rep1[e]`, e in every lane and the guard bits, into
+    rep and `img1[e]` into imgs.  S is the largest of its orbit exactly
+    when no lane of rep - imgs borrows its guard bit, that is when
+    (rep - imgs) & guard == guard.  A group of exponent <= 2 has no lane,
+    and every set passes.  `_Lanes.of(G)` builds them once per process for
+    each of the last few groups.
     """
+
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def of(G: AbelianGroup) -> _Lanes:
+        return _Lanes(G)
 
     def __init__(self, G: AbelianGroup):
         n = self.order = G.order
@@ -236,7 +259,7 @@ class _Lanes:
         self.ones = sum(1 << (n + 1) * i for i in range(len(units)))
         self.guard = self.ones << n
         self.lane = (1 << n) - 1
-        self.rep1 = [self.ones << e for e in range(n)]
+        self.rep1 = [self.guard | self.ones << e for e in range(n)]
         self.img1 = [0] * n
         for i, u in enumerate(units):
             for e, ue in enumerate(G.scaling_table(u)):
@@ -303,7 +326,9 @@ def _scan_cover_fixed(
 
     The layers=2 walk enters only a set that is the largest of its orbit
     under the unit scalings and files each leaf for its whole orbit
-    (`_Lanes`); the layers=3 walk enters every set.
+    (`_Lanes`).  It builds the lanes at the first node with children, so a
+    scan settled at its root builds none.  The layers=3 walk enters every
+    set.
     """
     lo = 1 if layers == 2 else 0
     cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0
@@ -311,8 +336,7 @@ def _scan_cover_fixed(
     neg = G.neg_table
     full = G.full_mask
     stats = ScanStats(cap)
-    lanes = _Lanes(G)
-    guard, rep1, img1, orbit = lanes.guard, lanes.rep1, lanes.img1, lanes.orbit
+    lanes = guard = rep1 = img1 = None
     # free[b]: the elements at pool positions below b, a node's candidates;
     # nfree[b]: their negatives
     free = [((1 << b) - 1) << lo for b in range(G.order - lo + 1)]
@@ -325,12 +349,12 @@ def _scan_cover_fixed(
         halves[x] |= 1 << c
 
     def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int) -> None:
+        nonlocal lanes, guard, rep1, img1
         cover = dp1 | dp2
         if cover == full:
             return
         if j == 0:
-            d = G.order - cover.bit_count()
-            stats.record(d, *orbit(dp1, rep, imgs, stats.below(d)))
+            stats.record(G.order - cover.bit_count(), dp1, lanes, rep, imgs)
             return
         avail = free[bound]
         navail = nfree[bound]
@@ -349,8 +373,14 @@ def _scan_cover_fixed(
             uncovered ^= low
         else:
             return
+        if lanes is None:
+            lanes = _Lanes.of(G)
+            guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
         if cut and comb(bound, j) <= cut:
-            stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
+            # a task is filed only if it enters a child
+            if any(((rep | rep1[c + lo]) - (imgs | img1[c + lo])) & guard == guard
+                   for c in range(j - 1, bound)):
+                stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
             return
         for c in range(j - 1, bound):
             e = c + lo
@@ -362,7 +392,7 @@ def _scan_cover_fixed(
         if dp3 == full:
             return
         if j == 0:
-            stats.record(G.order - dp3.bit_count(), 1, [dp1])
+            stats.record(G.order - dp3.bit_count(), dp1)
             return
         avail = free[bound]
         uncovered = full ^ dp3
@@ -397,7 +427,7 @@ def _scan_cover_fixed(
                  n1 | (1 << ne), n2 | tr(n1, ne))
 
     if layers == 2:
-        rec(*frame or (k, G.order - 1, 0, 0, 0, guard, 0))
+        rec(*frame or (k, G.order - 1, 0, 0, 0, 0, 0))
     else:
         rec3(*frame or (k, G.order, 0, 0, 0, 0, 0))
     return stats
@@ -445,8 +475,8 @@ def _scan_bound_sweep(
     stats = ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
     cut = (1 << (order - 1)) // (4 * jobs) if jobs > 1 else 0
-    lanes = _Lanes(G)
-    guard, rep1, img1, orbit = lanes.guard, lanes.rep1, lanes.img1, lanes.orbit
+    lanes = _Lanes.of(G)
+    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         got = acc.bit_count()
@@ -458,16 +488,16 @@ def _scan_bound_sweep(
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, *orbit(pmask << 1, rep, imgs, stats.below(need - got)))
+                stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
-                stats.record_eq(*orbit(pmask << 1, rep, imgs, _kept_below(stats.eq_witnesses, cap)))
+                stats.record_eq(pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             r, i = rep | rep1[e], imgs | img1[e]
             if (r - i) & guard == guard:
                 rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
-    rec(*frame or (0, 0, order - 1, 0, guard, 0))
+    rec(*frame or (0, 0, order - 1, 0, 0, 0))
     return stats
 
 
@@ -484,8 +514,8 @@ def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, ...] | None = None, *
     full = G.full_mask
     stats = ScanStats(cap)
     cut = (1 << (G.order - 1)) // (4 * jobs) if jobs > 1 else 0
-    lanes = _Lanes(G)
-    guard, rep1, img1, orbit = lanes.guard, lanes.rep1, lanes.img1, lanes.orbit
+    lanes = _Lanes.of(G)
+    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         if acc == full:
@@ -494,14 +524,14 @@ def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, ...] | None = None, *
             stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
         if size:
-            stats.record(size, *orbit(pmask << 1, rep, imgs, stats.below(size)))
+            stats.record(size, pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             r, i = rep | rep1[e], imgs | img1[e]
             if (r - i) & guard == guard:
                 rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
-    rec(*frame or (0, 0, G.order - 1, 0, guard, 0))
+    rec(*frame or (0, 0, G.order - 1, 0, 0, 0))
     return stats
 
 

@@ -45,11 +45,15 @@ LATTICE_BRUTE = "tests/test_verify.py::test_subset_sum_scans_match_brute_force"
 REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
 LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
 ORBIT = "tests/test_verify.py::test_orbit_walks_match_plain_walks"
+LANES = "tests/test_verify.py::test_lanes_are_built_once_and_only_past_the_root"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 
 _REC_FILES = """        if cut and comb(bound, j) <= cut:
             stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
             return
+"""
+_REC_LIVE = """            if any(((rep | rep1[c + lo]) - (imgs | img1[c + lo])) & guard == guard
+                   for c in range(j - 1, bound)):
 """
 _REC3_FILES = """        if cut and comb(bound, j) <= cut:
             stats.tasks.append((j, bound, dp1, dp2, dp3, n1, n2))
@@ -67,23 +71,23 @@ _THM1_FILES = """        if cut and (1 << limit) <= cut:
 _THM1_CHECK = """        if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, *orbit(pmask << 1, rep, imgs, stats.below(need - got)))
+                stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
-                stats.record_eq(*orbit(pmask << 1, rep, imgs, _kept_below(stats.eq_witnesses, cap)))
+                stats.record_eq(pmask << 1, lanes, rep, imgs)
 """
 _THM1_TESTS = """            if got < need and generates(acc):
-                stats.record(need - got, *orbit(pmask << 1, rep, imgs, stats.below(need - got)))
+                stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
 """
 _CANONICAL = "            if (r - i) & guard == guard:\n"
 _LATTICE_CHILD = _CANONICAL + """                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 """
-_THM1_CHILD = """                stats.record_eq(*orbit(pmask << 1, rep, imgs, _kept_below(stats.eq_witnesses, cap)))
+_THM1_CHILD = """                stats.record_eq(pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             r, i = rep | rep1[e], imgs | img1[e]
 """ + _LATTICE_CHILD
-_THM5_CHILD = """            stats.record(size, *orbit(pmask << 1, rep, imgs, stats.below(size)))
+_THM5_CHILD = """            stats.record(size, pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             r, i = rep | rep1[e], imgs | img1[e]
@@ -183,6 +187,10 @@ MUTANTS = [
     Mutant("the thm5 walk enters every set", VERIFY,
            _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "            if True:\n"),
            LATTICE_BRUTE),
+    # lemma2 Z16 at jobs 2 then files 24 tasks, one of which enters only itself
+    Mutant("the pair-cover top pass files a task with no child to enter", VERIFY,
+           _REC_LIVE, "            if True:\n",
+           SPLIT),
     Mutant("the pair-cover walk enters every set", VERIFY,
            _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "            if True:\n"),
            COVER_BRUTE),
@@ -194,6 +202,10 @@ MUTANTS = [
            _REC_CHILD,
            _REC_CHILD.replace(_CANONICAL, "            if (r - i - lanes.ones) & guard == guard:\n"),
            COVER_BRUTE),
+    Mutant("the pair-cover scan builds its lanes before its root's look-ahead", VERIFY,
+           "    lanes = guard = rep1 = img1 = None\n",
+           "    lanes = _Lanes.of(G)\n    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
+           LANES),
     Mutant("an orbit counts as one set", VERIFY,
            "size = self.units // (self.units - moved.bit_count())",
            "size = 1",
@@ -204,21 +216,21 @@ MUTANTS = [
            LATTICE_BRUTE),
     Mutant("the rep is the orbit's greatest listed member, the canonical mask, not its least",
            VERIFY,
-           "            least = masks[0]\n",
-           "            least = masks[-1]\n",
+           "            least = members[0]\n",
+           "            least = members[-1]\n",
            LATTICE_BRUTE),
     Mutant("the witnesses take only the greatest listed member of an orbit, the canonical mask",
            VERIFY,
-           "self.witnesses = sorted(self.witnesses + masks)[:self.cap]",
-           "self.witnesses = sorted(self.witnesses + masks[-1:])[:self.cap]",
+           "self.witnesses = sorted(self.witnesses + members)[:self.cap]",
+           "self.witnesses = sorted(self.witnesses + members[-1:])[:self.cap]",
            LATTICE_BRUTE),
     Mutant("the equality witnesses take only the canonical mask of an orbit", VERIFY,
-           "self.eq_witnesses = sorted(self.eq_witnesses + masks)[:self.cap]",
-           "self.eq_witnesses = sorted(self.eq_witnesses + masks[-1:])[:self.cap]",
+           "self.eq_witnesses = sorted(self.eq_witnesses + members)[:self.cap]",
+           "self.eq_witnesses = sorted(self.eq_witnesses + members[-1:])[:self.cap]",
            LATTICE_BRUTE),
     Mutant("the listing bound ignores the least mask of the deficiency", VERIFY,
-           "return w[-1] if w and w[-1] > rep else rep",
-           "return w[-1] if w else rep",
+           "return max(_kept_below(self.witnesses, self.cap), self.reps.get(d, inf))",
+           "return _kept_below(self.witnesses, self.cap)",
            LATTICE_BRUTE),
 ]
 

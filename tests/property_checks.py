@@ -440,7 +440,7 @@ def plain_cover_scan(G: AbelianGroup, frame=None, *, k: int, layers: int, cap: i
         if cover == full:
             return
         if j == 0:
-            stats.record(G.order - cover.bit_count(), 1, [dp1])
+            stats.record(G.order - cover.bit_count(), dp1)
             return
         avail = free[bound]
         navail = nfree[bound]
@@ -482,9 +482,9 @@ def plain_bound_sweep(G: AbelianGroup, frame=None, *, min_size: int, cap: int,
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, 1, [pmask << 1])
+                stats.record(need - got, pmask << 1)
             elif got == need < order and generates(acc):
-                stats.record_eq(1, [pmask << 1])
+                stats.record_eq(pmask << 1)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
@@ -504,7 +504,7 @@ def plain_sigma_lattice(G: AbelianGroup, frame=None, *, cap: int, jobs: int = 1)
         if acc == full:
             return
         if size:
-            stats.record(size, 1, [pmask << 1])
+            stats.record(size, pmask << 1)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
