@@ -20,6 +20,15 @@ a in A: picks that miss x hold at most one of each pair {c, x - a - c},
 because a + c + (x - a - c) = x is a sum of three distinct elements when
 c and x - a - c are distinct candidates, and no candidate is in A.
 
+thm4 is decided by class representatives.  Its pool is all of Z_m, so if
+a k-set T misses x as a sum of three distinct elements, the k-sets T + t
+and -T miss x + 3t and -x.  Some k-set misses some x exactly when some
+k-set misses 0 or, when 3 | m, 1 (-1 = 2 mod 3).  The class passes, the
+three-fold scan with one such x as its only target, run first at one job.
+If none finds a set, the full scan has no violation either, and the
+certificate is built from its empty records; otherwise the full scan over
+every x runs for the exact counts and witnesses.
+
 The walks that count every set of a kind (the thm1 sweep, the thm5
 lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
 per orbit of the unit scalings x -> ux, u a unit mod the exponent of G.
@@ -60,7 +69,6 @@ exhibiting that deficiency.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
@@ -134,13 +142,14 @@ class Verdict:
 #
 # A task is the frame of a node, the arguments of its recursive call:
 # (j, bound, dp1, dp2, n1, rep, imgs) in the pair-cover `rec`, (j, bound,
-# dp1, dp2, dp3, n1, n2) in the three-fold `rec3`, (pmask, size, limit, acc,
-# rep, imgs) in the lattice scans, where rep and imgs are the orbit lanes of
-# `_Lanes`; its subtree adds pool positions below `bound` or `limit`.  The pool
-# is G \ {0} (position p is element p + 1), or G in thm4's scan.  A scan walks
-# the subtree of `frame`, or the whole tree.  At jobs > 1 it is the top pass
-# of a split: it files in `tasks` each node past its prune whose subtree holds
-# at most `cut` = 1/(4*jobs) of the candidates, and walks the rest itself.
+# dp1, dp2, dp3, n1, n2) in the three-fold `rec3`, whose targets travel in
+# the payload, (pmask, size, limit, acc, rep, imgs) in the lattice scans,
+# where rep and imgs are the orbit lanes of `_Lanes`; its subtree adds pool
+# positions below `bound` or `limit`.  The pool is G \ {0} (position p is
+# element p + 1), or G in thm4's scan.  A scan walks the subtree of `frame`,
+# or the whole tree.  At jobs > 1 it is the top pass of a split: it files in
+# `tasks` each node past its prune whose subtree holds at most `cut` =
+# 1/(4*jobs) of the candidates, and walks the rest itself.
 
 
 @dataclass
@@ -295,6 +304,7 @@ def _scan_cover_fixed(
     layers: int,
     cap: int,
     jobs: int = 1,
+    targets: int | None = None,
 ) -> ScanStats:
     """Size-k subsets of the pool in the subtree of `frame`.
 
@@ -324,6 +334,11 @@ def _scan_cover_fixed(
     survives only if every a leaves that count at j or more; the loop over
     a stops at the first that does not.
 
+    The layers=3 scan asks only about the x in `targets`, all of G unless
+    given: a node is dropped once it covers them all or none of its
+    uncovered targets can survive, and a leaf is filed, with its whole
+    deficiency, only if it misses one of them.
+
     The layers=2 walk enters only a set that is the largest of its orbit
     under the unit scalings and files each leaf for its whole orbit
     (`_Lanes`).  It builds the lanes at the first node with children, so a
@@ -335,6 +350,7 @@ def _scan_cover_fixed(
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
+    targets = full if targets is None else targets
     stats = ScanStats(cap)
     lanes = guard = rep1 = img1 = None
     # free[b]: the elements at pool positions below b, a node's candidates;
@@ -389,13 +405,13 @@ def _scan_cover_fixed(
                 rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i)
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
-        if dp3 == full:
+        if dp3 & targets == targets:
             return
         if j == 0:
             stats.record(G.order - dp3.bit_count(), dp1)
             return
         avail = free[bound]
-        uncovered = full ^ dp3
+        uncovered = targets & ~dp3
         while uncovered:
             low = uncovered & -uncovered
             x = low.bit_length() - 1
@@ -554,6 +570,8 @@ def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> S
     elif workers is not None:
         parts = workers.map(run, tasks, chunksize=1)
     else:
+        import multiprocessing  # here alone: importing it costs every process some ms
+
         with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as workers:
             parts = workers.map(run, tasks, chunksize=1)
     for part in parts:
@@ -563,12 +581,33 @@ def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> S
 
 def _cover_verdict(statement: str, G: AbelianGroup, params: dict, k: int, layers: int,
                    witness_cap: int, jobs: int, t0: float) -> tuple[Verdict, ScanStats]:
-    """Certify the size-k subsets of the cover pool; any violation refutes."""
-    stats = _execute(_scan_cover_fixed, G, {"k": k, "layers": layers, "cap": witness_cap}, jobs)
+    """Certify the size-k subsets of the cover pool; any violation refutes.
+    The three-fold cover runs its class passes first (`_misses_a_class`);
+    if none finds a set, the full scan's records are known to be empty."""
+    _check_run(jobs, witness_cap)
+    if layers == 3 and not _misses_a_class(G, k):
+        stats = ScanStats(witness_cap)
+    else:
+        stats = _execute(_scan_cover_fixed, G, {"k": k, "layers": layers, "cap": witness_cap}, jobs)
     params["violations"] = stats.violations
     return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED,
                    comb(G.order - (layers == 2), k), _witnesses_with_reps(stats, witness_cap),
                    _elapsed_ms(t0)), stats
+
+
+def _misses_a_class(G: AbelianGroup, k: int) -> bool:
+    """Whether some size-k subset of Z_m = G misses a class representative
+    as a sum of three distinct elements.
+
+    If T misses x, then T + t misses x + 3t and -T misses -x, and both are
+    k-subsets of the pool Z_m.  So the x that some k-set misses make up
+    whole classes of Z_m under x -> x + 3t and x -> -x: one class when 3
+    does not divide m, and the classes 0 and +-1 mod 3 when it does.  Some
+    k-set misses some x exactly when some k-set misses 0 or, when 3 | m, 1.
+    Each class pass is the three-fold scan with that x as its only target,
+    at one job."""
+    return any(_scan_cover_fixed(G, k=k, layers=3, cap=0, targets=1 << x).violations
+               for x in ((0, 1) if G.order % 3 == 0 else (0,)))
 
 
 def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
@@ -752,7 +791,12 @@ def verify_three_fold_cover(
     three-element sums covering all of Z_m.
 
     0 may belong to the subsets here; only the minimal size is enumerated,
-    by monotonicity.
+    by monotonicity.  The verdict comes from one or two class passes at one
+    job (`_misses_a_class`): translating and negating the sets moves a
+    missed x through its whole class, so when no set misses 0 (or 1, when
+    3 | m) none misses anything, and `checked` still counts all C(m, k)
+    sets.  Were one found, the full scan would run at `jobs` for the exact
+    counts and witnesses; by the theorem that does not happen.
     """
     t0 = time.perf_counter()
     if m < 12 or m % 2:

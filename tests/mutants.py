@@ -43,6 +43,9 @@ FRAMES = "tests/test_verify.py::test_filed_frames_are_walk_states"
 COVER_BRUTE = "tests/test_verify.py::test_scan_cover_fixed_matches_brute_force"
 LATTICE_BRUTE = "tests/test_verify.py::test_subset_sum_scans_match_brute_force"
 REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
+CLASSES = "tests/test_verify.py::test_class_passes_agree_with_the_full_scan"
+FAILED_CLASS = "tests/test_verify.py::test_a_failed_class_pass_runs_the_full_scan"
+CHECKS = "tests/test_verify.py::test_jobs_and_witness_cap_validated"
 LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
 ORBIT = "tests/test_verify.py::test_orbit_walks_match_plain_walks"
 LANES = "tests/test_verify.py::test_lanes_are_built_once_and_only_past_the_root"
@@ -60,6 +63,10 @@ _REC3_FILES = """        if cut and comb(bound, j) <= cut:
             return
 """
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
+_REC3_SIZE = """            if size >= j:
+                # -ok = nfree[bound] minus (A +^ A) - x; y = x - a runs over
+"""
+_CLASSES = "for x in ((0, 1) if G.order % 3 == 0 else (0,)))"
 _THM1_PRUNE = """        got = acc.bit_count()
         if acc == full or got > 2 * (size + limit) or size + limit < min_size:
             return
@@ -102,8 +109,8 @@ MUTANTS = [
            _REC_FILES + "        avail = free[bound]\n        navail = nfree[bound]\n",
            SPLIT),
     Mutant("the three-fold scan files a task before its look-ahead", VERIFY,
-           "        avail = free[bound]\n        uncovered = full ^ dp3\n",
-           _REC3_FILES + "        avail = free[bound]\n        uncovered = full ^ dp3\n",
+           "        avail = free[bound]\n        uncovered = targets & ~dp3\n",
+           _REC3_FILES + "        avail = free[bound]\n        uncovered = targets & ~dp3\n",
            SPLIT),
     Mutant("a one-job cover scan splits itself too", VERIFY,
            "cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0",
@@ -149,6 +156,34 @@ MUTANTS = [
            "                ys = tr(n1, x)\n",
            "                ys = 0\n",
            REC3_NODES),
+    # -- the look-ahead of the three-fold scan
+    Mutant("the three-fold scan builds n1 and n2 from e instead of -e", VERIFY,
+           "            ne = neg[e]\n", "            ne = e\n",
+           COVER_BRUTE),
+    Mutant("the three-fold look-ahead drops x when exactly j candidates avoid it", VERIFY,
+           _REC3_SIZE, _REC3_SIZE.replace(">= j", "> j"),
+           COVER_BRUTE),
+    # -- the class passes of thm4
+    Mutant("drop class 1 when 3 | m", VERIFY,
+           _CLASSES, _CLASSES.replace("(0, 1) if", "(0,) if"),
+           CLASSES),
+    Mutant("drop class 0 when 3 | m", VERIFY,
+           _CLASSES, _CLASSES.replace("(0, 1) if", "(1,) if"),
+           CLASSES),
+    # a class pass then files leaves that cover x but miss another element;
+    # no verdict changes, since such a leaf is a violation all the same
+    Mutant("a class pass prunes only once every x is covered", VERIFY,
+           "        if dp3 & targets == targets:\n", "        if dp3 == full:\n",
+           COVER_BRUTE),
+    Mutant("a class pass looks ahead on every uncovered x", VERIFY,
+           "        uncovered = targets & ~dp3\n", "        uncovered = full ^ dp3\n",
+           REC3_NODES),
+    Mutant("a thm4 verdict trusts its class passes even when one finds a set", VERIFY,
+           "    if layers == 3 and not _misses_a_class(G, k):\n", "    if layers == 3:\n",
+           FAILED_CLASS),
+    Mutant("a verified thm4 never checks its jobs and witness cap", VERIFY,
+           "    _check_run(jobs, witness_cap)\n    if layers == 3", "    if layers == 3",
+           CHECKS),
     # -- the thm1 sweep
     Mutant("an equality case need not generate G", VERIFY,
            "elif got == need and generates(acc):",

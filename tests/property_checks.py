@@ -310,21 +310,28 @@ def check_three_fold_scan_on_thm4_orders(cap: int = 3) -> dict[str, int]:
 def _check_cover_case(G: AbelianGroup, layers: int, k: int, cap: int, workers) -> tuple[int, int]:
     """One cover scan (A with its pair sums over G \\ {0} for layers=2, the
     three-element sums over G for layers=3) against brute force over every
-    k-subset of its pool, at jobs 1 and 3.  Returns the number of subsets
+    k-subset of its pool, at jobs 1 and 3.  For layers=3 also the scans
+    that target x = 0 and x = 1 alone, thm4's class passes, at jobs 1: they
+    file exactly the sets that miss x.  Returns the number of subsets
     checked and of violations."""
-    deficits = {}
+    deficits, covers = {}, {}
     pool = range(layers == 2, G.order)
     for combo in combinations(pool, k):
         A = GroupSubset.from_indices(G, combo)
         cover = naive_subset_sums(A, 3) if layers == 3 else A | naive_subset_sums(A, 2)
         if cover.cardinality < G.order:
             deficits[A.bits] = G.order - cover.cardinality
+            covers[A.bits] = cover.bits
     want = _expected_cover_stats(deficits, cap)
     payload = {"k": k, "layers": layers, "cap": cap}
     keys = ("violations", "hist", "reps", "witnesses")
     for jobs in (1, 3):
         got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
         assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k, jobs)
+    for x in range(min(2, G.order) if layers == 3 else 0):
+        missed = {mask: d for mask, d in deficits.items() if not covers[mask] >> x & 1}
+        got = _scan_cover_fixed(G, targets=1 << x, **payload)
+        assert {key: getattr(got, key) for key in keys} == _expected_cover_stats(missed, cap), (G.spec, k, x)
     return comb(len(pool), k), len(deficits)
 
 
@@ -549,4 +556,22 @@ def check_orbit_walks_match_plain_walks(groups: list[AbelianGroup], caps=(0, 1, 
                 with mock.patch.object(verify, "_execute", partial(_execute, workers=workers)):
                     assert _counting_cores(G, cap, 3) == want, (G.spec, cap, 3)
                 compared += len(want)
+    return compared
+
+
+def check_thm4_matches_full_scan(max_m: int = 48) -> int:
+    """Every thm4 certificate for even m in 12..max_m, at jobs 1 and 3,
+    against that of the full scan over every x, which runs when the class
+    passes are made to report a set.  The jobs 3 scans share one pool.
+    Returns the number of certificates compared."""
+    compared = 0
+    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
+        for m in range(12, max_m + 1, 2):
+            for jobs in (1, 3):
+                with mock.patch.multiple(verify, _misses_a_class=lambda G, k: True,
+                                         _execute=partial(_execute, workers=workers)):
+                    want = verify.dumps(verify_three_fold_cover(m, jobs=jobs, budget=max_m).core())
+                got = verify.dumps(verify_three_fold_cover(m, jobs=jobs, budget=max_m).core())
+                assert got == want, (m, jobs)
+                compared += 1
     return compared

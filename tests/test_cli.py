@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,13 +11,23 @@ from groupsums.cli import dumps, main, parse_element_list, parse_order_range
 from groupsums import enumerate_groups_of_order, parse_group_spec
 from groupsums.verify import STATEMENTS, Verdict, sweep
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    """Importing multiprocessing costs a process some milliseconds, so only
+    a scan that starts a pool imports it."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import groupsums.cli; "
+            "print('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n", done.stderr
 
 
 def test_sigma_command(capsys):

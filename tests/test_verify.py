@@ -1,8 +1,10 @@
 import json
 import multiprocessing
 import sys
+from functools import partial
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -32,10 +34,15 @@ from groupsums.groups import bit_indices
 from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
+    ScanStats,
+    _cover_verdict,
+    _execute,
     _Lanes,
+    _misses_a_class,
     _scan_bound_sweep,
     _scan_cover_fixed,
     _scan_sigma_lattice,
+    dumps,
 )
 
 from property_checks import (
@@ -44,6 +51,7 @@ from property_checks import (
     check_orbit_walks_match_plain_walks,
     check_scan_cover_fixed_brute_force,
     check_subset_sum_scans_brute_force,
+    check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
     orbit_check_groups,
     unit_scalings,
@@ -235,10 +243,15 @@ def test_jobs_and_witness_cap_validated(no_pool):
         search_lemma2_counterexamples(8, jobs=0)
     with pytest.raises(ValueError):
         verify_subset_sum_bound(parse_group_spec("Z7"), witness_cap=-1)
+    # thm4 checks them before its class passes, which never start a pool
+    for kwargs in ({"jobs": 0}, {"witness_cap": -1}):
+        with pytest.raises(ValueError):
+            verify_three_fold_cover(12, **kwargs)
     # too many jobs is refused before any pool starts
     assert MAX_JOBS == 64
     for run in (
         lambda jobs: search_lemma2_counterexamples(16, jobs=jobs),
+        lambda jobs: verify_three_fold_cover(12, jobs=jobs),
         lambda jobs: verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=jobs),
         lambda jobs: sweep("thm1", [4], jobs=jobs),
     ):
@@ -413,30 +426,110 @@ def test_three_fold_cover_counts():
         assert v.params["violations"] == 0
 
 
+def _rec3_calls(run):
+    """What `run()` returns and the number of `rec3` calls it makes."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec3":
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, nodes
+
+
 def test_three_fold_scan_node_count():
     """The pair rule of the three-fold scan pins its node count: a weaker
     look-ahead changes no certificate, only the number of `rec3` calls,
-    which is the same on every machine (76,310 and 133,951 without it)."""
-    for m, most in ((28, 2000), (30, 2500)):
-        nodes = 0
-
-        def count(frame, event, arg):
-            nonlocal nodes
-            if event == "call" and frame.f_code.co_name == "rec3":
-                nodes += 1
-
-        sys.setprofile(count)
-        try:
-            v = verify_three_fold_cover(m, budget=64)
-        finally:
-            sys.setprofile(None)
+    which is the same on every machine.  The full pass over every x enters
+    1,992 nodes on Z28 and 2,456 on Z30 (76,310 and 133,951 without the
+    pair rule).  A verified thm4 runs only its class passes: 813 nodes on
+    Z28 (x = 0) and 1,002 + 831 on Z30 (x = 0 and x = 1)."""
+    for m, full_most, classes_most in ((28, 2000, 850), (30, 2500, 1900)):
+        G = AbelianGroup.cyclic(m)
+        _, full = _rec3_calls(lambda: _scan_cover_fixed(G, k=m // 2 + 1, layers=3, cap=DEFAULT_WITNESS_CAP))
+        assert 0 < full <= full_most, (m, full)
+        v, classes = _rec3_calls(lambda: verify_three_fold_cover(m, budget=64))
         assert v.status == VERIFIED
-        assert 0 < nodes <= most, (m, nodes)
+        assert 0 < classes <= classes_most, (m, classes)
 
 
 def test_three_fold_scan_matches_brute_force_on_thm4_orders():
     # one size below thm4's threshold, so the scan has violations to find
     assert check_three_fold_scan_on_thm4_orders() == {"Z14": 212, "Z16": 34}
+
+
+class _Missed(Exception):
+    """A scan filed a leaf."""
+
+
+def _some_three_fold_miss(G: AbelianGroup, k: int) -> bool:
+    """Whether the full three-fold scan over every x finds a k-subset of G
+    that misses some x, stopped at the first leaf it files."""
+
+    def stop(*args, **kwargs):
+        raise _Missed
+
+    try:
+        with mock.patch.object(ScanStats, "record", stop):
+            _scan_cover_fixed(G, k=k, layers=3, cap=0)
+    except _Missed:
+        return True
+    return False
+
+
+def test_class_passes_agree_with_the_full_scan():
+    """Some k-subset of Z_m misses a class representative (0, and 1 when
+    3 | m) exactly when the full scan finds a violation, for every m in
+    6..21 and k in 3..m/2 + 2."""
+    cases = 0
+    for m in range(6, 22):
+        G = AbelianGroup.cyclic(m)
+        for k in range(3, m // 2 + 3):
+            assert _misses_a_class(G, k) == _some_three_fold_miss(G, k), (m, k)
+            cases += 1
+    assert cases == 104
+    # both classes are needed when 3 | m
+    for m, k, missed in ((15, 8, [0]), (21, 9, [1])):
+        G = AbelianGroup.cyclic(m)
+        hits = [x for x in (0, 1) if _scan_cover_fixed(G, k=k, layers=3, cap=0, targets=1 << x).violations]
+        assert hits == missed and _some_three_fold_miss(G, k), (m, k)
+
+
+def test_a_failed_class_pass_runs_the_full_scan(monkeypatch):
+    """Below thm4's threshold a class pass finds a set, and the verdict is
+    the full scan's, byte for byte, at jobs 1 and 3 (on one shared pool)
+    and witness caps 0 and 16.  On Z21 at k = 9 only the second class pass
+    finds one."""
+    cases = [(m, k, jobs, cap) for m, k in ((14, 7), (15, 8), (16, 8))
+             for jobs in (1, 3) for cap in (0, DEFAULT_WITNESS_CAP)] + [(21, 9, 1, DEFAULT_WITNESS_CAP)]
+
+    def verdicts():
+        return [dumps(_cover_verdict("thm4", AbelianGroup.cyclic(m), {"subset_size": k}, k, 3, cap,
+                                     jobs, 0.0)[0].core()) for m, k, jobs, cap in cases]
+
+    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
+        monkeypatch.setattr("groupsums.verify._execute", partial(_execute, workers=workers))
+        got = verdicts()
+        assert all(json.loads(core)["status"] == REFUTED for core in got)
+        monkeypatch.setattr("groupsums.verify._misses_a_class", lambda G, k: True)
+        assert got == verdicts()
+
+
+def test_thm4_certificates_match_the_full_scan():
+    # every even m in 12..36 at jobs 1 and 3; tests/property_checks.py runs 12..48
+    assert check_thm4_matches_full_scan(36) == 26
+
+
+def test_verified_thm4_starts_no_pool(no_pool):
+    # the class passes run at one job whatever `jobs` says
+    for m in range(12, 29, 2):
+        assert verify_three_fold_cover(m, jobs=2, budget=28).status == VERIFIED, m
 
 
 def test_three_fold_cover_preconditions():
