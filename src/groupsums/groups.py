@@ -501,6 +501,75 @@ def torsion_two(G: AbelianGroup) -> GroupSubset:
     return GroupSubset(G, bits)
 
 
+def automorphism_count(G: AbelianGroup) -> int:
+    """|Aut(G)|, computed without listing a single automorphism.
+
+    Aut(G) is the product of the automorphism groups of the Sylow subgroups.
+    For Z_{p^e_1} x ... x Z_{p^e_k} with e_1 <= ... <= e_k, C. J. Hillar and
+    D. L. Rhea ("Automorphisms of finite abelian groups", Amer. Math.
+    Monthly 114, 2007) count
+
+        prod_i (p^d_i - p^(i-1)) * p^(e_i (k - d_i)) * p^((e_i - 1)(k - c_i + 1))
+
+    where d_i is the largest and c_i the least index l with e_l = e_i.
+
+    >>> [automorphism_count(parse_group_spec(s)) for s in ("Z12", "Z2xZ14", "Z2xZ2xZ6", "Z2^4")]
+    [4, 36, 336, 20160]
+    """
+    count = 1
+    for p in factorize(G.order):
+        # the factors form a divisibility chain, so the exponents ascend
+        es = [e for e in (factorize(d).get(p, 0) for d in G.factors) if e]
+        k = len(es)
+        for i, e in enumerate(es, 1):
+            d = max(l for l, f in enumerate(es, 1) if f == e)
+            c = min(l for l, f in enumerate(es, 1) if f == e)
+            count *= (p**d - p ** (i - 1)) * p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))
+    return count
+
+
+def automorphism_tables(G: AbelianGroup) -> list[list[int]]:
+    """Every automorphism of G as its table of images (table[x] is the index
+    of the image of x), the identity included, in a fixed order.
+
+    A homomorphism is fixed by the images g_i of the generators e_i of the
+    invariant factors d_i, and any g_i with d_i g_i = 0 give one.  The search
+    picks g_1, g_2, ... in turn, keeping the table of the map on
+    <e_1, ..., e_i>, which is the indices below d_1 ... d_i; the index
+    x + t d_1 ... d_i maps to table[x] + t g_(i+1).  The map stays one-to-one
+    exactly when no multiple t g_(i+1), 0 < t < d_(i+1), is already an image,
+    and a one-to-one map of G into itself is onto.  The search takes
+    |Aut(G)| leaves, so ask `automorphism_count` first.
+    """
+    n = G.order
+    add = [[0]]  # add[a][b]: the index of a + b, built from the top factor down
+    for d in reversed(G.factors):
+        add = [[(x + y) % d + d * s for s in row for y in range(d)] for row in add for x in range(d)]
+    tables: list[list[int]] = []
+
+    def extend(i: int, table: list[int]) -> None:
+        if i == len(G.factors):
+            tables.append(table)
+            return
+        d = G.factors[i]
+        seen = bytearray(n)
+        for y in table:
+            seen[y] = 1
+        for g in range(1, n):
+            multiples, m = [], g
+            for _ in range(d - 1):
+                if seen[m]:
+                    break
+                multiples.append(m)
+                m = add[m][g]
+            else:
+                if m == 0:
+                    extend(i + 1, table + [add[y][tg] for tg in multiples for y in table])
+
+    extend(0, [0])
+    return tables
+
+
 def count_halvings(G: AbelianGroup, g: int) -> int:
     """How many x in G satisfy 2x = g; always 0 or the 2-torsion size."""
     target = G._index_of(g)

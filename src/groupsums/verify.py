@@ -31,19 +31,23 @@ every x runs for the exact counts and witnesses.
 
 The walks that count every set of a kind (the thm1 sweep, the thm5
 lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
-per orbit of the unit scalings x -> ux, u a unit mod the exponent of G.
-Each scaling is an automorphism, so it keeps sums, covers, deficiencies and
-generation, and a set's whole orbit is of its kind.  A walk enters a set
-only if its mask is the largest in its orbit, and files it once for every
-member of the orbit, listing the members that can still be among the least
-masks (`_Lanes`).  The rule passes to subtrees, as in orderly generation
-(R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998): each walk reaches S from
-P = S \\ {min S}, and if some uP > P, the highest bit where they differ
-lies above min S, so uS > S.  A set that is not the largest of its orbit
-thus has no descendant that is, and its subtree is dropped.  A group of
-exponent <= 2 has no scaling but the identity, and its walk enters every
-set.
+per orbit of a group of automorphisms of G, the lane group: all of Aut(G)
+when it has at most `_MAX_AUTOMORPHISMS` elements, and otherwise the unit
+scalings x -> ux, u a unit mod the exponent of G, which are all of Aut(G)
+for a cyclic group.  An automorphism keeps sums, covers, deficiencies and
+generation, and fixes 0, so a set's whole orbit is of its kind and in the
+same pool.  A walk enters a set only if its mask is the largest in its
+orbit, and files it once for every member of the orbit, listing the
+members that can still be among the least masks (`_Lanes`).  The rule
+passes to subtrees, as in orderly generation (R. C. Read, "Every one a
+winner", 1978; B. D. McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998): each walk reaches S from P = S \\ {min S}, and if
+some uP > P, the highest bit where they differ lies above min S, so uS > S.
+The argument asks only that u be a bijection, and the orbit counts only
+that the lanes be a group.  A set that is not the largest of its orbit thus
+has no descendant that is, and its subtree is dropped.  Z1, Z2, and Z2^k
+for k >= 4, whose lane group is the identity alone, have no lane, and their
+walks enter every set.
 
 With one worker the whole tree is walked in one pass.  With `jobs` workers
 the same walk is the top pass of a split: where it meets a subtree holding
@@ -80,6 +84,8 @@ from . import __version__
 from .groups import (
     AbelianGroup,
     GroupSubset,
+    automorphism_count,
+    automorphism_tables,
     bit_indices,
     enumerate_groups_of_order,
     is_generating,
@@ -89,6 +95,12 @@ from .groups import (
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
 MAX_JOBS = 64
+# Aut(G) is the lane group of `_Lanes` when it has at most this many
+# elements, and otherwise the unit scalings are.  A lane int has
+# |Aut(G)|(|G| + 1) bits, so each node costs more as the group grows: thm1
+# and thm5 on Z2xZ4xZ4 (1,536 automorphisms) run 7-12 times faster under
+# Aut(G) than under 2 unit scalings, and on Z3^3 (11,232) 2-8 times slower.
+_MAX_AUTOMORPHISMS = 2048
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -239,21 +251,27 @@ def _kept_below(kept: list[int], cap: int) -> float:
 
 
 class _Lanes:
-    """The unit scalings x -> ux of G, u a unit mod the exponent of G,
-    packed for the orbit rule of the walks that count.
+    """The automorphisms of G, packed for the orbit rule of the walks that
+    count.
 
-    A scaling is an automorphism of G, so it keeps subset sums, pair covers,
-    deficiencies and generation: the orbit {uS} of a set S is all of one
-    kind.  A packed int has one lane per scaling other than the identity,
-    |G| bits and a guard bit above them.  A node with element mask S
+    An automorphism keeps subset sums, pair covers, deficiencies and
+    generation, so the orbit {uS} of a set S is all of one kind.  The lanes
+    are a group of automorphisms: all of Aut(G) when |Aut(G)| is at most
+    `_MAX_AUTOMORPHISMS`, and otherwise the unit scalings x -> ux, u a unit
+    mod the exponent of G, which are a subgroup of it and all of it for a
+    cyclic group.  `tables` lists the lane group but the identity, each
+    automorphism as its table of images, and `maps` is the order of the
+    lane group.  A packed int has one lane per table, |G| bits and a guard
+    bit above them.  A node with element mask S
     carries `imgs`, whose lane for u holds uS, and `rep`, which holds S in
     every lane with the guard bits set (0 for the empty set).  Adding
     element e to S ORs `rep1[e]`, e in every lane and the guard bits, into
     rep and `img1[e]` into imgs.  S is the largest of its orbit exactly
     when no lane of rep - imgs borrows its guard bit, that is when
-    (rep - imgs) & guard == guard.  A group of exponent <= 2 has no lane,
-    and every set passes.  `_Lanes.of(G)` builds them once per process for
-    each of the last few groups.
+    (rep - imgs) & guard == guard.  A group whose lane group is the
+    identity alone (Z1, Z2, and Z2^k for k >= 4) has no lane, and every set
+    passes.  `_Lanes.of(G)` builds them once per process for each of the
+    last few groups.
     """
 
     @staticmethod
@@ -263,25 +281,37 @@ class _Lanes:
 
     def __init__(self, G: AbelianGroup):
         n = self.order = G.order
-        units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]
-        self.units = len(units) + 1
-        self.ones = sum(1 << (n + 1) * i for i in range(len(units)))
+        if G.is_cyclic or automorphism_count(G) > _MAX_AUTOMORPHISMS:
+            units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]
+            self.tables = [G.scaling_table(u) for u in units]
+            self.img1 = [0] * n
+            for i, table in enumerate(self.tables):
+                for e, ue in enumerate(table):
+                    self.img1[e] |= 1 << (n + 1) * i + ue
+        else:
+            identity = list(range(n))
+            self.tables = [t for t in automorphism_tables(G) if t != identity]
+            # each img1[e] in one pass, from a string of '0'/'1' with lane 0
+            # last, since it is the lowest; ORing hundreds of lanes into a
+            # growing int one by one costs three times as much
+            lane_of = ["0" * (n - y) + "1" + "0" * y for y in range(n)]
+            self.img1 = [int("".join([lane_of[y] for y in reversed(images)]), 2)
+                         for images in zip(*self.tables)]
+        self.maps = len(self.tables) + 1
+        # a 1 at the foot of every lane; "0" when there is no lane
+        self.ones = int(("0" * n + "1") * len(self.tables) or "0", 2)
         self.guard = self.ones << n
         self.lane = (1 << n) - 1
         self.rep1 = [self.guard | self.ones << e for e in range(n)]
-        self.img1 = [0] * n
-        for i, u in enumerate(units):
-            for e, ue in enumerate(G.scaling_table(u)):
-                self.img1[e] |= 1 << (n + 1) * i + ue
 
     def orbit(self, mask: int, rep: int, imgs: int, below: float) -> tuple[int, list[int]]:
         """The size of the orbit of `mask`, the largest of its orbit, with
         lanes `rep` and `imgs`, and its members below `below` in increasing
-        order.  The orbit has |U| / |stab| members for the |U| scalings;
-        the stabiliser is the identity and the lanes equal to `mask`."""
+        order.  The orbit has `maps` / |stab| members; the stabiliser is the
+        identity and the lanes equal to `mask`."""
         guard = self.guard
         moved = ((rep ^ imgs) - self.ones) & guard
-        size = self.units // (self.units - moved.bit_count())
+        size = self.maps // (self.maps - moved.bit_count())
         if mask < below:  # the largest member, so every member is below
             members, hits = {mask}, guard
         else:
@@ -340,8 +370,8 @@ def _scan_cover_fixed(
     deficiency, only if it misses one of them.
 
     The layers=2 walk enters only a set that is the largest of its orbit
-    under the unit scalings and files each leaf for its whole orbit
-    (`_Lanes`).  It builds the lanes at the first node with children, so a
+    under the automorphisms of `_Lanes` and files each leaf for its whole
+    orbit.  It builds the lanes at the first node with children, so a
     scan settled at its root builds none.  The layers=3 walk enters every
     set.
     """
@@ -462,7 +492,9 @@ def _scan_bound_sweep(
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
     order.  It enters only a set that is the largest of its orbit under the
-    unit scalings and files it for its whole orbit (`_Lanes`).  Before a
+    automorphisms of `_Lanes` (all of Aut(G) up to `_MAX_AUTOMORPHISMS`, a
+    bound that keeps the lane ints narrow enough to pay) and files it for
+    its whole orbit.  Before a
     node is checked, it and its subtree are dropped when:
 
     - the running subset-sum set saturates, since every superset then meets

@@ -49,6 +49,8 @@ CHECKS = "tests/test_verify.py::test_jobs_and_witness_cap_validated"
 LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
 ORBIT = "tests/test_verify.py::test_orbit_walks_match_plain_walks"
 LANES = "tests/test_verify.py::test_lanes_are_built_once_and_only_past_the_root"
+AUT = "tests/test_verify.py::test_lanes_hold_a_group_of_automorphisms"
+GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 
 _REC_FILES = """        if cut and comb(bound, j) <= cut:
@@ -86,6 +88,10 @@ _THM1_TESTS = """            if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
 """
+_REC_SIZE = """            if size >= j:
+                # -ok = navail minus (A - x) and -x; leaving -x in adds only
+"""
+_BOTH = "both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]"
 _CANONICAL = "            if (r - i) & guard == guard:\n"
 _LATTICE_CHILD = _CANONICAL + """                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 """
@@ -163,6 +169,27 @@ MUTANTS = [
     Mutant("the three-fold look-ahead drops x when exactly j candidates avoid it", VERIFY,
            _REC3_SIZE, _REC3_SIZE.replace(">= j", "> j"),
            COVER_BRUTE),
+    # -- the look-ahead and the pair count of the pair-cover scan
+    Mutant("the pair-cover look-ahead drops x when exactly j candidates avoid it", VERIFY,
+           _REC_SIZE, _REC_SIZE.replace(">= j", "> j"),
+           COVER_BRUTE),
+    Mutant("the pair-cover scan builds n1 from e instead of -e", VERIFY,
+           _REC_CHILD, _REC_CHILD.replace("n1 | (1 << neg[e])", "n1 | (1 << e)"),
+           COVER_BRUTE),
+    Mutant("the pair count keeps the c with 2c = x", VERIFY,
+           _BOTH, _BOTH.replace(" & ~halves[x]", ""),
+           COVER_BRUTE),
+    Mutant("the pair count counts both elements of each pair", VERIFY,
+           "if size - (both.bit_count() >> 1) >= j:", "if size - both.bit_count() >= j:",
+           COVER_BRUTE),
+    Mutant("the pair count translates -ok by -x instead of x", VERIFY,
+           _BOTH, _BOTH.replace("neg[x]), x)", "neg[x]), neg[x])"),
+           COVER_BRUTE),
+    Mutant("the pair count takes -x out of -ok", VERIFY,
+           _BOTH, _BOTH.replace("~tr(dp1, neg[x])", "~tr(dp1, neg[x]) & ~(1 << neg[x])"),
+           COVER_BRUTE,
+           survives="-x in -ok adds only 0 to x - ok, and the pool G \\ {0} of the pair-cover "
+                    "scan never holds 0, so `both` is the same set"),
     # -- the class passes of thm4
     Mutant("drop class 1 when 3 | m", VERIFY,
            _CLASSES, _CLASSES.replace("(0, 1) if", "(0,) if"),
@@ -199,6 +226,15 @@ MUTANTS = [
            _THM1_TESTS,
            _THM1_TESTS.replace("generates(acc)", "generates(pmask << 1)"),
            LATTICE_COUNTS),
+    Mutant("the thm1 size look-ahead allows one position fewer below a node", VERIFY,
+           "got > 2 * (size + limit) or", "got > 2 * (size + limit - 1) or",
+           LATTICE_BRUTE),
+    Mutant("the thm1 lattice sums leave out the new element", VERIFY,
+           _THM1_CHILD, _THM1_CHILD.replace("acc | tr(acc, e) | (1 << e)", "acc | tr(acc, e)"),
+           LATTICE_BRUTE),
+    Mutant("the thm5 lattice sums leave out the new element", VERIFY,
+           _THM5_CHILD, _THM5_CHILD.replace("acc | tr(acc, e) | (1 << e)", "acc | tr(acc, e)"),
+           LATTICE_BRUTE),
     # thm1 Z28 at jobs 2 then files 60 tasks, not 55
     Mutant("thm1 files a node before its prune", VERIFY,
            _THM1_PRUNE + _THM1_FILES,
@@ -213,9 +249,25 @@ MUTANTS = [
     # -- the orbit rule of the counting walks
     # every walk is then the plain walk: thm1 Z24 enters 132,181 nodes
     Mutant("the orbit rule is off", VERIFY,
-           "units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]",
-           "units = []",
+           "        self.maps = len(self.tables) + 1\n",
+           "        self.tables, self.img1 = [], [0] * n\n        self.maps = 1\n",
            LATTICE_COUNTS),
+    # thm1 Z2xZ14 then enters 92,738 nodes, thm5 Z2xZ2xZ6 91,724
+    Mutant("the lanes are the unit scalings below the bound too", VERIFY,
+           "        if G.is_cyclic or automorphism_count(G) > _MAX_AUTOMORPHISMS:\n",
+           "        if True:\n",
+           LATTICE_COUNTS),
+    Mutant("the automorphism search drops its one-to-one check", GROUPS,
+           "                if seen[m]:\n                    break\n", "",
+           AUT),
+    Mutant("one automorphism is left out of the lanes", VERIFY,
+           "self.tables = [t for t in automorphism_tables(G) if t != identity]",
+           "self.tables = [t for t in automorphism_tables(G) if t != identity][1:]",
+           LATTICE_BRUTE),
+    Mutant("the count of Hillar and Rhea swaps c_i and d_i", GROUPS,
+           "p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))",
+           "p ** (e * (k - c)) * p ** ((e - 1) * (k - d + 1))",
+           AUT),
     Mutant("the thm1 walk enters every set", VERIFY,
            _THM1_CHILD, _THM1_CHILD.replace(_CANONICAL, "            if True:\n"),
            LATTICE_BRUTE),
@@ -242,12 +294,12 @@ MUTANTS = [
            "    lanes = _Lanes.of(G)\n    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
            LANES),
     Mutant("an orbit counts as one set", VERIFY,
-           "size = self.units // (self.units - moved.bit_count())",
+           "size = self.maps // (self.maps - moved.bit_count())",
            "size = 1",
            LATTICE_BRUTE),
     Mutant("an orbit's stabiliser is not counted", VERIFY,
-           "size = self.units // (self.units - moved.bit_count())",
-           "size = self.units",
+           "size = self.maps // (self.maps - moved.bit_count())",
+           "size = self.maps",
            LATTICE_BRUTE),
     Mutant("the rep is the orbit's greatest listed member, the canonical mask, not its least",
            VERIFY,

@@ -35,6 +35,7 @@ from groupsums import (
 from groupsums import verify
 from groupsums.verify import (
     ScanStats,
+    _Lanes,
     _execute,
     _scan_bound_sweep,
     _scan_cover_fixed,
@@ -142,18 +143,25 @@ def unit_scalings(G: AbelianGroup) -> list[tuple[int, ...]]:
     ]
 
 
+def lane_group(G: AbelianGroup) -> list[list[int]]:
+    """The automorphisms of the orbit lanes of G as index tables, identity
+    first: all of Aut(G) up to `_MAX_AUTOMORPHISMS`, the unit scalings
+    above it (`test_verify.py` checks which)."""
+    return [list(range(G.order))] + _Lanes.of(G).tables
+
+
 def check_automorphism_equivariance(max_n: int = 32, seed: int = 0xF00D) -> None:
-    """Scaling by a unit mod the exponent is an automorphism of every abelian
-    group: it commutes with sigma, h_hat and pair_cover and keeps
-    generation, which is what lets the counting walks visit one set per
-    orbit.  Each group is checked on a random set and on its part inside
-    2G, which generates no group of even order."""
+    """Every map of the lane group of every abelian group is an automorphism
+    that commutes with sigma, h_hat and pair_cover and keeps generation,
+    which is what lets the counting walks visit one set per orbit.  Each
+    group is checked on a random set and on its part inside 2G, which
+    generates no group of even order."""
     rng = random.Random(seed)
     for G in all_groups_up_to(max_n):
         A = random_subset(rng, G, max_card=9)
         doubles = sum(1 << x for x in set(G.double_table))
         h = rng.randint(0, A.cardinality + 1)
-        for perm in unit_scalings(G):
+        for perm in lane_group(G):
             assert sorted(perm) == list(range(G.order)), G.spec
             for S in (A, GroupSubset(G, A.bits & doubles)):
                 image = S.map_indices(perm)
@@ -535,7 +543,7 @@ def _counting_cores(G: AbelianGroup, cap: int, jobs: int) -> list[dict]:
 
 def orbit_check_groups(max_n: int = 20) -> list[AbelianGroup]:
     """Every abelian group of order <= max_n, and Z2xZ2xZ6, whose orbit rule
-    has one lane like Z3xZ6's; Z2^4 has none."""
+    has 335 lanes, one per automorphism but the identity; Z2^4 has none."""
     return all_groups_up_to(max_n) + [AbelianGroup((2, 2, 6))]
 
 

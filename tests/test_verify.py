@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import sys
+import types
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -30,11 +31,12 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.groups import bit_indices
+from groupsums.groups import automorphism_count, automorphism_tables, bit_indices
 from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
     ScanStats,
+    _MAX_AUTOMORPHISMS,
     _cover_verdict,
     _execute,
     _Lanes,
@@ -46,6 +48,7 @@ from groupsums.verify import (
 )
 
 from property_checks import (
+    all_groups_up_to,
     check_jobs_determinism,
     check_monotonicity,
     check_orbit_walks_match_plain_walks,
@@ -53,9 +56,37 @@ from property_checks import (
     check_subset_sum_scans_brute_force,
     check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
+    lane_group,
     orbit_check_groups,
     unit_scalings,
 )
+
+
+# The walks of the scans: `rec` and `rec3` inside `_scan_cover_fixed`, and
+# `rec` inside `_scan_bound_sweep` and `_scan_sigma_lattice`.
+_WALKS = frozenset(code for scan in (_scan_cover_fixed, _scan_bound_sweep, _scan_sigma_lattice)
+                   for code in scan.__code__.co_consts
+                   if isinstance(code, types.CodeType) and code.co_name in ("rec", "rec3"))
+
+
+def _walk_calls(run):
+    """What `run()` returns and the number of calls it makes to the walks of
+    the scans, which is a count of nodes entered, the same on every machine.
+    Only the walks' own code objects count, so a helper of the same name
+    elsewhere cannot inflate a pin."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in _WALKS:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, calls
 
 
 # -- pair-cover threshold -------------------------------------------------------
@@ -426,23 +457,6 @@ def test_three_fold_cover_counts():
         assert v.params["violations"] == 0
 
 
-def _rec3_calls(run):
-    """What `run()` returns and the number of `rec3` calls it makes."""
-    nodes = 0
-
-    def count(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "rec3":
-            nodes += 1
-
-    sys.setprofile(count)
-    try:
-        out = run()
-    finally:
-        sys.setprofile(None)
-    return out, nodes
-
-
 def test_three_fold_scan_node_count():
     """The pair rule of the three-fold scan pins its node count: a weaker
     look-ahead changes no certificate, only the number of `rec3` calls,
@@ -452,9 +466,9 @@ def test_three_fold_scan_node_count():
     Z28 (x = 0) and 1,002 + 831 on Z30 (x = 0 and x = 1)."""
     for m, full_most, classes_most in ((28, 2000, 850), (30, 2500, 1900)):
         G = AbelianGroup.cyclic(m)
-        _, full = _rec3_calls(lambda: _scan_cover_fixed(G, k=m // 2 + 1, layers=3, cap=DEFAULT_WITNESS_CAP))
+        _, full = _walk_calls(lambda: _scan_cover_fixed(G, k=m // 2 + 1, layers=3, cap=DEFAULT_WITNESS_CAP))
         assert 0 < full <= full_most, (m, full)
-        v, classes = _rec3_calls(lambda: verify_three_fold_cover(m, budget=64))
+        v, classes = _walk_calls(lambda: verify_three_fold_cover(m, budget=64))
         assert v.status == VERIFIED
         assert 0 < classes <= classes_most, (m, classes)
 
@@ -558,18 +572,17 @@ def test_subset_sum_scans_match_brute_force():
 
 
 def test_lattice_scan_counts(monkeypatch):
-    """A weaker prune, a lost generation cache or the orbit rule switched
-    off changes no certificate, only the number of `rec` calls and of
-    generation tests, which are the same on every machine: thm1 Z24 enters
-    19,727 nodes and makes 11 tests (132,181 nodes and 22 tests without the
-    orbit rule), thm5 Z20 enters 5,080 nodes (40,798) and lemma2 Z24
-    47,057 (196,655)."""
-    nodes = tests = 0
-
-    def count(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "rec":
-            nodes += 1
+    """A weaker prune, a lost generation cache or a smaller lane group
+    changes no certificate, only the number of walk calls and of generation
+    tests, which are the same on every machine: thm1 Z24 enters 19,727
+    nodes and makes 11 tests (132,181 nodes and 22 tests without the orbit
+    rule), thm5 Z20 enters 5,080 nodes (40,798) and lemma2 Z24 47,057
+    (196,655).  Under all 36 automorphisms thm1 Z2xZ14 enters 16,312 nodes
+    (92,738 under the 6 unit scalings) and under all 336 thm5 Z2xZ2xZ6
+    enters 1,063 (91,724 under 2).  Z2^4 has 20,160 automorphisms, above
+    the bound, so it keeps the identity alone: thm1 enters 4,695 nodes and
+    thm5 5,560, as before the orbit rule."""
+    tests = 0
 
     def counted_is_generating(G, S):
         nonlocal tests
@@ -577,27 +590,29 @@ def test_lattice_scan_counts(monkeypatch):
         return is_generating(G, S)
 
     monkeypatch.setattr("groupsums.verify.is_generating", counted_is_generating)
-    for run, most_nodes, least_tests, most_tests in (
-        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), 20_000, 1, 12),
-        (lambda: critical_number(parse_group_spec("Z20")), 5_200, 0, 0),
-        (lambda: search_lemma2_counterexamples(24), 48_000, 0, 0),
+    Z2xZ14, Z2xZ2xZ6, Z2_4 = (parse_group_spec(s) for s in ("Z2xZ14", "Z2xZ2xZ6", "Z2^4"))
+    for run, least_nodes, most_nodes, least_tests, most_tests in (
+        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), 1, 20_000, 1, 12),
+        (lambda: critical_number(parse_group_spec("Z20")), 1, 5_200, 0, 0),
+        (lambda: search_lemma2_counterexamples(24), 1, 48_000, 0, 0),
+        (lambda: verify_subset_sum_bound(Z2xZ14, budget=28), 1, 17_000, 1, 60),
+        (lambda: critical_number(Z2xZ2xZ6)[1], 1, 1_100, 0, 0),
+        (lambda: verify_subset_sum_bound(Z2_4), 4_695, 4_695, 1, 60),
+        (lambda: critical_number(Z2_4)[1], 5_560, 5_560, 0, 0),
     ):
-        nodes = tests = 0
-        sys.setprofile(count)
-        try:
-            run()
-        finally:
-            sys.setprofile(None)
-        assert 0 < nodes <= most_nodes and least_tests <= tests <= most_tests, (nodes, tests)
+        tests = 0
+        _, nodes = _walk_calls(run)
+        assert least_nodes <= nodes <= most_nodes and least_tests <= tests <= most_tests, (nodes, tests)
 
 
 def test_lanes_are_built_once_and_only_past_the_root():
-    """The orbit lanes cost (|U| - 1)|G| ORs on ints of about |U||G| bits,
-    so only a pair-cover walk that reaches a child builds them, once per
-    group: a prop3.2 scan settled at its root builds none, and thm4's walk
-    has none."""
+    """The orbit lanes are |G| ints of about |Aut(G)||G| bits, and listing
+    Aut(G) takes up to some ms, so only a pair-cover walk that reaches a
+    child builds them, once per group: a prop3.2 scan settled at its root
+    builds none, on a cyclic group or not, and thm4's walk has none."""
     _Lanes.of.cache_clear()
-    assert verify_pair_cover_threshold(parse_group_spec("Z24")).status == "verified"
+    for spec in ("Z24", "Z2xZ14", "Z2xZ2xZ6"):
+        assert verify_pair_cover_threshold(parse_group_spec(spec), budget=28).status == "verified"
     verify_three_fold_cover(12)
     assert _Lanes.of.cache_info().currsize == 0
     search_lemma2_counterexamples(12)
@@ -651,22 +666,59 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
 
 
 def _images(G: AbelianGroup, mask: int) -> list[int]:
-    """The images of a subset of G under the unit scalings but the identity."""
-    return [sum(1 << perm[x] for x in bit_indices(mask)) for perm in unit_scalings(G)[1:]]
+    """The images of a subset of G under its lane group but the identity."""
+    return [sum(1 << perm[x] for x in bit_indices(mask)) for perm in lane_group(G)[1:]]
 
 
 def _lanes_of(G: AbelianGroup, mask: int) -> tuple[int, int]:
     """The orbit lanes `rep` and `imgs` of the element mask of a subset:
-    one lane of |G| bits and a guard bit per unit scaling but the identity,
-    holding the mask with its guard bit in `rep` and the image in `imgs`."""
+    one lane of |G| bits and a guard bit per automorphism of the lane group
+    but the identity, holding the mask with its guard bit in `rep` and the
+    image in `imgs`."""
     width = G.order + 1
-    rep = sum((mask | 1 << G.order) << width * i for i in range(len(unit_scalings(G)) - 1))
-    return rep, sum(image << width * i for i, image in enumerate(_images(G, mask)))
+    images = _images(G, mask)
+    rep = sum((mask | 1 << G.order) << width * i for i in range(len(images)))
+    return rep, sum(image << width * i for i, image in enumerate(images))
 
 
 def _is_canonical(G: AbelianGroup, mask: int) -> bool:
-    """Whether a subset of G is the largest of its orbit under the units."""
+    """Whether a subset of G is the largest of its orbit under its lane group."""
     return all(image <= mask for image in _images(G, mask))
+
+
+def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
+    """On every abelian group of order <= 36 the lane tables are
+    automorphisms, table[a + b] = table[a] + table[b] and one-to-one, no two
+    equal and none the identity, and `img1` holds table i in lane i.  Up to
+    the bound they are all of Aut(G): one per automorphism but the
+    identity, by the count of Hillar and Rhea.  A cyclic group's lanes are
+    its unit scalings, and so are the lanes of a group above the bound,
+    whose automorphisms are never listed."""
+    listed = []
+    monkeypatch.setattr("groupsums.verify.automorphism_tables",
+                        lambda G: listed.append(G.spec) or automorphism_tables(G))
+    groups = all_groups_up_to(36)
+    above = [G.spec for G in groups if automorphism_count(G) > _MAX_AUTOMORPHISMS]
+    assert above == ["Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3", "Z2 x Z2 x Z2 x Z4", "Z2 x Z2 x Z2 x Z2 x Z2"]
+    for G in groups:
+        n = G.order
+        lanes = _Lanes(G)
+        add = [[G.add_index(a, b) for b in range(n)] for a in range(n)]
+        for i, table in enumerate(lanes.tables):
+            assert sorted(table) == list(range(n)), (G.spec, i)
+            assert all([table[s] for s in add[a]] == [add[table[a]][t] for t in table]
+                       for a in range(n)), (G.spec, i)
+            assert all(lanes.img1[e] >> (n + 1) * i & (2 << n) - 1 == 1 << table[e]
+                       for e in range(n)), (G.spec, i)
+        assert len({tuple(t) for t in lanes.tables} | {tuple(range(n))}) == lanes.maps, G.spec
+        if G.is_cyclic or G.spec in above:
+            assert lanes.tables == [list(t) for t in unit_scalings(G)[1:]], G.spec
+        if G.spec not in above:
+            assert lanes.maps == automorphism_count(G), G.spec
+    assert "Z2 x Z2 x Z6" in listed and not set(above) & set(listed)
+    assert [automorphism_count(parse_group_spec(s)) for s in ("Z2xZ14", "Z2xZ2xZ6", "Z4xZ4", "Z5^2",
+                                                               "Z3^3", "Z2^5")] == [
+        36, 336, 96, 480, 11_232, 9_999_360]
 
 
 def test_split_files_only_live_tasks():
@@ -677,24 +729,13 @@ def test_split_files_only_live_tasks():
     blind to the prune, filed 89 tasks on thm4 Z28, 39 of them a single
     node; lemma2 Z16 filed 24, one of them a single node, before its top
     pass asked for such a child."""
-    for m, layers, node, filed in ((16, 2, "rec", 23), (28, 3, "rec3", 50)):
+    for m, layers, filed in ((16, 2, 23), (28, 3, 50)):
         G = AbelianGroup.cyclic(m)
         payload = {"k": m // 2 + (layers == 3), "layers": layers, "cap": DEFAULT_WITNESS_CAP}
         tasks = _scan_cover_fixed(G, jobs=2, **payload).tasks
         assert len(tasks) == filed, m
         for task in tasks:
-            nodes = 0
-
-            def count(frame, event, arg):
-                nonlocal nodes
-                if event == "call" and frame.f_code.co_name == node:
-                    nodes += 1
-
-            sys.setprofile(count)
-            try:
-                _scan_cover_fixed(G, task, **payload)
-            finally:
-                sys.setprofile(None)
+            _, nodes = _walk_calls(lambda: _scan_cover_fixed(G, task, **payload))
             assert nodes > 1, (m, task)
 
 
@@ -702,11 +743,12 @@ def test_filed_frames_are_walk_states():
     """A task is the frame of the node it stands for, so at jobs 2 each
     filed frame equals the walk's state recomputed from its picks alone:
     the sums of A by `h_hat` in the cover scans, by `sigma` in the lattice
-    scans, and the orbit lanes of the pair-cover and lattice walks by unit
-    arithmetic.  Every filed node is the largest of its orbit.  The lattice
-    scans file a node only once it passes its prune, so no filed sums are
-    all of G, and thm1 files 55 tasks on Z28, where filing before the
-    prune gave 60."""
+    scans, and the orbit lanes of the pair-cover and lattice walks by
+    applying the tables of the lane group, which on Z2xZ2xZ6 is all of its
+    automorphisms.  Every filed node is the largest of its orbit.  The
+    lattice scans file a node only once it passes its prune, so no filed
+    sums are all of G, and thm1 files 55 tasks on Z28, where filing before
+    the prune gave 60."""
     for m, layers in ((16, 2), (28, 3)):
         G = AbelianGroup.cyclic(m)
         k, lo = m // 2 + (layers == 3), layers == 2
@@ -728,8 +770,10 @@ def test_filed_frames_are_walk_states():
     thm5 = _scan_sigma_lattice(Z24, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
     # a deep split, where saturated nodes lie above the cut
     deep = _scan_sigma_lattice(Z8, cap=DEFAULT_WITNESS_CAP, jobs=32).tasks
-    assert len(thm1) == 55 and thm5 and deep
-    for G, tasks in ((Z28, thm1), (Z24, thm5), (Z8, deep)):
+    Z2xZ2xZ6 = parse_group_spec("Z2xZ2xZ6")
+    mixed = _scan_sigma_lattice(Z2xZ2xZ6, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
+    assert len(thm1) == 55 and thm5 and deep and mixed
+    for G, tasks in ((Z28, thm1), (Z24, thm5), (Z8, deep), (Z2xZ2xZ6, mixed)):
         for pmask, size, limit, acc, rep, imgs in tasks:
             assert size == pmask.bit_count() and pmask & ((1 << limit) - 1) == 0, (G.spec, pmask)
             assert acc == sigma(GroupSubset(G, pmask << 1)).bits != G.full_mask, (G.spec, pmask)
