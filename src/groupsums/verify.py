@@ -32,7 +32,7 @@ every x runs for the exact counts and witnesses.
 The walks that count every set of a kind (the thm1 sweep, the thm5
 lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
 per orbit of a group of automorphisms of G, the lane group: all of Aut(G)
-when it has at most `_MAX_AUTOMORPHISMS` elements, and otherwise the unit
+when its lane ints have at most `_MAX_LANE_BITS` bits, and otherwise the unit
 scalings x -> ux, u a unit mod the exponent of G, which are all of Aut(G)
 for a cyclic group.  An automorphism keeps sums, covers, deficiencies and
 generation, and fixes 0, so a set's whole orbit is of its kind and in the
@@ -95,12 +95,14 @@ from .groups import (
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
 MAX_JOBS = 64
-# Aut(G) is the lane group of `_Lanes` when it has at most this many
-# elements, and otherwise the unit scalings are.  A lane int has
-# |Aut(G)|(|G| + 1) bits, so each node costs more as the group grows: thm1
-# and thm5 on Z2xZ4xZ4 (1,536 automorphisms) run 7-12 times faster under
-# Aut(G) than under 2 unit scalings, and on Z3^3 (11,232) 2-8 times slower.
-_MAX_AUTOMORPHISMS = 2048
+# Aut(G) is the lane group of `_Lanes` when its lane ints, |Aut(G)|(|G| + 1)
+# bits, have at most this many bits, and otherwise the unit scalings are.
+# Wider ints cost more per node than the smaller orbits save: thm1 and thm5
+# run 7-12 times faster under Aut(G) than under the unit scalings on
+# Z2xZ4xZ4 (50,688 bits), thm1 at least 4 times faster on Z2xZ2xZ14
+# (57,456), and both 2-8 times slower on Z3^3 (314,496).  Widths between
+# the bound and 314,496 were not measured and keep the unit scalings.
+_MAX_LANE_BITS = 1 << 16
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -256,10 +258,10 @@ class _Lanes:
 
     An automorphism keeps subset sums, pair covers, deficiencies and
     generation, so the orbit {uS} of a set S is all of one kind.  The lanes
-    are a group of automorphisms: all of Aut(G) when |Aut(G)| is at most
-    `_MAX_AUTOMORPHISMS`, and otherwise the unit scalings x -> ux, u a unit
-    mod the exponent of G, which are a subgroup of it and all of it for a
-    cyclic group.  `tables` lists the lane group but the identity, each
+    are a group of automorphisms: all of Aut(G) when |Aut(G)|(|G| + 1) is
+    at most `_MAX_LANE_BITS`, and otherwise the unit scalings x -> ux, u a
+    unit mod the exponent of G, which are a subgroup of it and all of it for
+    a cyclic group.  `tables` lists the lane group but the identity, each
     automorphism as its table of images, and `maps` is the order of the
     lane group.  A packed int has one lane per table, |G| bits and a guard
     bit above them.  A node with element mask S
@@ -281,22 +283,22 @@ class _Lanes:
 
     def __init__(self, G: AbelianGroup):
         n = self.order = G.order
-        if G.is_cyclic or automorphism_count(G) > _MAX_AUTOMORPHISMS:
+        if G.is_cyclic or automorphism_count(G) * (n + 1) > _MAX_LANE_BITS:
             units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]
             self.tables = [G.scaling_table(u) for u in units]
-            self.img1 = [0] * n
-            for i, table in enumerate(self.tables):
-                for e, ue in enumerate(table):
-                    self.img1[e] |= 1 << (n + 1) * i + ue
         else:
             identity = list(range(n))
             self.tables = [t for t in automorphism_tables(G) if t != identity]
-            # each img1[e] in one pass, from a string of '0'/'1' with lane 0
-            # last, since it is the lowest; ORing hundreds of lanes into a
-            # growing int one by one costs three times as much
-            lane_of = ["0" * (n - y) + "1" + "0" * y for y in range(n)]
-            self.img1 = [int("".join([lane_of[y] for y in reversed(images)]), 2)
-                         for images in zip(*self.tables)]
+        # each img1[e] from a bytearray, set bit by bit and read once;
+        # ORing the lanes into a growing int one by one costs 2-3 times as
+        # much at a hundred lanes or more
+        bufs = [bytearray(((n + 1) * len(self.tables) + 7) // 8) for _ in range(n)]
+        for i, table in enumerate(self.tables):
+            base = (n + 1) * i
+            for buf, ue in zip(bufs, table):
+                b = base + ue
+                buf[b >> 3] |= 1 << (b & 7)
+        self.img1 = [int.from_bytes(buf, "little") for buf in bufs]
         self.maps = len(self.tables) + 1
         # a 1 at the foot of every lane; "0" when there is no lane
         self.ones = int(("0" * n + "1") * len(self.tables) or "0", 2)
@@ -492,7 +494,7 @@ def _scan_bound_sweep(
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
     order.  It enters only a set that is the largest of its orbit under the
-    automorphisms of `_Lanes` (all of Aut(G) up to `_MAX_AUTOMORPHISMS`, a
+    automorphisms of `_Lanes` (all of Aut(G) up to `_MAX_LANE_BITS`, a
     bound that keeps the lane ints narrow enough to pay) and files it for
     its whole orbit.  Before a
     node is checked, it and its subtree are dropped when:

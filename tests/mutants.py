@@ -254,7 +254,7 @@ MUTANTS = [
            LATTICE_COUNTS),
     # thm1 Z2xZ14 then enters 92,738 nodes, thm5 Z2xZ2xZ6 91,724
     Mutant("the lanes are the unit scalings below the bound too", VERIFY,
-           "        if G.is_cyclic or automorphism_count(G) > _MAX_AUTOMORPHISMS:\n",
+           "        if G.is_cyclic or automorphism_count(G) * (n + 1) > _MAX_LANE_BITS:\n",
            "        if True:\n",
            LATTICE_COUNTS),
     Mutant("the automorphism search drops its one-to-one check", GROUPS,

@@ -145,7 +145,7 @@ def unit_scalings(G: AbelianGroup) -> list[tuple[int, ...]]:
 
 def lane_group(G: AbelianGroup) -> list[list[int]]:
     """The automorphisms of the orbit lanes of G as index tables, identity
-    first: all of Aut(G) up to `_MAX_AUTOMORPHISMS`, the unit scalings
+    first: all of Aut(G) up to `_MAX_LANE_BITS`, the unit scalings
     above it (`test_verify.py` checks which)."""
     return [list(range(G.order))] + _Lanes.of(G).tables
 

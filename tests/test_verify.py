@@ -36,7 +36,7 @@ from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
     ScanStats,
-    _MAX_AUTOMORPHISMS,
+    _MAX_LANE_BITS,
     _cover_verdict,
     _execute,
     _Lanes,
@@ -698,7 +698,7 @@ def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
     monkeypatch.setattr("groupsums.verify.automorphism_tables",
                         lambda G: listed.append(G.spec) or automorphism_tables(G))
     groups = all_groups_up_to(36)
-    above = [G.spec for G in groups if automorphism_count(G) > _MAX_AUTOMORPHISMS]
+    above = [G.spec for G in groups if automorphism_count(G) * (G.order + 1) > _MAX_LANE_BITS]
     assert above == ["Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3", "Z2 x Z2 x Z2 x Z4", "Z2 x Z2 x Z2 x Z2 x Z2"]
     for G in groups:
         n = G.order
