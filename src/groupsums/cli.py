@@ -212,7 +212,8 @@ _OPTION_FLAGS = {
 
 def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
     p.add_argument("--witness-cap", type=_int_in_range(0), default=DEFAULT_WITNESS_CAP)
-    p.add_argument("--jobs", type=_int_in_range(1, MAX_JOBS), default=1, help=f"parallel worker processes, at most {MAX_JOBS}")
+    p.add_argument("--jobs", type=_int_in_range(1, MAX_JOBS), default=1,
+                   help=f"accepted from 1 to {MAX_JOBS} and ignored: every scan runs in one process")
     p.add_argument("--budget", type=_int_in_range(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
     for name in options:
         flag, kwargs = _OPTION_FLAGS[name]

@@ -24,7 +24,7 @@ thm4 is decided by class representatives.  Its pool is all of Z_m, so if
 a k-set T misses x as a sum of three distinct elements, the k-sets T + t
 and -T miss x + 3t and -x.  Some k-set misses some x exactly when some
 k-set misses 0 or, when 3 | m, 1 (-1 = 2 mod 3).  The class passes, the
-three-fold scan with one such x as its only target, run first at one job.
+three-fold scan with one such x as its only target, run first.
 If none finds a set, the full scan has no violation either, and the
 certificate is built from its empty records; otherwise the full scan over
 every x runs for the exact counts and witnesses.
@@ -49,19 +49,15 @@ has no descendant that is, and its subtree is dropped.  Z1, Z2, and Z2^k
 for k >= 4, whose lane group is the identity alone, have no lane, and their
 walks enter every set.
 
-With one worker the whole tree is walked in one pass.  With `jobs` workers
-the same walk is the top pass of a split: where it meets a subtree holding
-at most 1/(4*jobs) of the candidates, it files the subtree as a task instead
-of walking it.  Every scan files a node only once it passes its prune, so a
-scan settled at its root files none.  A task is the frame of its node, and
-a worker resumes the walk from it.  Task records merge into the top pass's
-in any order, keeping the least masks, so a certificate never depends on the
-worker count.  `critical_number` walks the lattice once and files each
-failing set under its size.
+Each scan walks its whole tree in one pass, in one process, and
+`critical_number` walks the lattice once and files each failing set under
+its size.  Every verifier and `sweep` still take `jobs`, checked to lie in
+1..`MAX_JOBS`, but it changes nothing: at the orders the default budget
+allows, splitting a scan over worker processes cost more than it saved.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
-its violating leaves in a `ScanStats` record; task records merge in any order.
+its violating leaves in a `ScanStats` record.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -76,7 +72,7 @@ import json
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from math import comb, gcd, inf
 from typing import Callable
 
@@ -152,33 +148,28 @@ class Verdict:
         return cls.from_dict(json.loads(text))
 
 
-# -- subtree scans -----------------------------------------------------------
+# -- scans -------------------------------------------------------------------
 #
-# A task is the frame of a node, the arguments of its recursive call:
-# (j, bound, dp1, dp2, n1, rep, imgs) in the pair-cover `rec`, (j, bound,
-# dp1, dp2, dp3, n1, n2) in the three-fold `rec3`, whose targets travel in
-# the payload, (pmask, size, limit, acc, rep, imgs) in the lattice scans,
-# where rep and imgs are the orbit lanes of `_Lanes`; its subtree adds pool
-# positions below `bound` or `limit`.  The pool is G \ {0} (position p is
-# element p + 1), or G in thm4's scan.  A scan walks the subtree of `frame`,
-# or the whole tree.  At jobs > 1 it is the top pass of a split: it files in
-# `tasks` each node past its prune whose subtree holds at most `cut` =
-# 1/(4*jobs) of the candidates, and walks the rest itself.
+# A node of a walk is the arguments of its recursive call: (j, bound, dp1,
+# dp2, n1, rep, imgs) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3, n1,
+# n2) in the three-fold `rec3`, (pmask, size, limit, acc, rep, imgs) in the
+# lattice scans, where rep and imgs are the orbit lanes of `_Lanes`; its
+# subtree adds pool positions below `bound` or `limit`.  The pool is
+# G \ {0} (position p is element p + 1), or G in thm4's scan.
 
 
 @dataclass
 class ScanStats:
-    """What a scan or one of its tasks found.  `record` files the violating
-    sets of deficiency d that one node stands for, the node alone or, given
-    its `_Lanes`, its whole orbit: it adds their number to `violations` and
-    `hist[d]`, keeps the least mask of deficiency d in `reps[d]` and the
-    `cap` least masks in `witnesses`.  A walk files its orbits in any mask
-    order, and its single sets in increasing order.  The bound sweep files
-    its equality cases with `record_eq`, in `eq_count` and the `cap` least
-    in `eq_witnesses`.  The thm5 lattice walk files each failing set with
+    """What a scan found.  `record` files the violating sets of deficiency
+    d that one node stands for, the node alone or, given its `_Lanes`, its
+    whole orbit: it adds their number to `violations` and `hist[d]`, keeps
+    the least mask of deficiency d in `reps[d]` and the `cap` least masks
+    in `witnesses`.  A walk files its orbits in any mask order, and its
+    single sets in increasing order.  The bound sweep files its equality
+    cases with `record_eq`, in `eq_count` and the `cap` least in
+    `eq_witnesses`.  The thm5 lattice walk files each failing set with
     d = its size, so `hist` counts failures by size and `reps[s]` is the
-    least failing set of size s.  A top pass lists the subtrees it filed in
-    `tasks`."""
+    least failing set of size s."""
 
     cap: int
     violations: int = 0
@@ -187,7 +178,6 @@ class ScanStats:
     witnesses: list[int] = field(default_factory=list)
     eq_count: int = 0
     eq_witnesses: list[int] = field(default_factory=list)
-    tasks: list[tuple[int, ...]] = field(default_factory=list)
 
     def below(self, d: int) -> float:
         """A mask of deficiency d at or above this changes neither `reps[d]`
@@ -231,18 +221,6 @@ class ScanStats:
         self.eq_count += count
         if members:
             self.eq_witnesses = sorted(self.eq_witnesses + members)[:self.cap]
-
-    def merge(self, other: "ScanStats") -> None:
-        """Add the stats of a walk over other candidates, keeping the least
-        masks, so parts merge in any order."""
-        self.violations += other.violations
-        self.eq_count += other.eq_count
-        for d, c in other.hist.items():
-            self.hist[d] = self.hist.get(d, 0) + c
-        for d, mask in other.reps.items():
-            self.reps[d] = min(mask, self.reps.get(d, mask))
-        self.witnesses = sorted(self.witnesses + other.witnesses)[:self.cap]
-        self.eq_witnesses = sorted(self.eq_witnesses + other.eq_witnesses)[:self.cap]
 
 
 def _kept_below(kept: list[int], cap: int) -> float:
@@ -330,15 +308,13 @@ class _Lanes:
 
 def _scan_cover_fixed(
     G: AbelianGroup,
-    frame: tuple[int, ...] | None = None,
     *,
     k: int,
     layers: int,
     cap: int,
-    jobs: int = 1,
     targets: int | None = None,
 ) -> ScanStats:
-    """Size-k subsets of the pool in the subtree of `frame`.
+    """Size-k subsets of the pool.
 
     layers=2 checks A with its pair sums over the pool G \\ {0}, layers=3 the
     three-element sums alone over the pool G; pool position p is element
@@ -378,7 +354,6 @@ def _scan_cover_fixed(
     set.
     """
     lo = 1 if layers == 2 else 0
-    cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
@@ -424,12 +399,6 @@ def _scan_cover_fixed(
         if lanes is None:
             lanes = _Lanes.of(G)
             guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
-        if cut and comb(bound, j) <= cut:
-            # a task is filed only if it enters a child
-            if any(((rep | rep1[c + lo]) - (imgs | img1[c + lo])) & guard == guard
-                   for c in range(j - 1, bound)):
-                stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
-            return
         for c in range(j - 1, bound):
             e = c + lo
             r, i = rep | rep1[e], imgs | img1[e]
@@ -465,9 +434,6 @@ def _scan_cover_fixed(
             uncovered ^= low
         else:
             return
-        if cut and comb(bound, j) <= cut:
-            stats.tasks.append((j, bound, dp1, dp2, dp3, n1, n2))
-            return
         for c in range(j - 1, bound):
             e = c + lo
             ne = neg[e]
@@ -475,21 +441,14 @@ def _scan_cover_fixed(
                  n1 | (1 << ne), n2 | tr(n1, ne))
 
     if layers == 2:
-        rec(*frame or (k, G.order - 1, 0, 0, 0, 0, 0))
+        rec(k, G.order - 1, 0, 0, 0, 0, 0)
     else:
-        rec3(*frame or (k, G.order, 0, 0, 0, 0, 0))
+        rec3(k, G.order, 0, 0, 0, 0, 0)
     return stats
 
 
-def _scan_bound_sweep(
-    G: AbelianGroup,
-    frame: tuple[int, ...] | None = None,
-    *,
-    min_size: int,
-    cap: int,
-    jobs: int = 1,
-) -> ScanStats:
-    """All subsets of G \\ {0} of size >= min_size in the subtree of `frame`.
+def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
+    """All subsets of G \\ {0} of size >= min_size.
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
@@ -510,9 +469,9 @@ def _scan_bound_sweep(
 
     Each rule also rules out the node itself (acc = G gives |sigma(S)| = |G|,
     |acc| > 2 * (size + limit) gives |sigma(S)| > 2|S|, size + limit <
-    min_size gives |S| < min_size), so only a node that passes is checked or
-    filed as a task, and a dropped node is never a violation or equality case,
-    nor is any set of its orbit.
+    min_size gives |S| < min_size), so only a node that passes is checked,
+    and a dropped node is never a violation or equality case, nor is any set
+    of its orbit.
 
     The bound holds only for generating sets, so only a node whose sums fall
     short of it or meet it with equality asks whether its set S generates
@@ -524,16 +483,12 @@ def _scan_bound_sweep(
     full = G.full_mask
     stats = ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
-    cut = (1 << (order - 1)) // (4 * jobs) if jobs > 1 else 0
     lanes = _Lanes.of(G)
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         got = acc.bit_count()
         if acc == full or got > 2 * (size + limit) or size + limit < min_size:
-            return
-        if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
@@ -547,14 +502,13 @@ def _scan_bound_sweep(
             if (r - i) & guard == guard:
                 rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
-    rec(*frame or (0, 0, order - 1, 0, 0, 0))
+    rec(0, 0, order - 1, 0, 0, 0)
     return stats
 
 
-def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, ...] | None = None, *,
-                        cap: int, jobs: int = 1) -> ScanStats:
-    """Every nonempty subset of G \\ {0} in the subtree of `frame` whose
-    subset-sum set misses part of G, filed under its size.
+def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
+    """Every nonempty subset of G \\ {0} whose subset-sum set misses part
+    of G, filed under its size.
 
     The walk is the one of `_scan_bound_sweep`, with its orbit rule.  A
     subtree is dropped once the running subset-sum set saturates, since
@@ -563,15 +517,11 @@ def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, ...] | None = None, *
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
-    cut = (1 << (G.order - 1)) // (4 * jobs) if jobs > 1 else 0
     lanes = _Lanes.of(G)
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         if acc == full:
-            return
-        if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
         if size:
             stats.record(size, pmask << 1, lanes, rep, imgs)
@@ -581,48 +531,19 @@ def _scan_sigma_lattice(G: AbelianGroup, frame: tuple[int, ...] | None = None, *
             if (r - i) & guard == guard:
                 rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
-    rec(*frame or (0, 0, G.order - 1, 0, 0, 0))
-    return stats
-
-
-# -- parallel driver -----------------------------------------------------------
-
-
-def _execute(scan, G: AbelianGroup, payload: dict, jobs: int, workers=None) -> ScanStats:
-    """Run `scan(G, jobs=jobs, **payload)`, the whole walk at jobs=1 and the
-    top pass of a split otherwise, then `scan(G, frame, **payload)` on each
-    frame it filed, and merge them in.  Only tests pass a shared pool as
-    `workers`, to run several scans on one pool; otherwise a fork pool of
-    `jobs` workers, or one per task if there are fewer, is started for this
-    scan alone when it filed two or more tasks."""
-    _check_run(jobs, payload["cap"])
-    stats = scan(G, jobs=jobs, **payload)
-    tasks = stats.tasks
-    run = partial(scan, G, **payload)
-    if len(tasks) < 2:
-        parts = map(run, tasks)
-    elif workers is not None:
-        parts = workers.map(run, tasks, chunksize=1)
-    else:
-        import multiprocessing  # here alone: importing it costs every process some ms
-
-        with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(tasks))) as workers:
-            parts = workers.map(run, tasks, chunksize=1)
-    for part in parts:
-        stats.merge(part)
+    rec(0, 0, G.order - 1, 0, 0, 0)
     return stats
 
 
 def _cover_verdict(statement: str, G: AbelianGroup, params: dict, k: int, layers: int,
-                   witness_cap: int, jobs: int, t0: float) -> tuple[Verdict, ScanStats]:
+                   witness_cap: int, t0: float) -> tuple[Verdict, ScanStats]:
     """Certify the size-k subsets of the cover pool; any violation refutes.
     The three-fold cover runs its class passes first (`_misses_a_class`);
     if none finds a set, the full scan's records are known to be empty."""
-    _check_run(jobs, witness_cap)
     if layers == 3 and not _misses_a_class(G, k):
         stats = ScanStats(witness_cap)
     else:
-        stats = _execute(_scan_cover_fixed, G, {"k": k, "layers": layers, "cap": witness_cap}, jobs)
+        stats = _scan_cover_fixed(G, k=k, layers=layers, cap=witness_cap)
     params["violations"] = stats.violations
     return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED,
                    comb(G.order - (layers == 2), k), _witnesses_with_reps(stats, witness_cap),
@@ -638,8 +559,7 @@ def _misses_a_class(G: AbelianGroup, k: int) -> bool:
     whole classes of Z_m under x -> x + 3t and x -> -x: one class when 3
     does not divide m, and the classes 0 and +-1 mod 3 when it does.  Some
     k-set misses some x exactly when some k-set misses 0 or, when 3 | m, 1.
-    Each class pass is the three-fold scan with that x as its only target,
-    at one job."""
+    Each class pass is the three-fold scan with that x as its only target."""
     return any(_scan_cover_fixed(G, k=k, layers=3, cap=0, targets=1 << x).violations
                for x in ((0, 1) if G.order % 3 == 0 else (0,)))
 
@@ -692,7 +612,7 @@ def verify_pair_cover_threshold(
         params["available_nonzero"] = G.order - 1
         return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
     _check_budget(G.order, budget)
-    return _cover_verdict("prop3.2", G, params, threshold, 2, witness_cap, jobs, t0)[0]
+    return _cover_verdict("prop3.2", G, params, threshold, 2, witness_cap, t0)[0]
 
 
 def search_lemma2_counterexamples(
@@ -716,10 +636,11 @@ def search_lemma2_counterexamples(
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     _check_budget(m, budget)
+    _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
     params = {"subset_size": size, "exhaustive": True}  # always; certificates keep the key
-    verdict, stats = _cover_verdict("lemma2-search", G, params, size, 2, witness_cap, jobs, t0)
+    verdict, stats = _cover_verdict("lemma2-search", G, params, size, 2, witness_cap, t0)
     params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
     return verdict
 
@@ -745,8 +666,9 @@ def verify_subset_sum_bound(
     if min_size < 1:
         raise ValueError(f"need min_size >= 1, got {min_size}")
     _check_budget(G.order, budget)
+    _check_run(jobs, witness_cap)
     npool = G.order - 1
-    stats = _execute(_scan_bound_sweep, G, {"min_size": min_size, "cap": witness_cap}, jobs)
+    stats = _scan_bound_sweep(G, min_size=min_size, cap=witness_cap)
     checked = sum(comb(npool, j) for j in range(min_size, npool + 1))
     params = {
         "min_size": min_size,
@@ -781,8 +703,9 @@ def critical_number(
     if G.order < 3:
         raise ValueError(f"need |G| >= 3, got {G.order}")
     _check_budget(G.order, budget)
+    _check_run(jobs, witness_cap)
     n = G.order
-    stats = _execute(_scan_sigma_lattice, G, {"cap": witness_cap}, jobs)
+    stats = _scan_sigma_lattice(G, cap=witness_cap)
     # No bound check is needed: for |G| >= 3, sigma(G \ {0}) = G (0 is
     # x + (-x), or a + b + (a + b) in Z2^k), so answer <= n - 1; and the
     # singletons always fail, so hist is not empty.
@@ -825,20 +748,21 @@ def verify_three_fold_cover(
     three-element sums covering all of Z_m.
 
     0 may belong to the subsets here; only the minimal size is enumerated,
-    by monotonicity.  The verdict comes from one or two class passes at one
-    job (`_misses_a_class`): translating and negating the sets moves a
-    missed x through its whole class, so when no set misses 0 (or 1, when
-    3 | m) none misses anything, and `checked` still counts all C(m, k)
-    sets.  Were one found, the full scan would run at `jobs` for the exact
-    counts and witnesses; by the theorem that does not happen.
+    by monotonicity.  The verdict comes from one or two class passes
+    (`_misses_a_class`): translating and negating the sets moves a missed x
+    through its whole class, so when no set misses 0 (or 1, when 3 | m)
+    none misses anything, and `checked` still counts all C(m, k) sets.
+    Were one found, the full scan would run for the exact counts and
+    witnesses; by the theorem that does not happen.
     """
     t0 = time.perf_counter()
     if m < 12 or m % 2:
         raise ValueError(f"need even m >= 12, got {m}")
     _check_budget(m, budget)
+    _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
-    return _cover_verdict("thm4", G, {"subset_size": size}, size, 3, witness_cap, jobs, t0)[0]
+    return _cover_verdict("thm4", G, {"subset_size": size}, size, 3, witness_cap, t0)[0]
 
 
 # -- statement registry ----------------------------------------------------------

@@ -37,9 +37,6 @@ class Mutant(NamedTuple):
 
 
 VERIFY = "src/groupsums/verify.py"
-SPLIT = "tests/test_verify.py::test_split_files_only_live_tasks"
-POOL = "tests/test_verify.py::test_pool_never_outnumbers_its_tasks"
-FRAMES = "tests/test_verify.py::test_filed_frames_are_walk_states"
 COVER_BRUTE = "tests/test_verify.py::test_scan_cover_fixed_matches_brute_force"
 LATTICE_BRUTE = "tests/test_verify.py::test_subset_sum_scans_match_brute_force"
 REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
@@ -53,28 +50,17 @@ AUT = "tests/test_verify.py::test_lanes_hold_a_group_of_automorphisms"
 GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 
-_REC_FILES = """        if cut and comb(bound, j) <= cut:
-            stats.tasks.append((j, bound, dp1, dp2, n1, rep, imgs))
-            return
-"""
-_REC_LIVE = """            if any(((rep | rep1[c + lo]) - (imgs | img1[c + lo])) & guard == guard
-                   for c in range(j - 1, bound)):
-"""
-_REC3_FILES = """        if cut and comb(bound, j) <= cut:
-            stats.tasks.append((j, bound, dp1, dp2, dp3, n1, n2))
-            return
-"""
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
                 # -ok = nfree[bound] minus (A +^ A) - x; y = x - a runs over
 """
 _CLASSES = "for x in ((0, 1) if G.order % 3 == 0 else (0,)))"
+_THM4_CHECK = """    _check_run(jobs, witness_cap)
+    G = AbelianGroup.cyclic(m)
+    size = m // 2 + 1
+"""
 _THM1_PRUNE = """        got = acc.bit_count()
         if acc == full or got > 2 * (size + limit) or size + limit < min_size:
-            return
-"""
-_THM1_FILES = """        if cut and (1 << limit) <= cut:
-            stats.tasks.append((pmask, size, limit, acc, rep, imgs))
             return
 """
 _THM1_CHECK = """        if size >= min_size:
@@ -109,42 +95,6 @@ _REC_CHILD = _CANONICAL + """                rec(j - 1, c, dp1 | (1 << e), dp2 |
 """
 
 MUTANTS = [
-    # -- the split and the merge
-    Mutant("the pair-cover scan files a task before its look-ahead", VERIFY,
-           "        avail = free[bound]\n        navail = nfree[bound]\n",
-           _REC_FILES + "        avail = free[bound]\n        navail = nfree[bound]\n",
-           SPLIT),
-    Mutant("the three-fold scan files a task before its look-ahead", VERIFY,
-           "        avail = free[bound]\n        uncovered = targets & ~dp3\n",
-           _REC3_FILES + "        avail = free[bound]\n        uncovered = targets & ~dp3\n",
-           SPLIT),
-    Mutant("a one-job cover scan splits itself too", VERIFY,
-           "cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 1 else 0",
-           "cut = comb(G.order - lo, k) // (4 * jobs) if jobs > 0 else 0",
-           POOL),
-    Mutant("the merge keeps the greatest first mask per deficiency", VERIFY,
-           "self.reps[d] = min(mask, self.reps.get(d, mask))",
-           "self.reps[d] = max(mask, self.reps.get(d, mask))",
-           LATTICE_BRUTE),
-    Mutant("the merge keeps the witnesses in arrival order", VERIFY,
-           "self.witnesses = sorted(self.witnesses + other.witnesses)[:self.cap]",
-           "self.witnesses = (self.witnesses + other.witnesses)[:self.cap]",
-           LATTICE_BRUTE),
-    Mutant("the merge keeps the equality witnesses in arrival order", VERIFY,
-           "self.eq_witnesses = sorted(self.eq_witnesses + other.eq_witnesses)[:self.cap]",
-           "self.eq_witnesses = (self.eq_witnesses + other.eq_witnesses)[:self.cap]",
-           LATTICE_BRUTE),
-    # thm5 Z24 at jobs 2 then files saturated frames
-    Mutant("the thm5 top pass files saturated subtrees as well", VERIFY,
-           "        if acc == full:\n            return\n" + _THM1_FILES,
-           _THM1_FILES + "        if acc == full:\n            return\n",
-           FRAMES),
-    Mutant("a single filed task starts a pool of one", VERIFY,
-           "    if len(tasks) < 2:\n",
-           "    if not tasks:\n",
-           POOL,
-           survives="the task's records are the same in a worker, so only the fork cost "
-                    "differs, and no tested scan files exactly one task"),
     # -- the pair rule of the three-fold scan
     Mutant("the pair rule keeps the c with 2c = x - a", VERIFY,
            _PAIR_RULE, _PAIR_RULE.replace(" & ~halves[y]", ""),
@@ -209,7 +159,7 @@ MUTANTS = [
            "    if layers == 3 and not _misses_a_class(G, k):\n", "    if layers == 3:\n",
            FAILED_CLASS),
     Mutant("a verified thm4 never checks its jobs and witness cap", VERIFY,
-           "    _check_run(jobs, witness_cap)\n    if layers == 3", "    if layers == 3",
+           _THM4_CHECK, _THM4_CHECK.replace("    _check_run(jobs, witness_cap)\n", ""),
            CHECKS),
     # -- the thm1 sweep
     Mutant("an equality case need not generate G", VERIFY,
@@ -235,16 +185,12 @@ MUTANTS = [
     Mutant("the thm5 lattice sums leave out the new element", VERIFY,
            _THM5_CHILD, _THM5_CHILD.replace("acc | tr(acc, e) | (1 << e)", "acc | tr(acc, e)"),
            LATTICE_BRUTE),
-    # thm1 Z28 at jobs 2 then files 60 tasks, not 55
-    Mutant("thm1 files a node before its prune", VERIFY,
-           _THM1_PRUNE + _THM1_FILES,
-           _THM1_FILES + _THM1_PRUNE,
-           FRAMES),
-    # each task's root is then checked by the top pass and again by its task
-    Mutant("thm1 checks a node before its prune and files it after", VERIFY,
-           _THM1_PRUNE + _THM1_FILES + _THM1_CHECK,
+    # a node whose sums are all of G, with 2|S| >= |G|, is then filed as an
+    # equality case
+    Mutant("thm1 checks a node before its prune", VERIFY,
+           _THM1_PRUNE + _THM1_CHECK,
            "        got = acc.bit_count()\n" + _THM1_CHECK
-           + _THM1_PRUNE.replace("        got = acc.bit_count()\n", "") + _THM1_FILES,
+           + _THM1_PRUNE.replace("        got = acc.bit_count()\n", ""),
            LATTICE_BRUTE),
     # -- the orbit rule of the counting walks
     # every walk is then the plain walk: thm1 Z24 enters 132,181 nodes
@@ -274,10 +220,6 @@ MUTANTS = [
     Mutant("the thm5 walk enters every set", VERIFY,
            _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "            if True:\n"),
            LATTICE_BRUTE),
-    # lemma2 Z16 at jobs 2 then files 24 tasks, one of which enters only itself
-    Mutant("the pair-cover top pass files a task with no child to enter", VERIFY,
-           _REC_LIVE, "            if True:\n",
-           SPLIT),
     Mutant("the pair-cover walk enters every set", VERIFY,
            _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "            if True:\n"),
            COVER_BRUTE),

@@ -8,9 +8,8 @@ order <= 32, and full scans of order <= 64 for the halving/torsion facts.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from math import comb, gcd
 from unittest import mock
@@ -36,7 +35,6 @@ from groupsums import verify
 from groupsums.verify import (
     ScanStats,
     _Lanes,
-    _execute,
     _scan_bound_sweep,
     _scan_cover_fixed,
     _scan_sigma_lattice,
@@ -232,47 +230,6 @@ def check_intersection_bound(max_n: int = 12) -> None:
                     assert overlap.cardinality >= g2 + 2, (G.spec, combo, g)
 
 
-def check_jobs_determinism() -> None:
-    """Certificates are identical for any worker count, timing aside."""
-    a = search_lemma2_counterexamples(12, jobs=1)
-    b = search_lemma2_counterexamples(12, jobs=2)
-    c = search_lemma2_counterexamples(12, jobs=5)
-    assert a.core() == b.core() == c.core()
-    for m in (13, 14):
-        runs = [search_lemma2_counterexamples(m, jobs=j).core() for j in (1, 2, 5)]
-        assert runs[0] == runs[1] == runs[2], m
-    G16 = AbelianGroup.cyclic(16)
-    for min_size in (1, 5):
-        serial = verify_subset_sum_bound(G16, min_size, jobs=1).core()
-        assert serial == verify_subset_sum_bound(G16, min_size, jobs=4).core(), min_size
-    assert verify_three_fold_cover(12, jobs=1).core() == verify_three_fold_cover(12, jobs=3).core()
-    ca, va = critical_number(AbelianGroup.cyclic(10), jobs=1)
-    cb, vb = critical_number(AbelianGroup.cyclic(10), jobs=3)
-    assert ca == cb and va.core() == vb.core()
-    Z2xZ6 = AbelianGroup((2, 6))
-    Z2cubed = AbelianGroup((2, 2, 2))
-    for run in (
-        lambda j: verify_pair_cover_threshold(Z2xZ6, jobs=j),
-        lambda j: verify_subset_sum_bound(Z2xZ6, jobs=j),
-        lambda j: critical_number(Z2cubed, jobs=j)[1],
-    ):
-        assert run(1).core() == run(3).core()
-    # thm5 is one lattice walk, split into tasks at jobs > 1
-    for G in (AbelianGroup.cyclic(12), Z2xZ6, Z2cubed):
-        runs = [critical_number(G, jobs=j)[1].core() for j in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2], G.spec
-    capped = critical_number(AbelianGroup.cyclic(12), witness_cap=16)[1]
-    for jobs in (1, 3):
-        bare = critical_number(AbelianGroup.cyclic(12), witness_cap=0, jobs=jobs)[1]
-        assert bare.witnesses == []
-        assert bare.params["failures_by_size"] == capped.params["failures_by_size"], jobs
-    # the thm1 size look-ahead prunes most at small min_size
-    for G in (Z2xZ6, G16):
-        for min_size in range(1, 7):
-            serial = verify_subset_sum_bound(G, min_size, jobs=1).core()
-            assert serial == verify_subset_sum_bound(G, min_size, jobs=3).core(), (G.spec, min_size)
-
-
 def _expected_cover_stats(deficits: dict[int, int], cap: int) -> dict:
     """Scan statistics derived from every violating mask and its deficiency."""
     hist: dict[int, int] = {}
@@ -293,35 +250,29 @@ def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
     """The cover scan, look-ahead pruning included, against brute force over
     every k-subset of the pool, for every group of order <= max_n and
     every k from 1 to the pool size: layers=2 on G \\ {0} (A with its pair
-    sums) and layers=3 on G (three-element sums).  Each case runs at jobs 1
-    and 3.  Returns the number of subsets checked."""
+    sums) and layers=3 on G (three-element sums).  Returns the number of
+    subsets checked."""
     checked = 0
-    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for G in all_groups_up_to(max_n):
-            for layers in (2, 3):
-                for k in range(1, G.order - (layers == 2) + 1):
-                    checked += _check_cover_case(G, layers, k, cap, workers)[0]
+    for G in all_groups_up_to(max_n):
+        for layers in (2, 3):
+            for k in range(1, G.order - (layers == 2) + 1):
+                checked += _check_cover_case(G, layers, k, cap)[0]
     return checked
 
 
 def check_three_fold_scan_on_thm4_orders(cap: int = 3) -> dict[str, int]:
     """The three-fold cover scan against brute force on thm4's own orders,
     one size below its threshold: Z14 at k = 7 and Z16 at k = 8, where
-    violations exist, at jobs 1 and 3.  Returns the violations per group."""
-    found = {}
-    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for m in (14, 16):
-            found[f"Z{m}"] = _check_cover_case(AbelianGroup.cyclic(m), 3, m // 2, cap, workers)[1]
-    return found
+    violations exist.  Returns the violations per group."""
+    return {f"Z{m}": _check_cover_case(AbelianGroup.cyclic(m), 3, m // 2, cap)[1] for m in (14, 16)}
 
 
-def _check_cover_case(G: AbelianGroup, layers: int, k: int, cap: int, workers) -> tuple[int, int]:
+def _check_cover_case(G: AbelianGroup, layers: int, k: int, cap: int) -> tuple[int, int]:
     """One cover scan (A with its pair sums over G \\ {0} for layers=2, the
     three-element sums over G for layers=3) against brute force over every
-    k-subset of its pool, at jobs 1 and 3.  For layers=3 also the scans
-    that target x = 0 and x = 1 alone, thm4's class passes, at jobs 1: they
-    file exactly the sets that miss x.  Returns the number of subsets
-    checked and of violations."""
+    k-subset of its pool.  For layers=3 also the scans that target x = 0
+    and x = 1 alone, thm4's class passes: they file exactly the sets that
+    miss x.  Returns the number of subsets checked and of violations."""
     deficits, covers = {}, {}
     pool = range(layers == 2, G.order)
     for combo in combinations(pool, k):
@@ -333,9 +284,8 @@ def _check_cover_case(G: AbelianGroup, layers: int, k: int, cap: int, workers) -
     want = _expected_cover_stats(deficits, cap)
     payload = {"k": k, "layers": layers, "cap": cap}
     keys = ("violations", "hist", "reps", "witnesses")
-    for jobs in (1, 3):
-        got = _execute(_scan_cover_fixed, G, payload, jobs, workers)
-        assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k, jobs)
+    got = _scan_cover_fixed(G, **payload)
+    assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k)
     for x in range(min(2, G.order) if layers == 3 else 0):
         missed = {mask: d for mask, d in deficits.items() if not covers[mask] >> x & 1}
         got = _scan_cover_fixed(G, targets=1 << x, **payload)
@@ -388,40 +338,33 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
     sums are also checked against `naive_subset_sums`, and Z3xZ6, the
     smallest group on which pruning the thm1 sweep at
     |sums| >= 2 * (largest size below) instead of > loses equality cases.
-    Every case runs at jobs 1 and 3 on one shared pool.  Returns the number
-    of subsets checked."""
+    Returns the number of subsets checked."""
     keys = ("violations", "hist", "reps", "witnesses")
     checked = 0
-    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for G in all_groups_up_to(max_n) + [AbelianGroup((3, 6))]:
-            n = G.order
-            table = _lattice_table(G)
-            if n <= max_n:
-                for mask, (_, got, _) in table.items():
-                    assert got == naive_subset_sums(GroupSubset(G, mask)).cardinality, (G.spec, mask)
-            checked += len(table)
-            failing = {mask: size for mask, (size, got, _) in table.items() if got < n}
-            want = _expected_cover_stats(failing, cap)
-            for jobs in (1, 3):
-                got = _execute(_scan_sigma_lattice, G, {"cap": cap}, jobs, workers)
-                assert {key: getattr(got, key) for key in keys} == want, (G.spec, jobs)
-            # generating sets below the bound, and equality cases, of any size
-            deficits, equal = {}, []
-            for mask, (size, got, generates) in table.items():
-                if generates and got < min(n, 2 * size):
-                    deficits[mask] = min(n, 2 * size) - got
-                elif generates and got == 2 * size < n:
-                    equal.append(mask)
-            for min_size in range(1, n):
-                big = {mask: d for mask, d in deficits.items() if table[mask][0] >= min_size}
-                want = _expected_cover_stats(big, cap)
-                eq = [mask for mask in equal if table[mask][0] >= min_size]
-                for jobs in (1, 3):
-                    got = _execute(_scan_bound_sweep, G, {"min_size": min_size, "cap": cap},
-                                   jobs, workers)
-                    where = (G.spec, min_size, jobs)
-                    assert {key: getattr(got, key) for key in keys} == want, where
-                    assert (got.eq_count, got.eq_witnesses) == (len(eq), eq[:cap]), where
+    for G in all_groups_up_to(max_n) + [AbelianGroup((3, 6))]:
+        n = G.order
+        table = _lattice_table(G)
+        if n <= max_n:
+            for mask, (_, got, _) in table.items():
+                assert got == naive_subset_sums(GroupSubset(G, mask)).cardinality, (G.spec, mask)
+        checked += len(table)
+        failing = {mask: size for mask, (size, got, _) in table.items() if got < n}
+        got = _scan_sigma_lattice(G, cap=cap)
+        assert {key: getattr(got, key) for key in keys} == _expected_cover_stats(failing, cap), G.spec
+        # generating sets below the bound, and equality cases, of any size
+        deficits, equal = {}, []
+        for mask, (size, got, generates) in table.items():
+            if generates and got < min(n, 2 * size):
+                deficits[mask] = min(n, 2 * size) - got
+            elif generates and got == 2 * size < n:
+                equal.append(mask)
+        for min_size in range(1, n):
+            big = {mask: d for mask, d in deficits.items() if table[mask][0] >= min_size}
+            eq = [mask for mask in equal if table[mask][0] >= min_size]
+            got = _scan_bound_sweep(G, min_size=min_size, cap=cap)
+            where = (G.spec, min_size)
+            assert {key: getattr(got, key) for key in keys} == _expected_cover_stats(big, cap), where
+            assert (got.eq_count, got.eq_witnesses) == (len(eq), eq[:cap]), where
     return checked
 
 
@@ -429,15 +372,13 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
 #
 # The walks of the counting scans as they were before the orbit rule: every
 # set is entered and filed once, in increasing mask order.  They take a
-# scan's arguments, walk the whole tree at any `jobs` and file no task, so
-# `_execute` runs them in process.
+# scan's arguments, so they can stand in for it.
 
 
-def plain_cover_scan(G: AbelianGroup, frame=None, *, k: int, layers: int, cap: int,
-                     jobs: int = 1) -> ScanStats:
+def plain_cover_scan(G: AbelianGroup, *, k: int, layers: int, cap: int) -> ScanStats:
     """The pair-cover walk (layers=2) of `_scan_cover_fixed` without the orbit
     rule: size-k subsets of G \\ {0}, with its look-ahead and pair count."""
-    assert layers == 2 and frame is None
+    assert layers == 2
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
@@ -480,10 +421,8 @@ def plain_cover_scan(G: AbelianGroup, frame=None, *, k: int, layers: int, cap: i
     return stats
 
 
-def plain_bound_sweep(G: AbelianGroup, frame=None, *, min_size: int, cap: int,
-                      jobs: int = 1) -> ScanStats:
+def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
     """The thm1 walk of `_scan_bound_sweep` without the orbit rule."""
-    assert frame is None
     order = G.order
     tr = G.translator()
     full = G.full_mask
@@ -508,9 +447,8 @@ def plain_bound_sweep(G: AbelianGroup, frame=None, *, min_size: int, cap: int,
     return stats
 
 
-def plain_sigma_lattice(G: AbelianGroup, frame=None, *, cap: int, jobs: int = 1) -> ScanStats:
+def plain_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     """The thm5 walk of `_scan_sigma_lattice` without the orbit rule."""
-    assert frame is None
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
@@ -528,16 +466,16 @@ def plain_sigma_lattice(G: AbelianGroup, frame=None, *, cap: int, jobs: int = 1)
     return stats
 
 
-def _counting_cores(G: AbelianGroup, cap: int, jobs: int) -> list[dict]:
+def _counting_cores(G: AbelianGroup, cap: int) -> list[dict]:
     """Certificate cores of every statement whose scan counts with the orbit
     rule on G: prop3.2, thm1 at min_size 1 and 5, thm5 and, on a cyclic
     group, lemma2-search."""
-    runs = [lambda: verify_pair_cover_threshold(G, witness_cap=cap, jobs=jobs)]
-    runs += [lambda s=s: verify_subset_sum_bound(G, s, witness_cap=cap, jobs=jobs) for s in (1, 5)]
+    runs = [lambda: verify_pair_cover_threshold(G, witness_cap=cap)]
+    runs += [lambda s=s: verify_subset_sum_bound(G, s, witness_cap=cap) for s in (1, 5)]
     if G.order >= 3:
-        runs.append(lambda: critical_number(G, witness_cap=cap, jobs=jobs)[1])
+        runs.append(lambda: critical_number(G, witness_cap=cap)[1])
         if G.is_cyclic:
-            runs.append(lambda: search_lemma2_counterexamples(G.order, witness_cap=cap, jobs=jobs))
+            runs.append(lambda: search_lemma2_counterexamples(G.order, witness_cap=cap))
     return [run().core() for run in runs]
 
 
@@ -549,37 +487,29 @@ def orbit_check_groups(max_n: int = 20) -> list[AbelianGroup]:
 
 def check_orbit_walks_match_plain_walks(groups: list[AbelianGroup], caps=(0, 1, 16)) -> int:
     """The certificates of the orbit walks against those of the plain
-    reference walks, on every group in `groups` at every witness cap: the
-    orbit walks at jobs 1 and at jobs 3 on one shared pool, the plain walks
-    at jobs 1.  Returns the number of certificates compared."""
+    reference walks, on every group in `groups` at every witness cap.
+    Returns the number of certificates compared."""
     plain = {"_scan_bound_sweep": plain_bound_sweep, "_scan_sigma_lattice": plain_sigma_lattice,
              "_scan_cover_fixed": plain_cover_scan}
     compared = 0
-    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for G in groups:
-            for cap in caps:
-                with mock.patch.multiple(verify, **plain):
-                    want = _counting_cores(G, cap, 1)
-                assert _counting_cores(G, cap, 1) == want, (G.spec, cap, 1)
-                with mock.patch.object(verify, "_execute", partial(_execute, workers=workers)):
-                    assert _counting_cores(G, cap, 3) == want, (G.spec, cap, 3)
-                compared += len(want)
+    for G in groups:
+        for cap in caps:
+            with mock.patch.multiple(verify, **plain):
+                want = _counting_cores(G, cap)
+            assert _counting_cores(G, cap) == want, (G.spec, cap)
+            compared += len(want)
     return compared
 
 
 def check_thm4_matches_full_scan(max_m: int = 48) -> int:
-    """Every thm4 certificate for even m in 12..max_m, at jobs 1 and 3,
-    against that of the full scan over every x, which runs when the class
-    passes are made to report a set.  The jobs 3 scans share one pool.
-    Returns the number of certificates compared."""
+    """Every thm4 certificate for even m in 12..max_m against that of the
+    full scan over every x, which runs when the class passes are made to
+    report a set.  Returns the number of certificates compared."""
     compared = 0
-    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        for m in range(12, max_m + 1, 2):
-            for jobs in (1, 3):
-                with mock.patch.multiple(verify, _misses_a_class=lambda G, k: True,
-                                         _execute=partial(_execute, workers=workers)):
-                    want = verify.dumps(verify_three_fold_cover(m, jobs=jobs, budget=max_m).core())
-                got = verify.dumps(verify_three_fold_cover(m, jobs=jobs, budget=max_m).core())
-                assert got == want, (m, jobs)
-                compared += 1
+    for m in range(12, max_m + 1, 2):
+        with mock.patch.object(verify, "_misses_a_class", lambda G, k: True):
+            want = verify.dumps(verify_three_fold_cover(m, budget=max_m).core())
+        got = verify.dumps(verify_three_fold_cover(m, budget=max_m).core())
+        assert got == want, m
+        compared += 1
     return compared

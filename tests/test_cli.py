@@ -22,12 +22,18 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_out_multiprocessing():
-    """Importing multiprocessing costs a process some milliseconds, so only
-    a scan that starts a pool imports it."""
+    """Importing multiprocessing costs a process some milliseconds, and no
+    scan starts a pool, so neither importing the CLI nor a verify call at
+    the most jobs imports it."""
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import groupsums.cli; "
             "print('multiprocessing' in sys.modules)")
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout == "False\n", done.stderr
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from groupsums.cli import main; "
+            "code = main(['verify', 'lemma2', '--group', 'Z12', '--jobs', '64']); "
+            "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stderr == "1 False\n", done.stderr
 
 
 def test_sigma_command(capsys):
@@ -197,7 +203,7 @@ def test_usage_errors_exit_two(capsys):
         assert (code, out) == (2, "") and f"element {repeated} is listed more than once" in err
 
 
-def test_bad_jobs_and_witness_cap_exit_two(capsys, no_pool):
+def test_bad_jobs_and_witness_cap_exit_two(capsys):
     for flag, value in (("--jobs", "0"), ("--jobs", "-2"), ("--witness-cap", "-1"), ("--jobs", "two"),
                         ("--jobs", "65")):
         code, out, err = run(capsys, "verify", "lemma2", "--group", "Z8", flag, value)

@@ -1,8 +1,6 @@
 import json
-import multiprocessing
 import sys
 import types
-from functools import partial
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -19,7 +17,6 @@ from groupsums import (
     Verdict,
     critical_number,
     enumerate_groups_of_order,
-    h_hat,
     is_generating,
     naive_subset_sums,
     pair_cover,
@@ -31,14 +28,14 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.groups import automorphism_count, automorphism_tables, bit_indices
+from groupsums.groups import automorphism_count, automorphism_tables
 from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
+    STATEMENTS,
     ScanStats,
     _MAX_LANE_BITS,
     _cover_verdict,
-    _execute,
     _Lanes,
     _misses_a_class,
     _scan_bound_sweep,
@@ -49,14 +46,12 @@ from groupsums.verify import (
 
 from property_checks import (
     all_groups_up_to,
-    check_jobs_determinism,
     check_monotonicity,
     check_orbit_walks_match_plain_walks,
     check_scan_cover_fixed_brute_force,
     check_subset_sum_scans_brute_force,
     check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
-    lane_group,
     orbit_check_groups,
     unit_scalings,
 )
@@ -153,15 +148,6 @@ def test_threshold_checks_jobs_and_cap_before_vacuity():
                 verify_pair_cover_threshold(G, **kwargs)
     with pytest.raises(ValueError):
         sweep("prop3.2", range(1, 3), jobs=0)
-
-
-def test_settled_scan_starts_no_pool(no_pool):
-    # a verified prop3.2 scan stops at its root, so at jobs 2 it files no task
-    for n in range(1, 33):
-        for G in enumerate_groups_of_order(n):
-            serial = verify_pair_cover_threshold(G, budget=64)
-            if serial.status != VACUOUS:
-                assert verify_pair_cover_threshold(G, jobs=2, budget=64).core() == serial.core(), G.spec
 
 
 def test_order_of_checks():
@@ -269,16 +255,16 @@ def test_lemma2_deficiency_witnesses_across_even_orders():
             assert list(two_mod_four_counterexample(m)[1].indices()) in v.witnesses
 
 
-def test_jobs_and_witness_cap_validated(no_pool):
+def test_jobs_and_witness_cap_validated():
     with pytest.raises(ValueError):
         search_lemma2_counterexamples(8, jobs=0)
     with pytest.raises(ValueError):
         verify_subset_sum_bound(parse_group_spec("Z7"), witness_cap=-1)
-    # thm4 checks them before its class passes, which never start a pool
+    # thm4 checks them before its class passes
     for kwargs in ({"jobs": 0}, {"witness_cap": -1}):
         with pytest.raises(ValueError):
             verify_three_fold_cover(12, **kwargs)
-    # too many jobs is refused before any pool starts
+    # too many jobs is refused
     assert MAX_JOBS == 64
     for run in (
         lambda jobs: search_lemma2_counterexamples(16, jobs=jobs),
@@ -517,33 +503,24 @@ def test_class_passes_agree_with_the_full_scan():
 
 def test_a_failed_class_pass_runs_the_full_scan(monkeypatch):
     """Below thm4's threshold a class pass finds a set, and the verdict is
-    the full scan's, byte for byte, at jobs 1 and 3 (on one shared pool)
-    and witness caps 0 and 16.  On Z21 at k = 9 only the second class pass
-    finds one."""
-    cases = [(m, k, jobs, cap) for m, k in ((14, 7), (15, 8), (16, 8))
-             for jobs in (1, 3) for cap in (0, DEFAULT_WITNESS_CAP)] + [(21, 9, 1, DEFAULT_WITNESS_CAP)]
+    the full scan's, byte for byte, at witness caps 0 and 16.  On Z21 at
+    k = 9 only the second class pass finds one."""
+    cases = [(m, k, cap) for m, k in ((14, 7), (15, 8), (16, 8))
+             for cap in (0, DEFAULT_WITNESS_CAP)] + [(21, 9, DEFAULT_WITNESS_CAP)]
 
     def verdicts():
         return [dumps(_cover_verdict("thm4", AbelianGroup.cyclic(m), {"subset_size": k}, k, 3, cap,
-                                     jobs, 0.0)[0].core()) for m, k, jobs, cap in cases]
+                                     0.0)[0].core()) for m, k, cap in cases]
 
-    with multiprocessing.get_context("fork").Pool(processes=3) as workers:
-        monkeypatch.setattr("groupsums.verify._execute", partial(_execute, workers=workers))
-        got = verdicts()
-        assert all(json.loads(core)["status"] == REFUTED for core in got)
-        monkeypatch.setattr("groupsums.verify._misses_a_class", lambda G, k: True)
-        assert got == verdicts()
+    got = verdicts()
+    assert all(json.loads(core)["status"] == REFUTED for core in got)
+    monkeypatch.setattr("groupsums.verify._misses_a_class", lambda G, k: True)
+    assert got == verdicts()
 
 
 def test_thm4_certificates_match_the_full_scan():
-    # every even m in 12..36 at jobs 1 and 3; tests/property_checks.py runs 12..48
-    assert check_thm4_matches_full_scan(36) == 26
-
-
-def test_verified_thm4_starts_no_pool(no_pool):
-    # the class passes run at one job whatever `jobs` says
-    for m in range(12, 29, 2):
-        assert verify_three_fold_cover(m, jobs=2, budget=28).status == VERIFIED, m
+    # every even m in 12..36; tests/property_checks.py runs 12..48
+    assert check_thm4_matches_full_scan(36) == 13
 
 
 def test_three_fold_cover_preconditions():
@@ -625,65 +602,22 @@ def test_orbit_walks_match_plain_walks():
     assert check_orbit_walks_match_plain_walks(orbit_check_groups(20)) == 432
 
 
-def test_jobs_determinism():
-    check_jobs_determinism()
-
-
-def test_pool_never_outnumbers_its_tasks(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for a fork pool: notes its size and maps in this process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
-    Z8, Z12 = AbelianGroup.cyclic(8), AbelianGroup.cyclic(12)
-    cases = [
-        (lambda jobs: critical_number(Z8, jobs=jobs)[1], _scan_sigma_lattice, Z8, {}, 32),
-        (lambda jobs: search_lemma2_counterexamples(12, jobs=jobs), _scan_cover_fixed, Z12,
-         {"k": 6, "layers": 2}, 64),
-    ]
-    for run, scan, G, payload, jobs in cases:
-        sizes.clear()
-        tasks = scan(G, cap=DEFAULT_WITNESS_CAP, jobs=jobs, **payload).tasks
-        assert run(jobs).core() == run(1).core()
-        assert sizes == [len(tasks)] and 2 <= len(tasks) < jobs, (G.spec, sizes, len(tasks))
-    # one job walks the whole tree itself
-    for scan, payload in ((_scan_cover_fixed, {"k": 6, "layers": 2}), (_scan_bound_sweep, {"min_size": 1}),
-                          (_scan_sigma_lattice, {})):
-        assert scan(Z12, cap=DEFAULT_WITNESS_CAP, **payload).tasks == [], scan
-
-
-def _images(G: AbelianGroup, mask: int) -> list[int]:
-    """The images of a subset of G under its lane group but the identity."""
-    return [sum(1 << perm[x] for x in bit_indices(mask)) for perm in lane_group(G)[1:]]
-
-
-def _lanes_of(G: AbelianGroup, mask: int) -> tuple[int, int]:
-    """The orbit lanes `rep` and `imgs` of the element mask of a subset:
-    one lane of |G| bits and a guard bit per automorphism of the lane group
-    but the identity, holding the mask with its guard bit in `rep` and the
-    image in `imgs`."""
-    width = G.order + 1
-    images = _images(G, mask)
-    rep = sum((mask | 1 << G.order) << width * i for i in range(len(images)))
-    return rep, sum(image << width * i for i, image in enumerate(images))
-
-
-def _is_canonical(G: AbelianGroup, mask: int) -> bool:
-    """Whether a subset of G is the largest of its orbit under its lane group."""
-    return all(image <= mask for image in _images(G, mask))
+def test_jobs_is_checked_and_changes_nothing():
+    """Every statement's certificate core is the same at jobs 1, 2 and 64,
+    and jobs 0 and 65 raise `ValueError`, on Z12, Z2xZ6 and Z2^3."""
+    compared = 0
+    for spec in ("Z12", "Z2xZ6", "Z2^3"):
+        G = parse_group_spec(spec)
+        for st in STATEMENTS.values():
+            if not st.in_domain(G.order) or st.cyclic_only and not G.is_cyclic:
+                continue
+            cores = [dumps(st.run(G, jobs=jobs).core()) for jobs in (1, 2, MAX_JOBS)]
+            assert cores[0] == cores[1] == cores[2], (spec, st.id)
+            for jobs in (0, MAX_JOBS + 1):
+                with pytest.raises(ValueError):
+                    st.run(G, jobs=jobs)
+            compared += 1
+    assert compared == 11
 
 
 def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
@@ -719,68 +653,6 @@ def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
     assert [automorphism_count(parse_group_spec(s)) for s in ("Z2xZ14", "Z2xZ2xZ6", "Z4xZ4", "Z5^2",
                                                                "Z3^3", "Z2^5")] == [
         36, 336, 96, 480, 11_232, 9_999_360]
-
-
-def test_split_files_only_live_tasks():
-    """At jobs 2 a cover scan's top pass files only subtrees that survive
-    its look-ahead, and the pair-cover scan only those with a child that is
-    the largest of its orbit, so each task enters more than one node: `rec`
-    on lemma2 Z16, `rec3` on thm4 Z28.  A split by binomial counts alone,
-    blind to the prune, filed 89 tasks on thm4 Z28, 39 of them a single
-    node; lemma2 Z16 filed 24, one of them a single node, before its top
-    pass asked for such a child."""
-    for m, layers, filed in ((16, 2, 23), (28, 3, 50)):
-        G = AbelianGroup.cyclic(m)
-        payload = {"k": m // 2 + (layers == 3), "layers": layers, "cap": DEFAULT_WITNESS_CAP}
-        tasks = _scan_cover_fixed(G, jobs=2, **payload).tasks
-        assert len(tasks) == filed, m
-        for task in tasks:
-            _, nodes = _walk_calls(lambda: _scan_cover_fixed(G, task, **payload))
-            assert nodes > 1, (m, task)
-
-
-def test_filed_frames_are_walk_states():
-    """A task is the frame of the node it stands for, so at jobs 2 each
-    filed frame equals the walk's state recomputed from its picks alone:
-    the sums of A by `h_hat` in the cover scans, by `sigma` in the lattice
-    scans, and the orbit lanes of the pair-cover and lattice walks by
-    applying the tables of the lane group, which on Z2xZ2xZ6 is all of its
-    automorphisms.  Every filed node is the largest of its orbit.  The
-    lattice scans file a node only once it passes its prune, so no filed
-    sums are all of G, and thm1 files 55 tasks on Z28, where filing before
-    the prune gave 60."""
-    for m, layers in ((16, 2), (28, 3)):
-        G = AbelianGroup.cyclic(m)
-        k, lo = m // 2 + (layers == 3), layers == 2
-        tasks = _scan_cover_fixed(G, k=k, layers=layers, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
-        assert tasks, m
-        for frame in tasks:
-            bound, dp1 = frame[1:3]
-            A = GroupSubset(G, dp1)
-            minus_a = A.negated()
-            if layers == 2:
-                sums = (h_hat(A, 2).bits, minus_a.bits) + _lanes_of(G, dp1)
-                assert _is_canonical(G, dp1), (m, frame)
-            else:
-                sums = (h_hat(A, 2).bits, h_hat(A, 3).bits, minus_a.bits, h_hat(minus_a, 2).bits)
-            assert frame == (k - A.cardinality, bound, dp1) + sums, (m, frame)
-            assert (dp1 >> lo) & ((1 << bound) - 1) == 0, (m, frame)
-    Z28, Z24, Z8 = AbelianGroup.cyclic(28), AbelianGroup.cyclic(24), AbelianGroup.cyclic(8)
-    thm1 = _scan_bound_sweep(Z28, min_size=5, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
-    thm5 = _scan_sigma_lattice(Z24, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
-    # a deep split, where saturated nodes lie above the cut
-    deep = _scan_sigma_lattice(Z8, cap=DEFAULT_WITNESS_CAP, jobs=32).tasks
-    Z2xZ2xZ6 = parse_group_spec("Z2xZ2xZ6")
-    mixed = _scan_sigma_lattice(Z2xZ2xZ6, cap=DEFAULT_WITNESS_CAP, jobs=2).tasks
-    assert len(thm1) == 55 and thm5 and deep and mixed
-    for G, tasks in ((Z28, thm1), (Z24, thm5), (Z8, deep), (Z2xZ2xZ6, mixed)):
-        for pmask, size, limit, acc, rep, imgs in tasks:
-            assert size == pmask.bit_count() and pmask & ((1 << limit) - 1) == 0, (G.spec, pmask)
-            assert acc == sigma(GroupSubset(G, pmask << 1)).bits != G.full_mask, (G.spec, pmask)
-            assert (rep, imgs) == _lanes_of(G, pmask << 1), (G.spec, pmask)
-            assert _is_canonical(G, pmask << 1), (G.spec, pmask)
-    for pmask, size, limit, acc, _, _ in thm1:
-        assert acc.bit_count() <= 2 * (size + limit) and size + limit >= 5, pmask
 
 
 def test_sweep_checks_its_inputs_before_its_loop():
