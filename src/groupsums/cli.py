@@ -149,10 +149,9 @@ def _groups_command(args) -> int:
 
 def _verify_command(args) -> int:
     statement = STATEMENTS[args.statement]
-    options = {name: getattr(args, name) for name in _OPTION_FLAGS if hasattr(args, name)}
-    stray = [_OPTION_FLAGS[name][0] for name in options if name not in statement.options]
-    if stray:
-        raise ValueError(f"{statement.id} takes no {', '.join(stray)}")
+    # without the flag, `run`'s default holds; `sweep` rejects it for a
+    # statement that takes no min_size
+    options = {"min_size": args.min_size} if hasattr(args, "min_size") else {}
     common = dict(witness_cap=args.witness_cap, jobs=args.jobs, budget=args.budget)
     if args.which == "sweep":
         verdicts = sweep(statement.id, parse_order_range(args.order_range),
@@ -203,21 +202,14 @@ def _int_in_range(minimum: int, maximum: int | None = None):
     return parse
 
 
-# the flag of each statement option (`Statement.options`); a subcommand
-# offers only its statement's, and without the flag `run`'s default holds
-_OPTION_FLAGS = {
-    "min_size": ("--min-size", dict(type=int, help="minimum subset size for the sum-count bound (default 5)")),
-}
-
-
 def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
     p.add_argument("--witness-cap", type=_int_in_range(0), default=DEFAULT_WITNESS_CAP)
     p.add_argument("--jobs", type=_int_in_range(1, MAX_JOBS), default=1,
                    help=f"accepted from 1 to {MAX_JOBS} and ignored: every scan runs in one process")
     p.add_argument("--budget", type=_int_in_range(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
-    for name in options:
-        flag, kwargs = _OPTION_FLAGS[name]
-        p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
+    if "min_size" in options:
+        p.add_argument("--min-size", type=int, default=argparse.SUPPRESS,
+                       help="minimum subset size for the sum-count bound (default 5)")
     p.add_argument("--json", action="store_true")
 
 
@@ -257,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", required=True, choices=STATEMENTS)
     p.add_argument("--order-range", required=True, help="inclusive order range, e.g. 3..16")
     p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only")
-    _add_verify_flags(p, _OPTION_FLAGS)
+    _add_verify_flags(p, ("min_size",))
     p.set_defaults(func=_verify_command)
 
     g = sub.add_parser("groups", help="list abelian groups of an order")

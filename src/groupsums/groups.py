@@ -24,6 +24,7 @@ bit-vector of more than a million bits.
 
 from __future__ import annotations
 
+import operator
 import re
 from math import prod
 from typing import Iterable, Iterator
@@ -36,6 +37,15 @@ _ATOM_RE = re.compile(r"Z(\d+)(?:\^(\d+))?$", re.IGNORECASE)
 
 class GroupSpecError(ValueError):
     """Raised for malformed group descriptions or out-of-range orders."""
+
+
+def _factor(d) -> int:
+    """An invariant factor as an int; anything that is not an integer, such
+    as 2.5, 6.0 or "6", is an error, never truncated or parsed."""
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise GroupSpecError(f"invariant factor {d!r} is not an integer") from None
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -135,7 +145,7 @@ class AbelianGroup:
     )
 
     def __init__(self, factors: Iterable[int]):
-        factors = tuple(int(d) for d in factors)
+        factors = tuple(map(_factor, factors))
         for d in factors:
             if d < 2:
                 raise GroupSpecError(f"invariant factor {d} < 2")
@@ -229,9 +239,7 @@ class AbelianGroup:
 
     @classmethod
     def cyclic(cls, m: int) -> "AbelianGroup":
-        if m == 1:
-            return cls(())
-        return cls((m,))
+        return cls(() if _factor(m) == 1 else (m,))
 
     # -- element encoding --------------------------------------------------
 

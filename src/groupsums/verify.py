@@ -57,7 +57,7 @@ allows, splitting a scan over worker processes cost more than it saved.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
-its violating leaves in a `ScanStats` record.
+the sets it finds in `ScanStats` records.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -160,29 +160,28 @@ class Verdict:
 
 @dataclass
 class ScanStats:
-    """What a scan found.  `record` files the violating sets of deficiency
-    d that one node stands for, the node alone or, given its `_Lanes`, its
-    whole orbit: it adds their number to `violations` and `hist[d]`, keeps
-    the least mask of deficiency d in `reps[d]` and the `cap` least masks
-    in `witnesses`.  A walk files its orbits in any mask order, and its
-    single sets in increasing order.  The bound sweep files its equality
-    cases with `record_eq`, in `eq_count` and the `cap` least in
-    `eq_witnesses`.  The thm5 lattice walk files each failing set with
-    d = its size, so `hist` counts failures by size and `reps[s]` is the
-    least failing set of size s."""
+    """What a scan found.  `record` files the sets of deficiency d that one
+    node stands for, the node alone or, given its `_Lanes`, its whole orbit:
+    it adds their number to `violations`, which counts the sets filed, and
+    to `hist[d]`, keeps the least mask of deficiency d in `reps[d]` and the
+    `cap` least masks in `witnesses`.  A walk files its orbits in any mask
+    order, and its single sets in increasing order.  The bound sweep files
+    its equality cases in a second record, with d = 0.  The thm5 lattice
+    walk files each failing set with d = its size, so `hist` counts
+    failures by size and `reps[s]` is the least failing set of size s."""
 
     cap: int
     violations: int = 0
     hist: dict[int, int] = field(default_factory=dict)
     reps: dict[int, int] = field(default_factory=dict)
     witnesses: list[int] = field(default_factory=list)
-    eq_count: int = 0
-    eq_witnesses: list[int] = field(default_factory=list)
 
     def below(self, d: int) -> float:
         """A mask of deficiency d at or above this changes neither `reps[d]`
         nor `witnesses`."""
-        return max(_kept_below(self.witnesses, self.cap), self.reps.get(d, inf))
+        if len(self.witnesses) < self.cap:
+            return inf
+        return max(self.witnesses[-1] if self.witnesses else 0, self.reps.get(d, inf))
 
     def record(self, d: int, mask: int, lanes: _Lanes | None = None, rep: int = 0,
                imgs: int = 0) -> None:
@@ -208,26 +207,6 @@ class ScanStats:
             if least < self.reps.get(d, inf):
                 self.reps[d] = least
             self.witnesses = sorted(self.witnesses + members)[:self.cap]
-
-    def record_eq(self, mask: int, lanes: _Lanes | None = None, rep: int = 0, imgs: int = 0) -> None:
-        """File the equality cases that the node `mask` stands for, as
-        `record` files violations."""
-        if lanes is None or not lanes.ones:
-            self.eq_count += 1
-            if len(self.eq_witnesses) < self.cap:
-                self.eq_witnesses.append(mask)
-            return
-        count, members = lanes.orbit(mask, rep, imgs, _kept_below(self.eq_witnesses, self.cap))
-        self.eq_count += count
-        if members:
-            self.eq_witnesses = sorted(self.eq_witnesses + members)[:self.cap]
-
-
-def _kept_below(kept: list[int], cap: int) -> float:
-    """A mask at or above this does not enter the `cap` least, `kept`."""
-    if len(kept) < cap:
-        return inf
-    return kept[-1] if kept else 0
 
 
 class _Lanes:
@@ -447,8 +426,10 @@ def _scan_cover_fixed(
     return stats
 
 
-def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
-    """All subsets of G \\ {0} of size >= min_size.
+def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[ScanStats, ScanStats]:
+    """All subsets of G \\ {0} of size >= min_size.  Returns two records:
+    the generating sets below the bound, filed by their shortfall, and the
+    equality cases |sigma(S)| = 2|S| < |G|, filed with deficiency 0.
 
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
@@ -481,7 +462,7 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
     order = G.order
     tr = G.translator()
     full = G.full_mask
-    stats = ScanStats(cap)
+    stats, eq = ScanStats(cap), ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
     lanes = _Lanes.of(G)
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
@@ -495,7 +476,7 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
             if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
-                stats.record_eq(pmask << 1, lanes, rep, imgs)
+                eq.record(0, pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             r, i = rep | rep1[e], imgs | img1[e]
@@ -503,7 +484,7 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
                 rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 
     rec(0, 0, order - 1, 0, 0, 0)
-    return stats
+    return stats, eq
 
 
 def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
@@ -546,8 +527,7 @@ def _cover_verdict(statement: str, G: AbelianGroup, params: dict, k: int, layers
         stats = _scan_cover_fixed(G, k=k, layers=layers, cap=witness_cap)
     params["violations"] = stats.violations
     return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED,
-                   comb(G.order - (layers == 2), k), _witnesses_with_reps(stats, witness_cap),
-                   _elapsed_ms(t0)), stats
+                   comb(G.order - (layers == 2), k), _witnesses_with_reps(stats), _elapsed_ms(t0)), stats
 
 
 def _misses_a_class(G: AbelianGroup, k: int) -> bool:
@@ -564,12 +544,12 @@ def _misses_a_class(G: AbelianGroup, k: int) -> bool:
                for x in ((0, 1) if G.order % 3 == 0 else (0,)))
 
 
-def _witnesses_with_reps(stats: ScanStats, cap: int) -> list[list[int]]:
-    """First-`cap` witnesses in mask order, forcing in one representative
-    per observed deficiency."""
+def _witnesses_with_reps(stats: ScanStats) -> list[list[int]]:
+    """The record's first `cap` witnesses in mask order, forcing in one
+    representative per observed deficiency."""
     protected = set(stats.reps.values())
-    others = sorted(set(stats.witnesses) - protected)[:max(0, cap - len(protected))]
-    return [bit_indices(m) for m in sorted(protected.union(others))[:cap]]
+    others = sorted(set(stats.witnesses) - protected)[:max(0, stats.cap - len(protected))]
+    return [bit_indices(m) for m in sorted(protected.union(others))[:stats.cap]]
 
 
 def _check_run(jobs: int, cap: int) -> None:
@@ -668,20 +648,11 @@ def verify_subset_sum_bound(
     _check_budget(G.order, budget)
     _check_run(jobs, witness_cap)
     npool = G.order - 1
-    stats = _scan_bound_sweep(G, min_size=min_size, cap=witness_cap)
+    stats, eq = _scan_bound_sweep(G, min_size=min_size, cap=witness_cap)
     checked = sum(comb(npool, j) for j in range(min_size, npool + 1))
-    params = {
-        "min_size": min_size,
-        "violations": stats.violations,
-        "equality_count": stats.eq_count,
-    }
-    if stats.violations:
-        witnesses = _witnesses_with_reps(stats, witness_cap)
-        status = REFUTED
-    else:
-        witnesses = [bit_indices(m_) for m_ in stats.eq_witnesses]
-        status = VERIFIED
-    return Verdict("thm1", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
+    params = {"min_size": min_size, "violations": stats.violations, "equality_count": eq.violations}
+    return Verdict("thm1", G.spec, params, REFUTED if stats.violations else VERIFIED, checked,
+                   _witnesses_with_reps(stats if stats.violations else eq), _elapsed_ms(t0))
 
 
 def critical_number(

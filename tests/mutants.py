@@ -68,7 +68,7 @@ _THM1_CHECK = """        if size >= min_size:
             if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
-                stats.record_eq(pmask << 1, lanes, rep, imgs)
+                eq.record(0, pmask << 1, lanes, rep, imgs)
 """
 _THM1_TESTS = """            if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
@@ -81,7 +81,7 @@ _BOTH = "both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]"
 _CANONICAL = "            if (r - i) & guard == guard:\n"
 _LATTICE_CHILD = _CANONICAL + """                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
 """
-_THM1_CHILD = """                stats.record_eq(pmask << 1, lanes, rep, imgs)
+_THM1_CHILD = """                eq.record(0, pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             r, i = rep | rep1[e], imgs | img1[e]
@@ -253,13 +253,12 @@ MUTANTS = [
            "self.witnesses = sorted(self.witnesses + members)[:self.cap]",
            "self.witnesses = sorted(self.witnesses + members[-1:])[:self.cap]",
            LATTICE_BRUTE),
-    Mutant("the equality witnesses take only the canonical mask of an orbit", VERIFY,
-           "self.eq_witnesses = sorted(self.eq_witnesses + members)[:self.cap]",
-           "self.eq_witnesses = sorted(self.eq_witnesses + members[-1:])[:self.cap]",
-           LATTICE_BRUTE),
     Mutant("the listing bound ignores the least mask of the deficiency", VERIFY,
-           "return max(_kept_below(self.witnesses, self.cap), self.reps.get(d, inf))",
-           "return _kept_below(self.witnesses, self.cap)",
+           "return max(self.witnesses[-1] if self.witnesses else 0, self.reps.get(d, inf))",
+           "return self.witnesses[-1] if self.witnesses else 0",
+           LATTICE_BRUTE),
+    Mutant("thm1 files its equality cases in the violation record", VERIFY,
+           "eq.record(0,", "stats.record(0,",
            LATTICE_BRUTE),
 ]
 

@@ -360,11 +360,11 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
                 equal.append(mask)
         for min_size in range(1, n):
             big = {mask: d for mask, d in deficits.items() if table[mask][0] >= min_size}
-            eq = [mask for mask in equal if table[mask][0] >= min_size]
-            got = _scan_bound_sweep(G, min_size=min_size, cap=cap)
+            eq = {mask: 0 for mask in equal if table[mask][0] >= min_size}
+            got, got_eq = _scan_bound_sweep(G, min_size=min_size, cap=cap)
             where = (G.spec, min_size)
             assert {key: getattr(got, key) for key in keys} == _expected_cover_stats(big, cap), where
-            assert (got.eq_count, got.eq_witnesses) == (len(eq), eq[:cap]), where
+            assert {key: getattr(got_eq, key) for key in keys} == _expected_cover_stats(eq, cap), where
     return checked
 
 
@@ -421,12 +421,12 @@ def plain_cover_scan(G: AbelianGroup, *, k: int, layers: int, cap: int) -> ScanS
     return stats
 
 
-def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
+def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[ScanStats, ScanStats]:
     """The thm1 walk of `_scan_bound_sweep` without the orbit rule."""
     order = G.order
     tr = G.translator()
     full = G.full_mask
-    stats = ScanStats(cap)
+    stats, eq = ScanStats(cap), ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
@@ -438,13 +438,13 @@ def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> ScanStats:
             if got < need and generates(acc):
                 stats.record(need - got, pmask << 1)
             elif got == need < order and generates(acc):
-                stats.record_eq(pmask << 1)
+                eq.record(0, pmask << 1)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
 
     rec(0, 0, order - 1, 0)
-    return stats
+    return stats, eq
 
 
 def plain_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:

@@ -108,6 +108,14 @@ def test_invariant_factor_chain_enforced():
         AbelianGroup((1, 4))
 
 
+@pytest.mark.parametrize("factor", [2.5, 6.0, "6", 1.0])
+def test_non_integer_factors_rejected(factor):
+    with pytest.raises(GroupSpecError, match=repr(factor)):
+        AbelianGroup((factor,))
+    with pytest.raises(GroupSpecError, match=repr(factor)):
+        AbelianGroup.cyclic(factor)
+
+
 def test_invariant_factors_helper():
     assert invariant_factors([12, 60]) == (12, 60)
     assert invariant_factors([8, 2, 4]) == (2, 4, 8)
