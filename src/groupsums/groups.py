@@ -183,16 +183,6 @@ class AbelianGroup:
             self._double_table = self._coordinatewise_table(lambda x, d: 2 * x % d)
         return self._double_table
 
-    @property
-    def exponent(self) -> int:
-        """The least e > 0 with e*x = 0 for every x: the largest invariant factor."""
-        return self.factors[-1] if self.factors else 1
-
-    def scaling_table(self, u: int) -> list[int]:
-        """scaling_table(u)[i] is the index of u*x for the element x of index
-        i; for u a unit mod the exponent, x -> ux is an automorphism."""
-        return self._coordinatewise_table(lambda x, d: u * x % d)
-
     def _coordinatewise_table(self, op) -> list[int]:
         """Index table of the map applying op(x, d) to every coordinate.
 
@@ -215,10 +205,6 @@ class AbelianGroup:
 
     def __hash__(self) -> int:
         return hash(self.factors)
-
-    def __reduce__(self):
-        # rebuilt from its factors: the cached translator is a closure
-        return (AbelianGroup, (self.factors,))
 
     def __len__(self) -> int:
         return self.order
@@ -509,8 +495,8 @@ def torsion_two(G: AbelianGroup) -> GroupSubset:
     return GroupSubset(G, bits)
 
 
-def automorphism_count(G: AbelianGroup) -> int:
-    """|Aut(G)|, computed without listing a single automorphism.
+def automorphism_count(G: AbelianGroup, triangular: bool = False) -> int:
+    """|Aut(G)|, or |T(G)| with `triangular`, counted without listing a map.
 
     Aut(G) is the product of the automorphism groups of the Sylow subgroups.
     For Z_{p^e_1} x ... x Z_{p^e_k} with e_1 <= ... <= e_k, C. J. Hillar and
@@ -519,12 +505,19 @@ def automorphism_count(G: AbelianGroup) -> int:
 
         prod_i (p^d_i - p^(i-1)) * p^(e_i (k - d_i)) * p^((e_i - 1)(k - c_i + 1))
 
-    where d_i is the largest and c_i the least index l with e_l = e_i.
+    where d_i is the largest and c_i the least index l with e_l = e_i.  A
+    map of T(G) picks a unit mod d_i and an element of each Z_{d_j}, j < i,
+    for each e_i, so |T(G)| = prod_i phi(d_i) d_1 ... d_(i-1).
 
     >>> [automorphism_count(parse_group_spec(s)) for s in ("Z12", "Z2xZ14", "Z2xZ2xZ6", "Z2^4")]
     [4, 36, 336, 20160]
     """
     count = 1
+    if triangular:
+        for i, d in enumerate(G.factors):
+            units = prod(p ** (e - 1) * (p - 1) for p, e in factorize(d).items())  # phi(d)
+            count *= units * prod(G.factors[:i])
+        return count
     for p in factorize(G.order):
         # the factors form a divisibility chain, so the exponents ascend
         es = [e for e in (factorize(d).get(p, 0) for d in G.factors) if e]
@@ -536,9 +529,9 @@ def automorphism_count(G: AbelianGroup) -> int:
     return count
 
 
-def automorphism_tables(G: AbelianGroup) -> list[list[int]]:
-    """Every automorphism of G as its table of images (table[x] is the index
-    of the image of x), the identity included, in a fixed order.
+def automorphism_tables(G: AbelianGroup, triangular: bool = False) -> list[list[int]]:
+    """Every automorphism of G, or of T(G) with `triangular`, as its table of
+    images (table[x] is the index of the image of x), identity first.
 
     A homomorphism is fixed by the images g_i of the generators e_i of the
     invariant factors d_i, and any g_i with d_i g_i = 0 give one.  The search
@@ -546,8 +539,15 @@ def automorphism_tables(G: AbelianGroup) -> list[list[int]]:
     <e_1, ..., e_i>, which is the indices below d_1 ... d_i; the index
     x + t d_1 ... d_i maps to table[x] + t g_(i+1).  The map stays one-to-one
     exactly when no multiple t g_(i+1), 0 < t < d_(i+1), is already an image,
-    and a one-to-one map of G into itself is onto.  The search takes
-    |Aut(G)| leaves, so ask `automorphism_count` first.
+    and a one-to-one map of G into itself is onto.  The search takes one
+    leaf per map listed, so ask `automorphism_count` first.
+
+    T(G) is the group of the lower triangular maps with a unit diagonal,
+    e_i -> u_i e_i + sum_{j<i} a_ij e_j with u_i a unit mod d_i: with
+    `triangular` each g_i is taken from <e_1, ..., e_i> alone, where the
+    check keeps just the g_i whose i-th coordinate is a unit.  It holds
+    every unit scaling x -> ux, and on a cyclic group it is all of Aut(G),
+    listed in the order of u.
     """
     n = G.order
     add = [[0]]  # add[a][b]: the index of a + b, built from the top factor down
@@ -563,7 +563,7 @@ def automorphism_tables(G: AbelianGroup) -> list[list[int]]:
         seen = bytearray(n)
         for y in table:
             seen[y] = 1
-        for g in range(1, n):
+        for g in range(1, len(table) * d if triangular else n):
             multiples, m = [], g
             for _ in range(d - 1):
                 if seen[m]:

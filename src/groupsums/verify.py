@@ -31,23 +31,22 @@ every x runs for the exact counts and witnesses.
 
 The walks that count every set of a kind (the thm1 sweep, the thm5
 lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
-per orbit of a group of automorphisms of G, the lane group: all of Aut(G)
-when its lane ints have at most `_MAX_LANE_BITS` bits, and otherwise the unit
-scalings x -> ux, u a unit mod the exponent of G, which are all of Aut(G)
-for a cyclic group.  An automorphism keeps sums, covers, deficiencies and
-generation, and fixes 0, so a set's whole orbit is of its kind and in the
-same pool.  A walk enters a set only if its mask is the largest in its
-orbit, and files it once for every member of the orbit, listing the
-members that can still be among the least masks (`_Lanes`).  The rule
-passes to subtrees, as in orderly generation (R. C. Read, "Every one a
-winner", 1978; B. D. McKay, "Isomorph-free exhaustive generation", J.
-Algorithms 26, 1998): each walk reaches S from P = S \\ {min S}, and if
-some uP > P, the highest bit where they differ lies above min S, so uS > S.
-The argument asks only that u be a bijection, and the orbit counts only
-that the lanes be a group.  A set that is not the largest of its orbit thus
-has no descendant that is, and its subtree is dropped.  Z1, Z2, and Z2^k
-for k >= 4, whose lane group is the identity alone, have no lane, and their
-walks enter every set.
+per orbit of a group of automorphisms of G, the lane group: Aut(G) when its
+lane ints have at most `_MAX_LANE_BITS` bits, else its triangular subgroup
+T(G) (`groups.automorphism_tables`) when its ints do, else none.  An
+automorphism keeps sums, covers, deficiencies and generation, and fixes 0,
+so a set's whole orbit is of its kind and in the same pool.  A walk enters
+a set only if its mask is the largest in its orbit, and files it once for
+every member of the orbit, listing the members that can still be among the
+least masks (`_Lanes`).  The rule passes to subtrees, as in orderly
+generation (R. C. Read, "Every one a winner", 1978; B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each walk
+reaches S from P = S \\ {min S}, and if some uP > P, the highest bit where
+they differ lies above min S, so uS > S.  The argument asks only that u be
+a bijection, and the orbit counts only that the lanes be a group.  A set
+that is not the largest of its orbit thus has no descendant that is, and
+its subtree is dropped.  The walks of a group with no lane (Z1, Z2, and
+those whose T(G) is too wide, such as Z2^6) enter every set.
 
 Each scan walks its whole tree in one pass, in one process, and
 `critical_number` walks the lattice once and files each failing set under
@@ -73,7 +72,7 @@ import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache, lru_cache
-from math import comb, gcd, inf
+from math import comb, inf
 from typing import Callable
 
 from . import __version__
@@ -91,13 +90,15 @@ from .groups import (
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
 MAX_JOBS = 64
-# Aut(G) is the lane group of `_Lanes` when its lane ints, |Aut(G)|(|G| + 1)
-# bits, have at most this many bits, and otherwise the unit scalings are.
+# The lane group of `_Lanes` is Aut(G) when its lane ints, |Aut(G)|(|G| + 1)
+# bits, have at most this many bits, else T(G) when its ints fit, else none.
 # Wider ints cost more per node than the smaller orbits save: thm1 and thm5
 # run 7-12 times faster under Aut(G) than under the unit scalings on
 # Z2xZ4xZ4 (50,688 bits), thm1 at least 4 times faster on Z2xZ2xZ14
-# (57,456), and both 2-8 times slower on Z3^3 (314,496).  Widths between
-# the bound and 314,496 were not measured and keep the unit scalings.
+# (57,456), and both 2-8 times slower on Z3^3 (314,496), which takes T(G)
+# (6,048 bits).  Where Aut(G) fits it is the better group: thm1 on Z2xZ14
+# and Z6xZ6 takes 0.028 and 0.16 s under it, 0.071 and 0.42 s under T(G)
+# (in process, min of 3, shared 2-core host).
 _MAX_LANE_BITS = 1 << 16
 
 VERIFIED = "verified"
@@ -215,22 +216,21 @@ class _Lanes:
 
     An automorphism keeps subset sums, pair covers, deficiencies and
     generation, so the orbit {uS} of a set S is all of one kind.  The lanes
-    are a group of automorphisms: all of Aut(G) when |Aut(G)|(|G| + 1) is
-    at most `_MAX_LANE_BITS`, and otherwise the unit scalings x -> ux, u a
-    unit mod the exponent of G, which are a subgroup of it and all of it for
-    a cyclic group.  `tables` lists the lane group but the identity, each
-    automorphism as its table of images, and `maps` is the order of the
-    lane group.  A packed int has one lane per table, |G| bits and a guard
-    bit above them.  A node with element mask S
-    carries `imgs`, whose lane for u holds uS, and `rep`, which holds S in
-    every lane with the guard bits set (0 for the empty set).  Adding
+    are a group of automorphisms: Aut(G) when |Aut(G)|(|G| + 1) is at most
+    `_MAX_LANE_BITS`, else T(G) when |T(G)|(|G| + 1) is, else none; on a
+    cyclic group both are the unit scalings x -> ux.  `tables` lists the
+    lane group but the identity, each automorphism as its table of images,
+    and `maps` is the order of the lane group.  A packed int has one lane
+    per table, |G| bits and a guard bit above them.  A node with element
+    mask S carries `imgs`, whose lane for u holds uS, and `rep`, which holds
+    S in every lane with the guard bits set (0 for the empty set).  Adding
     element e to S ORs `rep1[e]`, e in every lane and the guard bits, into
     rep and `img1[e]` into imgs.  S is the largest of its orbit exactly
     when no lane of rep - imgs borrows its guard bit, that is when
-    (rep - imgs) & guard == guard.  A group whose lane group is the
-    identity alone (Z1, Z2, and Z2^k for k >= 4) has no lane, and every set
-    passes.  `_Lanes.of(G)` builds them once per process for each of the
-    last few groups.
+    (rep - imgs) & guard == guard.  A group with no lane (Z1, Z2, and those
+    whose T(G) is too wide, such as Z2^6 and Z257) lets every set pass.
+    `_Lanes.of(G)` builds them once per process for each of the last few
+    groups.
     """
 
     @staticmethod
@@ -240,12 +240,11 @@ class _Lanes:
 
     def __init__(self, G: AbelianGroup):
         n = self.order = G.order
-        if G.is_cyclic or automorphism_count(G) * (n + 1) > _MAX_LANE_BITS:
-            units = [u for u in range(2, G.exponent) if gcd(u, G.exponent) == 1]
-            self.tables = [G.scaling_table(u) for u in units]
-        else:
-            identity = list(range(n))
-            self.tables = [t for t in automorphism_tables(G) if t != identity]
+        self.tables = []
+        for triangular in (False, True):
+            if automorphism_count(G, triangular) * (n + 1) <= _MAX_LANE_BITS:
+                self.tables = automorphism_tables(G, triangular)[1:]  # not the identity
+                break
         # each img1[e] from a bytearray, set bit by bit and read once;
         # ORing the lanes into a growing int one by one costs 2-3 times as
         # much at a hundred lanes or more
@@ -434,9 +433,7 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
     order.  It enters only a set that is the largest of its orbit under the
-    automorphisms of `_Lanes` (all of Aut(G) up to `_MAX_LANE_BITS`, a
-    bound that keeps the lane ints narrow enough to pay) and files it for
-    its whole orbit.  Before a
+    automorphisms of `_Lanes` and files it for its whole orbit.  Before a
     node is checked, it and its subtree are dropped when:
 
     - the running subset-sum set saturates, since every superset then meets

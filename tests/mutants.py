@@ -47,6 +47,7 @@ LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
 ORBIT = "tests/test_verify.py::test_orbit_walks_match_plain_walks"
 LANES = "tests/test_verify.py::test_lanes_are_built_once_and_only_past_the_root"
 AUT = "tests/test_verify.py::test_lanes_hold_a_group_of_automorphisms"
+TOO_WIDE = "tests/test_verify.py::test_no_lanes_when_t_g_is_too_wide"
 GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 
@@ -116,12 +117,20 @@ MUTANTS = [
     Mutant("the three-fold scan builds n1 and n2 from e instead of -e", VERIFY,
            "            ne = neg[e]\n", "            ne = e\n",
            COVER_BRUTE),
+    Mutant("the three-fold look-ahead leaves out the candidate just below bound", VERIFY,
+           "        avail = free[bound]\n        uncovered = targets & ~dp3\n",
+           "        avail = free[bound - 1]\n        uncovered = targets & ~dp3\n",
+           COVER_BRUTE),
     Mutant("the three-fold look-ahead drops x when exactly j candidates avoid it", VERIFY,
            _REC3_SIZE, _REC3_SIZE.replace(">= j", "> j"),
            COVER_BRUTE),
     # -- the look-ahead and the pair count of the pair-cover scan
     Mutant("the pair-cover look-ahead drops x when exactly j candidates avoid it", VERIFY,
            _REC_SIZE, _REC_SIZE.replace(">= j", "> j"),
+           COVER_BRUTE),
+    Mutant("the pair-cover look-ahead leaves out the candidate just below bound", VERIFY,
+           "        avail = free[bound]\n        navail = nfree[bound]\n",
+           "        avail = free[bound - 1]\n        navail = nfree[bound]\n",
            COVER_BRUTE),
     Mutant("the pair-cover scan builds n1 from e instead of -e", VERIFY,
            _REC_CHILD, _REC_CHILD.replace("n1 | (1 << neg[e])", "n1 | (1 << e)"),
@@ -198,18 +207,29 @@ MUTANTS = [
            "        self.maps = len(self.tables) + 1\n",
            "        self.tables, self.img1 = [], [0] * n\n        self.maps = 1\n",
            LATTICE_COUNTS),
-    # thm1 Z2xZ14 then enters 92,738 nodes, thm5 Z2xZ2xZ6 91,724
-    Mutant("the lanes are the unit scalings below the bound too", VERIFY,
-           "        if G.is_cyclic or automorphism_count(G) * (n + 1) > _MAX_LANE_BITS:\n",
-           "        if True:\n",
+    # the lanes of Z2xZ14 and Z2xZ2xZ6 are then their 12 and 16 maps of T(G)
+    Mutant("the lanes are T(G) below the bound too", VERIFY,
+           "        for triangular in (False, True):\n",
+           "        for triangular in (True,):\n",
            LATTICE_COUNTS),
+    Mutant("T(G) is taken even when its lane ints are too wide", VERIFY,
+           "            if automorphism_count(G, triangular) * (n + 1) <= _MAX_LANE_BITS:\n",
+           "            if triangular or automorphism_count(G, triangular) * (n + 1) <= _MAX_LANE_BITS:\n",
+           TOO_WIDE),
     Mutant("the automorphism search drops its one-to-one check", GROUPS,
            "                if seen[m]:\n                    break\n", "",
            AUT),
     Mutant("one automorphism is left out of the lanes", VERIFY,
-           "self.tables = [t for t in automorphism_tables(G) if t != identity]",
-           "self.tables = [t for t in automorphism_tables(G) if t != identity][1:]",
+           "self.tables = automorphism_tables(G, triangular)[1:]",
+           "self.tables = automorphism_tables(G, triangular)[2:]",
            LATTICE_BRUTE),
+    Mutant("the T(G) search takes g_i from one element past <e_1, ..., e_i>", GROUPS,
+           "for g in range(1, len(table) * d if triangular else n):",
+           "for g in range(1, len(table) * d + 1 if triangular else n):",
+           AUT),
+    Mutant("the count of T(G) drops phi(d_i)", GROUPS,
+           "count *= units * prod(G.factors[:i])", "count *= prod(G.factors[:i])",
+           AUT),
     Mutant("the count of Hillar and Rhea swaps c_i and d_i", GROUPS,
            "p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))",
            "p ** (e * (k - c)) * p ** ((e - 1) * (k - d + 1))",

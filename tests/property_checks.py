@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 from unittest import mock
 
@@ -130,21 +130,27 @@ def check_negation_equivariance(max_n: int = 32, trials: int = 60, seed: int = 0
         assert sigma(A.negated()) == sigma(A).negated()
 
 
-def unit_scalings(G: AbelianGroup) -> list[tuple[int, ...]]:
-    """The index permutations x -> ux, coordinatewise, for every unit u mod
-    the exponent of G (its largest invariant factor), identity first."""
-    e = G.factors[-1] if G.factors else 1
-    return [
-        tuple(G.tuple_to_index(u * x % d for x, d in zip(G.index_to_tuple(i), G.factors))
-              for i in range(G.order))
-        for u in range(1, max(e, 2)) if gcd(u, e) == 1
-    ]
+def triangular_maps(G: AbelianGroup) -> list[tuple[int, ...]]:
+    """T(G) from its definition, as index tables: every map
+    e_i -> u_i e_i + sum_{j<i} a_ij e_j of the generators of the invariant
+    factors d_i, u_i a unit mod d_i and a_ij in Z_{d_j}, identity first.
+    On a cyclic group these are the unit scalings x -> ux in the order of u."""
+    k = len(G.factors)
+    images = [[lower + (u,) + (0,) * (k - i - 1)
+               for lower in product(*map(range, G.factors[:i]))
+               for u in range(1, d) if gcd(u, d) == 1]
+              for i, d in enumerate(G.factors)]
+    elements = [G.index_to_tuple(x) for x in range(G.order)]
+    return [tuple(G.tuple_to_index(sum(x[i] * g[i][c] for i in range(k)) % d
+                                   for c, d in enumerate(G.factors))
+                  for x in elements)
+            for g in product(*images)]
 
 
 def lane_group(G: AbelianGroup) -> list[list[int]]:
     """The automorphisms of the orbit lanes of G as index tables, identity
-    first: all of Aut(G) up to `_MAX_LANE_BITS`, the unit scalings
-    above it (`test_verify.py` checks which)."""
+    first: Aut(G), else T(G), else none, by the width of their lane ints
+    (`test_verify.py` checks which)."""
     return [list(range(G.order))] + _Lanes.of(G).tables
 
 
@@ -470,19 +476,22 @@ def _counting_cores(G: AbelianGroup, cap: int) -> list[dict]:
     """Certificate cores of every statement whose scan counts with the orbit
     rule on G: prop3.2, thm1 at min_size 1 and 5, thm5 and, on a cyclic
     group, lemma2-search."""
-    runs = [lambda: verify_pair_cover_threshold(G, witness_cap=cap)]
-    runs += [lambda s=s: verify_subset_sum_bound(G, s, witness_cap=cap) for s in (1, 5)]
+    kw = {"witness_cap": cap, "budget": G.order}
+    runs = [lambda: verify_pair_cover_threshold(G, **kw)]
+    runs += [lambda s=s: verify_subset_sum_bound(G, s, **kw) for s in (1, 5)]
     if G.order >= 3:
-        runs.append(lambda: critical_number(G, witness_cap=cap)[1])
+        runs.append(lambda: critical_number(G, **kw)[1])
         if G.is_cyclic:
-            runs.append(lambda: search_lemma2_counterexamples(G.order, witness_cap=cap))
+            runs.append(lambda: search_lemma2_counterexamples(G.order, **kw))
     return [run().core() for run in runs]
 
 
 def orbit_check_groups(max_n: int = 20) -> list[AbelianGroup]:
-    """Every abelian group of order <= max_n, and Z2xZ2xZ6, whose orbit rule
-    has 335 lanes, one per automorphism but the identity; Z2^4 has none."""
-    return all_groups_up_to(max_n) + [AbelianGroup((2, 2, 6))]
+    """Every abelian group of order <= max_n, Z2xZ2xZ6, whose orbit rule
+    has 335 lanes, one per automorphism but the identity, and Z3^3, whose
+    215 lanes are T(G) but the identity, with -1 as well as 1 on its
+    diagonal.  Z2^4, of order 16, has the 63 lanes of its T(G)."""
+    return all_groups_up_to(max_n) + [AbelianGroup((2, 2, 6)), AbelianGroup((3, 3, 3))]
 
 
 def check_orbit_walks_match_plain_walks(groups: list[AbelianGroup], caps=(0, 1, 16)) -> int:

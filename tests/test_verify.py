@@ -2,7 +2,7 @@ import json
 import sys
 import types
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from unittest import mock
 
 import pytest
@@ -53,7 +53,7 @@ from property_checks import (
     check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
     orbit_check_groups,
-    unit_scalings,
+    triangular_maps,
 )
 
 
@@ -557,8 +557,8 @@ def test_lattice_scan_counts(monkeypatch):
     (196,655).  Under all 36 automorphisms thm1 Z2xZ14 enters 16,312 nodes
     (92,738 under the 6 unit scalings) and under all 336 thm5 Z2xZ2xZ6
     enters 1,063 (91,724 under 2).  Z2^4 has 20,160 automorphisms, above
-    the bound, so it keeps the identity alone: thm1 enters 4,695 nodes and
-    thm5 5,560, as before the orbit rule."""
+    the bound, so its lanes are the 64 maps of T(G): thm1 enters 227 nodes
+    and thm5 258 (4,695 and 5,560 without the orbit rule)."""
     tests = 0
 
     def counted_is_generating(G, S):
@@ -574,8 +574,8 @@ def test_lattice_scan_counts(monkeypatch):
         (lambda: search_lemma2_counterexamples(24), 1, 48_000, 0, 0),
         (lambda: verify_subset_sum_bound(Z2xZ14, budget=28), 1, 17_000, 1, 60),
         (lambda: critical_number(Z2xZ2xZ6)[1], 1, 1_100, 0, 0),
-        (lambda: verify_subset_sum_bound(Z2_4), 4_695, 4_695, 1, 60),
-        (lambda: critical_number(Z2_4)[1], 5_560, 5_560, 0, 0),
+        (lambda: verify_subset_sum_bound(Z2_4), 227, 227, 1, 60),
+        (lambda: critical_number(Z2_4)[1], 258, 258, 0, 0),
     ):
         tests = 0
         _, nodes = _walk_calls(run)
@@ -598,8 +598,8 @@ def test_lanes_are_built_once_and_only_past_the_root():
 
 
 def test_orbit_walks_match_plain_walks():
-    # every group of order <= 20 and Z2xZ2xZ6, at witness caps 0, 1 and 16
-    assert check_orbit_walks_match_plain_walks(orbit_check_groups(20)) == 432
+    # every group of order <= 20, Z2xZ2xZ6 and Z3^3, at witness caps 0, 1 and 16
+    assert check_orbit_walks_match_plain_walks(orbit_check_groups(20)) == 444
 
 
 def test_jobs_is_checked_and_changes_nothing():
@@ -624,13 +624,15 @@ def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
     """On every abelian group of order <= 36 the lane tables are
     automorphisms, table[a + b] = table[a] + table[b] and one-to-one, no two
     equal and none the identity, and `img1` holds table i in lane i.  Up to
-    the bound they are all of Aut(G): one per automorphism but the
-    identity, by the count of Hillar and Rhea.  A cyclic group's lanes are
-    its unit scalings, and so are the lanes of a group above the bound,
-    whose automorphisms are never listed."""
+    the bound they are all of Aut(G), one per automorphism but the identity
+    by the count of Hillar and Rhea, and a cyclic group's are its unit
+    scalings in the order of u.  Above it Aut(G) is never listed and the
+    lanes are T(G): the maps of its definition, as many as the product
+    formula says, and closed under composition, since the maps among them
+    that move one generator e_i generate them and nothing else."""
     listed = []
-    monkeypatch.setattr("groupsums.verify.automorphism_tables",
-                        lambda G: listed.append(G.spec) or automorphism_tables(G))
+    monkeypatch.setattr("groupsums.verify.automorphism_tables", lambda G, triangular:
+                        listed.append((G.spec, triangular)) or automorphism_tables(G, triangular))
     groups = all_groups_up_to(36)
     above = [G.spec for G in groups if automorphism_count(G) * (G.order + 1) > _MAX_LANE_BITS]
     assert above == ["Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3", "Z2 x Z2 x Z2 x Z4", "Z2 x Z2 x Z2 x Z2 x Z2"]
@@ -644,15 +646,45 @@ def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
                        for a in range(n)), (G.spec, i)
             assert all(lanes.img1[e] >> (n + 1) * i & (2 << n) - 1 == 1 << table[e]
                        for e in range(n)), (G.spec, i)
-        assert len({tuple(t) for t in lanes.tables} | {tuple(range(n))}) == lanes.maps, G.spec
-        if G.is_cyclic or G.spec in above:
-            assert lanes.tables == [list(t) for t in unit_scalings(G)[1:]], G.spec
-        if G.spec not in above:
-            assert lanes.maps == automorphism_count(G), G.spec
-    assert "Z2 x Z2 x Z6" in listed and not set(above) & set(listed)
+        maps = {tuple(t) for t in lanes.tables} | {tuple(range(n))}
+        assert len(maps) == lanes.maps == automorphism_count(G, G.spec in above), G.spec
+        if G.is_cyclic:
+            assert lanes.tables == [list(t) for t in triangular_maps(G)[1:]], G.spec
+        if G.spec in above:
+            assert maps == set(triangular_maps(G)), G.spec
+            # the maps moving one generator e_i generate exactly T(G), so it is closed
+            basis = [prod(G.factors[:i]) for i in range(len(G.factors))]
+            movers = [t for t in maps if sum(t[e] != e for e in basis) == 1]
+            reached, todo = {tuple(range(n))}, [tuple(range(n))]
+            while todo:
+                a = todo.pop()
+                for b in movers:
+                    ab = tuple(map(a.__getitem__, b))
+                    if ab not in reached:
+                        reached.add(ab)
+                        todo.append(ab)
+            assert reached == maps, G.spec
+    assert listed == [(G.spec, G.spec in above) for G in groups]
     assert [automorphism_count(parse_group_spec(s)) for s in ("Z2xZ14", "Z2xZ2xZ6", "Z4xZ4", "Z5^2",
                                                                "Z3^3", "Z2^5")] == [
         36, 336, 96, 480, 11_232, 9_999_360]
+    assert [automorphism_count(parse_group_spec(s), True) for s in ("Z2xZ14", "Z3^3", "Z2^3xZ4", "Z2^5",
+                                                                     "Z2^3xZ6", "Z2^4xZ4", "Z2^6")] == [
+        12, 216, 128, 1_024, 128, 2_048, 32_768]
+
+
+def test_no_lanes_when_t_g_is_too_wide(monkeypatch):
+    """Z2^6 and Z2^4xZ4 have |T(G)| = 32,768 and 2,048, so T(G)'s lane ints,
+    like Aut(G)'s, are wider than the bound: nothing is listed and the lane
+    group is the identity alone."""
+    listed = []
+    monkeypatch.setattr("groupsums.verify.automorphism_tables", lambda *args: listed.append(args))
+    for spec in ("Z2^6", "Z2^4xZ4"):
+        G = parse_group_spec(spec)
+        assert automorphism_count(G, True) * (G.order + 1) > _MAX_LANE_BITS
+        lanes = _Lanes(G)
+        assert lanes.maps == 1 and lanes.tables == [] and lanes.ones == 0, spec
+    assert listed == []
 
 
 def test_sweep_checks_its_inputs_before_its_loop():
