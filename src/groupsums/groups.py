@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from math import prod
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 MAX_ORDER = 1 << 20
 _MAX_DIGITS = 64  # per number in a spec; far below the interpreter's int() limit

@@ -69,11 +69,9 @@ from __future__ import annotations
 
 import json
 import time
-from copy import deepcopy
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Callable
 from functools import cache, lru_cache
 from math import comb, inf
-from typing import Callable
 
 from . import __version__
 from .groups import (
@@ -115,21 +113,46 @@ class BudgetExceededError(RuntimeError):
     """The group is larger than the configured exhaustive-search budget."""
 
 
-@dataclass
-class Verdict:
-    """Outcome of one verification job, serializable as a certificate."""
+def _fresh(data):
+    """A copy of JSON-like data that shares no dict or list with it."""
+    if isinstance(data, dict):
+        return {k: _fresh(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_fresh(v) for v in data]
+    return data
 
-    statement: str
-    group: str
-    params: dict
-    status: str
-    checked: int
-    witnesses: list[list[int]]
-    elapsed_ms: int = 0
-    toolchain_version: str = __version__
+
+class Verdict:
+    """Outcome of one verification job, serializable as a certificate.
+    `to_dict` gives the certificate, the `KEYS`, with fresh copies of
+    `params` and `witnesses`; two verdicts are equal when their
+    certificates are."""
+
+    KEYS = ("statement", "group", "params", "status", "checked", "witnesses", "elapsed_ms",
+            "toolchain_version")
+
+    def __init__(self, statement: str, group: str, params: dict, status: str, checked: int,
+                 witnesses: list[list[int]], elapsed_ms: int = 0,
+                 toolchain_version: str = __version__):
+        self.statement = statement
+        self.group = group
+        self.params = params
+        self.status = status
+        self.checked = checked
+        self.witnesses = witnesses
+        self.elapsed_ms = elapsed_ms
+        self.toolchain_version = toolchain_version
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self) -> str:
+        return f"Verdict({', '.join(f'{k}={getattr(self, k)!r}' for k in self.KEYS)})"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {k: _fresh(getattr(self, k)) for k in self.KEYS}
 
     def core(self) -> dict:
         """Everything except the timing; two runs of the same job agree here."""
@@ -141,11 +164,12 @@ class Verdict:
         return dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        return cls(**deepcopy({f.name: d[f.name] for f in fields(cls)}))
+    def from_dict(cls, d: dict) -> Verdict:
+        """The verdict of a certificate: reads exactly the `KEYS`, copied."""
+        return cls(**{k: _fresh(d[k]) for k in cls.KEYS})
 
     @classmethod
-    def from_json(cls, text: str) -> "Verdict":
+    def from_json(cls, text: str) -> Verdict:
         return cls.from_dict(json.loads(text))
 
 
@@ -159,7 +183,6 @@ class Verdict:
 # G \ {0} (position p is element p + 1), or G in thm4's scan.
 
 
-@dataclass
 class ScanStats:
     """What a scan found.  `record` files the sets of deficiency d that one
     node stands for, the node alone or, given its `_Lanes`, its whole orbit:
@@ -171,11 +194,12 @@ class ScanStats:
     walk files each failing set with d = its size, so `hist` counts
     failures by size and `reps[s]` is the least failing set of size s."""
 
-    cap: int
-    violations: int = 0
-    hist: dict[int, int] = field(default_factory=dict)
-    reps: dict[int, int] = field(default_factory=dict)
-    witnesses: list[int] = field(default_factory=list)
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.violations = 0
+        self.hist: dict[int, int] = {}
+        self.reps: dict[int, int] = {}
+        self.witnesses: list[int] = []
 
     def below(self, d: int) -> float:
         """A mask of deficiency d at or above this changes neither `reps[d]`
@@ -748,19 +772,20 @@ def _thm4_on(G: AbelianGroup, **kwargs) -> Verdict:
     return verify_three_fold_cover(G.order, **kwargs)
 
 
-@dataclass(frozen=True)
 class Statement:
     """One statement of the paper.  `run(G, *, witness_cap, jobs, budget,
     **kw)` checks it on one group, where `kw` takes only names in `options`.
     A sweep visits the orders n with `in_domain(n)`, and only the cyclic
     group of each when `cyclic_only`."""
 
-    id: str
-    alias: str
-    cyclic_only: bool
-    in_domain: Callable[[int], bool]
-    run: Callable[..., Verdict]
-    options: tuple[str, ...]
+    def __init__(self, id: str, alias: str, cyclic_only: bool, in_domain: Callable[[int], bool],
+                 run: Callable[..., Verdict], options: tuple[str, ...]):
+        self.id = id
+        self.alias = alias
+        self.cyclic_only = cyclic_only
+        self.in_domain = in_domain
+        self.run = run
+        self.options = options
 
 
 STATEMENTS = {st.id: st for st in (

@@ -50,6 +50,7 @@ AUT = "tests/test_verify.py::test_lanes_hold_a_group_of_automorphisms"
 TOO_WIDE = "tests/test_verify.py::test_no_lanes_when_t_g_is_too_wide"
 GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
+IMPORTS = "tests/test_cli.py::test_import_leaves_out_unneeded_modules"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -280,6 +281,10 @@ MUTANTS = [
     Mutant("thm1 files its equality cases in the violation record", VERIFY,
            "eq.record(0,", "stats.record(0,",
            LATTICE_BRUTE),
+    # -- the start-up path
+    Mutant("verify.py imports dataclasses again", VERIFY,
+           "import json\n", "import dataclasses\nimport json\n",
+           IMPORTS),
 ]
 
 

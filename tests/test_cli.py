@@ -21,18 +21,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_out_multiprocessing():
-    """Importing multiprocessing costs a process some milliseconds, and no
-    scan starts a pool, so neither importing the CLI nor a verify call at
-    the most jobs imports it."""
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import groupsums.cli; "
-            "print('multiprocessing' in sys.modules)")
-    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n", done.stderr
+# Standard modules the package does not need; every CLI call would pay to load them.
+UNNEEDED = ("copy", "dataclasses", "inspect", "multiprocessing", "typing")
+
+
+def test_import_leaves_out_unneeded_modules():
+    """Neither `import groupsums` nor `import groupsums.cli` loads a module
+    of `UNNEEDED`, and since no scan starts a pool, a verify call at the
+    most jobs does not import multiprocessing.  `-S` keeps the host's site
+    packages from loading one first, and `-B` writes no bytecode into the
+    tree."""
+    isolated = [sys.executable, "-I", "-S", "-B", "-c"]
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); unneeded = set({UNNEEDED!r}); "
+            "held = set(sys.modules); import groupsums; print(sorted(unneeded & (set(sys.modules) - held))); "
+            "held = set(sys.modules); import groupsums.cli; print(sorted(unneeded & (set(sys.modules) - held)))")
+    done = subprocess.run([*isolated, code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n[]\n", done.stdout + done.stderr
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from groupsums.cli import main; "
             "code = main(['verify', 'lemma2', '--group', 'Z12', '--jobs', '64']); "
             "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([*isolated, code], capture_output=True, text=True, check=True)
     assert done.stderr == "1 False\n", done.stderr
 
 

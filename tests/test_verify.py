@@ -733,6 +733,37 @@ def test_verdict_json_round_trip():
     assert json.loads(v.to_json())["statement"] == "lemma2-search"
 
 
+def test_verdict_dict_is_a_copy():
+    v = search_lemma2_counterexamples(6)
+    before = v.to_json()
+    d = v.to_dict()
+    d["params"]["deficiency_histogram"]["1"] = 99
+    d["params"]["subset_size"] = 0
+    d["witnesses"][0].append(5)
+    d["witnesses"].append([1])
+    assert v.to_json() == before
+
+
+def test_verdict_from_dict_copies_the_certificate_keys():
+    v = search_lemma2_counterexamples(6)
+    d = {**v.to_dict(), "metrics": {"wall_s": 1.0}}
+    again = Verdict.from_dict(d)
+    assert again == v and not hasattr(again, "metrics")
+    d["params"]["subset_size"] = 0
+    d["witnesses"][0].append(5)
+    assert again == v
+    for key in Verdict.KEYS:
+        with pytest.raises(KeyError):
+            Verdict.from_dict({k: x for k, x in v.to_dict().items() if k != key})
+
+
+def test_verdict_equality_and_repr():
+    v = search_lemma2_counterexamples(6)
+    assert v != Verdict.from_dict({**v.to_dict(), "status": VERIFIED})
+    assert v != v.to_dict()
+    assert repr(v).startswith("Verdict(statement='lemma2-search', group='Z6', params={")
+
+
 def test_verdict_schema_keys():
     v = verify_pair_cover_threshold(parse_group_spec("Z5"))
     assert set(v.to_dict()) == {
