@@ -11,26 +11,8 @@ import argparse
 import re
 import sys
 
-from .constructions import (
-    ConstructionError,
-    even_counterexample,
-    near_tight_construction,
-    tight_example,
-    two_mod_four_counterexample,
-)
+from . import dumps
 from .groups import AbelianGroup, GroupSpecError, GroupSubset, enumerate_groups_of_order, is_generating, parse_group_spec, torsion_two
-from .subsets import h_hat, pair_cover, sigma
-from .verify import (
-    DEFAULT_BUDGET,
-    DEFAULT_WITNESS_CAP,
-    MAX_JOBS,
-    REFUTED,
-    STATEMENTS,
-    BudgetExceededError,
-    Verdict,
-    dumps,
-    sweep,
-)
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)$")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
@@ -76,6 +58,8 @@ def parse_element_list(G: AbelianGroup, text: str) -> GroupSubset:
 
 
 def _set_command(args, operation: str) -> int:
+    from .subsets import h_hat, pair_cover, sigma
+
     G = parse_group_spec(args.group)
     A = parse_element_list(G, args.set)
     if operation == "hhat":
@@ -102,20 +86,32 @@ def _set_command(args, operation: str) -> int:
 
 
 def _construct_command(args) -> int:
-    if args.kind == "tight":
-        G, A = tight_example(args.k)
-        params = {"k": args.k, "subset_sum_count": sigma(A).cardinality}
-    elif args.kind in ("even-ce", "mod4-ce"):
-        build = even_counterexample if args.kind == "even-ce" else two_mod_four_counterexample
-        G, A = build(args.m)
-        params = {"m": args.m, "pair_cover_missing": _missing(A)}
-    else:
-        G = parse_group_spec(args.group)
-        A = near_tight_construction(G)
-        params = {
-            "torsion_size": torsion_two(G).cardinality,
-            "pair_cover_missing": _missing(A),
-        }
+    from .constructions import (
+        ConstructionError,
+        even_counterexample,
+        near_tight_construction,
+        tight_example,
+        two_mod_four_counterexample,
+    )
+    from .subsets import pair_cover, sigma
+
+    try:
+        if args.kind == "tight":
+            G, A = tight_example(args.k)
+            params = {"k": args.k, "subset_sum_count": sigma(A).cardinality}
+        else:
+            if args.kind == "near-tight":
+                G = parse_group_spec(args.group)
+                A = near_tight_construction(G)
+                params = {"torsion_size": torsion_two(G).cardinality}
+            else:
+                build = even_counterexample if args.kind == "even-ce" else two_mod_four_counterexample
+                G, A = build(args.m)
+                params = {"m": args.m}
+            params["pair_cover_missing"] = list(pair_cover(A).complement().indices())
+    except ConstructionError as exc:
+        print(f"counterexample to a construction claim: {exc}", file=sys.stderr)
+        return 1
     payload = {
         "construction": args.kind,
         "group": G.spec,
@@ -133,10 +129,6 @@ def _construct_command(args) -> int:
     return 0
 
 
-def _missing(A: GroupSubset) -> list[int]:
-    return list(pair_cover(A).complement().indices())
-
-
 def _groups_command(args) -> int:
     groups = enumerate_groups_of_order(args.n)
     if args.json:
@@ -148,18 +140,24 @@ def _groups_command(args) -> int:
 
 
 def _verify_command(args) -> int:
+    from .verify import REFUTED, STATEMENTS, BudgetExceededError, sweep
+
     statement = STATEMENTS[args.statement]
     # without the flag, `run`'s default holds; `sweep` rejects it for a
     # statement that takes no min_size
     options = {"min_size": args.min_size} if hasattr(args, "min_size") else {}
     common = dict(witness_cap=args.witness_cap, jobs=args.jobs, budget=args.budget)
-    if args.which == "sweep":
-        verdicts = sweep(statement.id, parse_order_range(args.order_range),
-                         cyclic_only=args.cyclic, **common, **options)
-        payload = [v.to_dict() for v in verdicts]
-    else:
-        verdicts = [statement.run(parse_group_spec(args.group), **common, **options)]
-        payload = verdicts[0].to_dict()
+    try:
+        if args.which == "sweep":
+            verdicts = sweep(statement.id, parse_order_range(args.order_range),
+                             cyclic_only=args.cyclic, **common, **options)
+            payload = [v.to_dict() for v in verdicts]
+        else:
+            verdicts = [statement.run(parse_group_spec(args.group), **common, **options)]
+            payload = verdicts[0].to_dict()
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(dumps(payload))
     else:
@@ -168,7 +166,7 @@ def _verify_command(args) -> int:
     return 1 if any(v.status == REFUTED for v in verdicts) else 0
 
 
-def render_verdict(v: Verdict) -> str:
+def render_verdict(v) -> str:
     decorations = []
     for key in ("violations", "critical_number", "subset_size", "threshold_size",
                 "min_size", "equality_count", "matches_known"):
@@ -202,7 +200,28 @@ def _int_in_range(minimum: int, maximum: int | None = None):
     return parse
 
 
+def _add_set_args(p: argparse.ArgumentParser, op: str) -> None:
+    p.add_argument("--group", required=True)
+    p.add_argument("--set", required=True, help="element indices, e.g. 1,3,6 or (1,0),(0,2)")
+    if op == "hhat":
+        p.add_argument("--h", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=lambda a: _set_command(a, op))
+
+
+def _add_construct_args(c: argparse.ArgumentParser, _: str) -> None:
+    csub = c.add_subparsers(dest="kind", required=True)
+    for kind, flag, value_type in (("tight", "--k", int), ("even-ce", "--m", int),
+                                   ("mod4-ce", "--m", int), ("near-tight", "--group", str)):
+        p = csub.add_parser(kind)
+        p.add_argument(flag, type=value_type, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_construct_command)
+
+
 def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
+    from .verify import DEFAULT_BUDGET, DEFAULT_WITNESS_CAP, MAX_JOBS
+
     p.add_argument("--witness-cap", type=_int_in_range(0), default=DEFAULT_WITNESS_CAP)
     p.add_argument("--jobs", type=_int_in_range(1, MAX_JOBS), default=1,
                    help=f"accepted from 1 to {MAX_JOBS} and ignored: every scan runs in one process")
@@ -213,32 +232,9 @@ def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
     p.add_argument("--json", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="groupsums",
-        description="Exact subset-sum sets and exhaustive cover verifiers for finite abelian groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_verify_args(v: argparse.ArgumentParser, _: str) -> None:
+    from .verify import STATEMENTS
 
-    for op in ("hhat", "sigma", "paircover"):
-        p = sub.add_parser(op, help=f"compute {op} of a subset")
-        p.add_argument("--group", required=True)
-        p.add_argument("--set", required=True, help="element indices, e.g. 1,3,6 or (1,0),(0,2)")
-        if op == "hhat":
-            p.add_argument("--h", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, op=op: _set_command(a, op))
-
-    c = sub.add_parser("construct", help="generate a checked extremal or counterexample subset")
-    csub = c.add_subparsers(dest="kind", required=True)
-    for kind, flag, value_type in (("tight", "--k", int), ("even-ce", "--m", int),
-                                   ("mod4-ce", "--m", int), ("near-tight", "--group", str)):
-        p = csub.add_parser(kind)
-        p.add_argument(flag, type=value_type, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_construct_command)
-
-    v = sub.add_parser("verify", help="run an exhaustive verifier")
     vsub = v.add_subparsers(dest="which", required=True)
     for statement in STATEMENTS.values():
         p = vsub.add_parser(statement.alias, help=f"verify {statement.id} on one group")
@@ -252,28 +248,55 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify_flags(p, ("min_size",))
     p.set_defaults(func=_verify_command)
 
-    g = sub.add_parser("groups", help="list abelian groups of an order")
+
+def _add_groups_args(g: argparse.ArgumentParser, _: str) -> None:
     g.add_argument("n", type=int)
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=_groups_command)
 
+
+# Each command: its help line and what adds its arguments and subcommands.
+_COMMANDS = {
+    "hhat": ("compute hhat of a subset", _add_set_args),
+    "sigma": ("compute sigma of a subset", _add_set_args),
+    "paircover": ("compute paircover of a subset", _add_set_args),
+    "construct": ("generate a checked extremal or counterexample subset", _add_construct_args),
+    "verify": ("run an exhaustive verifier", _add_verify_args),
+    "groups": ("list abelian groups of an order", _add_groups_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every command has its name and help line, but only
+    `command` gets its arguments and subcommands, or every command when
+    `command` names none.  A command line that starts with `command` shows
+    nothing of the other commands beyond that, so it parses, prints and
+    exits as under the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="groupsums",
+        description="Exact subset-sum sets and exhaustive cover verifiers for finite abelian groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command == name or command not in _COMMANDS:
+            add_args(p, name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; each handler imports the modules it needs, so a call
+    loads `verify`, `subsets` or `constructions` only if its command runs
+    them."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConstructionError as exc:
-        print(f"counterexample to a construction claim: {exc}", file=sys.stderr)
-        return 1
     except (GroupSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

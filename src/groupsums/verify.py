@@ -73,7 +73,7 @@ from collections.abc import Callable
 from functools import cache, lru_cache
 from math import comb, inf
 
-from . import __version__
+from . import __version__, dumps
 from .groups import (
     AbelianGroup,
     GroupSubset,
@@ -102,11 +102,6 @@ _MAX_LANE_BITS = 1 << 16
 VERIFIED = "verified"
 REFUTED = "refuted"
 VACUOUS = "vacuous"
-
-
-def dumps(payload) -> str:
-    """Canonical JSON rendering; parsing and re-rendering is byte-identical."""
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 class BudgetExceededError(RuntimeError):
@@ -697,7 +692,8 @@ def critical_number(
     _check_budget(G.order, budget)
     _check_run(jobs, witness_cap)
     n = G.order
-    stats = _scan_sigma_lattice(G, cap=witness_cap)
+    # Only hist and reps are read below, so the walk lists no witnesses.
+    stats = _scan_sigma_lattice(G, cap=0)
     # No bound check is needed: for |G| >= 3, sigma(G \ {0}) = G (0 is
     # x + (-x), or a + b + (a + b) in Z2^k), so answer <= n - 1; and the
     # singletons always fail, so hist is not empty.

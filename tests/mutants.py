@@ -285,6 +285,9 @@ MUTANTS = [
     Mutant("verify.py imports dataclasses again", VERIFY,
            "import json\n", "import dataclasses\nimport json\n",
            IMPORTS),
+    Mutant("cli.py imports verify at the top again", "src/groupsums/cli.py",
+           "from . import dumps\n", "from . import dumps, verify\n",
+           IMPORTS),
 ]
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from groupsums.cli import dumps, main, parse_element_list, parse_order_range
+from groupsums.cli import build_parser, dumps, main, parse_element_list, parse_order_range
 from groupsums import enumerate_groups_of_order, parse_group_spec
 from groupsums.verify import STATEMENTS, Verdict, sweep
 
@@ -26,22 +26,65 @@ UNNEEDED = ("copy", "dataclasses", "inspect", "multiprocessing", "typing")
 
 
 def test_import_leaves_out_unneeded_modules():
-    """Neither `import groupsums` nor `import groupsums.cli` loads a module
-    of `UNNEEDED`, and since no scan starts a pool, a verify call at the
-    most jobs does not import multiprocessing.  `-S` keeps the host's site
-    packages from loading one first, and `-B` writes no bytecode into the
-    tree."""
-    isolated = [sys.executable, "-I", "-S", "-B", "-c"]
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); unneeded = set({UNNEEDED!r}); "
-            "held = set(sys.modules); import groupsums; print(sorted(unneeded & (set(sys.modules) - held))); "
-            "held = set(sys.modules); import groupsums.cli; print(sorted(unneeded & (set(sys.modules) - held)))")
-    done = subprocess.run([*isolated, code], capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n[]\n", done.stdout + done.stderr
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from groupsums.cli import main; "
-            "code = main(['verify', 'lemma2', '--group', 'Z12', '--jobs', '64']); "
-            "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)")
-    done = subprocess.run([*isolated, code], capture_output=True, text=True, check=True)
-    assert done.stderr == "1 False\n", done.stderr
+    """`import groupsums` loads none of its submodules, `import groupsums.cli`
+    only `groups`, and a CLI call only what its command runs: `groups`,
+    `sigma` and `construct tight` leave `verify` unloaded.  Since no scan
+    starts a pool, a verify call at the most jobs does not import
+    multiprocessing, and with every submodule loaded, no module of
+    `UNNEEDED` is.  `-S` keeps the host's site packages from loading one
+    first, and `-B` writes no bytecode into the tree."""
+    script = f"""
+import sys
+sys.path.insert(0, {str(ROOT / 'src')!r})
+held = set(sys.modules)
+def report(*extra):
+    print(*extra, sorted(m for m in sys.modules if m.startswith("groupsums")), file=sys.stderr)
+import groupsums
+report()
+import groupsums.cli
+report()
+from groupsums.cli import main
+report([main(a) for a in (["groups", "4", "--json"], ["sigma", "--group", "Z6", "--set", "1,2"],
+                          ["construct", "tight", "--k", "3"])])
+report(main(["verify", "lemma2", "--group", "Z12", "--jobs", "64"]), "multiprocessing" in sys.modules)
+import groupsums.constructions, groupsums.subsets, groupsums.verify
+print(sorted(set({UNNEEDED!r}) & (set(sys.modules) - held)), file=sys.stderr)
+"""
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
+                          capture_output=True, text=True, check=True)
+    cli = "'groupsums', 'groupsums.cli'"
+    assert done.stderr.splitlines() == [
+        "['groupsums']",
+        f"[{cli}, 'groupsums.groups']",
+        f"[0, 0, 0] [{cli}, 'groupsums.constructions', 'groupsums.groups', 'groupsums.subsets']",
+        f"1 False [{cli}, 'groupsums.constructions', 'groupsums.groups', 'groupsums.subsets', 'groupsums.verify']",
+        "[]",
+    ], done.stderr
+
+
+# Each command path: every command, `construct` kind and `verify` subcommand.
+COMMAND_PATHS = [
+    *(["hhat"], ["sigma"], ["paircover"], ["construct"], ["verify"], ["groups"]),
+    *(["construct", kind] for kind in ("tight", "even-ce", "mod4-ce", "near-tight")),
+    *(["verify", st.alias] for st in STATEMENTS.values()),
+    ["verify", "sweep"],
+]
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+def test_command_parser_prints_and_exits_as_the_full_parser(capsys, path):
+    """`--help` and a usage error with a required flag left out print the
+    same bytes and exit with the same code under the parser built for the
+    command as under the full parser."""
+    for argv, want in ((path + ["--help"], 0), (path, 2)):
+        seen = []
+        for parser in (build_parser(path[0]), build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            seen.append((exc.value.code, *capsys.readouterr()))
+        assert seen[0] == seen[1], argv
+        code, out, err = seen[0]
+        assert code == want and (err if code else out), argv
 
 
 def test_sigma_command(capsys):
@@ -192,6 +235,18 @@ def test_construct_commands(capsys):
     code, out, _ = run(capsys, "construct", "near-tight", "--group", "Z2xZ4", "--json")
     payload = json.loads(out)
     assert payload["subset"] == [1, 2, 3, 4, 5]
+
+
+def test_construction_error_exits_one(capsys, monkeypatch):
+    import groupsums.constructions as constructions
+
+    def fail(k):
+        raise constructions.ConstructionError(f"tight example for k={k} misses a sum")
+
+    monkeypatch.setattr(constructions, "tight_example", fail)
+    code, out, err = run(capsys, "construct", "tight", "--k", "3")
+    assert (code, out) == (1, "")
+    assert err == "counterexample to a construction claim: tight example for k=3 misses a sum\n"
 
 
 def test_usage_errors_exit_two(capsys):
