@@ -237,7 +237,7 @@ class AbelianGroup:
         return tuple(t)
 
     def tuple_to_index(self, t: Iterable[int]) -> int:
-        t = tuple(t)
+        t = tuple(map(operator.index, t))
         if len(t) != len(self.factors):
             raise ValueError(f"{t} has wrong arity for {self.spec}")
         i = 0
@@ -248,7 +248,7 @@ class AbelianGroup:
         return i
 
     def _index_of(self, x: int) -> int:
-        if not 0 <= x < self.order:
+        if not 0 <= (x := operator.index(x)) < self.order:
             raise ValueError(f"index {x} out of range for {self.spec}")
         return x
 

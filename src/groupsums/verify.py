@@ -7,27 +7,34 @@ the recursion, and prunes a subtree once nothing below it can be a violation
 or an extremal case.  The subset-sum scans walk the subset lattice of
 G \\ {0} and prune when the partial sums already cover the group; the thm1
 sweep also drops a node whose sums outnumber twice the largest set below
-it.  The cover scans look ahead: a node with j picks left is dropped unless
-some uncovered x has at least j candidates that avoid every element whose
-addition would cover it (x itself and x - A for the pair cover,
-x - (A +^ A) for the three-fold sums), since otherwise every leaf below it
-covers the group.  The pair-cover scans also count pairs: picks that miss x
-hold at most one of each pair {c, x - c} of those candidates.  At the root of
-a prop3.2 scan that count is at most (|G| - 2 + |G_2|)/2, the paper's
-counting bound, which is below the threshold (|G| + |G_2|)/2, so a verified
-prop3.2 scan stops at the root.  The three-fold scan counts pairs once per
-a in A: picks that miss x hold at most one of each pair {c, x - a - c},
-because a + c + (x - a - c) = x is a sum of three distinct elements when
-c and x - a - c are distinct candidates, and no candidate is in A.
+it.  The cover scans are two walks: `_scan_pair_cover` (prop3.2 and
+lemma2-search) checks A with its pair sums over the pool G \\ {0}, and
+`_scan_three_fold` (thm4) the sums of three distinct elements over the
+pool G.  They share only their look-ahead tables.  Each verifier states
+its pool's size for `checked` and hands the scan's record to
+`_cover_verdict`, which builds the certificate.  Both scans look ahead: a
+node with j picks left is dropped unless some uncovered x has at least j
+candidates that avoid every element whose addition would cover it (x
+itself and x - A for the pair cover, x - (A +^ A) for the three-fold
+sums), since otherwise every leaf below it covers the group.  The
+pair-cover scan also counts pairs: picks that miss x hold at most one of
+each pair {c, x - c} of those candidates.  At the root of a prop3.2 scan
+that count is at most (|G| - 2 + |G_2|)/2, the paper's counting bound,
+which is below the threshold (|G| + |G_2|)/2, so a verified prop3.2 scan
+stops at the root.  The three-fold scan counts pairs once per a in A:
+picks that miss x hold at most one of each pair {c, x - a - c}, because
+a + c + (x - a - c) = x is a sum of three distinct elements when c and
+x - a - c are distinct candidates, and no candidate is in A.
 
 thm4 is decided by class representatives.  Its pool is all of Z_m, so if
 a k-set T misses x as a sum of three distinct elements, the k-sets T + t
 and -T miss x + 3t and -x.  Some k-set misses some x exactly when some
-k-set misses 0 or, when 3 | m, 1 (-1 = 2 mod 3).  The class passes, the
-three-fold scan with one such x as its only target, run first.
-If none finds a set, the full scan has no violation either, and the
-certificate is built from its empty records; otherwise the full scan over
-every x runs for the exact counts and witnesses.
+k-set misses 0 or, when 3 | m, 1 (-1 = 2 mod 3).  `verify_three_fold_cover`
+runs these class passes (`_misses_a_class`), the three-fold scan with one
+such x as its only target, first.  If none finds a set, the full scan has
+no violation either, and the certificate is built from an empty record;
+otherwise the full scan over every x runs for the exact counts and
+witnesses.
 
 The walks that count every set of a kind (the thm1 sweep, the thm5
 lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
@@ -70,7 +77,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable
-from functools import cache, lru_cache
+from functools import cache
 from math import comb, inf
 
 from . import __version__, dumps
@@ -248,14 +255,8 @@ class _Lanes:
     when no lane of rep - imgs borrows its guard bit, that is when
     (rep - imgs) & guard == guard.  A group with no lane (Z1, Z2, and those
     whose T(G) is too wide, such as Z2^6 and Z257) lets every set pass.
-    `_Lanes.of(G)` builds them once per process for each of the last few
-    groups.
+    Each walk that needs the lanes builds them once.
     """
-
-    @staticmethod
-    @lru_cache(maxsize=8)
-    def of(G: AbelianGroup) -> _Lanes:
-        return _Lanes(G)
 
     def __init__(self, G: AbelianGroup):
         n = self.order = G.order
@@ -303,70 +304,50 @@ class _Lanes:
         return size, sorted(members)
 
 
-def _scan_cover_fixed(
-    G: AbelianGroup,
-    *,
-    k: int,
-    layers: int,
-    cap: int,
-    targets: int | None = None,
-) -> ScanStats:
-    """Size-k subsets of the pool.
-
-    layers=2 checks A with its pair sums over the pool G \\ {0}, layers=3 the
-    three-element sums alone over the pool G; pool position p is element
-    p + lo, lo = 1 or 0.  The first layer of sums, A, is the witness mask.
-
-    A node with j picks left below `bound` is dropped unless some
-    uncovered x could survive to a leaf, which needs j candidates avoiding
-    every element whose addition covers x: x and x - A for layers=2,
-    x - (A +^ A) for layers=3.  The scan carries the negated lower layers
-    (n1 = -A, n2 = -(A +^ A)) so that those sets are single translates.
-
-    For layers=2, the picks T of a leaf that misses x also hold no two
-    distinct elements summing to x.  So with ok the candidates avoiding x
-    and x - A, |T| <= |ok| - |both|/2, where both = ok & (x - ok) without
-    the c with 2c = x, and a node needs that count, not |ok|, to reach j.
-    At the root of a prop3.2 scan (A empty, j = (|G| + |G_2|)/2) the count
-    is (|G| - 2 + h)/2 for the h halves of x (h <= |G_2|), the paper's
-    counting bound, which is below j: a verified scan stops at the root.
-
-    For layers=3 the same holds once per a in A: the picks T of a leaf that
-    miss x hold no two distinct c, x - a - c, since a + c + (x - a - c) = x
-    would be a sum of three distinct elements (no candidate is in A).  So
-    with ok the candidates avoiding x - (A +^ A), |T| <= |ok| - |both_a|/2,
-    where both_a = ok & (x - a - ok) without the c with 2c = x - a, and x
-    survives only if every a leaves that count at j or more; the loop over
-    a stops at the first that does not.
-
-    The layers=3 scan asks only about the x in `targets`, all of G unless
-    given: a node is dropped once it covers them all or none of its
-    uncovered targets can survive, and a leaf is filed, with its whole
-    deficiency, only if it misses one of them.
-
-    The layers=2 walk enters only a set that is the largest of its orbit
-    under the automorphisms of `_Lanes` and files each leaf for its whole
-    orbit.  It builds the lanes at the first node with children, so a
-    scan settled at its root builds none.  The layers=3 walk enters every
-    set.
-    """
-    lo = 1 if layers == 2 else 0
-    tr = G.translator()
+def _cover_tables(G: AbelianGroup, lo: int) -> tuple[list[int], list[int], list[int]]:
+    """The look-ahead tables of a cover scan whose pool position p is
+    element p + lo: free[b], the elements at positions below b, a node's
+    candidates; nfree[b], their negatives; halves[x], the elements c with
+    2c = x."""
     neg = G.neg_table
-    full = G.full_mask
-    targets = full if targets is None else targets
-    stats = ScanStats(cap)
-    lanes = guard = rep1 = img1 = None
-    # free[b]: the elements at pool positions below b, a node's candidates;
-    # nfree[b]: their negatives
     free = [((1 << b) - 1) << lo for b in range(G.order - lo + 1)]
     nfree = [0]
     for e in range(lo, G.order):
         nfree.append(nfree[-1] | (1 << neg[e]))
-    # halves[x]: the elements c with 2c = x
     halves = [0] * G.order
     for c, x in enumerate(G.double_table):
         halves[x] |= 1 << c
+    return free, nfree, halves
+
+
+def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
+    """Size-k subsets A of the pool G \\ {0} (position p is element p + 1)
+    whose pair cover, A with its pair sums, misses part of G; A is the
+    witness mask.
+
+    A node with j picks left below `bound` is dropped unless some
+    uncovered x could survive to a leaf, which needs j candidates avoiding
+    x and x - A, the elements whose addition covers x.  The scan carries
+    n1 = -A so that x - A is a single translate.  The picks T of a leaf
+    that misses x also hold no two distinct elements summing to x.  So
+    with ok those candidates, |T| <= |ok| - |both|/2, where both =
+    ok & (x - ok) without the c with 2c = x, and a node needs that count,
+    not |ok|, to reach j.  At the root of a prop3.2 scan (A empty, j =
+    (|G| + |G_2|)/2) the count is (|G| - 2 + h)/2 for the h halves of x
+    (h <= |G_2|), the paper's counting bound, which is below j: a verified
+    scan stops at the root.
+
+    The walk enters only a set that is the largest of its orbit under the
+    automorphisms of `_Lanes` and files each leaf for its whole orbit.  It
+    builds the lanes at the first node with children, so a scan settled at
+    its root builds none.
+    """
+    tr = G.translator()
+    neg = G.neg_table
+    full = G.full_mask
+    stats = ScanStats(cap)
+    free, nfree, halves = _cover_tables(G, 1)
+    lanes = guard = rep1 = img1 = None
 
     def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int) -> None:
         nonlocal lanes, guard, rep1, img1
@@ -386,7 +367,7 @@ def _scan_cover_fixed(
             size = ok.bit_count()
             if size >= j:
                 # -ok = navail minus (A - x) and -x; leaving -x in adds only
-                # 0 to x - ok, and the layers=2 pool G \ {0} never holds 0
+                # 0 to x - ok, and the pool G \ {0} never holds 0
                 both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
                 if size - (both.bit_count() >> 1) >= j:
                     break
@@ -394,13 +375,40 @@ def _scan_cover_fixed(
         else:
             return
         if lanes is None:
-            lanes = _Lanes.of(G)
+            lanes = _Lanes(G)
             guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
         for c in range(j - 1, bound):
-            e = c + lo
+            e = c + 1
             r, i = rep | rep1[e], imgs | img1[e]
             if (r - i) & guard == guard:
                 rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i)
+
+    rec(k, G.order - 1, 0, 0, 0, 0, 0)
+    return stats
+
+
+def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None = None) -> ScanStats:
+    """Size-k subsets A of the pool G (position p is element p) whose sums
+    of three distinct elements miss one of the `targets`, all of G unless
+    given; a leaf is filed with its whole deficiency.
+
+    A node with j picks left below `bound` is dropped once it covers every
+    target, or unless some uncovered target x could survive to a leaf,
+    which needs j candidates avoiding x - (A +^ A).  The scan carries
+    n1 = -A and n2 = -(A +^ A) so that x - (A +^ A) is a single translate.
+    The picks T of a leaf that miss x also hold no two distinct c and
+    x - a - c for any a in A, since a + c + (x - a - c) = x would be a sum
+    of three distinct elements (no candidate is in A).  So with ok the
+    candidates, |T| <= |ok| - |both_a|/2, where both_a = ok & (x - a - ok)
+    without the c with 2c = x - a, and x survives only if every a leaves
+    that count at j or more; the loop over a stops at the first that does
+    not.  The walk enters every set.
+    """
+    tr = G.translator()
+    neg = G.neg_table
+    targets = G.full_mask if targets is None else targets
+    stats = ScanStats(cap)
+    free, nfree, halves = _cover_tables(G, 0)
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
         if dp3 & targets == targets:
@@ -431,16 +439,12 @@ def _scan_cover_fixed(
             uncovered ^= low
         else:
             return
-        for c in range(j - 1, bound):
-            e = c + lo
+        for e in range(j - 1, bound):
             ne = neg[e]
-            rec3(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
+            rec3(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
                  n1 | (1 << ne), n2 | tr(n1, ne))
 
-    if layers == 2:
-        rec(k, G.order - 1, 0, 0, 0, 0, 0)
-    else:
-        rec3(k, G.order, 0, 0, 0, 0, 0)
+    rec3(k, G.order, 0, 0, 0, 0, 0)
     return stats
 
 
@@ -480,7 +484,7 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     full = G.full_mask
     stats, eq = ScanStats(cap), ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
-    lanes = _Lanes.of(G)
+    lanes = _Lanes(G)
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
@@ -514,7 +518,7 @@ def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
-    lanes = _Lanes.of(G)
+    lanes = _Lanes(G)
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
@@ -532,31 +536,23 @@ def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     return stats
 
 
-def _cover_verdict(statement: str, G: AbelianGroup, params: dict, k: int, layers: int,
-                   witness_cap: int, t0: float) -> tuple[Verdict, ScanStats]:
-    """Certify the size-k subsets of the cover pool; any violation refutes.
-    The three-fold cover runs its class passes first (`_misses_a_class`);
-    if none finds a set, the full scan's records are known to be empty."""
-    if layers == 3 and not _misses_a_class(G, k):
-        stats = ScanStats(witness_cap)
-    else:
-        stats = _scan_cover_fixed(G, k=k, layers=layers, cap=witness_cap)
+def _cover_verdict(statement: str, G: AbelianGroup, params: dict, stats: ScanStats, checked: int,
+                   t0: float) -> Verdict:
+    """The certificate of a cover scan's record over `checked` candidate
+    sets: any violation refutes."""
     params["violations"] = stats.violations
-    return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED,
-                   comb(G.order - (layers == 2), k), _witnesses_with_reps(stats), _elapsed_ms(t0)), stats
+    return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED, checked,
+                   _witnesses_with_reps(stats), _elapsed_ms(t0))
 
 
 def _misses_a_class(G: AbelianGroup, k: int) -> bool:
-    """Whether some size-k subset of Z_m = G misses a class representative
-    as a sum of three distinct elements.
-
-    If T misses x, then T + t misses x + 3t and -T misses -x, and both are
-    k-subsets of the pool Z_m.  So the x that some k-set misses make up
-    whole classes of Z_m under x -> x + 3t and x -> -x: one class when 3
-    does not divide m, and the classes 0 and +-1 mod 3 when it does.  Some
-    k-set misses some x exactly when some k-set misses 0 or, when 3 | m, 1.
-    Each class pass is the three-fold scan with that x as its only target."""
-    return any(_scan_cover_fixed(G, k=k, layers=3, cap=0, targets=1 << x).violations
+    """Whether some size-k subset of Z_m = G misses 0 or, when 3 | m, 1 as
+    a sum of three distinct elements, by one class pass for each:
+    `_scan_three_fold` with that x as its only target.  If T misses x, the
+    k-sets T + t and -T miss x + 3t and -x, so the x that some k-set misses
+    make up whole classes: one when 3 does not divide m, and 0 and +-1 mod
+    3 when it does."""
+    return any(_scan_three_fold(G, k=k, cap=0, targets=1 << x).violations
                for x in ((0, 1) if G.order % 3 == 0 else (0,)))
 
 
@@ -608,7 +604,8 @@ def verify_pair_cover_threshold(
         params["available_nonzero"] = G.order - 1
         return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
     _check_budget(G.order, budget)
-    return _cover_verdict("prop3.2", G, params, threshold, 2, witness_cap, t0)[0]
+    stats = _scan_pair_cover(G, k=threshold, cap=witness_cap)
+    return _cover_verdict("prop3.2", G, params, stats, comb(G.order - 1, threshold), t0)
 
 
 def search_lemma2_counterexamples(
@@ -635,10 +632,10 @@ def search_lemma2_counterexamples(
     _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
-    params = {"subset_size": size, "exhaustive": True}  # always; certificates keep the key
-    verdict, stats = _cover_verdict("lemma2-search", G, params, size, 2, witness_cap, t0)
-    params["deficiency_histogram"] = {str(d): c for d, c in sorted(stats.hist.items())}
-    return verdict
+    stats = _scan_pair_cover(G, k=size, cap=witness_cap)
+    params = {"subset_size": size, "exhaustive": True,  # always; certificates keep the key
+              "deficiency_histogram": {str(d): c for d, c in sorted(stats.hist.items())}}
+    return _cover_verdict("lemma2-search", G, params, stats, comb(m - 1, size), t0)
 
 
 def verify_subset_sum_bound(
@@ -736,12 +733,10 @@ def verify_three_fold_cover(
     three-element sums covering all of Z_m.
 
     0 may belong to the subsets here; only the minimal size is enumerated,
-    by monotonicity.  The verdict comes from one or two class passes
-    (`_misses_a_class`): translating and negating the sets moves a missed x
-    through its whole class, so when no set misses 0 (or 1, when 3 | m)
-    none misses anything, and `checked` still counts all C(m, k) sets.
-    Were one found, the full scan would run for the exact counts and
-    witnesses; by the theorem that does not happen.
+    by monotonicity.  The class passes (`_misses_a_class`) run first, and
+    the full scan runs for the exact counts and witnesses only if one finds
+    a set, which by the theorem does not happen.  `checked` counts all
+    C(m, k) sets either way.
     """
     t0 = time.perf_counter()
     if m < 12 or m % 2:
@@ -750,7 +745,8 @@ def verify_three_fold_cover(
     _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
-    return _cover_verdict("thm4", G, {"subset_size": size}, size, 3, witness_cap, t0)[0]
+    stats = _scan_three_fold(G, k=size, cap=witness_cap) if _misses_a_class(G, size) else ScanStats(witness_cap)
+    return _cover_verdict("thm4", G, {"subset_size": size}, stats, comb(m, size), t0)
 
 
 # -- statement registry ----------------------------------------------------------

@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
 
 
 VERIFY = "src/groupsums/verify.py"
-COVER_BRUTE = "tests/test_verify.py::test_scan_cover_fixed_matches_brute_force"
+COVER_BRUTE = "tests/test_verify.py::test_cover_scans_match_brute_force"
 LATTICE_BRUTE = "tests/test_verify.py::test_subset_sum_scans_match_brute_force"
 REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
 CLASSES = "tests/test_verify.py::test_class_passes_agree_with_the_full_scan"
@@ -51,12 +51,16 @@ TOO_WIDE = "tests/test_verify.py::test_no_lanes_when_t_g_is_too_wide"
 GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 IMPORTS = "tests/test_cli.py::test_import_leaves_out_unneeded_modules"
+THRESHOLD_Z5 = "tests/test_verify.py::test_threshold_z5"
+THREE_FOLD_COUNTS = "tests/test_verify.py::test_three_fold_cover_counts"
+LEMMA2_Z7 = "tests/test_verify.py::test_lemma2_m7_verified"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
                 # -ok = nfree[bound] minus (A +^ A) - x; y = x - a runs over
 """
 _CLASSES = "for x in ((0, 1) if G.order % 3 == 0 else (0,)))"
+_THM4_SCAN = "_scan_three_fold(G, k=size, cap=witness_cap) if _misses_a_class(G, size) else ScanStats(witness_cap)"
 _THM4_CHECK = """    _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
@@ -133,6 +137,15 @@ MUTANTS = [
            "        avail = free[bound]\n        navail = nfree[bound]\n",
            "        avail = free[bound - 1]\n        navail = nfree[bound]\n",
            COVER_BRUTE),
+    Mutant("the pair-cover tables are built from element 0", VERIFY,
+           "_cover_tables(G, 1)", "_cover_tables(G, 0)",
+           COVER_BRUTE),
+    Mutant("the prop3.2 verifier counts its sets in G, 0 included", VERIFY,
+           "comb(G.order - 1, threshold)", "comb(G.order, threshold)",
+           THRESHOLD_Z5),
+    Mutant("the lemma2-search verifier counts its sets in Z_m, 0 included", VERIFY,
+           "comb(m - 1, size)", "comb(m, size)",
+           LEMMA2_Z7),
     Mutant("the pair-cover scan builds n1 from e instead of -e", VERIFY,
            _REC_CHILD, _REC_CHILD.replace("n1 | (1 << neg[e])", "n1 | (1 << e)"),
            COVER_BRUTE),
@@ -160,14 +173,22 @@ MUTANTS = [
     # a class pass then files leaves that cover x but miss another element;
     # no verdict changes, since such a leaf is a violation all the same
     Mutant("a class pass prunes only once every x is covered", VERIFY,
-           "        if dp3 & targets == targets:\n", "        if dp3 == full:\n",
+           "        if dp3 & targets == targets:\n", "        if dp3 == G.full_mask:\n",
            COVER_BRUTE),
     Mutant("a class pass looks ahead on every uncovered x", VERIFY,
-           "        uncovered = targets & ~dp3\n", "        uncovered = full ^ dp3\n",
+           "        uncovered = targets & ~dp3\n", "        uncovered = G.full_mask ^ dp3\n",
            REC3_NODES),
     Mutant("a thm4 verdict trusts its class passes even when one finds a set", VERIFY,
-           "    if layers == 3 and not _misses_a_class(G, k):\n", "    if layers == 3:\n",
+           _THM4_SCAN, "ScanStats(witness_cap)",
            FAILED_CLASS),
+    # no certificate changes, since the full scan finds what the class passes
+    # would, but a verified thm4 Z28 then enters 1,992 nodes instead of 813
+    Mutant("the thm4 verifier skips its class passes and always runs the full scan", VERIFY,
+           _THM4_SCAN, "_scan_three_fold(G, k=size, cap=witness_cap)",
+           REC3_NODES),
+    Mutant("the thm4 verifier counts its sets in Z_m \\ {0}", VERIFY,
+           "comb(m, size)", "comb(m - 1, size)",
+           THREE_FOLD_COUNTS),
     Mutant("a verified thm4 never checks its jobs and witness cap", VERIFY,
            _THM4_CHECK, _THM4_CHECK.replace("    _check_run(jobs, witness_cap)\n", ""),
            CHECKS),
@@ -254,7 +275,7 @@ MUTANTS = [
            COVER_BRUTE),
     Mutant("the pair-cover scan builds its lanes before its root's look-ahead", VERIFY,
            "    lanes = guard = rep1 = img1 = None\n",
-           "    lanes = _Lanes.of(G)\n    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
+           "    lanes = _Lanes(G)\n    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
            LANES),
     Mutant("an orbit counts as one set", VERIFY,
            "size = self.maps // (self.maps - moved.bit_count())",

@@ -1,5 +1,4 @@
-"""Shared property-check routines, used by the unit tests and re-run as a
-block by the acceptance suite.
+"""Property-check routines, each called by one unit test.
 
 Quantification follows the stated ranges: exhaustive over every group of
 order <= 12 (every subset, every h), seeded-random sampling over groups of
@@ -36,8 +35,9 @@ from groupsums.verify import (
     ScanStats,
     _Lanes,
     _scan_bound_sweep,
-    _scan_cover_fixed,
+    _scan_pair_cover,
     _scan_sigma_lattice,
+    _scan_three_fold,
 )
 
 
@@ -151,7 +151,7 @@ def lane_group(G: AbelianGroup) -> list[list[int]]:
     """The automorphisms of the orbit lanes of G as index tables, identity
     first: Aut(G), else T(G), else none, by the width of their lane ints
     (`test_verify.py` checks which)."""
-    return [list(range(G.order))] + _Lanes.of(G).tables
+    return [list(range(G.order))] + _Lanes(G).tables
 
 
 def check_automorphism_equivariance(max_n: int = 32, seed: int = 0xF00D) -> None:
@@ -252,17 +252,17 @@ def _expected_cover_stats(deficits: dict[int, int], cap: int) -> dict:
     }
 
 
-def check_scan_cover_fixed_brute_force(max_n: int = 12, cap: int = 3) -> int:
-    """The cover scan, look-ahead pruning included, against brute force over
-    every k-subset of the pool, for every group of order <= max_n and
-    every k from 1 to the pool size: layers=2 on G \\ {0} (A with its pair
-    sums) and layers=3 on G (three-element sums).  Returns the number of
-    subsets checked."""
+def check_cover_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
+    """Both cover scans, look-ahead pruning included, against brute force
+    over every k-subset of their pools, for every group of order <= max_n
+    and every k from 1 to the pool size: `_scan_pair_cover` on G \\ {0} and
+    `_scan_three_fold` on G.  Returns the number of subsets checked."""
     checked = 0
     for G in all_groups_up_to(max_n):
-        for layers in (2, 3):
-            for k in range(1, G.order - (layers == 2) + 1):
-                checked += _check_cover_case(G, layers, k, cap)[0]
+        for k in range(1, G.order):
+            checked += _check_cover_case(G, _scan_pair_cover, k, cap)[0]
+        for k in range(1, G.order + 1):
+            checked += _check_cover_case(G, _scan_three_fold, k, cap)[0]
     return checked
 
 
@@ -270,31 +270,33 @@ def check_three_fold_scan_on_thm4_orders(cap: int = 3) -> dict[str, int]:
     """The three-fold cover scan against brute force on thm4's own orders,
     one size below its threshold: Z14 at k = 7 and Z16 at k = 8, where
     violations exist.  Returns the violations per group."""
-    return {f"Z{m}": _check_cover_case(AbelianGroup.cyclic(m), 3, m // 2, cap)[1] for m in (14, 16)}
+    return {f"Z{m}": _check_cover_case(AbelianGroup.cyclic(m), _scan_three_fold, m // 2, cap)[1]
+            for m in (14, 16)}
 
 
-def _check_cover_case(G: AbelianGroup, layers: int, k: int, cap: int) -> tuple[int, int]:
-    """One cover scan (A with its pair sums over G \\ {0} for layers=2, the
-    three-element sums over G for layers=3) against brute force over every
-    k-subset of its pool.  For layers=3 also the scans that target x = 0
-    and x = 1 alone, thm4's class passes: they file exactly the sets that
-    miss x.  Returns the number of subsets checked and of violations."""
+def _check_cover_case(G: AbelianGroup, scan, k: int, cap: int) -> tuple[int, int]:
+    """One cover scan against brute force over every k-subset of its pool:
+    `_scan_pair_cover`, A with its pair sums over G \\ {0}, or
+    `_scan_three_fold`, the three-element sums over G.  For the three-fold
+    scan also the passes that target x = 0 and x = 1 alone, thm4's class
+    passes: they file exactly the sets that miss x.  Returns the number of
+    subsets checked and of violations."""
+    three = scan is _scan_three_fold
     deficits, covers = {}, {}
-    pool = range(layers == 2, G.order)
+    pool = range(0 if three else 1, G.order)
     for combo in combinations(pool, k):
         A = GroupSubset.from_indices(G, combo)
-        cover = naive_subset_sums(A, 3) if layers == 3 else A | naive_subset_sums(A, 2)
+        cover = naive_subset_sums(A, 3) if three else A | naive_subset_sums(A, 2)
         if cover.cardinality < G.order:
             deficits[A.bits] = G.order - cover.cardinality
             covers[A.bits] = cover.bits
     want = _expected_cover_stats(deficits, cap)
-    payload = {"k": k, "layers": layers, "cap": cap}
     keys = ("violations", "hist", "reps", "witnesses")
-    got = _scan_cover_fixed(G, **payload)
-    assert {key: getattr(got, key) for key in keys} == want, (G.spec, layers, k)
-    for x in range(min(2, G.order) if layers == 3 else 0):
+    got = scan(G, k=k, cap=cap)
+    assert {key: getattr(got, key) for key in keys} == want, (G.spec, scan.__name__, k)
+    for x in range(min(2, G.order) if three else 0):
         missed = {mask: d for mask, d in deficits.items() if not covers[mask] >> x & 1}
-        got = _scan_cover_fixed(G, targets=1 << x, **payload)
+        got = scan(G, k=k, cap=cap, targets=1 << x)
         assert {key: getattr(got, key) for key in keys} == _expected_cover_stats(missed, cap), (G.spec, k, x)
     return comb(len(pool), k), len(deficits)
 
@@ -381,10 +383,9 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
 # scan's arguments, so they can stand in for it.
 
 
-def plain_cover_scan(G: AbelianGroup, *, k: int, layers: int, cap: int) -> ScanStats:
-    """The pair-cover walk (layers=2) of `_scan_cover_fixed` without the orbit
-    rule: size-k subsets of G \\ {0}, with its look-ahead and pair count."""
-    assert layers == 2
+def plain_cover_scan(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
+    """The walk of `_scan_pair_cover` without the orbit rule: size-k subsets
+    of G \\ {0}, with its look-ahead and pair count."""
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
@@ -499,7 +500,7 @@ def check_orbit_walks_match_plain_walks(groups: list[AbelianGroup], caps=(0, 1, 
     reference walks, on every group in `groups` at every witness cap.
     Returns the number of certificates compared."""
     plain = {"_scan_bound_sweep": plain_bound_sweep, "_scan_sigma_lattice": plain_sigma_lattice,
-             "_scan_cover_fixed": plain_cover_scan}
+             "_scan_pair_cover": plain_cover_scan}
     compared = 0
     for G in groups:
         for cap in caps:

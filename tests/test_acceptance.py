@@ -2,6 +2,8 @@
 its measured numbers after asserting the criterion at its stated budget.
 
 Run with `pytest -v tests/test_acceptance.py -s` to see the lines as they go.
+The property suites of `property_checks.py` are run once each, by the
+tests named after them in `test_subsets.py` and `test_groups.py`.
 """
 
 import time
@@ -26,8 +28,6 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-
-import property_checks
 
 
 def _passed(criterion: str, detail: str) -> None:
@@ -144,19 +144,3 @@ def test_criterion_7_tight_example():
     assert list(S15.indices()) in v.witnesses, "tight k=5 set missing from Z15 equality witnesses"
     _passed("7", "sigma counts are exactly 2k for k=3..12; k=5 set among Z15 equality witnesses")
 
-
-def test_criterion_8_property_suites():
-    t0 = time.perf_counter()
-    subsets_checked = property_checks.check_oracle_equivalence_exhaustive(12)
-    property_checks.check_oracle_equivalence_random(32)
-    property_checks.check_monotonicity()
-    property_checks.check_complement_identity()
-    property_checks.check_negation_equivariance()
-    property_checks.check_automorphism_equivariance()
-    groups_scanned = property_checks.check_halving_counts(64)
-    elapsed = time.perf_counter() - t0
-    _passed(
-        "8",
-        f"oracle equivalence on {subsets_checked} subsets, halving/parity on "
-        f"{groups_scanned} groups up to order 64 and equivariances, {elapsed:.2f}s",
-    )

@@ -335,3 +335,15 @@ def test_subset_index_out_of_range_rejected():
     for bad in (6, -1):
         with pytest.raises(ValueError):
             GroupSubset.from_indices(Z6, [bad])
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, "1", None])
+def test_non_integer_indices_rejected(bad):
+    G = parse_group_spec("Z2xZ6")
+    A = GroupSubset.from_indices(G, [1, 2])
+    for use in (lambda: G.tuple_to_index((bad, 0)), lambda: G.tuple_to_index((1, bad)),
+                lambda: GroupSubset.from_indices(G, [bad]), lambda: bad in A,
+                lambda: A.translate(bad), lambda: count_halvings(G, bad)):
+        with pytest.raises(TypeError):
+            use()
+    assert G.tuple_to_index((True, 2)) == 5 and GroupSubset.from_indices(G, [True]).indices() == (1,)

@@ -134,6 +134,7 @@ def test_oracle_equivalence_random_orders():
 
 
 def test_monotonicity():
+    # what lets the cover verifiers enumerate only the minimal subset size
     check_monotonicity()
 
 

@@ -35,20 +35,19 @@ from groupsums.verify import (
     STATEMENTS,
     ScanStats,
     _MAX_LANE_BITS,
-    _cover_verdict,
     _Lanes,
     _misses_a_class,
     _scan_bound_sweep,
-    _scan_cover_fixed,
+    _scan_pair_cover,
     _scan_sigma_lattice,
+    _scan_three_fold,
     dumps,
 )
 
 from property_checks import (
     all_groups_up_to,
-    check_monotonicity,
     check_orbit_walks_match_plain_walks,
-    check_scan_cover_fixed_brute_force,
+    check_cover_scans_brute_force,
     check_subset_sum_scans_brute_force,
     check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
@@ -57,9 +56,10 @@ from property_checks import (
 )
 
 
-# The walks of the scans: `rec` and `rec3` inside `_scan_cover_fixed`, and
-# `rec` inside `_scan_bound_sweep` and `_scan_sigma_lattice`.
-_WALKS = frozenset(code for scan in (_scan_cover_fixed, _scan_bound_sweep, _scan_sigma_lattice)
+# The walks of the scans: `rec` inside `_scan_pair_cover`, `_scan_bound_sweep`
+# and `_scan_sigma_lattice`, and `rec3` inside `_scan_three_fold`.
+_WALKS = frozenset(code for scan in (_scan_pair_cover, _scan_three_fold, _scan_bound_sweep,
+                                     _scan_sigma_lattice)
                    for code in scan.__code__.co_consts
                    if isinstance(code, types.CodeType) and code.co_name in ("rec", "rec3"))
 
@@ -452,7 +452,7 @@ def test_three_fold_scan_node_count():
     Z28 (x = 0) and 1,002 + 831 on Z30 (x = 0 and x = 1)."""
     for m, full_most, classes_most in ((28, 2000, 850), (30, 2500, 1900)):
         G = AbelianGroup.cyclic(m)
-        _, full = _walk_calls(lambda: _scan_cover_fixed(G, k=m // 2 + 1, layers=3, cap=DEFAULT_WITNESS_CAP))
+        _, full = _walk_calls(lambda: _scan_three_fold(G, k=m // 2 + 1, cap=DEFAULT_WITNESS_CAP))
         assert 0 < full <= full_most, (m, full)
         v, classes = _walk_calls(lambda: verify_three_fold_cover(m, budget=64))
         assert v.status == VERIFIED
@@ -477,7 +477,7 @@ def _some_three_fold_miss(G: AbelianGroup, k: int) -> bool:
 
     try:
         with mock.patch.object(ScanStats, "record", stop):
-            _scan_cover_fixed(G, k=k, layers=3, cap=0)
+            _scan_three_fold(G, k=k, cap=0)
     except _Missed:
         return True
     return False
@@ -497,25 +497,27 @@ def test_class_passes_agree_with_the_full_scan():
     # both classes are needed when 3 | m
     for m, k, missed in ((15, 8, [0]), (21, 9, [1])):
         G = AbelianGroup.cyclic(m)
-        hits = [x for x in (0, 1) if _scan_cover_fixed(G, k=k, layers=3, cap=0, targets=1 << x).violations]
+        hits = [x for x in (0, 1) if _scan_three_fold(G, k=k, cap=0, targets=1 << x).violations]
         assert hits == missed and _some_three_fold_miss(G, k), (m, k)
 
 
 def test_a_failed_class_pass_runs_the_full_scan(monkeypatch):
-    """Below thm4's threshold a class pass finds a set, and the verdict is
-    the full scan's, byte for byte, at witness caps 0 and 16.  On Z21 at
-    k = 9 only the second class pass finds one."""
-    cases = [(m, k, cap) for m, k in ((14, 7), (15, 8), (16, 8))
-             for cap in (0, DEFAULT_WITNESS_CAP)] + [(21, 9, DEFAULT_WITNESS_CAP)]
-
-    def verdicts():
-        return [dumps(_cover_verdict("thm4", AbelianGroup.cyclic(m), {"subset_size": k}, k, 3, cap,
-                                     0.0)[0].core()) for m, k, cap in cases]
-
-    got = verdicts()
-    assert all(json.loads(core)["status"] == REFUTED for core in got)
-    monkeypatch.setattr("groupsums.verify._misses_a_class", lambda G, k: True)
-    assert got == verdicts()
+    """When a class pass finds a set, `verify_three_fold_cover` runs the
+    full scan over every x, at its own size and witness cap, and certifies
+    that scan's record.  At thm4's size no class pass finds a set, so one is
+    forced here: the verifier then enters exactly the full scan's nodes
+    (1,992 on Z28, against 813 for its class pass), and its certificate is
+    the same at witness caps 0 and 16."""
+    for m in (12, 28):
+        G = AbelianGroup.cyclic(m)
+        for cap in (0, DEFAULT_WITNESS_CAP):
+            want, classes = _walk_calls(lambda: verify_three_fold_cover(m, witness_cap=cap, budget=m))
+            _, full = _walk_calls(lambda: _scan_three_fold(G, k=m // 2 + 1, cap=cap))
+            with monkeypatch.context() as patched:
+                patched.setattr("groupsums.verify._misses_a_class", lambda G, k: True)
+                got, forced = _walk_calls(lambda: verify_three_fold_cover(m, witness_cap=cap, budget=m))
+            assert forced == full > classes, (m, cap, forced, full, classes)
+            assert dumps(got.core()) == dumps(want.core()), (m, cap)
 
 
 def test_thm4_certificates_match_the_full_scan():
@@ -534,13 +536,9 @@ def test_three_fold_cover_preconditions():
 # -- shared verifier machinery ----------------------------------------------------------
 
 
-def test_monotonicity_licenses_minimal_size_checks():
-    check_monotonicity(trials=100)
-
-
-def test_scan_cover_fixed_matches_brute_force():
+def test_cover_scans_match_brute_force():
     # every group of order <= 12, every k: violations exist near the prune frontier
-    assert check_scan_cover_fixed_brute_force(12) > 10_000
+    assert check_cover_scans_brute_force(12) > 10_000
 
 
 def test_subset_sum_scans_match_brute_force():
@@ -582,19 +580,19 @@ def test_lattice_scan_counts(monkeypatch):
         assert least_nodes <= nodes <= most_nodes and least_tests <= tests <= most_tests, (nodes, tests)
 
 
-def test_lanes_are_built_once_and_only_past_the_root():
+def test_lanes_are_built_once_and_only_past_the_root(monkeypatch):
     """The orbit lanes are |G| ints of about |Aut(G)||G| bits, and listing
     Aut(G) takes up to some ms, so only a pair-cover walk that reaches a
-    child builds them, once per group: a prop3.2 scan settled at its root
+    child builds them, once per walk: a prop3.2 scan settled at its root
     builds none, on a cyclic group or not, and thm4's walk has none."""
-    _Lanes.of.cache_clear()
+    built = []
+    monkeypatch.setattr("groupsums.verify._Lanes", lambda G: built.append(G.spec) or _Lanes(G))
     for spec in ("Z24", "Z2xZ14", "Z2xZ2xZ6"):
         assert verify_pair_cover_threshold(parse_group_spec(spec), budget=28).status == "verified"
     verify_three_fold_cover(12)
-    assert _Lanes.of.cache_info().currsize == 0
+    assert built == []
     search_lemma2_counterexamples(12)
-    search_lemma2_counterexamples(12)
-    assert _Lanes.of.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert built == ["Z12"]
 
 
 def test_orbit_walks_match_plain_walks():
