@@ -4,10 +4,11 @@ reproducible certificates.
 Every verifier enumerates candidate subsets in colexicographic order (the
 numeric order of their bitmasks) with incremental sumset state carried down
 the recursion, and prunes a subtree once nothing below it can be a violation
-or an extremal case.  The subset-sum scans walk the subset lattice of
-G \\ {0} and prune when the partial sums already cover the group; the thm1
-sweep also drops a node whose sums outnumber twice the largest set below
-it.  The cover scans are two walks: `_scan_pair_cover` (prop3.2 and
+or an extremal case.  A walk tests a child's prunes in its own loop, so it
+calls only the children they keep.  The subset-sum scans walk the subset
+lattice of G \\ {0} and prune when the partial sums already cover the group;
+the thm1 sweep also drops a node whose sums outnumber twice the largest set
+below it.  The cover scans are two walks: `_scan_pair_cover` (prop3.2 and
 lemma2-search) checks A with its pair sums over the pool G \\ {0}, and
 `_scan_three_fold` (thm4) the sums of three distinct elements over the
 pool G.  They share only their look-ahead tables.  Each verifier states
@@ -21,7 +22,8 @@ pair-cover scan also counts pairs: picks that miss x hold at most one of
 each pair {c, x - c} of those candidates.  At the root of a prop3.2 scan
 that count is at most (|G| - 2 + |G_2|)/2, the paper's counting bound,
 which is below the threshold (|G| + |G_2|)/2, so a verified prop3.2 scan
-stops at the root.  The three-fold scan counts pairs once per a in A:
+stops at the root.  An x the count rules out stays ruled out below
+(`_scan_pair_cover`).  The three-fold scan counts pairs once per a in A:
 picks that miss x hold at most one of each pair {c, x - a - c}, because
 a + c + (x - a - c) = x is a sum of three distinct elements when c and
 x - a - c are distinct candidates, and no candidate is in A.
@@ -44,8 +46,8 @@ T(G) (`groups.automorphism_tables`) when its ints do, else none.  An
 automorphism keeps sums, covers, deficiencies and generation, and fixes 0,
 so a set's whole orbit is of its kind and in the same pool.  A walk enters
 a set only if its mask is the largest in its orbit, and files it once for
-every member of the orbit, listing the members that can still be among the
-least masks (`_Lanes`).  The rule passes to subtrees, as in orderly
+every member of the orbit, listing only the least members that can still be
+kept (`ScanStats.record`).  The rule passes to subtrees, as in orderly
 generation (R. C. Read, "Every one a winner", 1978; B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each walk
 reaches S from P = S \\ {min S}, and if some uP > P, the highest bit where
@@ -203,21 +205,18 @@ class ScanStats:
         self.reps: dict[int, int] = {}
         self.witnesses: list[int] = []
 
-    def below(self, d: int) -> float:
-        """A mask of deficiency d at or above this changes neither `reps[d]`
-        nor `witnesses`."""
-        if len(self.witnesses) < self.cap:
-            return inf
-        return max(self.witnesses[-1] if self.witnesses else 0, self.reps.get(d, inf))
-
     def record(self, d: int, mask: int, lanes: _Lanes | None = None, rep: int = 0,
                imgs: int = 0) -> None:
         """File the sets of deficiency d that the node `mask` stands for.
         Given `lanes` with a lane, `mask` is the largest of its orbit, with
-        lanes `rep` and `imgs`, and stands for the whole orbit, of which
-        only the members below `below(d)` are listed.  Otherwise it stands
-        for itself, and the walk files such nodes in increasing mask order,
-        so the first masks are the least."""
+        lanes `rep` and `imgs`, and stands for the whole orbit: maps / stab
+        sets, the stabiliser being the identity and the lanes equal to
+        `mask`.  Once `cap` witnesses are held, a member at or above `below`,
+        the larger of the last witness and `reps[d]`, changes neither; only
+        the max(cap, 1) least members below it are listed, and none when no
+        lane holds one.  Otherwise `mask` stands for itself, and the walk
+        files such nodes in increasing mask order, so the first masks are
+        the least."""
         if lanes is None or not lanes.ones:
             self.violations += 1
             self.hist[d] = self.hist.get(d, 0) + 1
@@ -226,14 +225,22 @@ class ScanStats:
             if len(self.witnesses) < self.cap:
                 self.witnesses.append(mask)
             return
-        count, members = lanes.orbit(mask, rep, imgs, self.below(d))
+        maps = lanes.maps
+        stab = maps - (((rep ^ imgs) - lanes.ones) & lanes.guard).bit_count()
+        count = maps // stab
         self.violations += count
         self.hist[d] = self.hist.get(d, 0) + count
-        if members:
-            least = members[0]
-            if least < self.reps.get(d, inf):
-                self.reps[d] = least
-            self.witnesses = sorted(self.witnesses + members)[:self.cap]
+        held, wit, most = self.reps.get(d, inf), self.witnesses, max(self.cap, 1)
+        below = inf if len(wit) < self.cap else max(wit[-1] if wit else 0, held)
+        if mask < below:  # the largest member, so every member is below
+            members = lanes.least(imgs, lanes.under(imgs, mask), most, stab) + [mask]
+        elif hits := lanes.under(imgs, below):
+            members = lanes.least(imgs, hits, most, stab)
+        else:
+            return
+        if members[0] < held:
+            self.reps[d] = members[0]
+        self.witnesses = sorted(wit + members)[:self.cap]
 
 
 class _Lanes:
@@ -282,26 +289,34 @@ class _Lanes:
         self.lane = (1 << n) - 1
         self.rep1 = [self.guard | self.ones << e for e in range(n)]
 
-    def orbit(self, mask: int, rep: int, imgs: int, below: float) -> tuple[int, list[int]]:
-        """The size of the orbit of `mask`, the largest of its orbit, with
-        lanes `rep` and `imgs`, and its members below `below` in increasing
-        order.  The orbit has `maps` / |stab| members; the stabiliser is the
-        identity and the lanes equal to `mask`."""
-        guard = self.guard
-        moved = ((rep ^ imgs) - self.ones) & guard
-        size = self.maps // (self.maps - moved.bit_count())
-        if mask < below:  # the largest member, so every member is below
-            members, hits = {mask}, guard
-        else:
-            hits = ~((imgs | guard) - below * self.ones) & guard
-            if not hits:
-                return size, []
-            members = set()
+    def under(self, imgs: int, t: int) -> int:
+        """The guard bits of the lanes of `imgs` that hold a mask below t."""
+        return ~((imgs | self.guard) - t * self.ones) & self.guard
+
+    def least(self, imgs: int, hits: int, most: int, stab: int) -> list[int]:
+        """The `most` least masks in the lanes `hits` (guard bits) of imgs,
+        in increasing order, where each mask fills `stab` lanes.  A
+        selection: each step reads the first lane left, v, and either keeps
+        every lane up to v, when that leaves no more than `most` masks, or
+        drops v and every lane above it."""
+        n, lane, keep, need = self.order, self.lane, 0, most * stab
+        while hits.bit_count() > need:
+            low = hits & -hits
+            v = imgs >> (low.bit_length() - 1 - n) & lane
+            upto = self.under(imgs, v + 1) & hits
+            count = upto.bit_count()
+            if count <= need:
+                keep, need = keep | upto, need - count
+                hits = hits ^ upto if need else 0
+            else:
+                hits &= self.under(imgs, v)
+        hits |= keep
+        members = set()
         while hits:
             low = hits & -hits
-            members.add(imgs >> (low.bit_length() - 1 - self.order) & self.lane)
+            members.add(imgs >> (low.bit_length() - 1 - n) & lane)
             hits ^= low
-        return size, sorted(members)
+        return sorted(members)
 
 
 def _cover_tables(G: AbelianGroup, lo: int) -> tuple[list[int], list[int], list[int]]:
@@ -337,6 +352,14 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     (h <= |G_2|), the paper's counting bound, which is below j: a verified
     scan stops at the root.
 
+    A node calls only the children whose cover is not all of G.  An x that
+    the look-ahead rules out at a node is ruled out in every descendant
+    that leaves it uncovered: a child adds a candidate e, which avoids x
+    and x - A unless it covers x, and the child's candidates lose the whole
+    pair {e, x - e} while j drops by 1, so the count stays below j.  The
+    walk carries `live`, the x no ancestor has ruled out, and looks ahead
+    only on those.
+
     The walk enters only a set that is the largest of its orbit under the
     automorphisms of `_Lanes` and files each leaf for its whole orbit.  It
     builds the lanes at the first node with children, so a scan settled at
@@ -349,17 +372,15 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     free, nfree, halves = _cover_tables(G, 1)
     lanes = guard = rep1 = img1 = None
 
-    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int) -> None:
+    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int, live: int) -> None:
         nonlocal lanes, guard, rep1, img1
         cover = dp1 | dp2
-        if cover == full:
-            return
         if j == 0:
             stats.record(G.order - cover.bit_count(), dp1, lanes, rep, imgs)
             return
         avail = free[bound]
         navail = nfree[bound]
-        uncovered = full ^ cover
+        uncovered = live & ~cover
         while uncovered:
             low = uncovered & -uncovered
             x = low.bit_length() - 1
@@ -371,6 +392,7 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
                 both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
                 if size - (both.bit_count() >> 1) >= j:
                     break
+            live ^= low
             uncovered ^= low
         else:
             return
@@ -379,11 +401,13 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
             guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
         for c in range(j - 1, bound):
             e = c + 1
-            r, i = rep | rep1[e], imgs | img1[e]
-            if (r - i) & guard == guard:
-                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i)
+            d1, d2 = dp1 | (1 << e), dp2 | tr(dp1, e)
+            if d1 | d2 != full:
+                r, i = rep | rep1[e], imgs | img1[e]
+                if (r - i) & guard == guard:
+                    rec(j - 1, c, d1, d2, n1 | (1 << neg[e]), r, i, live)
 
-    rec(k, G.order - 1, 0, 0, 0, 0, 0)
+    rec(k, G.order - 1, 0, 0, 0, 0, 0, full)
     return stats
 
 
@@ -392,17 +416,18 @@ def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None =
     of three distinct elements miss one of the `targets`, all of G unless
     given; a leaf is filed with its whole deficiency.
 
-    A node with j picks left below `bound` is dropped once it covers every
-    target, or unless some uncovered target x could survive to a leaf,
-    which needs j candidates avoiding x - (A +^ A).  The scan carries
-    n1 = -A and n2 = -(A +^ A) so that x - (A +^ A) is a single translate.
-    The picks T of a leaf that miss x also hold no two distinct c and
-    x - a - c for any a in A, since a + c + (x - a - c) = x would be a sum
-    of three distinct elements (no candidate is in A).  So with ok the
-    candidates, |T| <= |ok| - |both_a|/2, where both_a = ok & (x - a - ok)
-    without the c with 2c = x - a, and x survives only if every a leaves
-    that count at j or more; the loop over a stops at the first that does
-    not.  The walk enters every set.
+    A node calls only the children that leave some target uncovered, and
+    a node with j picks left below `bound` is dropped unless some
+    uncovered target x could survive to a leaf, which needs j candidates
+    avoiding x - (A +^ A).  The scan carries n1 = -A and n2 = -(A +^ A) so
+    that x - (A +^ A) is a single translate.  The picks T of a leaf that
+    miss x also hold no two distinct c and x - a - c for any a in A, since
+    a + c + (x - a - c) = x would be a sum of three distinct elements (no
+    candidate is in A).  So with ok the candidates, |T| <= |ok| -
+    |both_a|/2, where both_a = ok & (x - a - ok) without the c with 2c =
+    x - a, and x survives only if every a leaves that count at j or more;
+    the loop over a stops at the first that does not.  The walk enters
+    every set.
     """
     tr = G.translator()
     neg = G.neg_table
@@ -411,8 +436,6 @@ def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None =
     free, nfree, halves = _cover_tables(G, 0)
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
-        if dp3 & targets == targets:
-            return
         if j == 0:
             stats.record(G.order - dp3.bit_count(), dp1)
             return
@@ -440,9 +463,10 @@ def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None =
         else:
             return
         for e in range(j - 1, bound):
-            ne = neg[e]
-            rec3(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), dp3 | tr(dp2, e),
-                 n1 | (1 << ne), n2 | tr(n1, ne))
+            d3 = dp3 | tr(dp2, e)
+            if d3 & targets != targets:
+                ne = neg[e]
+                rec3(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), d3, n1 | (1 << ne), n2 | tr(n1, ne))
 
     rec3(k, G.order, 0, 0, 0, 0, 0)
     return stats
@@ -456,23 +480,25 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     The walk is over position masks (bit p = element p + 1); a node's subtree
     is the contiguous mask interval it tiles, visited node first and in mask
     order.  It enters only a set that is the largest of its orbit under the
-    automorphisms of `_Lanes` and files it for its whole orbit.  Before a
-    node is checked, it and its subtree are dropped when:
+    automorphisms of `_Lanes` and files it for its whole orbit.  A node's
+    loop calls a child, with sums `a`, only when none of these drops it and
+    its subtree:
 
-    - the running subset-sum set saturates, since every superset then meets
-      the bound trivially, generates, and can be neither a violation nor an
-      equality case;
-    - |acc| > 2 * (size + limit).  A descendant S' adds at most `limit`
-      positions, so |S'| <= size + limit, and sigma(S') contains acc; hence
-      |sigma(S')| > 2|S'| >= min(|G|, 2|S'|), which is neither a violation
-      nor an equality case |sigma(S')| = 2|S'|;
-    - size + limit < min_size, since no descendant is large enough.
+    - the sums saturate (a = G), since every superset then meets the bound
+      trivially, generates, and can be neither a violation nor an equality
+      case;
+    - |a| > 2 * (size + limit), for the child's size and limit.  A
+      descendant S' adds at most `limit` positions, so |S'| <= size +
+      limit, and sigma(S') contains a; hence |sigma(S')| > 2|S'| >=
+      min(|G|, 2|S'|), which is neither a violation nor an equality case
+      |sigma(S')| = 2|S'|.  Since a contains the parent's sums, the loop
+      starts where 2 * (size + limit) reaches their count;
+    - size + limit < min_size, since no descendant is large enough; the
+      loop starts past these children.
 
-    Each rule also rules out the node itself (acc = G gives |sigma(S)| = |G|,
-    |acc| > 2 * (size + limit) gives |sigma(S)| > 2|S|, size + limit <
-    min_size gives |S| < min_size), so only a node that passes is checked,
-    and a dropped node is never a violation or equality case, nor is any set
-    of its orbit.
+    Each rule also rules out the child itself, so a dropped child is never
+    a violation or equality case, nor is any set of its orbit.  The root
+    passes them, or its loop is empty.
 
     The bound holds only for generating sets, so only a node whose sums fall
     short of it or meet it with equality asks whether its set S generates
@@ -489,19 +515,19 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
         got = acc.bit_count()
-        if acc == full or got > 2 * (size + limit) or size + limit < min_size:
-            return
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
                 eq.record(0, pmask << 1, lanes, rep, imgs)
-        for p in range(limit):
+        for p in range(max(0, min_size - size - 1, (got + 1) // 2 - size - 1), limit):
             e = p + 1
-            r, i = rep | rep1[e], imgs | img1[e]
-            if (r - i) & guard == guard:
-                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
+            a = acc | tr(acc, e) | (1 << e)
+            if a != full and a.bit_count() <= 2 * (size + 1 + p):
+                r, i = rep | rep1[e], imgs | img1[e]
+                if (r - i) & guard == guard:
+                    rec(pmask | (1 << p), size + 1, p, a, r, i)
 
     rec(0, 0, order - 1, 0, 0, 0)
     return stats, eq
@@ -512,8 +538,8 @@ def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     of G, filed under its size.
 
     The walk is the one of `_scan_bound_sweep`, with its orbit rule.  A
-    subtree is dropped once the running subset-sum set saturates, since
-    every superset then covers G too.
+    child whose running subset-sum set saturates is not called, since it
+    and every superset cover G.
     """
     tr = G.translator()
     full = G.full_mask
@@ -522,15 +548,15 @@ def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
-        if acc == full:
-            return
         if size:
             stats.record(size, pmask << 1, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
-            r, i = rep | rep1[e], imgs | img1[e]
-            if (r - i) & guard == guard:
-                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
+            a = acc | tr(acc, e) | (1 << e)
+            if a != full:
+                r, i = rep | rep1[e], imgs | img1[e]
+                if (r - i) & guard == guard:
+                    rec(pmask | (1 << p), size + 1, p, a, r, i)
 
     rec(0, 0, G.order - 1, 0, 0, 0)
     return stats

@@ -65,17 +65,6 @@ _THM4_CHECK = """    _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
 """
-_THM1_PRUNE = """        got = acc.bit_count()
-        if acc == full or got > 2 * (size + limit) or size + limit < min_size:
-            return
-"""
-_THM1_CHECK = """        if size >= min_size:
-            need = order if 2 * size >= order else 2 * size
-            if got < need and generates(acc):
-                stats.record(need - got, pmask << 1, lanes, rep, imgs)
-            elif got == need and generates(acc):
-                eq.record(0, pmask << 1, lanes, rep, imgs)
-"""
 _THM1_TESTS = """            if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
@@ -84,20 +73,32 @@ _REC_SIZE = """            if size >= j:
                 # -ok = navail minus (A - x) and -x; leaving -x in adds only
 """
 _BOTH = "both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]"
-_CANONICAL = "            if (r - i) & guard == guard:\n"
-_LATTICE_CHILD = _CANONICAL + """                rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e), r, i)
+_CANONICAL = "                if (r - i) & guard == guard:\n"
+_LATTICE_CHILD = _CANONICAL + """                    rec(pmask | (1 << p), size + 1, p, a, r, i)
 """
-_THM1_CHILD = """                eq.record(0, pmask << 1, lanes, rep, imgs)
-        for p in range(limit):
+_THM1_START = "range(max(0, min_size - size - 1, (got + 1) // 2 - size - 1), limit)"
+_THM1_CHILD = """        for p in """ + _THM1_START + """:
             e = p + 1
-            r, i = rep | rep1[e], imgs | img1[e]
+            a = acc | tr(acc, e) | (1 << e)
+            if a != full and a.bit_count() <= 2 * (size + 1 + p):
+                r, i = rep | rep1[e], imgs | img1[e]
 """ + _LATTICE_CHILD
-_THM5_CHILD = """            stats.record(size, pmask << 1, lanes, rep, imgs)
-        for p in range(limit):
+_THM5_CHILD = """        for p in range(limit):
             e = p + 1
-            r, i = rep | rep1[e], imgs | img1[e]
+            a = acc | tr(acc, e) | (1 << e)
+            if a != full:
+                r, i = rep | rep1[e], imgs | img1[e]
 """ + _LATTICE_CHILD
-_REC_CHILD = _CANONICAL + """                rec(j - 1, c, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i)
+_REC_CHILD = """            d1, d2 = dp1 | (1 << e), dp2 | tr(dp1, e)
+            if d1 | d2 != full:
+                r, i = rep | rep1[e], imgs | img1[e]
+""" + _CANONICAL + """                    rec(j - 1, c, d1, d2, n1 | (1 << neg[e]), r, i, live)
+"""
+_SURVIVOR = """                if size - (both.bit_count() >> 1) >= j:
+                    break
+"""
+_REPS = """        if members[0] < held:
+            self.reps[d] = members[0]
 """
 
 MUTANTS = [
@@ -149,6 +150,14 @@ MUTANTS = [
     Mutant("the pair-cover scan builds n1 from e instead of -e", VERIFY,
            _REC_CHILD, _REC_CHILD.replace("n1 | (1 << neg[e])", "n1 | (1 << e)"),
            COVER_BRUTE),
+    # a child then looks ahead only on the x its parent has not ruled out,
+    # the surviving one included, so its look-ahead can miss a live x
+    Mutant("the live mask loses the x that survives the look-ahead", VERIFY,
+           _SURVIVOR, _SURVIVOR.replace("break", "live ^= low\n                    break"),
+           COVER_BRUTE),
+    Mutant("the pair-cover walk enters a child whose cover is all of G", VERIFY,
+           _REC_CHILD, _REC_CHILD.replace("            if d1 | d2 != full:\n", "            if True:\n"),
+           COVER_BRUTE),
     Mutant("the pair count keeps the c with 2c = x", VERIFY,
            _BOTH, _BOTH.replace(" & ~halves[x]", ""),
            COVER_BRUTE),
@@ -173,7 +182,7 @@ MUTANTS = [
     # a class pass then files leaves that cover x but miss another element;
     # no verdict changes, since such a leaf is a violation all the same
     Mutant("a class pass prunes only once every x is covered", VERIFY,
-           "        if dp3 & targets == targets:\n", "        if dp3 == G.full_mask:\n",
+           "            if d3 & targets != targets:\n", "            if d3 != G.full_mask:\n",
            COVER_BRUTE),
     Mutant("a class pass looks ahead on every uncovered x", VERIFY,
            "        uncovered = targets & ~dp3\n", "        uncovered = G.full_mask ^ dp3\n",
@@ -182,7 +191,7 @@ MUTANTS = [
            _THM4_SCAN, "ScanStats(witness_cap)",
            FAILED_CLASS),
     # no certificate changes, since the full scan finds what the class passes
-    # would, but a verified thm4 Z28 then enters 1,992 nodes instead of 813
+    # would, but a verified thm4 Z28 then enters 1,992 nodes instead of 757
     Mutant("the thm4 verifier skips its class passes and always runs the full scan", VERIFY,
            _THM4_SCAN, "_scan_three_fold(G, k=size, cap=witness_cap)",
            REC3_NODES),
@@ -208,7 +217,10 @@ MUTANTS = [
            _THM1_TESTS.replace("generates(acc)", "generates(pmask << 1)"),
            LATTICE_COUNTS),
     Mutant("the thm1 size look-ahead allows one position fewer below a node", VERIFY,
-           "got > 2 * (size + limit) or", "got > 2 * (size + limit - 1) or",
+           "a.bit_count() <= 2 * (size + 1 + p)", "a.bit_count() <= 2 * (size + p)",
+           LATTICE_BRUTE),
+    Mutant("the thm1 loop starts one position above the bound its sums allow", VERIFY,
+           _THM1_START, _THM1_START.replace("(got + 1) // 2 - size - 1", "(got + 1) // 2 - size"),
            LATTICE_BRUTE),
     Mutant("the thm1 lattice sums leave out the new element", VERIFY,
            _THM1_CHILD, _THM1_CHILD.replace("acc | tr(acc, e) | (1 << e)", "acc | tr(acc, e)"),
@@ -218,13 +230,14 @@ MUTANTS = [
            LATTICE_BRUTE),
     # a node whose sums are all of G, with 2|S| >= |G|, is then filed as an
     # equality case
-    Mutant("thm1 checks a node before its prune", VERIFY,
-           _THM1_PRUNE + _THM1_CHECK,
-           "        got = acc.bit_count()\n" + _THM1_CHECK
-           + _THM1_PRUNE.replace("        got = acc.bit_count()\n", ""),
+    Mutant("thm1 checks a child whose sums saturate", VERIFY,
+           _THM1_CHILD, _THM1_CHILD.replace("if a != full and a.bit_count()", "if a.bit_count()"),
+           LATTICE_BRUTE),
+    Mutant("thm5 files a child whose sums saturate", VERIFY,
+           _THM5_CHILD, _THM5_CHILD.replace("            if a != full:\n", "            if True:\n"),
            LATTICE_BRUTE),
     # -- the orbit rule of the counting walks
-    # every walk is then the plain walk: thm1 Z24 enters 132,181 nodes
+    # every walk is then the plain walk: thm1 Z24 enters 22,223 nodes
     Mutant("the orbit rule is off", VERIFY,
            "        self.maps = len(self.tables) + 1\n",
            "        self.tables, self.img1 = [], [0] * n\n        self.maps = 1\n",
@@ -257,47 +270,49 @@ MUTANTS = [
            "p ** (e * (k - c)) * p ** ((e - 1) * (k - d + 1))",
            AUT),
     Mutant("the thm1 walk enters every set", VERIFY,
-           _THM1_CHILD, _THM1_CHILD.replace(_CANONICAL, "            if True:\n"),
+           _THM1_CHILD, _THM1_CHILD.replace(_CANONICAL, "                if True:\n"),
            LATTICE_BRUTE),
     Mutant("the thm5 walk enters every set", VERIFY,
-           _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "            if True:\n"),
+           _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "                if True:\n"),
            LATTICE_BRUTE),
     Mutant("the pair-cover walk enters every set", VERIFY,
-           _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "            if True:\n"),
+           _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "                if True:\n"),
            COVER_BRUTE),
     Mutant("the thm5 walk enters a set only if it is greater than every other image", VERIFY,
            _THM5_CHILD,
-           _THM5_CHILD.replace(_CANONICAL, "            if (r - i - lanes.ones) & guard == guard:\n"),
+           _THM5_CHILD.replace(_CANONICAL, "                if (r - i - lanes.ones) & guard == guard:\n"),
            ORBIT),
     Mutant("the pair-cover walk enters a set only if it is greater than every other image", VERIFY,
            _REC_CHILD,
-           _REC_CHILD.replace(_CANONICAL, "            if (r - i - lanes.ones) & guard == guard:\n"),
+           _REC_CHILD.replace(_CANONICAL, "                if (r - i - lanes.ones) & guard == guard:\n"),
            COVER_BRUTE),
     Mutant("the pair-cover scan builds its lanes before its root's look-ahead", VERIFY,
            "    lanes = guard = rep1 = img1 = None\n",
            "    lanes = _Lanes(G)\n    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
            LANES),
     Mutant("an orbit counts as one set", VERIFY,
-           "size = self.maps // (self.maps - moved.bit_count())",
-           "size = 1",
+           "count = maps // stab", "count = 1",
            LATTICE_BRUTE),
     Mutant("an orbit's stabiliser is not counted", VERIFY,
-           "size = self.maps // (self.maps - moved.bit_count())",
-           "size = self.maps",
+           "count = maps // stab", "count = maps",
            LATTICE_BRUTE),
-    Mutant("the rep is the orbit's greatest listed member, the canonical mask, not its least",
-           VERIFY,
-           "            least = members[0]\n",
-           "            least = members[-1]\n",
+    Mutant("the rep is the orbit's greatest listed member, not its least", VERIFY,
+           _REPS, _REPS.replace("[0]", "[-1]"),
            LATTICE_BRUTE),
-    Mutant("the witnesses take only the greatest listed member of an orbit, the canonical mask",
-           VERIFY,
-           "self.witnesses = sorted(self.witnesses + members)[:self.cap]",
-           "self.witnesses = sorted(self.witnesses + members[-1:])[:self.cap]",
+    Mutant("the witnesses take only the greatest listed member of an orbit", VERIFY,
+           "self.witnesses = sorted(wit + members)[:self.cap]",
+           "self.witnesses = sorted(wit + members[-1:])[:self.cap]",
            LATTICE_BRUTE),
     Mutant("the listing bound ignores the least mask of the deficiency", VERIFY,
-           "return max(self.witnesses[-1] if self.witnesses else 0, self.reps.get(d, inf))",
-           "return self.witnesses[-1] if self.witnesses else 0",
+           "max(wit[-1] if wit else 0, held)", "(wit[-1] if wit else 0)",
+           LATTICE_BRUTE),
+    Mutant("an orbit lists one member fewer than it keeps", VERIFY,
+           "n, lane, keep, need = self.order, self.lane, 0, most * stab",
+           "n, lane, keep, need = self.order, self.lane, 0, (most - 1) * stab",
+           LATTICE_BRUTE),
+    Mutant("the selection drops the lanes up to v where it should keep them", VERIFY,
+           "                hits &= self.under(imgs, v)\n",
+           "                hits &= ~self.under(imgs, v + 1)\n",
            LATTICE_BRUTE),
     Mutant("thm1 files its equality cases in the violation record", VERIFY,
            "eq.record(0,", "stats.record(0,",

@@ -266,6 +266,54 @@ def check_cover_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
     return checked
 
 
+def check_dead_targets_stay_dead(max_order: int = 14) -> int:
+    """The rule behind the `live` mask of `_scan_pair_cover`: an uncovered x
+    that a node's look-ahead rules out is ruled out again in every child
+    that leaves it uncovered.  A plain pair-cover walk (no lanes, no `live`
+    mask) over every group of order <= max_order and every k from 2 to
+    |G| - 2 counts, at each node with j picks left among the elements
+    1..bound, the classes {c, x - c} that meet the candidates avoiding x and
+    x - A, and rules x out when there are fewer than j.  Each x ruled out at
+    a node is checked in each child that looks ahead (j - 1 >= 1) and
+    leaves x uncovered.  Returns the number of (node, x) pairs checked."""
+    checked = 0
+    for G in all_groups_up_to(max_order):
+        n = G.order
+        add = [[G.add_index(a, b) for b in range(n)] for a in range(n)]
+        sub = [[G.add_index(x, G.neg_table[a]) for a in range(n)] for x in range(n)]
+
+        def dead(A: tuple[int, ...], cover: set[int], j: int, bound: int) -> set[int]:
+            out = set()
+            for x in set(range(n)) - cover:
+                ok = {c for c in range(1, bound + 1) if c != x and sub[x][c] not in A}
+                if len({frozenset((c, sub[x][c])) for c in ok}) < j:
+                    out.add(x)
+            return out
+
+        def walk(A: tuple[int, ...], cover: set[int], j: int, bound: int) -> None:
+            nonlocal checked
+            if j == 0:
+                return
+            ruled_out = dead(A, cover, j, bound)
+            if ruled_out == set(range(n)) - cover:
+                return  # the look-ahead drops the node
+            for e in range(j, bound + 1):
+                child = A + (e,)
+                child_cover = cover | {e} | {add[a][e] for a in A}
+                if len(child_cover) == n:
+                    continue
+                if j > 1:
+                    again = dead(child, child_cover, j - 1, e - 1)
+                    for x in ruled_out - child_cover:
+                        assert x in again, (G.spec, A, e, x)
+                        checked += 1
+                walk(child, child_cover, j - 1, e - 1)
+
+        for k in range(2, n - 1):
+            walk((), set(), k, n - 1)
+    return checked
+
+
 def check_three_fold_scan_on_thm4_orders(cap: int = 3) -> dict[str, int]:
     """The three-fold cover scan against brute force on thm4's own orders,
     one size below its threshold: Z14 at k = 7 and Z16 at k = 8, where

@@ -48,6 +48,7 @@ from property_checks import (
     all_groups_up_to,
     check_orbit_walks_match_plain_walks,
     check_cover_scans_brute_force,
+    check_dead_targets_stay_dead,
     check_subset_sum_scans_brute_force,
     check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
@@ -57,7 +58,9 @@ from property_checks import (
 
 
 # The walks of the scans: `rec` inside `_scan_pair_cover`, `_scan_bound_sweep`
-# and `_scan_sigma_lattice`, and `rec3` inside `_scan_three_fold`.
+# and `_scan_sigma_lattice`, and `rec3` inside `_scan_three_fold`.  Each walk
+# tests a child's prunes in the parent's loop, so every call but the root's
+# is a node that passed them.
 _WALKS = frozenset(code for scan in (_scan_pair_cover, _scan_three_fold, _scan_bound_sweep,
                                      _scan_sigma_lattice)
                    for code in scan.__code__.co_consts
@@ -447,16 +450,16 @@ def test_three_fold_scan_node_count():
     """The pair rule of the three-fold scan pins its node count: a weaker
     look-ahead changes no certificate, only the number of `rec3` calls,
     which is the same on every machine.  The full pass over every x enters
-    1,992 nodes on Z28 and 2,456 on Z30 (76,310 and 133,951 without the
-    pair rule).  A verified thm4 runs only its class passes: 813 nodes on
-    Z28 (x = 0) and 1,002 + 831 on Z30 (x = 0 and x = 1)."""
-    for m, full_most, classes_most in ((28, 2000, 850), (30, 2500, 1900)):
+    1,992 nodes on Z28 and 2,456 on Z30 (75,631 and 132,904 without the
+    pair rule).  A verified thm4 runs only its class passes: 757 nodes on
+    Z28 (x = 0) and 942 + 779 on Z30 (x = 0 and x = 1)."""
+    for m, full_want, classes_want in ((28, 1_992, 757), (30, 2_456, 1_721)):
         G = AbelianGroup.cyclic(m)
         _, full = _walk_calls(lambda: _scan_three_fold(G, k=m // 2 + 1, cap=DEFAULT_WITNESS_CAP))
-        assert 0 < full <= full_most, (m, full)
+        assert full == full_want, (m, full)
         v, classes = _walk_calls(lambda: verify_three_fold_cover(m, budget=64))
         assert v.status == VERIFIED
-        assert 0 < classes <= classes_most, (m, classes)
+        assert classes == classes_want, (m, classes)
 
 
 def test_three_fold_scan_matches_brute_force_on_thm4_orders():
@@ -541,6 +544,11 @@ def test_cover_scans_match_brute_force():
     assert check_cover_scans_brute_force(12) > 10_000
 
 
+def test_dead_targets_stay_dead():
+    # every group of order <= 14, every k in 2..|G| - 2
+    assert check_dead_targets_stay_dead(14) == 8_300
+
+
 def test_subset_sum_scans_match_brute_force():
     # every group of order <= 12 plus Z3xZ6: 2**17 - 1 subsets from Z3xZ6 alone
     assert check_subset_sum_scans_brute_force(12) > 130_000
@@ -549,14 +557,16 @@ def test_subset_sum_scans_match_brute_force():
 def test_lattice_scan_counts(monkeypatch):
     """A weaker prune, a lost generation cache or a smaller lane group
     changes no certificate, only the number of walk calls and of generation
-    tests, which are the same on every machine: thm1 Z24 enters 19,727
-    nodes and makes 11 tests (132,181 nodes and 22 tests without the orbit
-    rule), thm5 Z20 enters 5,080 nodes (40,798) and lemma2 Z24 47,057
-    (196,655).  Under all 36 automorphisms thm1 Z2xZ14 enters 16,312 nodes
-    (92,738 under the 6 unit scalings) and under all 336 thm5 Z2xZ2xZ6
-    enters 1,063 (91,724 under 2).  Z2^4 has 20,160 automorphisms, above
-    the bound, so its lanes are the 64 maps of T(G): thm1 enters 227 nodes
-    and thm5 258 (4,695 and 5,560 without the orbit rule)."""
+    tests, which are the same on every machine.  Each walk calls only the
+    children its prunes keep: thm1 Z24 enters 4,249 nodes and makes 11
+    tests (22,223 nodes without the orbit rule), thm5 Z20 enters 2,311
+    nodes (16,572) and lemma2 Z24 33,351 (131,793).  Under all 36
+    automorphisms thm1 Z2xZ14 enters 3,632 nodes (8,522 under the 12 maps
+    of T(G)) and under all 336 thm5 Z2xZ2xZ6 enters 573 (5,382 under 16).
+    Z2^4 has 20,160 automorphisms, above the bound, so its lanes are the
+    64 maps of T(G): thm1 enters 98 nodes and thm5 151 (1,392 and 2,376
+    without the orbit rule).  thm1 Z28 and thm5 Z24 are the bench's own
+    runs."""
     tests = 0
 
     def counted_is_generating(G, S):
@@ -566,18 +576,20 @@ def test_lattice_scan_counts(monkeypatch):
 
     monkeypatch.setattr("groupsums.verify.is_generating", counted_is_generating)
     Z2xZ14, Z2xZ2xZ6, Z2_4 = (parse_group_spec(s) for s in ("Z2xZ14", "Z2xZ2xZ6", "Z2^4"))
-    for run, least_nodes, most_nodes, least_tests, most_tests in (
-        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), 1, 20_000, 1, 12),
-        (lambda: critical_number(parse_group_spec("Z20")), 1, 5_200, 0, 0),
-        (lambda: search_lemma2_counterexamples(24), 1, 48_000, 0, 0),
-        (lambda: verify_subset_sum_bound(Z2xZ14, budget=28), 1, 17_000, 1, 60),
-        (lambda: critical_number(Z2xZ2xZ6)[1], 1, 1_100, 0, 0),
-        (lambda: verify_subset_sum_bound(Z2_4), 227, 227, 1, 60),
-        (lambda: critical_number(Z2_4)[1], 258, 258, 0, 0),
+    for run, want in (
+        (lambda: verify_subset_sum_bound(parse_group_spec("Z24")), (4_249, 11)),
+        (lambda: verify_subset_sum_bound(parse_group_spec("Z28"), budget=28), (8_171, 8)),
+        (lambda: critical_number(parse_group_spec("Z20")), (2_311, 0)),
+        (lambda: critical_number(parse_group_spec("Z24")), (10_163, 0)),
+        (lambda: search_lemma2_counterexamples(24), (33_351, 0)),
+        (lambda: verify_subset_sum_bound(Z2xZ14, budget=28), (3_632, 5)),
+        (lambda: critical_number(Z2xZ2xZ6)[1], (573, 0)),
+        (lambda: verify_subset_sum_bound(Z2_4), (98, 7)),
+        (lambda: critical_number(Z2_4)[1], (151, 0)),
     ):
         tests = 0
         _, nodes = _walk_calls(run)
-        assert least_nodes <= nodes <= most_nodes and least_tests <= tests <= most_tests, (nodes, tests)
+        assert (nodes, tests) == want
 
 
 def test_lanes_are_built_once_and_only_past_the_root(monkeypatch):
