@@ -38,24 +38,26 @@ no violation either, and the certificate is built from an empty record;
 otherwise the full scan over every x runs for the exact counts and
 witnesses.
 
-The walks that count every set of a kind (the thm1 sweep, the thm5
-lattice and the pair-cover scan of prop3.2 and lemma2-search) visit one set
-per orbit of a group of automorphisms of G, the lane group: Aut(G) when its
-lane ints have at most `_MAX_LANE_BITS` bits, else its triangular subgroup
-T(G) (`groups.automorphism_tables`) when its ints do, else none.  An
-automorphism keeps sums, covers, deficiencies and generation, and fixes 0,
-so a set's whole orbit is of its kind and in the same pool.  A walk enters
-a set only if its mask is the largest in its orbit, and files it once for
-every member of the orbit, listing only the least members that can still be
-kept (`ScanStats.record`).  The rule passes to subtrees, as in orderly
-generation (R. C. Read, "Every one a winner", 1978; B. D. McKay,
+The walks that count every set of a kind (the thm1 sweep, the thm5 lattice
+and the pair-cover scan of prop3.2 and lemma2-search) visit one set per
+orbit of a group of automorphisms of G, the lane group that `_lane_tables`
+lists: Aut(G) when its lane ints have at most `_MAX_LANE_BITS` bits, else
+its triangular subgroup T(G) (`groups.automorphism_tables`) when its ints
+do, else none.  `_Lanes` packs them.  An automorphism keeps sums, covers,
+deficiencies and generation, and fixes 0, so a set's whole orbit is of its
+kind and in the same pool.  A walk enters a set only if its mask is the
+largest in its orbit, and files it once for every member of the orbit,
+listing only the least members that can still be kept (`ScanStats.record`,
+through which every walk files).  The rule passes to subtrees, as in
+orderly generation (R. C. Read, "Every one a winner", 1978; B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each walk
 reaches S from P = S \\ {min S}, and if some uP > P, the highest bit where
 they differ lies above min S, so uS > S.  The argument asks only that u be
 a bijection, and the orbit counts only that the lanes be a group.  A set
 that is not the largest of its orbit thus has no descendant that is, and
-its subtree is dropped.  The walks of a group with no lane (Z1, Z2, and
-those whose T(G) is too wide, such as Z2^6) enter every set.
+its subtree is dropped.  With no lane, each set is its own orbit: thm4's
+walk, and those of Z1, Z2 and the groups whose T(G) is too wide, such as
+Z2^6, enter and file every set.
 
 Each scan walks its whole tree in one pass, in one process, and
 `critical_number` walks the lattice once and files each failing set under
@@ -77,6 +79,7 @@ exhibiting that deficiency.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from collections.abc import Callable
 from functools import cache
@@ -97,8 +100,8 @@ from .groups import (
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
 MAX_JOBS = 64
-# The lane group of `_Lanes` is Aut(G) when its lane ints, |Aut(G)|(|G| + 1)
-# bits, have at most this many bits, else T(G) when its ints fit, else none.
+# `_lane_tables` takes Aut(G) when its lane ints, |Aut(G)|(|G| + 1) bits,
+# have at most this many bits, else T(G) when its ints fit, else none.
 # Wider ints cost more per node than the smaller orbits save: thm1 and thm5
 # run 7-12 times faster under Aut(G) than under the unit scalings on
 # Z2xZ4xZ4 (50,688 bits), thm1 at least 4 times faster on Z2xZ2xZ14
@@ -107,6 +110,16 @@ MAX_JOBS = 64
 # and Z6xZ6 takes 0.028 and 0.16 s under it, 0.071 and 0.42 s under T(G)
 # (in process, min of 3, shared 2-core host).
 _MAX_LANE_BITS = 1 << 16
+
+
+def _lane_tables(G: AbelianGroup) -> list[list[int]]:
+    """The lane group of G but the identity, each map as its table of
+    images: Aut(G), else T(G), else none, as `_MAX_LANE_BITS` says."""
+    for triangular in (False, True):
+        if automorphism_count(G, triangular) * (G.order + 1) <= _MAX_LANE_BITS:
+            return automorphism_tables(G, triangular)[1:]  # not the identity
+    return []
+
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -189,14 +202,15 @@ class Verdict:
 
 class ScanStats:
     """What a scan found.  `record` files the sets of deficiency d that one
-    node stands for, the node alone or, given its `_Lanes`, its whole orbit:
-    it adds their number to `violations`, which counts the sets filed, and
-    to `hist[d]`, keeps the least mask of deficiency d in `reps[d]` and the
-    `cap` least masks in `witnesses`.  A walk files its orbits in any mask
-    order, and its single sets in increasing order.  The bound sweep files
-    its equality cases in a second record, with d = 0.  The thm5 lattice
-    walk files each failing set with d = its size, so `hist` counts
-    failures by size and `reps[s]` is the least failing set of size s."""
+    node stands for, its whole orbit under the walk's `_Lanes`, which is
+    the node alone when they have no lane: it adds their number to
+    `violations`, which counts the sets filed, and to `hist[d]`, keeps the
+    least mask of deficiency d in `reps[d]` and the `cap` least masks in
+    `witnesses`.  Every walk files through it, in any mask order.  The
+    bound sweep files its equality cases in a second record, with d = 0.
+    The thm5 lattice walk files each failing set with d = its size, so
+    `hist` counts failures by size and `reps[s]` is the least failing set
+    of size s."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -205,26 +219,15 @@ class ScanStats:
         self.reps: dict[int, int] = {}
         self.witnesses: list[int] = []
 
-    def record(self, d: int, mask: int, lanes: _Lanes | None = None, rep: int = 0,
-               imgs: int = 0) -> None:
-        """File the sets of deficiency d that the node `mask` stands for.
-        Given `lanes` with a lane, `mask` is the largest of its orbit, with
-        lanes `rep` and `imgs`, and stands for the whole orbit: maps / stab
-        sets, the stabiliser being the identity and the lanes equal to
-        `mask`.  Once `cap` witnesses are held, a member at or above `below`,
-        the larger of the last witness and `reps[d]`, changes neither; only
-        the max(cap, 1) least members below it are listed, and none when no
-        lane holds one.  Otherwise `mask` stands for itself, and the walk
-        files such nodes in increasing mask order, so the first masks are
-        the least."""
-        if lanes is None or not lanes.ones:
-            self.violations += 1
-            self.hist[d] = self.hist.get(d, 0) + 1
-            if d not in self.reps:
-                self.reps[d] = mask
-            if len(self.witnesses) < self.cap:
-                self.witnesses.append(mask)
-            return
+    def record(self, d: int, mask: int, lanes: _Lanes, rep: int, imgs: int) -> None:
+        """File the sets of deficiency d that the node `mask` stands for:
+        its orbit under `lanes`, of which `mask` is the largest, with lanes
+        `rep` and `imgs`.  The orbit has maps / stab sets, the stabiliser
+        being the identity and the lanes equal to `mask`.  Once `cap`
+        witnesses are held, a member at or above `below`, the larger of the
+        last witness and `reps[d]`, changes neither; only the max(cap, 1)
+        least members below it are listed, and none when no lane holds one.
+        With no lane the orbit is `mask` alone, filed as itself."""
         maps = lanes.maps
         stab = maps - (((rep ^ imgs) - lanes.ones) & lanes.guard).bit_count()
         count = maps // stab
@@ -244,47 +247,42 @@ class ScanStats:
 
 
 class _Lanes:
-    """The automorphisms of G, packed for the orbit rule of the walks that
-    count.
+    """Maps of the n positions of a pool, packed for the orbit rule and for
+    `ScanStats.record`.
 
-    An automorphism keeps subset sums, pair covers, deficiencies and
-    generation, so the orbit {uS} of a set S is all of one kind.  The lanes
-    are a group of automorphisms: Aut(G) when |Aut(G)|(|G| + 1) is at most
-    `_MAX_LANE_BITS`, else T(G) when |T(G)|(|G| + 1) is, else none; on a
-    cyclic group both are the unit scalings x -> ux.  `tables` lists the
-    lane group but the identity, each automorphism as its table of images,
-    and `maps` is the order of the lane group.  A packed int has one lane
-    per table, |G| bits and a guard bit above them.  A node with element
+    `tables` lists the maps but the identity, each as its table of images
+    (table[x] is the image of x); `maps` counts them with the identity.
+    The orbit rule asks only that each map be a bijection, and the orbit
+    counts that the maps with the identity form a group.  The counting walks
+    take the automorphisms of `_lane_tables`, which keep subset sums, pair
+    covers, deficiencies and generation, so the orbit {uS} of a set S is
+    all of one kind; thm4's walk takes none.  A packed int has one lane
+    per table, n bits and a guard bit above them.  A node with element
     mask S carries `imgs`, whose lane for u holds uS, and `rep`, which holds
     S in every lane with the guard bits set (0 for the empty set).  Adding
     element e to S ORs `rep1[e]`, e in every lane and the guard bits, into
     rep and `img1[e]` into imgs.  S is the largest of its orbit exactly
     when no lane of rep - imgs borrows its guard bit, that is when
-    (rep - imgs) & guard == guard.  A group with no lane (Z1, Z2, and those
-    whose T(G) is too wide, such as Z2^6 and Z257) lets every set pass.
-    Each walk that needs the lanes builds them once.
+    (rep - imgs) & guard == guard.  With no lane (thm4's walk, Z1, Z2, and
+    the groups whose T(G) is too wide, such as Z2^6 and Z257) every set
+    passes and is its own orbit.  Each walk builds its lanes once.
     """
 
-    def __init__(self, G: AbelianGroup):
-        n = self.order = G.order
-        self.tables = []
-        for triangular in (False, True):
-            if automorphism_count(G, triangular) * (n + 1) <= _MAX_LANE_BITS:
-                self.tables = automorphism_tables(G, triangular)[1:]  # not the identity
-                break
+    def __init__(self, n: int, tables: list[list[int]]):
+        self.order = n
         # each img1[e] from a bytearray, set bit by bit and read once;
         # ORing the lanes into a growing int one by one costs 2-3 times as
         # much at a hundred lanes or more
-        bufs = [bytearray(((n + 1) * len(self.tables) + 7) // 8) for _ in range(n)]
-        for i, table in enumerate(self.tables):
+        bufs = [bytearray(((n + 1) * len(tables) + 7) // 8) for _ in range(n)]
+        for i, table in enumerate(tables):
             base = (n + 1) * i
             for buf, ue in zip(bufs, table):
                 b = base + ue
                 buf[b >> 3] |= 1 << (b & 7)
         self.img1 = [int.from_bytes(buf, "little") for buf in bufs]
-        self.maps = len(self.tables) + 1
+        self.maps = len(tables) + 1
         # a 1 at the foot of every lane; "0" when there is no lane
-        self.ones = int(("0" * n + "1") * len(self.tables) or "0", 2)
+        self.ones = int(("0" * n + "1") * len(tables) or "0", 2)
         self.guard = self.ones << n
         self.lane = (1 << n) - 1
         self.rep1 = [self.guard | self.ones << e for e in range(n)]
@@ -396,8 +394,8 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
             uncovered ^= low
         else:
             return
-        if lanes is None:
-            lanes = _Lanes(G)
+        if rep1 is None:
+            lanes = _Lanes(G.order, _lane_tables(G))
             guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
         for c in range(j - 1, bound):
             e = c + 1
@@ -427,17 +425,18 @@ def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None =
     |both_a|/2, where both_a = ok & (x - a - ok) without the c with 2c =
     x - a, and x survives only if every a leaves that count at j or more;
     the loop over a stops at the first that does not.  The walk enters
-    every set.
+    every set, and files each under lanes with no lane, as its own orbit.
     """
     tr = G.translator()
     neg = G.neg_table
     targets = G.full_mask if targets is None else targets
     stats = ScanStats(cap)
     free, nfree, halves = _cover_tables(G, 0)
+    lanes = _Lanes(G.order, [])
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
         if j == 0:
-            stats.record(G.order - dp3.bit_count(), dp1)
+            stats.record(G.order - dp3.bit_count(), dp1, lanes, 0, 0)
             return
         avail = free[bound]
         uncovered = targets & ~dp3
@@ -510,7 +509,7 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     full = G.full_mask
     stats, eq = ScanStats(cap), ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
-    lanes = _Lanes(G)
+    lanes = _Lanes(G.order, _lane_tables(G))
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
@@ -544,7 +543,7 @@ def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(cap)
-    lanes = _Lanes(G)
+    lanes = _Lanes(G.order, _lane_tables(G))
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
@@ -591,12 +590,12 @@ def _witnesses_with_reps(stats: ScanStats) -> list[list[int]]:
 
 
 def _check_run(jobs: int, cap: int) -> None:
-    if not 1 <= jobs <= MAX_JOBS or cap < 0:
+    if not 1 <= operator.index(jobs) <= MAX_JOBS or operator.index(cap) < 0:
         raise ValueError(f"need 1 <= jobs <= {MAX_JOBS} and a witness cap >= 0, got {jobs} and {cap}")
 
 
 def _check_budget(order: int, budget: int) -> None:
-    if order > budget:
+    if order > operator.index(budget):
         raise BudgetExceededError(f"group order {order} exceeds the search budget {budget}")
 
 
@@ -682,7 +681,7 @@ def verify_subset_sum_bound(
     the generating filter.
     """
     t0 = time.perf_counter()
-    if min_size < 1:
+    if operator.index(min_size) < 1:
         raise ValueError(f"need min_size >= 1, got {min_size}")
     _check_budget(G.order, budget)
     _check_run(jobs, witness_cap)

@@ -54,6 +54,7 @@ IMPORTS = "tests/test_cli.py::test_import_leaves_out_unneeded_modules"
 THRESHOLD_Z5 = "tests/test_verify.py::test_threshold_z5"
 THREE_FOLD_COUNTS = "tests/test_verify.py::test_three_fold_cover_counts"
 LEMMA2_Z7 = "tests/test_verify.py::test_lemma2_m7_verified"
+ROOT = "tests/test_verify.py::test_threshold_scan_is_settled_at_the_root"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -164,6 +165,11 @@ MUTANTS = [
     Mutant("the pair count counts both elements of each pair", VERIFY,
            "if size - (both.bit_count() >> 1) >= j:", "if size - both.bit_count() >= j:",
            COVER_BRUTE),
+    # no certificate changes, since the look-ahead without the pair count is
+    # still sound, but a verified prop3.2 scan no longer stops at its root
+    Mutant("the pair count is off", VERIFY,
+           "if size - (both.bit_count() >> 1) >= j:", "if True:",
+           ROOT),
     Mutant("the pair count translates -ok by -x instead of x", VERIFY,
            _BOTH, _BOTH.replace("neg[x]), x)", "neg[x]), neg[x])"),
            COVER_BRUTE),
@@ -201,6 +207,10 @@ MUTANTS = [
     Mutant("a verified thm4 never checks its jobs and witness cap", VERIFY,
            _THM4_CHECK, _THM4_CHECK.replace("    _check_run(jobs, witness_cap)\n", ""),
            CHECKS),
+    # critical_number(Z12, witness_cap=0.5) then lists a witness
+    Mutant("the witness cap is compared as it stands, a float included", VERIFY,
+           "operator.index(cap) < 0", "cap < 0",
+           CHECKS),
     # -- the thm1 sweep
     Mutant("an equality case need not generate G", VERIFY,
            "elif got == need and generates(acc):",
@@ -219,6 +229,10 @@ MUTANTS = [
     Mutant("the thm1 size look-ahead allows one position fewer below a node", VERIFY,
            "a.bit_count() <= 2 * (size + 1 + p)", "a.bit_count() <= 2 * (size + p)",
            LATTICE_BRUTE),
+    # in the child loop this also drops children that can still be filed
+    Mutant("the thm1 size look-ahead drops a child whose sums are twice its largest descendant", VERIFY,
+           "a.bit_count() <= 2 * (size + 1 + p)", "a.bit_count() < 2 * (size + 1 + p)",
+           LATTICE_BRUTE),
     Mutant("the thm1 loop starts one position above the bound its sums allow", VERIFY,
            _THM1_START, _THM1_START.replace("(got + 1) // 2 - size - 1", "(got + 1) // 2 - size"),
            LATTICE_BRUTE),
@@ -236,27 +250,34 @@ MUTANTS = [
     Mutant("thm5 files a child whose sums saturate", VERIFY,
            _THM5_CHILD, _THM5_CHILD.replace("            if a != full:\n", "            if True:\n"),
            LATTICE_BRUTE),
+    Mutant("thm5 files the empty set at its root", VERIFY,
+           "        if size:\n", "        if True:\n",
+           LATTICE_BRUTE),
     # -- the orbit rule of the counting walks
     # every walk is then the plain walk: thm1 Z24 enters 22,223 nodes
     Mutant("the orbit rule is off", VERIFY,
-           "        self.maps = len(self.tables) + 1\n",
-           "        self.tables, self.img1 = [], [0] * n\n        self.maps = 1\n",
+           "        self.order = n\n", "        self.order, tables = n, []\n",
            LATTICE_COUNTS),
     # the lanes of Z2xZ14 and Z2xZ2xZ6 are then their 12 and 16 maps of T(G)
     Mutant("the lanes are T(G) below the bound too", VERIFY,
-           "        for triangular in (False, True):\n",
-           "        for triangular in (True,):\n",
+           "    for triangular in (False, True):\n",
+           "    for triangular in (True,):\n",
            LATTICE_COUNTS),
     Mutant("T(G) is taken even when its lane ints are too wide", VERIFY,
-           "            if automorphism_count(G, triangular) * (n + 1) <= _MAX_LANE_BITS:\n",
-           "            if triangular or automorphism_count(G, triangular) * (n + 1) <= _MAX_LANE_BITS:\n",
+           "        if automorphism_count(G, triangular) * (G.order + 1) <= _MAX_LANE_BITS:\n",
+           "        if triangular or automorphism_count(G, triangular) * (G.order + 1) <= _MAX_LANE_BITS:\n",
            TOO_WIDE),
     Mutant("the automorphism search drops its one-to-one check", GROUPS,
            "                if seen[m]:\n                    break\n", "",
            AUT),
     Mutant("one automorphism is left out of the lanes", VERIFY,
-           "self.tables = automorphism_tables(G, triangular)[1:]",
-           "self.tables = automorphism_tables(G, triangular)[2:]",
+           "return automorphism_tables(G, triangular)[1:]",
+           "return automorphism_tables(G, triangular)[2:]",
+           LATTICE_BRUTE),
+    # the identity's lane then counts in every stabiliser and in `maps`
+    Mutant("the lane tables keep the identity", VERIFY,
+           "return automorphism_tables(G, triangular)[1:]",
+           "return automorphism_tables(G, triangular)[:]",
            LATTICE_BRUTE),
     Mutant("the T(G) search takes g_i from one element past <e_1, ..., e_i>", GROUPS,
            "for g in range(1, len(table) * d if triangular else n):",
@@ -288,8 +309,14 @@ MUTANTS = [
            COVER_BRUTE),
     Mutant("the pair-cover scan builds its lanes before its root's look-ahead", VERIFY,
            "    lanes = guard = rep1 = img1 = None\n",
-           "    lanes = _Lanes(G)\n    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
+           "    lanes = _Lanes(G.order, _lane_tables(G))\n"
+           "    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
            LANES),
+    # the walk then files each leaf under rep = imgs = 0 with lanes, so as an
+    # orbit of every map, |Aut(G)| sets
+    Mutant("thm4's walk files under the lane group instead of no lane", VERIFY,
+           "    lanes = _Lanes(G.order, [])\n", "    lanes = _Lanes(G.order, _lane_tables(G))\n",
+           COVER_BRUTE),
     Mutant("an orbit counts as one set", VERIFY,
            "count = maps // stab", "count = 1",
            LATTICE_BRUTE),

@@ -34,6 +34,7 @@ from groupsums import verify
 from groupsums.verify import (
     ScanStats,
     _Lanes,
+    _lane_tables,
     _scan_bound_sweep,
     _scan_pair_cover,
     _scan_sigma_lattice,
@@ -151,7 +152,7 @@ def lane_group(G: AbelianGroup) -> list[list[int]]:
     """The automorphisms of the orbit lanes of G as index tables, identity
     first: Aut(G), else T(G), else none, by the width of their lane ints
     (`test_verify.py` checks which)."""
-    return [list(range(G.order))] + _Lanes(G).tables
+    return [list(range(G.order))] + _lane_tables(G)
 
 
 def check_automorphism_equivariance(max_n: int = 32, seed: int = 0xF00D) -> None:
@@ -427,8 +428,8 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
 # -- reference walks ------------------------------------------------------------
 #
 # The walks of the counting scans as they were before the orbit rule: every
-# set is entered and filed once, in increasing mask order.  They take a
-# scan's arguments, so they can stand in for it.
+# set is entered and filed once, in increasing mask order, under lanes with
+# no lane.  They take a scan's arguments, so they can stand in for it.
 
 
 def plain_cover_scan(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
@@ -437,7 +438,7 @@ def plain_cover_scan(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     tr = G.translator()
     neg = G.neg_table
     full = G.full_mask
-    stats = ScanStats(cap)
+    stats, lanes = ScanStats(cap), _Lanes(G.order, [])
     free = [((1 << b) - 1) << 1 for b in range(G.order)]
     nfree = [0]
     for e in range(1, G.order):
@@ -451,7 +452,7 @@ def plain_cover_scan(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
         if cover == full:
             return
         if j == 0:
-            stats.record(G.order - cover.bit_count(), dp1)
+            stats.record(G.order - cover.bit_count(), dp1, lanes, 0, 0)
             return
         avail = free[bound]
         navail = nfree[bound]
@@ -481,7 +482,7 @@ def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     order = G.order
     tr = G.translator()
     full = G.full_mask
-    stats, eq = ScanStats(cap), ScanStats(cap)
+    stats, eq, lanes = ScanStats(cap), ScanStats(cap), _Lanes(order, [])
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
@@ -491,9 +492,9 @@ def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, pmask << 1)
+                stats.record(need - got, pmask << 1, lanes, 0, 0)
             elif got == need < order and generates(acc):
-                eq.record(0, pmask << 1)
+                eq.record(0, pmask << 1, lanes, 0, 0)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
@@ -506,13 +507,13 @@ def plain_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
     """The thm5 walk of `_scan_sigma_lattice` without the orbit rule."""
     tr = G.translator()
     full = G.full_mask
-    stats = ScanStats(cap)
+    stats, lanes = ScanStats(cap), _Lanes(G.order, [])
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
         if acc == full:
             return
         if size:
-            stats.record(size, pmask << 1)
+            stats.record(size, pmask << 1, lanes, 0, 0)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import types
 from itertools import combinations
@@ -36,6 +37,7 @@ from groupsums.verify import (
     ScanStats,
     _MAX_LANE_BITS,
     _Lanes,
+    _lane_tables,
     _misses_a_class,
     _scan_bound_sweep,
     _scan_pair_cover,
@@ -45,6 +47,7 @@ from groupsums.verify import (
 )
 
 from property_checks import (
+    _expected_cover_stats,
     all_groups_up_to,
     check_orbit_walks_match_plain_walks,
     check_cover_scans_brute_force,
@@ -258,7 +261,7 @@ def test_lemma2_deficiency_witnesses_across_even_orders():
             assert list(two_mod_four_counterexample(m)[1].indices()) in v.witnesses
 
 
-def test_jobs_and_witness_cap_validated():
+def test_jobs_and_witness_cap_validated(monkeypatch):
     with pytest.raises(ValueError):
         search_lemma2_counterexamples(8, jobs=0)
     with pytest.raises(ValueError):
@@ -278,6 +281,22 @@ def test_jobs_and_witness_cap_validated():
         with pytest.raises(ValueError):
             run(MAX_JOBS + 1)
     assert verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=MAX_JOBS).status == VERIFIED
+    # jobs, the witness cap, the budget and min_size are read through
+    # `operator.index`: a float is a `TypeError` before any walk runs
+    for scan in ("_scan_pair_cover", "_scan_three_fold", "_scan_bound_sweep", "_scan_sigma_lattice"):
+        monkeypatch.setattr(f"groupsums.verify.{scan}", mock.Mock(side_effect=AssertionError("a walk ran")))
+    Z12 = parse_group_spec("Z12")
+    for run in (
+        lambda: critical_number(Z12, witness_cap=0.5),
+        lambda: verify_pair_cover_threshold(Z12, jobs=1.5),
+        lambda: verify_pair_cover_threshold(Z12, budget=30.5),
+        lambda: verify_three_fold_cover(12, witness_cap=2.5),
+        lambda: verify_subset_sum_bound(Z12, 2.5),
+        lambda: search_lemma2_counterexamples(12, jobs=2.0),
+        lambda: sweep("thm5", [12], witness_cap=1.0),
+    ):
+        with pytest.raises(TypeError, match="integer"):
+            run()
 
 
 def test_lemma2_rejects_tiny_m():
@@ -596,15 +615,38 @@ def test_lanes_are_built_once_and_only_past_the_root(monkeypatch):
     """The orbit lanes are |G| ints of about |Aut(G)||G| bits, and listing
     Aut(G) takes up to some ms, so only a pair-cover walk that reaches a
     child builds them, once per walk: a prop3.2 scan settled at its root
-    builds none, on a cyclic group or not, and thm4's walk has none."""
+    builds none, on a cyclic group or not.  thm4's walk builds lanes with
+    no lane, once per pass, and lists no automorphism."""
     built = []
-    monkeypatch.setattr("groupsums.verify._Lanes", lambda G: built.append(G.spec) or _Lanes(G))
+    monkeypatch.setattr("groupsums.verify._Lanes",
+                        lambda n, tables: built.append((n, len(tables))) or _Lanes(n, tables))
     for spec in ("Z24", "Z2xZ14", "Z2xZ2xZ6"):
         assert verify_pair_cover_threshold(parse_group_spec(spec), budget=28).status == "verified"
-    verify_three_fold_cover(12)
     assert built == []
+    verify_three_fold_cover(12)
+    assert built == [(12, 0), (12, 0)]  # the class passes for 0 and 1
+    built.clear()
     search_lemma2_counterexamples(12)
-    assert built == ["Z12"]
+    assert built == [(12, 3)]
+
+
+def test_lane_less_filing_in_any_order():
+    """With no lane (Z2^6 has none, and thm4's walk takes none) every mask
+    is its own orbit, and `record` keeps the exact counts, the least mask
+    of each deficiency and the `cap` least masks in whatever order the
+    masks come."""
+    assert _lane_tables(parse_group_spec("Z2^6")) == []
+    lanes, rng = _Lanes(64, []), random.Random(26)
+    deficits = {rng.getrandbits(64): rng.randint(1, 6) for _ in range(400)}
+    masks = sorted(deficits)
+    for cap in (0, 1, 3, 16, 500):
+        for _ in range(5):
+            rng.shuffle(masks)
+            stats = ScanStats(cap)
+            for mask in masks:
+                stats.record(deficits[mask], mask, lanes, 0, 0)
+            got = {key: getattr(stats, key) for key in ("violations", "hist", "reps", "witnesses")}
+            assert got == _expected_cover_stats(deficits, cap), cap
 
 
 def test_orbit_walks_match_plain_walks():
@@ -648,18 +690,19 @@ def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
     assert above == ["Z2 x Z2 x Z2 x Z2", "Z3 x Z3 x Z3", "Z2 x Z2 x Z2 x Z4", "Z2 x Z2 x Z2 x Z2 x Z2"]
     for G in groups:
         n = G.order
-        lanes = _Lanes(G)
+        tables = _lane_tables(G)
+        lanes = _Lanes(n, tables)
         add = [[G.add_index(a, b) for b in range(n)] for a in range(n)]
-        for i, table in enumerate(lanes.tables):
+        for i, table in enumerate(tables):
             assert sorted(table) == list(range(n)), (G.spec, i)
             assert all([table[s] for s in add[a]] == [add[table[a]][t] for t in table]
                        for a in range(n)), (G.spec, i)
             assert all(lanes.img1[e] >> (n + 1) * i & (2 << n) - 1 == 1 << table[e]
                        for e in range(n)), (G.spec, i)
-        maps = {tuple(t) for t in lanes.tables} | {tuple(range(n))}
+        maps = {tuple(t) for t in tables} | {tuple(range(n))}
         assert len(maps) == lanes.maps == automorphism_count(G, G.spec in above), G.spec
         if G.is_cyclic:
-            assert lanes.tables == [list(t) for t in triangular_maps(G)[1:]], G.spec
+            assert tables == [list(t) for t in triangular_maps(G)[1:]], G.spec
         if G.spec in above:
             assert maps == set(triangular_maps(G)), G.spec
             # the maps moving one generator e_i generate exactly T(G), so it is closed
@@ -692,8 +735,9 @@ def test_no_lanes_when_t_g_is_too_wide(monkeypatch):
     for spec in ("Z2^6", "Z2^4xZ4"):
         G = parse_group_spec(spec)
         assert automorphism_count(G, True) * (G.order + 1) > _MAX_LANE_BITS
-        lanes = _Lanes(G)
-        assert lanes.maps == 1 and lanes.tables == [] and lanes.ones == 0, spec
+        assert _lane_tables(G) == [], spec
+        lanes = _Lanes(G.order, [])
+        assert lanes.maps == 1 and lanes.ones == lanes.guard == 0, spec
     assert listed == []
 
 
