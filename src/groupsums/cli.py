@@ -143,17 +143,15 @@ def _verify_command(args) -> int:
     from .verify import REFUTED, STATEMENTS, BudgetExceededError, sweep
 
     statement = STATEMENTS[args.statement]
-    # without the flag, `run`'s default holds; `sweep` rejects it for a
-    # statement that takes no min_size
-    options = {"min_size": args.min_size} if hasattr(args, "min_size") else {}
-    common = dict(witness_cap=args.witness_cap, jobs=args.jobs, budget=args.budget)
+    # only the flags given, so a flag left out takes the verifier's default;
+    # the verifier checks each value, and `sweep` rejects a stray min_size
+    options = {k: v for k, v in vars(args).items() if k in ("witness_cap", "jobs", "budget", "min_size")}
     try:
         if args.which == "sweep":
-            verdicts = sweep(statement.id, parse_order_range(args.order_range),
-                             cyclic_only=args.cyclic, **common, **options)
+            verdicts = sweep(statement.id, parse_order_range(args.order_range), cyclic_only=args.cyclic, **options)
             payload = [v.to_dict() for v in verdicts]
         else:
-            verdicts = [statement.run(parse_group_spec(args.group), **common, **options)]
+            verdicts = [statement.run(parse_group_spec(args.group), **options)]
             payload = verdicts[0].to_dict()
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -183,23 +181,6 @@ def render_verdict(v) -> str:
     return "\n".join(lines)
 
 
-def _int_in_range(minimum: int, maximum: int | None = None):
-    """argparse type: an integer from `minimum` up to `maximum`, if given."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
-        return value
-
-    return parse
-
-
 def _add_set_args(p: argparse.ArgumentParser, op: str) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--set", required=True, help="element indices, e.g. 1,3,6 or (1,0),(0,2)")
@@ -220,12 +201,12 @@ def _add_construct_args(c: argparse.ArgumentParser, _: str) -> None:
 
 
 def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
-    from .verify import DEFAULT_BUDGET, DEFAULT_WITNESS_CAP, MAX_JOBS
+    from .verify import MAX_JOBS
 
-    p.add_argument("--witness-cap", type=_int_in_range(0), default=DEFAULT_WITNESS_CAP)
-    p.add_argument("--jobs", type=_int_in_range(1, MAX_JOBS), default=1,
+    p.add_argument("--witness-cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                    help=f"accepted from 1 to {MAX_JOBS} and ignored: every scan runs in one process")
-    p.add_argument("--budget", type=_int_in_range(1), default=DEFAULT_BUDGET, help="largest group order to exhaust")
+    p.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="largest group order to exhaust")
     if "min_size" in options:
         p.add_argument("--min-size", type=int, default=argparse.SUPPRESS,
                        help="minimum subset size for the sum-count bound (default 5)")

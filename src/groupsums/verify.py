@@ -5,38 +5,20 @@ Every verifier enumerates candidate subsets in colexicographic order (the
 numeric order of their bitmasks) with incremental sumset state carried down
 the recursion, and prunes a subtree once nothing below it can be a violation
 or an extremal case.  A walk tests a child's prunes in its own loop, so it
-calls only the children they keep.  The subset-sum scans walk the subset
-lattice of G \\ {0} and prune when the partial sums already cover the group;
-the thm1 sweep also drops a node whose sums outnumber twice the largest set
-below it.  The cover scans are two walks: `_scan_pair_cover` (prop3.2 and
-lemma2-search) checks A with its pair sums over the pool G \\ {0}, and
-`_scan_three_fold` (thm4) the sums of three distinct elements over the
-pool G.  They share only their look-ahead tables.  Each verifier states
-its pool's size for `checked` and hands the scan's record to
-`_cover_verdict`, which builds the certificate.  Both scans look ahead: a
-node with j picks left is dropped unless some uncovered x has at least j
-candidates that avoid every element whose addition would cover it (x
-itself and x - A for the pair cover, x - (A +^ A) for the three-fold
-sums), since otherwise every leaf below it covers the group.  The
-pair-cover scan also counts pairs: picks that miss x hold at most one of
-each pair {c, x - c} of those candidates.  At the root of a prop3.2 scan
-that count is at most (|G| - 2 + |G_2|)/2, the paper's counting bound,
-which is below the threshold (|G| + |G_2|)/2, so a verified prop3.2 scan
-stops at the root.  An x the count rules out stays ruled out below
-(`_scan_pair_cover`).  The three-fold scan counts pairs once per a in A:
-picks that miss x hold at most one of each pair {c, x - a - c}, because
-a + c + (x - a - c) = x is a sum of three distinct elements when c and
-x - a - c are distinct candidates, and no candidate is in A.
+calls only the children they keep.  Each walk's docstring gives its prunes
+and why they are sound:
 
-thm4 is decided by class representatives.  Its pool is all of Z_m, so if
-a k-set T misses x as a sum of three distinct elements, the k-sets T + t
-and -T miss x + 3t and -x.  Some k-set misses some x exactly when some
-k-set misses 0 or, when 3 | m, 1 (-1 = 2 mod 3).  `verify_three_fold_cover`
-runs these class passes (`_misses_a_class`), the three-fold scan with one
-such x as its only target, first.  If none finds a set, the full scan has
-no violation either, and the certificate is built from an empty record;
-otherwise the full scan over every x runs for the exact counts and
-witnesses.
+- `_scan_bound_sweep` (thm1) and `_scan_sigma_lattice` (thm5) walk the
+  subset lattice of G \\ {0}.
+- `_scan_pair_cover` (prop3.2 and lemma2-search) checks A with its pair
+  sums over the pool G \\ {0}, and `_scan_three_fold` (thm4) the sums of
+  three distinct elements over the pool G.  They share only their
+  look-ahead tables (`_cover_tables`).  Each verifier states its pool's
+  size for `checked` and hands the scan's record to `_cover_verdict`,
+  which builds the certificate.
+- thm4 is decided by class representatives: `verify_three_fold_cover`
+  runs the class passes of `_misses_a_class` first, and the full scan,
+  for the exact counts and witnesses, only if one finds a set.
 
 The walks that count every set of a kind (the thm1 sweep, the thm5 lattice
 and the pair-cover scan of prop3.2 and lemma2-search) visit one set per
@@ -59,15 +41,12 @@ its subtree is dropped.  With no lane, each set is its own orbit: thm4's
 walk, and those of Z1, Z2 and the groups whose T(G) is too wide, such as
 Z2^6, enter and file every set.
 
-Each scan walks its whole tree in one pass, in one process, and
-`critical_number` walks the lattice once and files each failing set under
-its size.  Every verifier and `sweep` still take `jobs`, checked to lie in
-1..`MAX_JOBS`, but it changes nothing: at the orders the default budget
-allows, splitting a scan over worker processes cost more than it saved.
-
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
-CLI builds its `verify` subcommands and which `sweep` runs.  Every scan files
-the sets it finds in `ScanStats` records.
+CLI builds its `verify` subcommands and which `sweep` runs.  Every verifier
+and `sweep` take the run options `witness_cap`, `jobs` and `budget`, whose
+defaults are set here alone, and check them first (`_check_run`); the CLI
+passes only the flags it is given.  `_check_budget` then compares the
+group's order with the budget.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -99,6 +78,9 @@ from .groups import (
 
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
+# Every scan walks its whole tree in one pass, in one process: at the orders
+# the default budget allows, splitting a scan over worker processes cost more
+# than it saved.  So `jobs`, checked to lie in 1..MAX_JOBS, changes nothing.
 MAX_JOBS = 64
 # `_lane_tables` takes Aut(G) when its lane ints, |Aut(G)|(|G| + 1) bits,
 # have at most this many bits, else T(G) when its ints fit, else none.
@@ -308,13 +290,7 @@ class _Lanes:
                 hits = hits ^ upto if need else 0
             else:
                 hits &= self.under(imgs, v)
-        hits |= keep
-        members = set()
-        while hits:
-            low = hits & -hits
-            members.add(imgs >> (low.bit_length() - 1 - n) & lane)
-            hits ^= low
-        return sorted(members)
+        return sorted({imgs >> (g - n) & lane for g in bit_indices(hits | keep)})
 
 
 def _cover_tables(G: AbelianGroup, lo: int) -> tuple[list[int], list[int], list[int]]:
@@ -589,13 +565,14 @@ def _witnesses_with_reps(stats: ScanStats) -> list[list[int]]:
     return [bit_indices(m) for m in sorted(protected.union(others))[:stats.cap]]
 
 
-def _check_run(jobs: int, cap: int) -> None:
-    if not 1 <= operator.index(jobs) <= MAX_JOBS or operator.index(cap) < 0:
-        raise ValueError(f"need 1 <= jobs <= {MAX_JOBS} and a witness cap >= 0, got {jobs} and {cap}")
+def _check_run(jobs: int, cap: int, budget: int) -> None:
+    if not 1 <= operator.index(jobs) <= MAX_JOBS or operator.index(cap) < 0 or operator.index(budget) < 1:
+        raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, witness_cap >= 0 and budget >= 1, "
+                         f"got jobs={jobs}, witness_cap={cap} and budget={budget}")
 
 
 def _check_budget(order: int, budget: int) -> None:
-    if order > operator.index(budget):
+    if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the search budget {budget}")
 
 
@@ -621,7 +598,7 @@ def verify_pair_cover_threshold(
     verdict is vacuous.
     """
     t0 = time.perf_counter()
-    _check_run(jobs, witness_cap)
+    _check_run(jobs, witness_cap, budget)
     g2 = torsion_two(G).cardinality
     threshold = (G.order + g2) // 2
     params: dict = {"threshold_size": threshold, "torsion_size": g2, "violations": 0}
@@ -651,10 +628,10 @@ def search_lemma2_counterexamples(
     witness of each deficiency.
     """
     t0 = time.perf_counter()
+    _check_run(jobs, witness_cap, budget)
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     _check_budget(m, budget)
-    _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
     stats = _scan_pair_cover(G, k=size, cap=witness_cap)
@@ -681,10 +658,10 @@ def verify_subset_sum_bound(
     the generating filter.
     """
     t0 = time.perf_counter()
+    _check_run(jobs, witness_cap, budget)
     if operator.index(min_size) < 1:
         raise ValueError(f"need min_size >= 1, got {min_size}")
     _check_budget(G.order, budget)
-    _check_run(jobs, witness_cap)
     npool = G.order - 1
     stats, eq = _scan_bound_sweep(G, min_size=min_size, cap=witness_cap)
     checked = sum(comb(npool, j) for j in range(min_size, npool + 1))
@@ -709,10 +686,10 @@ def critical_number(
     at size s - 1 plus exact failure counts per size.
     """
     t0 = time.perf_counter()
+    _check_run(jobs, witness_cap, budget)
     if G.order < 3:
         raise ValueError(f"need |G| >= 3, got {G.order}")
     _check_budget(G.order, budget)
-    _check_run(jobs, witness_cap)
     n = G.order
     # Only hist and reps are read below, so the walk lists no witnesses.
     stats = _scan_sigma_lattice(G, cap=0)
@@ -764,10 +741,10 @@ def verify_three_fold_cover(
     C(m, k) sets either way.
     """
     t0 = time.perf_counter()
+    _check_run(jobs, witness_cap, budget)
     if m < 12 or m % 2:
         raise ValueError(f"need even m >= 12, got {m}")
     _check_budget(m, budget)
-    _check_run(jobs, witness_cap)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
     stats = _scan_three_fold(G, k=size, cap=witness_cap) if _misses_a_class(G, size) else ScanStats(witness_cap)
@@ -831,7 +808,7 @@ def sweep(
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
     st = STATEMENTS[statement]
-    _check_run(jobs, witness_cap)
+    _check_run(jobs, witness_cap, budget)
     stray = sorted(set(options) - set(st.options))
     if stray:
         raise ValueError(f"{statement} takes no {', '.join(stray)}")

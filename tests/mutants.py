@@ -51,6 +51,10 @@ TOO_WIDE = "tests/test_verify.py::test_no_lanes_when_t_g_is_too_wide"
 GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 IMPORTS = "tests/test_cli.py::test_import_leaves_out_unneeded_modules"
+SWEEP_CHECKS = "tests/test_verify.py::test_sweep_checks_its_inputs_before_its_loop"
+CLI = "src/groupsums/cli.py"
+CLI_REJECTS = "tests/test_cli.py::test_verify_rejects_flags_it_would_drop"
+CLI_GIVEN = "tests/test_cli.py::test_verify_passes_only_the_flags_given"
 THRESHOLD_Z5 = "tests/test_verify.py::test_threshold_z5"
 THREE_FOLD_COUNTS = "tests/test_verify.py::test_three_fold_cover_counts"
 LEMMA2_Z7 = "tests/test_verify.py::test_lemma2_m7_verified"
@@ -62,9 +66,13 @@ _REC3_SIZE = """            if size >= j:
 """
 _CLASSES = "for x in ((0, 1) if G.order % 3 == 0 else (0,)))"
 _THM4_SCAN = "_scan_three_fold(G, k=size, cap=witness_cap) if _misses_a_class(G, size) else ScanStats(witness_cap)"
-_THM4_CHECK = """    _check_run(jobs, witness_cap)
-    G = AbelianGroup.cyclic(m)
-    size = m // 2 + 1
+_THM4_CHECK = """    _check_run(jobs, witness_cap, budget)
+    if m < 12 or m % 2:
+"""
+_THM1_CHECKS = """    _check_run(jobs, witness_cap, budget)
+    if operator.index(min_size) < 1:
+        raise ValueError(f"need min_size >= 1, got {min_size}")
+    _check_budget(G.order, budget)
 """
 _THM1_TESTS = """            if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
@@ -204,9 +212,17 @@ MUTANTS = [
     Mutant("the thm4 verifier counts its sets in Z_m \\ {0}", VERIFY,
            "comb(m, size)", "comb(m - 1, size)",
            THREE_FOLD_COUNTS),
-    Mutant("a verified thm4 never checks its jobs and witness cap", VERIFY,
-           _THM4_CHECK, _THM4_CHECK.replace("    _check_run(jobs, witness_cap)\n", ""),
+    Mutant("a verified thm4 never checks its run options", VERIFY,
+           _THM4_CHECK, _THM4_CHECK.replace("    _check_run(jobs, witness_cap, budget)\n", ""),
            CHECKS),
+    # sweep("thm4", range(1, 5), budget=0) then returns [] with no error
+    Mutant("the run check lets any budget through", VERIFY,
+           " or operator.index(budget) < 1:", ":",
+           SWEEP_CHECKS),
+    # `verify thm1 --group Z6 --budget 0` then exits 3, not 2
+    Mutant("thm1 compares its order with the budget before checking the budget", VERIFY,
+           _THM1_CHECKS, "    _check_budget(G.order, budget)\n" + _THM1_CHECKS.replace("    _check_budget(G.order, budget)\n", ""),
+           CLI_REJECTS),
     # critical_number(Z12, witness_cap=0.5) then lists a witness
     Mutant("the witness cap is compared as it stands, a float included", VERIFY,
            "operator.index(cap) < 0", "cap < 0",
@@ -348,9 +364,14 @@ MUTANTS = [
     Mutant("verify.py imports dataclasses again", VERIFY,
            "import json\n", "import dataclasses\nimport json\n",
            IMPORTS),
-    Mutant("cli.py imports verify at the top again", "src/groupsums/cli.py",
+    Mutant("cli.py imports verify at the top again", CLI,
            "from . import dumps\n", "from . import dumps, verify\n",
            IMPORTS),
+    # -- the CLI's run flags
+    Mutant("the CLI passes a budget the command line does not give", CLI,
+           'p.add_argument("--budget", type=int, default=argparse.SUPPRESS,',
+           'p.add_argument("--budget", type=int, default=24,',
+           CLI_GIVEN),
 ]
 
 

@@ -267,11 +267,15 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_bad_jobs_and_witness_cap_exit_two(capsys):
-    for flag, value in (("--jobs", "0"), ("--jobs", "-2"), ("--witness-cap", "-1"), ("--jobs", "two"),
-                        ("--jobs", "65")):
+    """The error names the option and the value it rejects: argparse for a
+    value that is not an integer, the verifier for one out of range."""
+    for flag, value, named in (("--jobs", "0", "jobs=0"), ("--jobs", "-2", "jobs=-2"),
+                               ("--witness-cap", "-1", "witness_cap=-1"), ("--budget", "0", "budget=0"),
+                               ("--jobs", "two", "argument --jobs: invalid int value: 'two'"),
+                               ("--jobs", "65", "jobs=65")):
         code, out, err = run(capsys, "verify", "lemma2", "--group", "Z8", flag, value)
         assert code == 2, (flag, value)
-        assert out == "" and f"argument {flag}" in err
+        assert out == "" and named in err, (flag, value, err)
     assert run(capsys, "verify", "prop3", "--group", "Z7", "--jobs", "64")[0] == 0
 
 
@@ -297,6 +301,7 @@ def test_budget_flag_lifts_the_cap(capsys):
     "verify sweep --statement lemma2-search --group Z8 --cyclic",
     "verify thm1 --group Z6 --budget -5",
     "verify thm1 --group Z6 --budget 0",
+    "verify prop3 --group Z2^3 --budget 0",
     "verify sweep --statement thm1 --order-range 3..4 --symmetry",
     "verify sweep --statement prop3.2 --order-range 3..4 --min-size 3",
     "verify sweep --statement thm4 --order-range 12..12 --first-only",
@@ -314,6 +319,25 @@ def test_verify_rejects_flags_it_would_drop(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == "", argv
     assert err.strip(), argv
+
+
+def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
+    """A flag left out is not passed on, so the verifier's own default holds."""
+    import groupsums.verify as verify
+
+    seen = []
+
+    def record(result):
+        return lambda *args, **kwargs: seen.append(kwargs) or result
+
+    monkeypatch.setattr(STATEMENTS["thm1"], "run", record(verify.verify_subset_sum_bound(parse_group_spec("Z6"))))
+    monkeypatch.setattr(verify, "sweep", record([]))
+    for argv in ("verify thm1 --group Z6", "verify thm1 --group Z6 --jobs 2 --min-size 3",
+                 "verify sweep --statement thm1 --order-range 3..4",
+                 "verify sweep --statement thm1 --order-range 3..4 --jobs 2 --min-size 3"):
+        assert run(capsys, *argv.split())[0] == 0, argv
+    assert seen == [{}, {"jobs": 2, "min_size": 3},
+                    {"cyclic_only": False}, {"cyclic_only": False, "jobs": 2, "min_size": 3}]
 
 
 def test_cli_and_sweep_agree_on_every_statement(capsys):

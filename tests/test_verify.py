@@ -147,9 +147,9 @@ def test_threshold_scan_is_settled_at_the_root():
 
 
 def test_threshold_checks_jobs_and_cap_before_vacuity():
-    for spec in ("Z2^2", "Z5"):
+    for spec in ("Z2^2", "Z2^3", "Z5"):
         G = parse_group_spec(spec)
-        for kwargs in ({"jobs": 0, "witness_cap": -5}, {"jobs": 0}, {"witness_cap": -1}):
+        for kwargs in ({"jobs": 0, "witness_cap": -5}, {"jobs": 0}, {"witness_cap": -1}, {"budget": 0}):
             with pytest.raises(ValueError):
                 verify_pair_cover_threshold(G, **kwargs)
     with pytest.raises(ValueError):
@@ -290,6 +290,8 @@ def test_jobs_and_witness_cap_validated(monkeypatch):
         lambda: critical_number(Z12, witness_cap=0.5),
         lambda: verify_pair_cover_threshold(Z12, jobs=1.5),
         lambda: verify_pair_cover_threshold(Z12, budget=30.5),
+        lambda: verify_pair_cover_threshold(parse_group_spec("Z2^3"), budget=30.5),
+        lambda: sweep("thm4", range(1, 5), budget=2.5),
         lambda: verify_three_fold_cover(12, witness_cap=2.5),
         lambda: verify_subset_sum_bound(Z12, 2.5),
         lambda: search_lemma2_counterexamples(12, jobs=2.0),
@@ -747,9 +749,13 @@ def test_sweep_checks_its_inputs_before_its_loop():
         ("thm4", range(1, 5), {"jobs": 0, "witness_cap": -5}),
         ("thm5", range(1, 3), {"witness_cap": -1, "min_size": 3}),
         ("prop3.2", range(1, 3), {"min_size": 3}),
+        ("thm4", range(1, 5), {"budget": 0}),
+        ("thm4", range(1, 5), {"budget": -3}),
     ):
         with pytest.raises(ValueError):
             sweep(statement, orders, **kwargs)
+    with pytest.raises(TypeError):
+        sweep("thm4", range(1, 5), budget=2.5)
     assert [v.group for v in sweep("thm1", range(1, 3), min_size=3)] == ["Z1", "Z2"]
 
 
