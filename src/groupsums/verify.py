@@ -45,8 +45,9 @@ Each statement is a `Statement` in the `STATEMENTS` registry, from which the
 CLI builds its `verify` subcommands and which `sweep` runs.  Every verifier
 and `sweep` take the run options `witness_cap`, `jobs` and `budget`, whose
 defaults are set here alone, and check them first (`_check_run`); the CLI
-passes only the flags it is given.  `_check_budget` then compares the
-group's order with the budget.
+passes only the flags it is given.  Each verifier alone knows its domain and
+raises `_OutsideDomain` for a group outside it, which `sweep` skips;
+`_check_budget` then compares the group's order with the budget.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -110,6 +111,10 @@ VACUOUS = "vacuous"
 
 class BudgetExceededError(RuntimeError):
     """The group is larger than the configured exhaustive-search budget."""
+
+
+class _OutsideDomain(ValueError):
+    """The statement says nothing about this group; `sweep` skips it."""
 
 
 def _fresh(data):
@@ -566,9 +571,12 @@ def _witnesses_with_reps(stats: ScanStats) -> list[list[int]]:
 
 
 def _check_run(jobs: int, cap: int, budget: int) -> None:
-    if not 1 <= operator.index(jobs) <= MAX_JOBS or operator.index(cap) < 0 or operator.index(budget) < 1:
-        raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, witness_cap >= 0 and budget >= 1, "
-                         f"got jobs={jobs}, witness_cap={cap} and budget={budget}")
+    got = f"got jobs={jobs}, witness_cap={cap} and budget={budget}"
+    try:
+        if not 1 <= operator.index(jobs) <= MAX_JOBS or operator.index(cap) < 0 or operator.index(budget) < 1:
+            raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, witness_cap >= 0 and budget >= 1, {got}")
+    except TypeError:
+        raise TypeError(f"need integer run options, {got}") from None
 
 
 def _check_budget(order: int, budget: int) -> None:
@@ -630,7 +638,7 @@ def search_lemma2_counterexamples(
     t0 = time.perf_counter()
     _check_run(jobs, witness_cap, budget)
     if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+        raise _OutsideDomain(f"need m >= 3, got {m}")
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
@@ -688,7 +696,7 @@ def critical_number(
     t0 = time.perf_counter()
     _check_run(jobs, witness_cap, budget)
     if G.order < 3:
-        raise ValueError(f"need |G| >= 3, got {G.order}")
+        raise _OutsideDomain(f"need |G| >= 3, got {G.order}")
     _check_budget(G.order, budget)
     n = G.order
     # Only hist and reps are read below, so the walk lists no witnesses.
@@ -743,7 +751,7 @@ def verify_three_fold_cover(
     t0 = time.perf_counter()
     _check_run(jobs, witness_cap, budget)
     if m < 12 or m % 2:
-        raise ValueError(f"need even m >= 12, got {m}")
+        raise _OutsideDomain(f"need even m >= 12, got {m}")
     _check_budget(m, budget)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
@@ -754,40 +762,30 @@ def verify_three_fold_cover(
 # -- statement registry ----------------------------------------------------------
 
 
-def _lemma2_on(G: AbelianGroup, **kwargs) -> Verdict:
+def _cyclic_order(G: AbelianGroup) -> int:
     if not G.is_cyclic:
-        raise ValueError("the pair-cover search runs on cyclic groups")
-    return search_lemma2_counterexamples(G.order, **kwargs)
-
-
-def _thm4_on(G: AbelianGroup, **kwargs) -> Verdict:
-    if not G.is_cyclic:
-        raise ValueError("the three-fold cover statement is about cyclic groups")
-    return verify_three_fold_cover(G.order, **kwargs)
+        raise _OutsideDomain(f"the statement is about cyclic groups, got {G.spec}")
+    return G.order
 
 
 class Statement:
     """One statement of the paper.  `run(G, *, witness_cap, jobs, budget,
-    **kw)` checks it on one group, where `kw` takes only names in `options`.
-    A sweep visits the orders n with `in_domain(n)`, and only the cyclic
-    group of each when `cyclic_only`."""
+    **kw)` checks it on one group, `kw` taking only names in `options`, or
+    raises `_OutsideDomain` if G lies outside the statement's domain."""
 
-    def __init__(self, id: str, alias: str, cyclic_only: bool, in_domain: Callable[[int], bool],
-                 run: Callable[..., Verdict], options: tuple[str, ...]):
+    def __init__(self, id: str, alias: str, run: Callable[..., Verdict], options: tuple[str, ...] = ()):
         self.id = id
         self.alias = alias
-        self.cyclic_only = cyclic_only
-        self.in_domain = in_domain
         self.run = run
         self.options = options
 
 
 STATEMENTS = {st.id: st for st in (
-    Statement("prop3.2", "prop3", False, lambda n: True, verify_pair_cover_threshold, ()),
-    Statement("lemma2-search", "lemma2", True, lambda n: n >= 3, _lemma2_on, ()),
-    Statement("thm1", "thm1", False, lambda n: True, verify_subset_sum_bound, ("min_size",)),
-    Statement("thm4", "thm4", True, lambda n: n >= 12 and n % 2 == 0, _thm4_on, ()),
-    Statement("thm5", "thm5", False, lambda n: n >= 3, lambda G, **kw: critical_number(G, **kw)[1], ()),
+    Statement("prop3.2", "prop3", verify_pair_cover_threshold),
+    Statement("lemma2-search", "lemma2", lambda G, **kw: search_lemma2_counterexamples(_cyclic_order(G), **kw)),
+    Statement("thm1", "thm1", verify_subset_sum_bound, ("min_size",)),
+    Statement("thm4", "thm4", lambda G, **kw: verify_three_fold_cover(_cyclic_order(G), **kw)),
+    Statement("thm5", "thm5", lambda G, **kw: critical_number(G, **kw)[1]),
 )}
 
 
@@ -802,9 +800,9 @@ def sweep(
     **options,
 ) -> list[Verdict]:
     """Run one statement over all abelian (or all cyclic) groups of the
-    given orders, skipping orders outside its domain.  `options` are the
-    statement's own keywords (`Statement.options`).  Verdicts come back in
-    order, then by isomorphism class."""
+    given orders but those its verifier refuses with `_OutsideDomain`.
+    `options` are the statement's own keywords (`Statement.options`).
+    Verdicts come back in order, then by isomorphism class."""
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
     st = STATEMENTS[statement]
@@ -814,8 +812,9 @@ def sweep(
         raise ValueError(f"{statement} takes no {', '.join(stray)}")
     out: list[Verdict] = []
     for n in orders:
-        if not st.in_domain(n):
-            continue
-        for G in [AbelianGroup.cyclic(n)] if cyclic_only or st.cyclic_only else enumerate_groups_of_order(n):
-            out.append(st.run(G, witness_cap=witness_cap, jobs=jobs, budget=budget, **options))
+        for G in [AbelianGroup.cyclic(n)] if cyclic_only else enumerate_groups_of_order(n):
+            try:
+                out.append(st.run(G, witness_cap=witness_cap, jobs=jobs, budget=budget, **options))
+            except _OutsideDomain:
+                pass
     return out

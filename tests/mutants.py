@@ -52,6 +52,7 @@ GROUPS = "src/groupsums/groups.py"
 GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 IMPORTS = "tests/test_cli.py::test_import_leaves_out_unneeded_modules"
 SWEEP_CHECKS = "tests/test_verify.py::test_sweep_checks_its_inputs_before_its_loop"
+SWEEP_SKIPS = "tests/test_verify.py::test_sweep_skips_out_of_domain_orders"
 CLI = "src/groupsums/cli.py"
 CLI_REJECTS = "tests/test_cli.py::test_verify_rejects_flags_it_would_drop"
 CLI_GIVEN = "tests/test_cli.py::test_verify_passes_only_the_flags_given"
@@ -74,6 +75,11 @@ _THM1_CHECKS = """    _check_run(jobs, witness_cap, budget)
         raise ValueError(f"need min_size >= 1, got {min_size}")
     _check_budget(G.order, budget)
 """
+_LEMMA2_CHECKS = """    if m < 3:
+        raise _OutsideDomain(f"need m >= 3, got {m}")
+    _check_budget(m, budget)
+"""
+_THM4_DOMAIN = 'raise _OutsideDomain(f"need even m >= 12, got {m}")'
 _THM1_TESTS = """            if got < need and generates(acc):
                 stats.record(need - got, pmask << 1, lanes, rep, imgs)
             elif got == need and generates(acc):
@@ -227,6 +233,24 @@ MUTANTS = [
     Mutant("the witness cap is compared as it stands, a float included", VERIFY,
            "operator.index(cap) < 0", "cap < 0",
            CHECKS),
+    # -- the domains: a verifier refuses a group outside its statement's
+    # domain with `_OutsideDomain`, and `sweep` skips exactly those groups
+    # sweep("thm1", range(1, 5), min_size=0) then returns [] with no error
+    Mutant("sweep skips a group on any ValueError, not only a domain error", VERIFY,
+           "            except _OutsideDomain:\n", "            except ValueError:\n",
+           SWEEP_CHECKS),
+    # sweep("thm4", range(4, 17)) then stops at Z4 with an error
+    Mutant("thm4's domain check raises a plain ValueError", VERIFY,
+           _THM4_DOMAIN, _THM4_DOMAIN.replace("_OutsideDomain", "ValueError"),
+           SWEEP_SKIPS),
+    # sweep("thm4", [16]) then certifies Z16 once for each group of order 16
+    Mutant("the cyclic statements take any group of the order", VERIFY,
+           "    if not G.is_cyclic:\n", "    if False:\n",
+           SWEEP_SKIPS),
+    # sweep("lemma2-search", range(1, 3), budget=1) then exceeds the budget on Z2
+    Mutant("lemma2 compares its order with the budget before checking its domain", VERIFY,
+           _LEMMA2_CHECKS, "    _check_budget(m, budget)\n" + _LEMMA2_CHECKS.replace("    _check_budget(m, budget)\n", ""),
+           SWEEP_SKIPS),
     # -- the thm1 sweep
     Mutant("an equality case need not generate G", VERIFY,
            "elif got == need and generates(acc):",

@@ -341,22 +341,34 @@ def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
 
 
 def test_cli_and_sweep_agree_on_every_statement(capsys):
+    """On every group of order 1..14, `verify <alias>` exits 2 with an
+    error and no output exactly where `sweep` skips the group, and
+    otherwise gives the sweep's certificate, for the group asked for."""
     code, out, _ = run(capsys, "verify", "--help")
     assert code == 0
     listed = re.search(r"\{([^}]*)\}", out).group(1).split(",")
     assert sorted(listed) == sorted([st.alias for st in STATEMENTS.values()] + ["sweep"])
+    refused = {}
     for st in STATEMENTS.values():
+        refused[st.id] = []
         for n in range(1, 15):
-            if not st.in_domain(n):
-                continue
             swept = [v.core() for v in sweep(st.id, [n])]
-            groups = [G for G in enumerate_groups_of_order(n) if G.is_cyclic or not st.cyclic_only]
             single = []
-            for G in groups:
-                code, out, _ = run(capsys, "verify", st.alias, "--group", G.spec, "--json")
+            for G in enumerate_groups_of_order(n):
+                code, out, err = run(capsys, "verify", st.alias, "--group", G.spec, "--json")
+                if code == 2:
+                    assert out == "" and err.startswith("error: "), (st.id, G.spec)
+                    refused[st.id].append(G.spec)
+                    continue
                 assert code in (0, 1), (st.id, G.spec)
                 single.append(Verdict.from_json(out).core())
+                assert single[-1]["group"] == G.spec, (st.id, G.spec)
             assert swept == single, (st.id, n)
+    every = [G.spec for n in range(1, 15) for G in enumerate_groups_of_order(n)]
+    assert refused["prop3.2"] == refused["thm1"] == []
+    assert refused["thm5"] == ["Z1", "Z2"]
+    assert refused["lemma2-search"] == [g for g in every if "x" in g or g in ("Z1", "Z2")]
+    assert refused["thm4"] == [g for g in every if g not in ("Z12", "Z14")]
 
 
 def _readme_cli_lines() -> list[str]:

@@ -29,7 +29,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.groups import automorphism_count, automorphism_tables
+from groupsums.groups import MAX_ORDER, GroupSpecError, automorphism_count, automorphism_tables
 from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
@@ -282,22 +282,23 @@ def test_jobs_and_witness_cap_validated(monkeypatch):
             run(MAX_JOBS + 1)
     assert verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=MAX_JOBS).status == VERIFIED
     # jobs, the witness cap, the budget and min_size are read through
-    # `operator.index`: a float is a `TypeError` before any walk runs
+    # `operator.index`: a float is a `TypeError` before any walk runs, and
+    # one for a run option names its value
     for scan in ("_scan_pair_cover", "_scan_three_fold", "_scan_bound_sweep", "_scan_sigma_lattice"):
         monkeypatch.setattr(f"groupsums.verify.{scan}", mock.Mock(side_effect=AssertionError("a walk ran")))
     Z12 = parse_group_spec("Z12")
-    for run in (
-        lambda: critical_number(Z12, witness_cap=0.5),
-        lambda: verify_pair_cover_threshold(Z12, jobs=1.5),
-        lambda: verify_pair_cover_threshold(Z12, budget=30.5),
-        lambda: verify_pair_cover_threshold(parse_group_spec("Z2^3"), budget=30.5),
-        lambda: sweep("thm4", range(1, 5), budget=2.5),
-        lambda: verify_three_fold_cover(12, witness_cap=2.5),
-        lambda: verify_subset_sum_bound(Z12, 2.5),
-        lambda: search_lemma2_counterexamples(12, jobs=2.0),
-        lambda: sweep("thm5", [12], witness_cap=1.0),
+    for run, named in (
+        (lambda: critical_number(Z12, witness_cap=0.5), "witness_cap=0.5"),
+        (lambda: verify_pair_cover_threshold(Z12, jobs=1.5), "jobs=1.5"),
+        (lambda: verify_pair_cover_threshold(Z12, budget=30.5), "budget=30.5"),
+        (lambda: verify_pair_cover_threshold(parse_group_spec("Z2^3"), budget=30.5), "budget=30.5"),
+        (lambda: sweep("thm4", range(1, 5), budget=2.5), "budget=2.5"),
+        (lambda: verify_three_fold_cover(12, witness_cap=2.5), "witness_cap=2.5"),
+        (lambda: verify_subset_sum_bound(Z12, 2.5), "integer"),
+        (lambda: search_lemma2_counterexamples(12, jobs=2.0), "jobs=2.0"),
+        (lambda: sweep("thm5", [12], witness_cap=1.0), "witness_cap=1.0"),
     ):
-        with pytest.raises(TypeError, match="integer"):
+        with pytest.raises(TypeError, match=named):
             run()
 
 
@@ -658,15 +659,17 @@ def test_orbit_walks_match_plain_walks():
 
 def test_jobs_is_checked_and_changes_nothing():
     """Every statement's certificate core is the same at jobs 1, 2 and 64,
-    and jobs 0 and 65 raise `ValueError`, on Z12, Z2xZ6 and Z2^3."""
+    and the sweep's, and jobs 0 and 65 raise `ValueError`, on those of Z12,
+    Z2xZ6 and Z2^3 that the statement's sweep over orders 8 and 12 keeps."""
+    groups = [parse_group_spec(spec) for spec in ("Z12", "Z2xZ6", "Z2^3")]
     compared = 0
-    for spec in ("Z12", "Z2xZ6", "Z2^3"):
-        G = parse_group_spec(spec)
-        for st in STATEMENTS.values():
-            if not st.in_domain(G.order) or st.cyclic_only and not G.is_cyclic:
+    for st in STATEMENTS.values():
+        swept = {v.group: dumps(v.core()) for v in sweep(st.id, [8, 12])}
+        for G in groups:
+            if G.spec not in swept:
                 continue
             cores = [dumps(st.run(G, jobs=jobs).core()) for jobs in (1, 2, MAX_JOBS)]
-            assert cores[0] == cores[1] == cores[2], (spec, st.id)
+            assert swept[G.spec] == cores[0] == cores[1] == cores[2], (G.spec, st.id)
             for jobs in (0, MAX_JOBS + 1):
                 with pytest.raises(ValueError):
                     st.run(G, jobs=jobs)
@@ -754,9 +757,12 @@ def test_sweep_checks_its_inputs_before_its_loop():
     ):
         with pytest.raises(ValueError):
             sweep(statement, orders, **kwargs)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="integer.*budget=2.5"):
         sweep("thm4", range(1, 5), budget=2.5)
     assert [v.group for v in sweep("thm1", range(1, 3), min_size=3)] == ["Z1", "Z2"]
+    # a bad min_size is no domain error: the sweep raises, not skips
+    with pytest.raises(ValueError, match="min_size"):
+        sweep("thm1", range(1, 5), min_size=0)
 
 
 def test_sweep_unknown_statement():
@@ -769,6 +775,16 @@ def test_sweep_skips_out_of_domain_orders():
     assert [v.group for v in vs] == ["Z12", "Z14", "Z16"]
     vs = sweep("lemma2-search", range(4, 21, 2))
     assert all(v.status == REFUTED for v in vs)
+    # only the cyclic group of an order is in the cyclic statements' domain
+    assert [v.group for v in sweep("lemma2-search", [8])] == ["Z8"]
+    assert [v.group for v in sweep("thm4", [16])] == ["Z16"]
+    # lemma2 checks its domain before its budget, so Z2 is skipped
+    assert sweep("lemma2-search", range(1, 3), budget=1) == []
+    # an order above MAX_ORDER is an error for every statement
+    for statement in STATEMENTS:
+        for cyclic_only in (False, True):
+            with pytest.raises(GroupSpecError):
+                sweep(statement, [MAX_ORDER + 1], cyclic_only=cyclic_only)
 
 
 def test_sweep_thm5_example_orders():
