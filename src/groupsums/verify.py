@@ -180,8 +180,8 @@ class Verdict:
 # -- scans -------------------------------------------------------------------
 #
 # A node of a walk is the arguments of its recursive call: (j, bound, dp1,
-# dp2, n1, rep, imgs) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3, n1,
-# n2) in the three-fold `rec3`, (pmask, size, limit, acc, rep, imgs) in the
+# dp2, n1, rep, imgs, live) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3,
+# n1, n2) in the three-fold `rec3`, (pmask, size, limit, acc, rep, imgs) in the
 # lattice scans, where rep and imgs are the orbit lanes of `_Lanes`; its
 # subtree adds pool positions below `bound` or `limit`.  The pool is
 # G \ {0} (position p is element p + 1), or G in thm4's scan.
@@ -319,37 +319,48 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     whose pair cover, A with its pair sums, misses part of G; A is the
     witness mask.
 
-    A node with j picks left below `bound` is dropped unless some
-    uncovered x could survive to a leaf, which needs j candidates avoiding
-    x and x - A, the elements whose addition covers x.  The scan carries
-    n1 = -A so that x - A is a single translate.  The picks T of a leaf
-    that misses x also hold no two distinct elements summing to x.  So
-    with ok those candidates, |T| <= |ok| - |both|/2, where both =
-    ok & (x - ok) without the c with 2c = x, and a node needs that count,
-    not |ok|, to reach j.  At the root of a prop3.2 scan (A empty, j =
-    (|G| + |G_2|)/2) the count is (|G| - 2 + h)/2 for the h halves of x
-    (h <= |G_2|), the paper's counting bound, which is below j: a verified
-    scan stops at the root.
+    A node with j picks left below `bound` looks ahead on each uncovered x.
+    A leaf below it misses x only if its j picks T avoid x and x - A, the
+    elements whose addition covers x; ok is those candidates.  The scan
+    carries n1 = -A so that x - A is a single translate.  T also holds no
+    two distinct elements summing to x.  Call c in ok an upper member when
+    its partner x - c is in ok and below c (both = ok & (x - ok) without
+    the c with 2c = x holds the pairs), and let lower be ok without them:
+    the singles and the lower member of each pair.  No two elements of
+    lower sum to x, so some leaf misses x exactly when |lower| =
+    |ok| - |both|/2 >= j, that is when the slack s = |lower| - j is at
+    least 0.  At the root of a prop3.2 scan (A empty, j = (|G| + |G_2|)/2)
+    |lower| is (|G| - 2 + h)/2 for the h halves of x (h <= |G_2|), the
+    paper's counting bound, which is below j: a verified scan stops at the
+    root.
 
-    A node calls only the children whose cover is not all of G.  An x that
-    the look-ahead rules out at a node is ruled out in every descendant
-    that leaves it uncovered: a child adds a candidate e, which avoids x
-    and x - A unless it covers x, and the child's candidates lose the whole
-    pair {e, x - e} while j drops by 1, so the count stays below j.  The
-    walk carries `live`, the x no ancestor has ruled out, and looks ahead
-    only on those.
+    The child rule.  A child adds e in ok, so x stays uncovered, and keeps
+    the candidates below e, less x - e.  Dropping an upper member costs
+    lower nothing and dropping a single or a lower member costs one; an
+    upper e also takes its partner, a lower member below it.  So the child
+    keeps x alive exactly when at most s + 1 members of lower lie at or
+    above e (e in lower), or at most s (e an upper member): exactly when e
+    lies at or above t_x, the (s + 1)-th highest element of lower.  A node
+    tests every x and calls the e in ok at or above t_x for some x, those
+    only, so each child it calls has a leaf below it that misses part of G.
+
+    An x that the look-ahead rules out at a node is ruled out in every
+    descendant that leaves it uncovered, since a child's |lower| falls by
+    at least 1, as j does.  The walk carries `live`, the x no ancestor has
+    ruled out, and looks ahead only on those.
 
     The walk enters only a set that is the largest of its orbit under the
     automorphisms of `_Lanes` and files each leaf for its whole orbit.  It
-    builds the lanes at the first node with children, so a scan settled at
-    its root builds none.
+    builds the lanes and `upper` (upper[x] holds the c whose partner x - c
+    is below c) the first time an x survives, so a scan settled at its
+    root builds neither.
     """
     tr = G.translator()
     neg = G.neg_table
-    full = G.full_mask
     stats = ScanStats(cap)
     free, nfree, halves = _cover_tables(G, 1)
     lanes = guard = rep1 = img1 = None
+    upper = [0] * G.order
 
     def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int, live: int) -> None:
         nonlocal lanes, guard, rep1, img1
@@ -360,33 +371,38 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
         avail = free[bound]
         navail = nfree[bound]
         uncovered = live & ~cover
+        kids = 0
         while uncovered:
             low = uncovered & -uncovered
             x = low.bit_length() - 1
+            uncovered ^= low
             ok = avail & ~(low | tr(n1, x))
             size = ok.bit_count()
             if size >= j:
                 # -ok = navail minus (A - x) and -x; leaving -x in adds only
                 # 0 to x - ok, and the pool G \ {0} never holds 0
                 both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
-                if size - (both.bit_count() >> 1) >= j:
-                    break
+                slack = size - (both.bit_count() >> 1) - j
+                if slack >= 0:
+                    if rep1 is None:
+                        lanes = _Lanes(G.order, _lane_tables(G))
+                        guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
+                        for c in range(G.order):  # c is upper for x = c + d, d below c
+                            for y in bit_indices(tr((1 << c) - 1, c)):
+                                upper[y] |= 1 << c
+                    lower = ok & ~(both & upper[x])
+                    for _ in range(slack):
+                        lower ^= 1 << (lower.bit_length() - 1)
+                    t = lower.bit_length() - 1
+                    kids |= ok >> t << t
+                    continue
             live ^= low
-            uncovered ^= low
-        else:
-            return
-        if rep1 is None:
-            lanes = _Lanes(G.order, _lane_tables(G))
-            guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
-        for c in range(j - 1, bound):
-            e = c + 1
-            d1, d2 = dp1 | (1 << e), dp2 | tr(dp1, e)
-            if d1 | d2 != full:
-                r, i = rep | rep1[e], imgs | img1[e]
-                if (r - i) & guard == guard:
-                    rec(j - 1, c, d1, d2, n1 | (1 << neg[e]), r, i, live)
+        for e in bit_indices(kids):
+            r, i = rep | rep1[e], imgs | img1[e]
+            if (r - i) & guard == guard:
+                rec(j - 1, e - 1, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
 
-    rec(k, G.order - 1, 0, 0, 0, 0, 0, full)
+    rec(k, G.order - 1, 0, 0, 0, 0, 0, G.full_mask)
     return stats
 
 
@@ -667,8 +683,11 @@ def verify_subset_sum_bound(
     """
     t0 = time.perf_counter()
     _check_run(jobs, witness_cap, budget)
-    if operator.index(min_size) < 1:
-        raise ValueError(f"need min_size >= 1, got {min_size}")
+    try:
+        if operator.index(min_size) < 1:
+            raise ValueError(f"need min_size >= 1, got {min_size}")
+    except TypeError:
+        raise TypeError(f"need an integer min_size, got min_size={min_size}") from None
     _check_budget(G.order, budget)
     npool = G.order - 1
     stats, eq = _scan_bound_sweep(G, min_size=min_size, cap=witness_cap)

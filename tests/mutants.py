@@ -60,6 +60,7 @@ THRESHOLD_Z5 = "tests/test_verify.py::test_threshold_z5"
 THREE_FOLD_COUNTS = "tests/test_verify.py::test_three_fold_cover_counts"
 LEMMA2_Z7 = "tests/test_verify.py::test_lemma2_m7_verified"
 ROOT = "tests/test_verify.py::test_threshold_scan_is_settled_at_the_root"
+EXACT = "tests/test_verify.py::test_pair_cover_walk_is_exact"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -71,8 +72,11 @@ _THM4_CHECK = """    _check_run(jobs, witness_cap, budget)
     if m < 12 or m % 2:
 """
 _THM1_CHECKS = """    _check_run(jobs, witness_cap, budget)
-    if operator.index(min_size) < 1:
-        raise ValueError(f"need min_size >= 1, got {min_size}")
+    try:
+        if operator.index(min_size) < 1:
+            raise ValueError(f"need min_size >= 1, got {min_size}")
+    except TypeError:
+        raise TypeError(f"need an integer min_size, got min_size={min_size}") from None
     _check_budget(G.order, budget)
 """
 _LEMMA2_CHECKS = """    if m < 3:
@@ -104,13 +108,22 @@ _THM5_CHILD = """        for p in range(limit):
             if a != full:
                 r, i = rep | rep1[e], imgs | img1[e]
 """ + _LATTICE_CHILD
-_REC_CHILD = """            d1, d2 = dp1 | (1 << e), dp2 | tr(dp1, e)
-            if d1 | d2 != full:
-                r, i = rep | rep1[e], imgs | img1[e]
-""" + _CANONICAL + """                    rec(j - 1, c, d1, d2, n1 | (1 << neg[e]), r, i, live)
+_REC_CHILD = """        for e in bit_indices(kids):
+            r, i = rep | rep1[e], imgs | img1[e]
+            if (r - i) & guard == guard:
+                rec(j - 1, e - 1, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
 """
-_SURVIVOR = """                if size - (both.bit_count() >> 1) >= j:
-                    break
+_SLACK = "slack = size - (both.bit_count() >> 1) - j"
+_UPPER = """                        for c in range(G.order):  # c is upper for x = c + d, d below c
+                            for y in bit_indices(tr((1 << c) - 1, c)):
+                                upper[y] |= 1 << c
+"""
+_CHILD_RULE = """                    lower = ok & ~(both & upper[x])
+                    for _ in range(slack):
+                        lower ^= 1 << (lower.bit_length() - 1)
+                    t = lower.bit_length() - 1
+                    kids |= ok >> t << t
+                    continue
 """
 _REPS = """        if members[0] < held:
             self.reps[d] = members[0]
@@ -168,21 +181,47 @@ MUTANTS = [
     # a child then looks ahead only on the x its parent has not ruled out,
     # the surviving one included, so its look-ahead can miss a live x
     Mutant("the live mask loses the x that survives the look-ahead", VERIFY,
-           _SURVIVOR, _SURVIVOR.replace("break", "live ^= low\n                    break"),
+           _CHILD_RULE, _CHILD_RULE.replace("                    continue\n", ""),
            COVER_BRUTE),
-    Mutant("the pair-cover walk enters a child whose cover is all of G", VERIFY,
-           _REC_CHILD, _REC_CHILD.replace("            if d1 | d2 != full:\n", "            if True:\n"),
+    # -- the child rule of the pair-cover scan
+    # t_x one bit too low is still sound, but the walk then enters nodes
+    # whose leaves all cover G, or fails on a shift by -1 when j = 1
+    Mutant("the child rule takes t_x one bit too low", VERIFY,
+           _CHILD_RULE, _CHILD_RULE.replace("range(slack)", "range(slack + 1)"),
+           EXACT),
+    Mutant("the child rule takes t_x one bit too high", VERIFY,
+           _CHILD_RULE, _CHILD_RULE.replace("range(slack)", "range(slack - 1)"),
            COVER_BRUTE),
+    Mutant("the children come from lower in place of ok", VERIFY,
+           _CHILD_RULE, _CHILD_RULE.replace("kids |= ok >> t << t", "kids |= lower >> t << t"),
+           COVER_BRUTE),
+    Mutant("the look-ahead still stops at the first surviving x", VERIFY,
+           _CHILD_RULE, _CHILD_RULE.replace("continue", "break"),
+           COVER_BRUTE),
+    Mutant("upper compares with <=, so c = x - c is an upper member", VERIFY,
+           _UPPER, _UPPER.replace("(1 << c) - 1", "(2 << c) - 1"),
+           COVER_BRUTE,
+           survives="the bit that upper[2c] gains for c is never read: `both` already leaves out "
+                    "the c with 2c = x, so both & upper[x] is the same set"),
+    # no certificate changes; the root then makes |G| more translates
+    Mutant("the pair-cover scan builds upper before its root's look-ahead", VERIFY,
+           "    upper = [0] * G.order\n",
+           "    upper = [0] * G.order\n"
+           "    for c in range(G.order):\n"
+           "        for y in bit_indices(tr((1 << c) - 1, c)):\n"
+           "            upper[y] |= 1 << c\n",
+           LANES),
     Mutant("the pair count keeps the c with 2c = x", VERIFY,
            _BOTH, _BOTH.replace(" & ~halves[x]", ""),
            COVER_BRUTE),
     Mutant("the pair count counts both elements of each pair", VERIFY,
-           "if size - (both.bit_count() >> 1) >= j:", "if size - both.bit_count() >= j:",
+           _SLACK, _SLACK.replace("(both.bit_count() >> 1)", "both.bit_count()"),
            COVER_BRUTE),
-    # no certificate changes, since the look-ahead without the pair count is
-    # still sound, but a verified prop3.2 scan no longer stops at its root
+    # no certificate changes, since the look-ahead and the child rule
+    # without pairs are still sound, but a verified prop3.2 scan no longer
+    # stops at its root
     Mutant("the pair count is off", VERIFY,
-           "if size - (both.bit_count() >> 1) >= j:", "if True:",
+           _BOTH, _BOTH.replace("both = ok & ", "both = 0 & "),
            ROOT),
     Mutant("the pair count translates -ok by -x instead of x", VERIFY,
            _BOTH, _BOTH.replace("neg[x]), x)", "neg[x]), neg[x])"),
@@ -337,7 +376,7 @@ MUTANTS = [
            _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "                if True:\n"),
            LATTICE_BRUTE),
     Mutant("the pair-cover walk enters every set", VERIFY,
-           _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "                if True:\n"),
+           _REC_CHILD, _REC_CHILD.replace("if (r - i) & guard == guard:", "if True:"),
            COVER_BRUTE),
     Mutant("the thm5 walk enters a set only if it is greater than every other image", VERIFY,
            _THM5_CHILD,
@@ -345,7 +384,7 @@ MUTANTS = [
            ORBIT),
     Mutant("the pair-cover walk enters a set only if it is greater than every other image", VERIFY,
            _REC_CHILD,
-           _REC_CHILD.replace(_CANONICAL, "                if (r - i - lanes.ones) & guard == guard:\n"),
+           _REC_CHILD.replace("if (r - i) & guard == guard:", "if (r - i - lanes.ones) & guard == guard:"),
            COVER_BRUTE),
     Mutant("the pair-cover scan builds its lanes before its root's look-ahead", VERIFY,
            "    lanes = guard = rep1 = img1 = None\n",

@@ -8,6 +8,8 @@ order <= 32, and full scans of order <= 64 for the halving/torsion facts.
 from __future__ import annotations
 
 import random
+import sys
+import types
 from functools import cache
 from itertools import combinations, product
 from math import comb, gcd
@@ -313,6 +315,46 @@ def check_dead_targets_stay_dead(max_order: int = 14) -> int:
         for k in range(2, n - 1):
             walk((), set(), k, n - 1)
     return checked
+
+
+def check_pair_cover_walk_is_exact(max_order: int = 14) -> int:
+    """The child rule of `_scan_pair_cover` is exact: with no lanes, so
+    that every set is its own orbit, the walk enters the root and then
+    exactly the nodes below which some leaf misses part of G.  A node is
+    a top-i prefix of its leaves (their i largest elements, as the walk
+    adds elements in descending order), so over every group of order 3 to
+    max_order and every k from 2 to |G| - 2 the calls to the walk's `rec`
+    must be 1 plus the number of distinct top-i prefixes, i = 1..k, of
+    the k-subsets of G \\ {0} whose pair cover is not all of G.  Returns
+    the number of (group, k) cases checked."""
+    rec = next(code for code in _scan_pair_cover.__code__.co_consts
+               if isinstance(code, types.CodeType) and code.co_name == "rec")
+    cases = 0
+    for G in all_groups_up_to(max_order):
+        n = G.order
+        add = [[G.add_index(a, b) for b in range(n)] for a in range(n)]
+        for k in range(2, n - 1):
+            prefixes = set()
+            for combo in combinations(range(n - 1, 0, -1), k):
+                cover = set(combo) | {add[a][b] for a, b in combinations(combo, 2)}
+                if len(cover) < n:
+                    prefixes.update(combo[:i] for i in range(1, k + 1))
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                if event == "call" and frame.f_code is rec:
+                    calls += 1
+
+            with mock.patch("groupsums.verify._lane_tables", return_value=[]):
+                sys.setprofile(count)
+                try:
+                    _scan_pair_cover(G, k=k, cap=0)
+                finally:
+                    sys.setprofile(None)
+            assert calls == 1 + len(prefixes), (G.spec, k, calls, len(prefixes))
+            cases += 1
+    return cases
 
 
 def check_three_fold_scan_on_thm4_orders(cap: int = 3) -> dict[str, int]:

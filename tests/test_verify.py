@@ -52,6 +52,7 @@ from property_checks import (
     check_orbit_walks_match_plain_walks,
     check_cover_scans_brute_force,
     check_dead_targets_stay_dead,
+    check_pair_cover_walk_is_exact,
     check_subset_sum_scans_brute_force,
     check_thm4_matches_full_scan,
     check_three_fold_scan_on_thm4_orders,
@@ -283,7 +284,7 @@ def test_jobs_and_witness_cap_validated(monkeypatch):
     assert verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=MAX_JOBS).status == VERIFIED
     # jobs, the witness cap, the budget and min_size are read through
     # `operator.index`: a float is a `TypeError` before any walk runs, and
-    # one for a run option names its value
+    # it names its value
     for scan in ("_scan_pair_cover", "_scan_three_fold", "_scan_bound_sweep", "_scan_sigma_lattice"):
         monkeypatch.setattr(f"groupsums.verify.{scan}", mock.Mock(side_effect=AssertionError("a walk ran")))
     Z12 = parse_group_spec("Z12")
@@ -294,7 +295,8 @@ def test_jobs_and_witness_cap_validated(monkeypatch):
         (lambda: verify_pair_cover_threshold(parse_group_spec("Z2^3"), budget=30.5), "budget=30.5"),
         (lambda: sweep("thm4", range(1, 5), budget=2.5), "budget=2.5"),
         (lambda: verify_three_fold_cover(12, witness_cap=2.5), "witness_cap=2.5"),
-        (lambda: verify_subset_sum_bound(Z12, 2.5), "integer"),
+        (lambda: verify_subset_sum_bound(Z12, 2.5), "min_size=2.5"),
+        (lambda: sweep("thm1", [4], min_size=2.5), "min_size=2.5"),
         (lambda: search_lemma2_counterexamples(12, jobs=2.0), "jobs=2.0"),
         (lambda: sweep("thm5", [12], witness_cap=1.0), "witness_cap=1.0"),
     ):
@@ -571,6 +573,11 @@ def test_dead_targets_stay_dead():
     assert check_dead_targets_stay_dead(14) == 8_300
 
 
+def test_pair_cover_walk_is_exact():
+    # every group of order 3..14, every k in 2..|G| - 2
+    assert check_pair_cover_walk_is_exact(14) == 92
+
+
 def test_subset_sum_scans_match_brute_force():
     # every group of order <= 12 plus Z3xZ6: 2**17 - 1 subsets from Z3xZ6 alone
     assert check_subset_sum_scans_brute_force(12) > 130_000
@@ -582,13 +589,13 @@ def test_lattice_scan_counts(monkeypatch):
     tests, which are the same on every machine.  Each walk calls only the
     children its prunes keep: thm1 Z24 enters 4,249 nodes and makes 11
     tests (22,223 nodes without the orbit rule), thm5 Z20 enters 2,311
-    nodes (16,572) and lemma2 Z24 33,351 (131,793).  Under all 36
-    automorphisms thm1 Z2xZ14 enters 3,632 nodes (8,522 under the 12 maps
-    of T(G)) and under all 336 thm5 Z2xZ2xZ6 enters 573 (5,382 under 16).
-    Z2^4 has 20,160 automorphisms, above the bound, so its lanes are the
-    64 maps of T(G): thm1 enters 98 nodes and thm5 151 (1,392 and 2,376
-    without the orbit rule).  thm1 Z28 and thm5 Z24 are the bench's own
-    runs."""
+    nodes (16,572), lemma2 Z24 15,201 (65,751) and lemma2 Z26 21,546
+    (150,747).  Under all 36 automorphisms thm1 Z2xZ14 enters 3,632 nodes
+    (8,522 under the 12 maps of T(G)) and under all 336 thm5 Z2xZ2xZ6
+    enters 573 (5,382 under 16).  Z2^4 has 20,160 automorphisms, above the
+    bound, so its lanes are the 64 maps of T(G): thm1 enters 98 nodes and
+    thm5 151 (1,392 and 2,376 without the orbit rule).  thm1 Z28 and thm5
+    Z24 are the bench's own runs."""
     tests = 0
 
     def counted_is_generating(G, S):
@@ -603,7 +610,8 @@ def test_lattice_scan_counts(monkeypatch):
         (lambda: verify_subset_sum_bound(parse_group_spec("Z28"), budget=28), (8_171, 8)),
         (lambda: critical_number(parse_group_spec("Z20")), (2_311, 0)),
         (lambda: critical_number(parse_group_spec("Z24")), (10_163, 0)),
-        (lambda: search_lemma2_counterexamples(24), (33_351, 0)),
+        (lambda: search_lemma2_counterexamples(24), (15_201, 0)),
+        (lambda: search_lemma2_counterexamples(26, budget=26), (21_546, 0)),
         (lambda: verify_subset_sum_bound(Z2xZ14, budget=28), (3_632, 5)),
         (lambda: critical_number(Z2xZ2xZ6)[1], (573, 0)),
         (lambda: verify_subset_sum_bound(Z2_4), (98, 7)),
@@ -618,13 +626,19 @@ def test_lanes_are_built_once_and_only_past_the_root(monkeypatch):
     """The orbit lanes are |G| ints of about |Aut(G)||G| bits, and listing
     Aut(G) takes up to some ms, so only a pair-cover walk that reaches a
     child builds them, once per walk: a prop3.2 scan settled at its root
-    builds none, on a cyclic group or not.  thm4's walk builds lanes with
-    no lane, once per pass, and lists no automorphism."""
+    builds none, on a cyclic group or not.  Nor does it build its table of
+    upper pair members, which takes |G| translates: the root makes at most
+    the look-ahead's three per element.  thm4's walk builds lanes with no
+    lane, once per pass, and lists no automorphism."""
     built = []
     monkeypatch.setattr("groupsums.verify._Lanes",
                         lambda n, tables: built.append((n, len(tables))) or _Lanes(n, tables))
     for spec in ("Z24", "Z2xZ14", "Z2xZ2xZ6"):
-        assert verify_pair_cover_threshold(parse_group_spec(spec), budget=28).status == "verified"
+        G = parse_group_spec(spec)
+        tr, calls = G.translator(), []
+        G._translator = lambda bits, g: calls.append(g) or tr(bits, g)
+        assert verify_pair_cover_threshold(G, budget=28).status == "verified"
+        assert 0 < len(calls) <= 3 * G.order, (spec, len(calls))
     assert built == []
     verify_three_fold_cover(12)
     assert built == [(12, 0), (12, 0)]  # the class passes for 0 and 1
