@@ -2,12 +2,15 @@
 
 Exit codes: 0 = computed / all statements verified; 1 = a refutation was
 found and reported (expected for the even-order counterexample searches);
-2 = usage or precondition error; 3 = search budget exceeded.
+2 = usage or precondition error; 3 = search budget exceeded; 141 = stdout
+was closed before the output was written (as `| head` does), the status of
+a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -277,7 +280,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # devnull under stdout, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GroupSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

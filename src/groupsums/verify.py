@@ -195,9 +195,10 @@ class ScanStats:
     least mask of deficiency d in `reps[d]` and the `cap` least masks in
     `witnesses`.  Every walk files through it, in any mask order.  The
     bound sweep files its equality cases in a second record, with d = 0.
-    The thm5 lattice walk files each failing set with d = its size, so
-    `hist` counts failures by size and `reps[s]` is the least failing set
-    of size s."""
+    The thm5 lattice walk takes d = the failing set's size.  It files a
+    set of the largest size seen so far and only `count`s a smaller one,
+    so `hist` counts failures by size, but only `reps[max(hist)]` is sure
+    to be the least failing set of its size."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -206,20 +207,28 @@ class ScanStats:
         self.reps: dict[int, int] = {}
         self.witnesses: list[int] = []
 
+    def count(self, d: int, lanes: _Lanes, rep: int, imgs: int) -> int:
+        """Count the sets of deficiency d that a node with lanes `rep` and
+        `imgs` stands for, its orbit under `lanes`, in `violations` and
+        `hist[d]`, and return the size of its stabiliser, the identity and
+        the lanes equal to the node's mask.  The orbit has maps / stab
+        sets."""
+        maps = lanes.maps
+        stab = maps - (((rep ^ imgs) - lanes.ones) & lanes.guard).bit_count()
+        orbit = maps // stab
+        self.violations += orbit
+        self.hist[d] = self.hist.get(d, 0) + orbit
+        return stab
+
     def record(self, d: int, mask: int, lanes: _Lanes, rep: int, imgs: int) -> None:
         """File the sets of deficiency d that the node `mask` stands for:
-        its orbit under `lanes`, of which `mask` is the largest, with lanes
-        `rep` and `imgs`.  The orbit has maps / stab sets, the stabiliser
-        being the identity and the lanes equal to `mask`.  Once `cap`
+        `count` them, its orbit under `lanes`, of which `mask` is the
+        largest, with lanes `rep` and `imgs`, and list them.  Once `cap`
         witnesses are held, a member at or above `below`, the larger of the
         last witness and `reps[d]`, changes neither; only the max(cap, 1)
         least members below it are listed, and none when no lane holds one.
         With no lane the orbit is `mask` alone, filed as itself."""
-        maps = lanes.maps
-        stab = maps - (((rep ^ imgs) - lanes.ones) & lanes.guard).bit_count()
-        count = maps // stab
-        self.violations += count
-        self.hist[d] = self.hist.get(d, 0) + count
+        stab = self.count(d, lanes, rep, imgs)
         held, wit, most = self.reps.get(d, inf), self.witnesses, max(self.cap, 1)
         below = inf if len(wit) < self.cap else max(wit[-1] if wit else 0, held)
         if mask < below:  # the largest member, so every member is below
@@ -329,7 +338,9 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     the singles and the lower member of each pair.  No two elements of
     lower sum to x, so some leaf misses x exactly when |lower| =
     |ok| - |both|/2 >= j, that is when the slack s = |lower| - j is at
-    least 0.  At the root of a prop3.2 scan (A empty, j = (|G| + |G_2|)/2)
+    least 0.  With avail the candidates below `bound`, x - ok is x - avail
+    without x - x = 0 and the elements of A.  ok holds neither, so both
+    takes ok & (x - avail), one translate of -avail.  At the root of a prop3.2 scan (A empty, j = (|G| + |G_2|)/2)
     |lower| is (|G| - 2 + h)/2 for the h halves of x (h <= |G_2|), the
     paper's counting bound, which is below j: a verified scan stops at the
     root.
@@ -343,6 +354,16 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     lies at or above t_x, the (s + 1)-th highest element of lower.  A node
     tests every x and calls the e in ok at or above t_x for some x, those
     only, so each child it calls has a leaf below it that misses part of G.
+
+    The forced rule.  When one x alone survives a node's look-ahead, with
+    slack 0 and no pair (both = 0), ok is the one set of j picks that
+    leaves x uncovered, and no other x can stay uncovered, so A with ok is
+    the only set below the node that misses part of G, and it misses x
+    alone.  The node files it with deficiency 1 if it passes the lane test
+    and calls no child: a set is the largest of its orbit only if all its
+    prefixes are, so the walk down to it would file it exactly then.
+    `forced` is ok at the first survivor that forces, and 0 once any
+    other x survives.
 
     An x that the look-ahead rules out at a node is ruled out in every
     descendant that leaves it uncovered, since a child's |lower| falls by
@@ -372,6 +393,7 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
         navail = nfree[bound]
         uncovered = live & ~cover
         kids = 0
+        forced = None
         while uncovered:
             low = uncovered & -uncovered
             x = low.bit_length() - 1
@@ -379,9 +401,7 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
             ok = avail & ~(low | tr(n1, x))
             size = ok.bit_count()
             if size >= j:
-                # -ok = navail minus (A - x) and -x; leaving -x in adds only
-                # 0 to x - ok, and the pool G \ {0} never holds 0
-                both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]
+                both = ok & tr(navail, x) & ~halves[x]
                 slack = size - (both.bit_count() >> 1) - j
                 if slack >= 0:
                     if rep1 is None:
@@ -390,6 +410,8 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
                         for c in range(G.order):  # c is upper for x = c + d, d below c
                             for y in bit_indices(tr((1 << c) - 1, c)):
                                 upper[y] |= 1 << c
+                    # the forced rule: ok, unless x has a pair or slack or is not alone
+                    forced = 0 if forced is not None or both or slack else ok
                     lower = ok & ~(both & upper[x])
                     for _ in range(slack):
                         lower ^= 1 << (lower.bit_length() - 1)
@@ -397,6 +419,12 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
                     kids |= ok >> t << t
                     continue
             live ^= low
+        if forced:
+            for e in bit_indices(forced):
+                rep, imgs = rep | rep1[e], imgs | img1[e]
+            if (rep - imgs) & guard == guard:
+                stats.record(1, dp1 | forced, lanes, rep, imgs)
+            return
         for e in bit_indices(kids):
             r, i = rep | rep1[e], imgs | img1[e]
             if (r - i) & guard == guard:
@@ -529,23 +557,32 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     return stats, eq
 
 
-def _scan_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
+def _scan_sigma_lattice(G: AbelianGroup) -> ScanStats:
     """Every nonempty subset of G \\ {0} whose subset-sum set misses part
-    of G, filed under its size.
+    of G, counted under its size; only `reps` of the largest size is read.
 
     The walk is the one of `_scan_bound_sweep`, with its orbit rule.  A
     child whose running subset-sum set saturates is not called, since it
-    and every superset cover G.
+    and every superset cover G.  `top` is the largest size filed so far: a
+    node of that size or larger is filed, a smaller one only counted.  As
+    `top` only grows, every node of the final largest size is filed, and
+    `reps` of that size is the least failing set of the size.  No witness
+    is listed.
     """
     tr = G.translator()
     full = G.full_mask
-    stats = ScanStats(cap)
+    stats = ScanStats(0)
     lanes = _Lanes(G.order, _lane_tables(G))
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
+    top = 1  # the root, of size 0, is not filed
 
     def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
-        if size:
+        nonlocal top
+        if size >= top:
+            top = size
             stats.record(size, pmask << 1, lanes, rep, imgs)
+        elif size:
+            stats.count(size, lanes, rep, imgs)
         for p in range(limit):
             e = p + 1
             a = acc | tr(acc, e) | (1 << e)
@@ -718,8 +755,9 @@ def critical_number(
         raise _OutsideDomain(f"need |G| >= 3, got {G.order}")
     _check_budget(G.order, budget)
     n = G.order
-    # Only hist and reps are read below, so the walk lists no witnesses.
-    stats = _scan_sigma_lattice(G, cap=0)
+    # Only hist and reps[max(hist)] are read below, so the walk lists no
+    # witness and lists least members only at the largest size seen so far.
+    stats = _scan_sigma_lattice(G)
     # No bound check is needed: for |G| >= 3, sigma(G \ {0}) = G (0 is
     # x + (-x), or a + b + (a + b) in Z2^k), so answer <= n - 1; and the
     # singletons always fail, so hist is not empty.

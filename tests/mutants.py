@@ -60,7 +60,9 @@ THRESHOLD_Z5 = "tests/test_verify.py::test_threshold_z5"
 THREE_FOLD_COUNTS = "tests/test_verify.py::test_three_fold_cover_counts"
 LEMMA2_Z7 = "tests/test_verify.py::test_lemma2_m7_verified"
 ROOT = "tests/test_verify.py::test_threshold_scan_is_settled_at_the_root"
+ROOT_TRANSLATES = "tests/test_verify.py::test_a_settled_root_makes_two_translates_per_element"
 EXACT = "tests/test_verify.py::test_pair_cover_walk_is_exact"
+THM5_TOP = "tests/test_verify.py::test_thm5_lists_only_at_the_largest_size"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -89,9 +91,16 @@ _THM1_TESTS = """            if got < need and generates(acc):
             elif got == need and generates(acc):
 """
 _REC_SIZE = """            if size >= j:
-                # -ok = navail minus (A - x) and -x; leaving -x in adds only
+                both = ok & tr(navail, x) & ~halves[x]
 """
-_BOTH = "both = ok & tr(navail & ~tr(dp1, neg[x]), x) & ~halves[x]"
+_BOTH = "both = ok & tr(navail, x) & ~halves[x]"
+_FORCED = "forced = 0 if forced is not None or both or slack else ok"
+_FORCED_FILE = """            if (rep - imgs) & guard == guard:
+                stats.record(1, dp1 | forced, lanes, rep, imgs)
+"""
+_THM5_FILE = """        if size >= top:
+            top = size
+"""
 _CANONICAL = "                if (r - i) & guard == guard:\n"
 _LATTICE_CHILD = _CANONICAL + """                    rec(pmask | (1 << p), size + 1, p, a, r, i)
 """
@@ -203,14 +212,15 @@ MUTANTS = [
            COVER_BRUTE,
            survives="the bit that upper[2c] gains for c is never read: `both` already leaves out "
                     "the c with 2c = x, so both & upper[x] is the same set"),
-    # no certificate changes; the root then makes |G| more translates
+    # no certificate changes; a settled root then makes |G| more translates,
+    # three per element, which the lanes test's bound of 3|G| allows
     Mutant("the pair-cover scan builds upper before its root's look-ahead", VERIFY,
            "    upper = [0] * G.order\n",
            "    upper = [0] * G.order\n"
            "    for c in range(G.order):\n"
            "        for y in bit_indices(tr((1 << c) - 1, c)):\n"
            "            upper[y] |= 1 << c\n",
-           LANES),
+           ROOT_TRANSLATES),
     Mutant("the pair count keeps the c with 2c = x", VERIFY,
            _BOTH, _BOTH.replace(" & ~halves[x]", ""),
            COVER_BRUTE),
@@ -223,14 +233,31 @@ MUTANTS = [
     Mutant("the pair count is off", VERIFY,
            _BOTH, _BOTH.replace("both = ok & ", "both = 0 & "),
            ROOT),
-    Mutant("the pair count translates -ok by -x instead of x", VERIFY,
-           _BOTH, _BOTH.replace("neg[x]), x)", "neg[x]), neg[x])"),
+    Mutant("the pair count translates -avail by -x instead of x", VERIFY,
+           _BOTH, _BOTH.replace("tr(navail, x)", "tr(navail, neg[x])"),
            COVER_BRUTE),
-    Mutant("the pair count takes -x out of -ok", VERIFY,
-           _BOTH, _BOTH.replace("~tr(dp1, neg[x])", "~tr(dp1, neg[x]) & ~(1 << neg[x])"),
-           COVER_BRUTE,
-           survives="-x in -ok adds only 0 to x - ok, and the pool G \\ {0} of the pair-cover "
-                    "scan never holds 0, so `both` is the same set"),
+    # no certificate changes, since x - ok is x - avail without A and 0 and
+    # ok holds neither, but a settled root then makes three translates per
+    # element
+    Mutant("the pair count takes x - A out of x - avail", VERIFY,
+           _BOTH, _BOTH.replace("tr(navail, x)", "tr(navail & ~tr(dp1, neg[x]), x)"),
+           ROOT_TRANSLATES),
+    # -- the forced completion of the pair-cover scan
+    Mutant("the forced set is filed with deficiency 2", VERIFY,
+           _FORCED_FILE, _FORCED_FILE.replace("record(1,", "record(2,"),
+           COVER_BRUTE),
+    Mutant("a survivor with pairs forces", VERIFY,
+           _FORCED, _FORCED.replace(" or both", ""),
+           COVER_BRUTE),
+    Mutant("a survivor with slack forces", VERIFY,
+           _FORCED, _FORCED.replace(" or slack", ""),
+           COVER_BRUTE),
+    Mutant("a second survivor may force", VERIFY,
+           _FORCED, _FORCED.replace("forced is not None or ", ""),
+           COVER_BRUTE),
+    Mutant("the forced set skips the lane test", VERIFY,
+           _FORCED_FILE, _FORCED_FILE.replace("(rep - imgs) & guard == guard", "True"),
+           COVER_BRUTE),
     # -- the class passes of thm4
     Mutant("drop class 1 when 3 | m", VERIFY,
            _CLASSES, _CLASSES.replace("(0, 1) if", "(0,) if"),
@@ -330,8 +357,16 @@ MUTANTS = [
            _THM5_CHILD, _THM5_CHILD.replace("            if a != full:\n", "            if True:\n"),
            LATTICE_BRUTE),
     Mutant("thm5 files the empty set at its root", VERIFY,
-           "        if size:\n", "        if True:\n",
+           "        elif size:\n", "        else:\n",
            LATTICE_BRUTE),
+    # the first node of each size is then the only one filed at it
+    Mutant("thm5 files a node only above the largest size seen so far", VERIFY,
+           _THM5_FILE, _THM5_FILE.replace(">=", ">"),
+           LATTICE_BRUTE),
+    # no certificate changes: every node is then filed, as before the rule
+    Mutant("thm5 never raises the largest size seen so far", VERIFY,
+           _THM5_FILE, _THM5_FILE.replace("            top = size\n", ""),
+           THM5_TOP),
     # -- the orbit rule of the counting walks
     # every walk is then the plain walk: thm1 Z24 enters 22,223 nodes
     Mutant("the orbit rule is off", VERIFY,
@@ -397,10 +432,10 @@ MUTANTS = [
            "    lanes = _Lanes(G.order, [])\n", "    lanes = _Lanes(G.order, _lane_tables(G))\n",
            COVER_BRUTE),
     Mutant("an orbit counts as one set", VERIFY,
-           "count = maps // stab", "count = 1",
+           "orbit = maps // stab", "orbit = 1",
            LATTICE_BRUTE),
     Mutant("an orbit's stabiliser is not counted", VERIFY,
-           "count = maps // stab", "count = maps",
+           "orbit = maps // stab", "orbit = maps",
            LATTICE_BRUTE),
     Mutant("the rep is the orbit's greatest listed member, not its least", VERIFY,
            _REPS, _REPS.replace("[0]", "[-1]"),

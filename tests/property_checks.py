@@ -320,13 +320,16 @@ def check_dead_targets_stay_dead(max_order: int = 14) -> int:
 def check_pair_cover_walk_is_exact(max_order: int = 14) -> int:
     """The child rule of `_scan_pair_cover` is exact: with no lanes, so
     that every set is its own orbit, the walk enters the root and then
-    exactly the nodes below which some leaf misses part of G.  A node is
-    a top-i prefix of its leaves (their i largest elements, as the walk
-    adds elements in descending order), so over every group of order 3 to
-    max_order and every k from 2 to |G| - 2 the calls to the walk's `rec`
-    must be 1 plus the number of distinct top-i prefixes, i = 1..k, of
-    the k-subsets of G \\ {0} whose pair cover is not all of G.  Returns
-    the number of (group, k) cases checked."""
+    exactly the nodes below which some leaf misses part of G, but for
+    those below a forced node, one whose only failing completion misses
+    one element, which the node files itself.  A node is a top-i prefix
+    of its leaves (their i largest elements, as the walk adds elements in
+    descending order), so over every group of order 3 to max_order and
+    every k from 2 to |G| - 2 the calls to the walk's `rec` must be 1 plus
+    the number of distinct top-i prefixes, i = 1..k, of the k-subsets of
+    G \\ {0} whose pair cover is not all of G, for which no shorter
+    prefix, the empty root included, has exactly one such completion, of
+    deficiency 1.  Returns the number of (group, k) cases checked."""
     rec = next(code for code in _scan_pair_cover.__code__.co_consts
                if isinstance(code, types.CodeType) and code.co_name == "rec")
     cases = 0
@@ -334,11 +337,15 @@ def check_pair_cover_walk_is_exact(max_order: int = 14) -> int:
         n = G.order
         add = [[G.add_index(a, b) for b in range(n)] for a in range(n)]
         for k in range(2, n - 1):
-            prefixes = set()
+            # each top-i prefix, i = 0..k, and the deficiencies of its failing completions
+            below: dict[tuple[int, ...], list[int]] = {}
             for combo in combinations(range(n - 1, 0, -1), k):
                 cover = set(combo) | {add[a][b] for a, b in combinations(combo, 2)}
                 if len(cover) < n:
-                    prefixes.update(combo[:i] for i in range(1, k + 1))
+                    for i in range(k + 1):
+                        below.setdefault(combo[:i], []).append(n - len(cover))
+            forced = {prefix for prefix, ds in below.items() if ds == [1]}
+            prefixes = [p for p in below if p and not any(p[:i] in forced for i in range(len(p)))]
             calls = 0
 
             def count(frame, event, arg):
@@ -432,12 +439,13 @@ def _lattice_table(G: AbelianGroup) -> dict[int, tuple[int, int, bool]]:
 def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
     """Both subset-sum scans against every subset of G \\ {0}: the thm1
     sweep at every min_size from 1 to |G| - 1 (violations, equality cases
-    and their witnesses), and the thm5 lattice walk (failing sets filed by
-    size).  The groups are those of order <= max_n, where each subset's
-    sums are also checked against `naive_subset_sums`, and Z3xZ6, the
-    smallest group on which pruning the thm1 sweep at
-    |sums| >= 2 * (largest size below) instead of > loses equality cases.
-    Returns the number of subsets checked."""
+    and their witnesses), and the thm5 lattice walk (failing sets counted
+    by size, and the least failing set of the largest size, all that
+    `critical_number` reads).  The groups are those of order <= max_n,
+    where each subset's sums are also checked against
+    `naive_subset_sums`, and Z3xZ6, the smallest group on which pruning
+    the thm1 sweep at |sums| >= 2 * (largest size below) instead of >
+    loses equality cases.  Returns the number of subsets checked."""
     keys = ("violations", "hist", "reps", "witnesses")
     checked = 0
     for G in all_groups_up_to(max_n) + [AbelianGroup((3, 6))]:
@@ -448,8 +456,10 @@ def check_subset_sum_scans_brute_force(max_n: int = 12, cap: int = 3) -> int:
                 assert got == naive_subset_sums(GroupSubset(G, mask)).cardinality, (G.spec, mask)
         checked += len(table)
         failing = {mask: size for mask, (size, got, _) in table.items() if got < n}
-        got = _scan_sigma_lattice(G, cap=cap)
-        assert {key: getattr(got, key) for key in keys} == _expected_cover_stats(failing, cap), G.spec
+        got, want = _scan_sigma_lattice(G), _expected_cover_stats(failing, 0)
+        top = max(want["hist"], default=None)
+        assert (got.violations, got.hist, got.reps.get(top)) == (
+            want["violations"], want["hist"], want["reps"].get(top)), G.spec
         # generating sets below the bound, and equality cases, of any size
         deficits, equal = {}, []
         for mask, (size, got, generates) in table.items():
@@ -545,11 +555,12 @@ def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     return stats, eq
 
 
-def plain_sigma_lattice(G: AbelianGroup, *, cap: int) -> ScanStats:
-    """The thm5 walk of `_scan_sigma_lattice` without the orbit rule."""
+def plain_sigma_lattice(G: AbelianGroup) -> ScanStats:
+    """The thm5 walk of `_scan_sigma_lattice` without the orbit rule,
+    filing every failing set."""
     tr = G.translator()
     full = G.full_mask
-    stats, lanes = ScanStats(cap), _Lanes(G.order, [])
+    stats, lanes = ScanStats(0), _Lanes(G.order, [])
 
     def rec(pmask: int, size: int, limit: int, acc: int) -> None:
         if acc == full:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -283,6 +284,24 @@ def test_budget_exit_three(capsys):
     code, _, err = run(capsys, "verify", "lemma2", "--group", "Z40")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", ["groups 12", "verify thm1 --group Z12 --json"])
+def test_closed_stdout_exits_141(argv):
+    """A reader that closes stdout before the CLI writes, as `| head` may,
+    is no refutation: the call exits 141, the status of a process killed
+    by SIGPIPE, with nothing on stderr.  The pipe's read end is closed
+    before the CLI starts, so its first write fails."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.Popen([sys.executable, "-B", "-m", "groupsums.cli", *argv.split()], stdout=write,
+                                 stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    finally:
+        os.close(write)
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, ""), err
 
 
 def test_budget_flag_lifts_the_cap(capsys):

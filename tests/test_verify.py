@@ -147,6 +147,19 @@ def test_threshold_scan_is_settled_at_the_root():
     assert (statuses.count(VERIFIED), statuses.count(VACUOUS)) == (110, 7)
 
 
+def test_a_settled_root_makes_two_translates_per_element():
+    """A prop3.2 root that settles the scan makes at most two translator
+    calls per element x: x - A for its candidates ok, and x - avail for
+    its pairs, which is x - ok with A and 0 added, and ok holds neither.
+    It builds neither lanes nor `upper`.  Every group of order <= 64."""
+    for n in range(1, 65):
+        for G in enumerate_groups_of_order(n):
+            tr, calls = G.translator(), []
+            G._translator = lambda bits, g: calls.append(g) or tr(bits, g)
+            if verify_pair_cover_threshold(G, budget=64).status == VERIFIED:
+                assert 0 < len(calls) <= 2 * n, (G.spec, len(calls))
+
+
 def test_threshold_checks_jobs_and_cap_before_vacuity():
     for spec in ("Z2^2", "Z2^3", "Z5"):
         G = parse_group_spec(spec)
@@ -589,13 +602,14 @@ def test_lattice_scan_counts(monkeypatch):
     tests, which are the same on every machine.  Each walk calls only the
     children its prunes keep: thm1 Z24 enters 4,249 nodes and makes 11
     tests (22,223 nodes without the orbit rule), thm5 Z20 enters 2,311
-    nodes (16,572), lemma2 Z24 15,201 (65,751) and lemma2 Z26 21,546
-    (150,747).  Under all 36 automorphisms thm1 Z2xZ14 enters 3,632 nodes
-    (8,522 under the 12 maps of T(G)) and under all 336 thm5 Z2xZ2xZ6
-    enters 573 (5,382 under 16).  Z2^4 has 20,160 automorphisms, above the
-    bound, so its lanes are the 64 maps of T(G): thm1 enters 98 nodes and
-    thm5 151 (1,392 and 2,376 without the orbit rule).  thm1 Z28 and thm5
-    Z24 are the bench's own runs."""
+    nodes (16,572), lemma2 Z24 7,529 (23,777) and lemma2 Z26 10,156
+    (51,476), since a pair-cover node whose one failing completion misses
+    one element files it itself.  Under all 36 automorphisms thm1 Z2xZ14
+    enters 3,632 nodes (8,522 under the 12 maps of T(G)) and under all
+    336 thm5 Z2xZ2xZ6 enters 573 (5,382 under 16).  Z2^4 has 20,160
+    automorphisms, above the bound, so its lanes are the 64 maps of T(G):
+    thm1 enters 98 nodes and thm5 151 (1,392 and 2,376 without the orbit
+    rule).  thm1 Z28 and thm5 Z24 are the bench's own runs."""
     tests = 0
 
     def counted_is_generating(G, S):
@@ -610,8 +624,8 @@ def test_lattice_scan_counts(monkeypatch):
         (lambda: verify_subset_sum_bound(parse_group_spec("Z28"), budget=28), (8_171, 8)),
         (lambda: critical_number(parse_group_spec("Z20")), (2_311, 0)),
         (lambda: critical_number(parse_group_spec("Z24")), (10_163, 0)),
-        (lambda: search_lemma2_counterexamples(24), (15_201, 0)),
-        (lambda: search_lemma2_counterexamples(26, budget=26), (21_546, 0)),
+        (lambda: search_lemma2_counterexamples(24), (7_529, 0)),
+        (lambda: search_lemma2_counterexamples(26, budget=26), (10_156, 0)),
         (lambda: verify_subset_sum_bound(Z2xZ14, budget=28), (3_632, 5)),
         (lambda: critical_number(Z2xZ2xZ6)[1], (573, 0)),
         (lambda: verify_subset_sum_bound(Z2_4), (98, 7)),
@@ -620,6 +634,27 @@ def test_lattice_scan_counts(monkeypatch):
         tests = 0
         _, nodes = _walk_calls(run)
         assert (nodes, tests) == want
+
+
+def test_thm5_lists_only_at_the_largest_size(monkeypatch):
+    """The thm5 walk lists least members, through `ScanStats.record`, only
+    at the largest failing size it has seen, and only counts a smaller
+    set: the sizes it lists never fall, and it lists every node of the
+    final largest size, whose least member `critical_number` reads.  Z24
+    lists 51 of its 10,162 nodes, Z2xZ2xZ6 28 of 572 and Z2^4 22 of 150,
+    4 of them at the largest size, 7."""
+    counted, listed = [], []
+    count, record = ScanStats.count, ScanStats.record
+    monkeypatch.setattr(ScanStats, "count", lambda self, d, *a: counted.append(d) or count(self, d, *a))
+    monkeypatch.setattr(ScanStats, "record", lambda self, d, *a: listed.append(d) or record(self, d, *a))
+    for spec, want in (("Z24", (51, 10_162)), ("Z2xZ2xZ6", (28, 572)), ("Z2^4", (22, 150))):
+        counted.clear()
+        listed.clear()
+        critical_number(parse_group_spec(spec))
+        top = max(counted)
+        assert listed == sorted(listed), spec
+        assert listed.count(top) == counted.count(top), spec
+        assert (len(listed), len(counted)) == want, spec
 
 
 def test_lanes_are_built_once_and_only_past_the_root(monkeypatch):
