@@ -316,8 +316,6 @@ class AbelianGroup:
             mask = self.full_mask
 
             def rotate(bits: int, g: int) -> int:
-                if not g:
-                    return bits
                 return ((bits << g) | (bits >> (m - g))) & mask
 
             return rotate

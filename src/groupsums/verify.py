@@ -181,10 +181,10 @@ class Verdict:
 #
 # A node of a walk is the arguments of its recursive call: (j, bound, dp1,
 # dp2, n1, rep, imgs, live) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3,
-# n1, n2) in the three-fold `rec3`, (pmask, size, limit, acc, rep, imgs) in the
+# n1, n2) in the three-fold `rec3`, (mask, size, bound, acc, rep, imgs) in the
 # lattice scans, where rep and imgs are the orbit lanes of `_Lanes`; its
-# subtree adds pool positions below `bound` or `limit`.  The pool is
-# G \ {0} (position p is element p + 1), or G in thm4's scan.
+# subtree adds pool elements below `bound`.  The pool is G \ {0}, or G in
+# thm4's scan, and every mask and bound is by element.
 
 
 class ScanStats:
@@ -243,7 +243,7 @@ class ScanStats:
 
 
 class _Lanes:
-    """Maps of the n positions of a pool, packed for the orbit rule and for
+    """Maps of the n elements of G, packed for the orbit rule and for
     `ScanStats.record`.
 
     `tables` lists the maps but the identity, each as its table of images
@@ -308,13 +308,13 @@ class _Lanes:
 
 
 def _cover_tables(G: AbelianGroup, lo: int) -> tuple[list[int], list[int], list[int]]:
-    """The look-ahead tables of a cover scan whose pool position p is
-    element p + lo: free[b], the elements at positions below b, a node's
+    """The look-ahead tables of a cover scan over the pool of elements lo
+    and up, G \\ {0} or G: free[b], the pool's elements below b, a node's
     candidates; nfree[b], their negatives; halves[x], the elements c with
     2c = x."""
     neg = G.neg_table
-    free = [((1 << b) - 1) << lo for b in range(G.order - lo + 1)]
-    nfree = [0]
+    free = [((1 << b) - 1) >> lo << lo for b in range(G.order + 1)]
+    nfree = [0] * (lo + 1)
     for e in range(lo, G.order):
         nfree.append(nfree[-1] | (1 << neg[e]))
     halves = [0] * G.order
@@ -324,9 +324,8 @@ def _cover_tables(G: AbelianGroup, lo: int) -> tuple[list[int], list[int], list[
 
 
 def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
-    """Size-k subsets A of the pool G \\ {0} (position p is element p + 1)
-    whose pair cover, A with its pair sums, misses part of G; A is the
-    witness mask.
+    """Size-k subsets A of the pool G \\ {0} whose pair cover, A with its
+    pair sums, misses part of G; A is the witness mask.
 
     A node with j picks left below `bound` looks ahead on each uncovered x.
     A leaf below it misses x only if its j picks T avoid x and x - A, the
@@ -428,16 +427,16 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
         for e in bit_indices(kids):
             r, i = rep | rep1[e], imgs | img1[e]
             if (r - i) & guard == guard:
-                rec(j - 1, e - 1, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
+                rec(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
 
-    rec(k, G.order - 1, 0, 0, 0, 0, 0, G.full_mask)
+    rec(k, G.order, 0, 0, 0, 0, 0, G.full_mask)
     return stats
 
 
 def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None = None) -> ScanStats:
-    """Size-k subsets A of the pool G (position p is element p) whose sums
-    of three distinct elements miss one of the `targets`, all of G unless
-    given; a leaf is filed with its whole deficiency.
+    """Size-k subsets A of the pool G whose sums of three distinct elements
+    miss one of the `targets`, all of G unless given; a leaf is filed with
+    its whole deficiency.
 
     A node calls only the children that leave some target uncovered, and
     a node with j picks left below `bound` is dropped unless some
@@ -501,9 +500,9 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     the generating sets below the bound, filed by their shortfall, and the
     equality cases |sigma(S)| = 2|S| < |G|, filed with deficiency 0.
 
-    The walk is over position masks (bit p = element p + 1); a node's subtree
-    is the contiguous mask interval it tiles, visited node first and in mask
-    order.  It enters only a set that is the largest of its orbit under the
+    A node's subtree adds elements below its `bound` and is the contiguous
+    mask interval it tiles, visited node first and in mask order.  It
+    enters only a set that is the largest of its orbit under the
     automorphisms of `_Lanes` and files it for its whole orbit.  A node's
     loop calls a child, with sums `a`, only when none of these drops it and
     its subtree:
@@ -511,14 +510,15 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     - the sums saturate (a = G), since every superset then meets the bound
       trivially, generates, and can be neither a violation nor an equality
       case;
-    - |a| > 2 * (size + limit), for the child's size and limit.  A
-      descendant S' adds at most `limit` positions, so |S'| <= size +
-      limit, and sigma(S') contains a; hence |sigma(S')| > 2|S'| >=
-      min(|G|, 2|S'|), which is neither a violation nor an equality case
-      |sigma(S')| = 2|S'|.  Since a contains the parent's sums, the loop
-      starts where 2 * (size + limit) reaches their count;
-    - size + limit < min_size, since no descendant is large enough; the
-      loop starts past these children.
+    - |a| > 2 * (size + e), for the node's size and the child's element e.
+      A descendant S' of the child adds to the node's set e and at most
+      the e - 1 elements below it, so |S'| <= size + e, and sigma(S')
+      contains a; hence |sigma(S')| > 2|S'| >= min(|G|, 2|S'|), which is
+      neither a violation nor an equality case |sigma(S')| = 2|S'|.  Since
+      a contains the node's sums, the loop starts where 2 * (size + e)
+      reaches their count;
+    - size + e < min_size, since no descendant is large enough; the loop
+      starts past these children.
 
     Each rule also rules out the child itself, so a dropped child is never
     a violation or equality case, nor is any set of its orbit.  The root
@@ -537,23 +537,22 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     lanes = _Lanes(G.order, _lane_tables(G))
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
 
-    def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
+    def rec(mask: int, size: int, bound: int, acc: int, rep: int, imgs: int) -> None:
         got = acc.bit_count()
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, pmask << 1, lanes, rep, imgs)
+                stats.record(need - got, mask, lanes, rep, imgs)
             elif got == need and generates(acc):
-                eq.record(0, pmask << 1, lanes, rep, imgs)
-        for p in range(max(0, min_size - size - 1, (got + 1) // 2 - size - 1), limit):
-            e = p + 1
+                eq.record(0, mask, lanes, rep, imgs)
+        for e in range(max(1, min_size - size, (got + 1) // 2 - size), bound):
             a = acc | tr(acc, e) | (1 << e)
-            if a != full and a.bit_count() <= 2 * (size + 1 + p):
+            if a != full and a.bit_count() <= 2 * (size + e):
                 r, i = rep | rep1[e], imgs | img1[e]
                 if (r - i) & guard == guard:
-                    rec(pmask | (1 << p), size + 1, p, a, r, i)
+                    rec(mask | (1 << e), size + 1, e, a, r, i)
 
-    rec(0, 0, order - 1, 0, 0, 0)
+    rec(0, 0, order, 0, 0, 0)
     return stats, eq
 
 
@@ -576,22 +575,21 @@ def _scan_sigma_lattice(G: AbelianGroup) -> ScanStats:
     guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
     top = 1  # the root, of size 0, is not filed
 
-    def rec(pmask: int, size: int, limit: int, acc: int, rep: int, imgs: int) -> None:
+    def rec(mask: int, size: int, bound: int, acc: int, rep: int, imgs: int) -> None:
         nonlocal top
         if size >= top:
             top = size
-            stats.record(size, pmask << 1, lanes, rep, imgs)
+            stats.record(size, mask, lanes, rep, imgs)
         elif size:
             stats.count(size, lanes, rep, imgs)
-        for p in range(limit):
-            e = p + 1
+        for e in range(1, bound):
             a = acc | tr(acc, e) | (1 << e)
             if a != full:
                 r, i = rep | rep1[e], imgs | img1[e]
                 if (r - i) & guard == guard:
-                    rec(pmask | (1 << p), size + 1, p, a, r, i)
+                    rec(mask | (1 << e), size + 1, e, a, r, i)
 
-    rec(0, 0, G.order - 1, 0, 0, 0)
+    rec(0, 0, G.order, 0, 0, 0)
     return stats
 
 
@@ -777,16 +775,13 @@ def critical_number(
 
 
 def _known_critical_value(G: AbelianGroup) -> int | None:
-    """Classically known critical numbers for groups of even order."""
+    """Classically known critical numbers for groups of even order |G| = 2k
+    >= 4: k + 1 when k < 5, except Z2^3, and k otherwise."""
     n = G.order
     if n < 4 or n % 2:
         return None
     k = n // 2
-    if k >= 5 or G.factors == (2, 2, 2):
-        return k
-    if G.factors in {(4,), (6,), (8,), (2, 2), (2, 4)}:
-        return k + 1
-    return None
+    return k + 1 if k < 5 and G.factors != (2, 2, 2) else k
 
 
 def verify_three_fold_cover(

@@ -63,6 +63,7 @@ ROOT = "tests/test_verify.py::test_threshold_scan_is_settled_at_the_root"
 ROOT_TRANSLATES = "tests/test_verify.py::test_a_settled_root_makes_two_translates_per_element"
 EXACT = "tests/test_verify.py::test_pair_cover_walk_is_exact"
 THM5_TOP = "tests/test_verify.py::test_thm5_lists_only_at_the_largest_size"
+KNOWN_CRITICAL = "tests/test_verify.py::test_known_critical_values_match_the_walk_on_even_orders"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -87,7 +88,7 @@ _LEMMA2_CHECKS = """    if m < 3:
 """
 _THM4_DOMAIN = 'raise _OutsideDomain(f"need even m >= 12, got {m}")'
 _THM1_TESTS = """            if got < need and generates(acc):
-                stats.record(need - got, pmask << 1, lanes, rep, imgs)
+                stats.record(need - got, mask, lanes, rep, imgs)
             elif got == need and generates(acc):
 """
 _REC_SIZE = """            if size >= j:
@@ -102,17 +103,16 @@ _THM5_FILE = """        if size >= top:
             top = size
 """
 _CANONICAL = "                if (r - i) & guard == guard:\n"
-_LATTICE_CHILD = _CANONICAL + """                    rec(pmask | (1 << p), size + 1, p, a, r, i)
+_LATTICE_CHILD = _CANONICAL + """                    rec(mask | (1 << e), size + 1, e, a, r, i)
 """
-_THM1_START = "range(max(0, min_size - size - 1, (got + 1) // 2 - size - 1), limit)"
-_THM1_CHILD = """        for p in """ + _THM1_START + """:
-            e = p + 1
+_THM1_START = "range(max(1, min_size - size, (got + 1) // 2 - size), bound)"
+_THM1_SIZE = "a.bit_count() <= 2 * (size + e)"
+_THM1_CHILD = """        for e in """ + _THM1_START + """:
             a = acc | tr(acc, e) | (1 << e)
-            if a != full and a.bit_count() <= 2 * (size + 1 + p):
+            if a != full and """ + _THM1_SIZE + """:
                 r, i = rep | rep1[e], imgs | img1[e]
 """ + _LATTICE_CHILD
-_THM5_CHILD = """        for p in range(limit):
-            e = p + 1
+_THM5_CHILD = """        for e in range(1, bound):
             a = acc | tr(acc, e) | (1 << e)
             if a != full:
                 r, i = rep | rep1[e], imgs | img1[e]
@@ -120,7 +120,7 @@ _THM5_CHILD = """        for p in range(limit):
 _REC_CHILD = """        for e in bit_indices(kids):
             r, i = rep | rep1[e], imgs | img1[e]
             if (r - i) & guard == guard:
-                rec(j - 1, e - 1, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
+                rec(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
 """
 _SLACK = "slack = size - (both.bit_count() >> 1) - j"
 _UPPER = """                        for c in range(G.order):  # c is upper for x = c + d, d below c
@@ -178,12 +178,25 @@ MUTANTS = [
     Mutant("the pair-cover tables are built from element 0", VERIFY,
            "_cover_tables(G, 1)", "_cover_tables(G, 0)",
            COVER_BRUTE),
+    Mutant("the cover tables leave element 0 in the pair-cover pool", VERIFY,
+           "free = [((1 << b) - 1) >> lo << lo for", "free = [((1 << b) - 1) for",
+           COVER_BRUTE),
+    Mutant("the cover tables' negatives are one element ahead of the pool", VERIFY,
+           "nfree = [0] * (lo + 1)", "nfree = [0] * lo",
+           COVER_BRUTE),
     Mutant("the prop3.2 verifier counts its sets in G, 0 included", VERIFY,
            "comb(G.order - 1, threshold)", "comb(G.order, threshold)",
            THRESHOLD_Z5),
     Mutant("the lemma2-search verifier counts its sets in Z_m, 0 included", VERIFY,
            "comb(m - 1, size)", "comb(m, size)",
            LEMMA2_Z7),
+    Mutant("a pair-cover child takes candidates below e - 1 instead of e", VERIFY,
+           _REC_CHILD, _REC_CHILD.replace("rec(j - 1, e,", "rec(j - 1, e - 1,"),
+           COVER_BRUTE),
+    Mutant("the pair-cover root leaves out the pool's top element", VERIFY,
+           "    rec(k, G.order, 0, 0, 0, 0, 0, G.full_mask)\n",
+           "    rec(k, G.order - 1, 0, 0, 0, 0, 0, G.full_mask)\n",
+           COVER_BRUTE),
     Mutant("the pair-cover scan builds n1 from e instead of -e", VERIFY,
            _REC_CHILD, _REC_CHILD.replace("n1 | (1 << neg[e])", "n1 | (1 << e)"),
            COVER_BRUTE),
@@ -258,6 +271,13 @@ MUTANTS = [
     Mutant("the forced set skips the lane test", VERIFY,
            _FORCED_FILE, _FORCED_FILE.replace("(rep - imgs) & guard == guard", "True"),
            COVER_BRUTE),
+    # -- the known critical values of thm5
+    Mutant("the known critical value is k + 1 up to order 10", VERIFY,
+           "return k + 1 if k < 5 and", "return k + 1 if k <= 5 and",
+           KNOWN_CRITICAL),
+    Mutant("the known critical value drops the Z2^3 exception", VERIFY,
+           " and G.factors != (2, 2, 2) else k", " else k",
+           KNOWN_CRITICAL),
     # -- the class passes of thm4
     Mutant("drop class 1 when 3 | m", VERIFY,
            _CLASSES, _CLASSES.replace("(0, 1) if", "(0,) if"),
@@ -330,17 +350,27 @@ MUTANTS = [
     # 335 generation tests where the cache on the sums makes 11
     Mutant("the generation test asks of S instead of its sums", VERIFY,
            _THM1_TESTS,
-           _THM1_TESTS.replace("generates(acc)", "generates(pmask << 1)"),
+           _THM1_TESTS.replace("generates(acc)", "generates(mask)"),
            LATTICE_COUNTS),
-    Mutant("the thm1 size look-ahead allows one position fewer below a node", VERIFY,
-           "a.bit_count() <= 2 * (size + 1 + p)", "a.bit_count() <= 2 * (size + p)",
+    Mutant("the thm1 size look-ahead allows one element fewer below a child", VERIFY,
+           _THM1_SIZE, _THM1_SIZE.replace("size + e", "size + e - 1"),
            LATTICE_BRUTE),
     # in the child loop this also drops children that can still be filed
     Mutant("the thm1 size look-ahead drops a child whose sums are twice its largest descendant", VERIFY,
-           "a.bit_count() <= 2 * (size + 1 + p)", "a.bit_count() < 2 * (size + 1 + p)",
+           _THM1_SIZE, _THM1_SIZE.replace("<=", "<"),
            LATTICE_BRUTE),
-    Mutant("the thm1 loop starts one position above the bound its sums allow", VERIFY,
-           _THM1_START, _THM1_START.replace("(got + 1) // 2 - size - 1", "(got + 1) // 2 - size"),
+    Mutant("the thm1 loop starts one element above the bound its sums allow", VERIFY,
+           _THM1_START, _THM1_START.replace("(got + 1) // 2 - size", "(got + 1) // 2 - size + 1"),
+           LATTICE_BRUTE),
+    Mutant("the thm1 loop starts one element above the bound min_size allows", VERIFY,
+           _THM1_START, _THM1_START.replace("min_size - size", "min_size - size + 1"),
+           LATTICE_BRUTE),
+    # a set with 0 is then filed; 0 adds no sum, so some fall short
+    Mutant("the thm1 loop starts at element 0", VERIFY,
+           _THM1_START, _THM1_START.replace("max(1,", "max(0,"),
+           LATTICE_BRUTE),
+    Mutant("the thm5 loop starts at element 0", VERIFY,
+           _THM5_CHILD, _THM5_CHILD.replace("range(1, bound)", "range(bound)"),
            LATTICE_BRUTE),
     Mutant("the thm1 lattice sums leave out the new element", VERIFY,
            _THM1_CHILD, _THM1_CHILD.replace("acc | tr(acc, e) | (1 << e)", "acc | tr(acc, e)"),

@@ -37,6 +37,7 @@ from groupsums.verify import (
     ScanStats,
     _MAX_LANE_BITS,
     _Lanes,
+    _known_critical_value,
     _lane_tables,
     _misses_a_class,
     _scan_bound_sweep,
@@ -443,6 +444,15 @@ def test_critical_number_odd_order_has_no_known_value():
     assert v.params["known_value"] is None
     assert v.params["matches_known"] is None
     assert v.status == VERIFIED
+
+
+def test_known_critical_values_match_the_walk_on_even_orders():
+    # the golden cores stop at order 16; this reaches every even order to 28
+    groups = [G for n in range(4, 29, 2) for G in enumerate_groups_of_order(n)]
+    assert len(groups) == 26
+    for G in groups:
+        c, _ = critical_number(G, witness_cap=0, budget=28)
+        assert _known_critical_value(G) == c, G.spec
 
 
 def test_critical_number_upward_closure():
