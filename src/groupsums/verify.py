@@ -180,11 +180,11 @@ class Verdict:
 # -- scans -------------------------------------------------------------------
 #
 # A node of a walk is the arguments of its recursive call: (j, bound, dp1,
-# dp2, n1, rep, imgs, live) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3,
-# n1, n2) in the three-fold `rec3`, (mask, size, bound, acc, rep, imgs) in the
-# lattice scans, where rep and imgs are the orbit lanes of `_Lanes`; its
-# subtree adds pool elements below `bound`.  The pool is G \ {0}, or G in
-# thm4's scan, and every mask and bound is by element.
+# dp2, n1, lag, live) in the pair-cover `rec`, (j, bound, dp1, dp2, dp3, n1,
+# n2) in the three-fold `rec3`, (mask, size, bound, acc, lag) in the lattice
+# scans, where lag is the node's orbit lanes (`_Lanes`); its subtree adds
+# pool elements below `bound`.  The pool is G \ {0}, or G in thm4's scan,
+# and every mask and bound is by element.
 
 
 class ScanStats:
@@ -207,28 +207,29 @@ class ScanStats:
         self.reps: dict[int, int] = {}
         self.witnesses: list[int] = []
 
-    def count(self, d: int, lanes: _Lanes, rep: int, imgs: int) -> int:
-        """Count the sets of deficiency d that a node with lanes `rep` and
-        `imgs` stands for, its orbit under `lanes`, in `violations` and
-        `hist[d]`, and return the size of its stabiliser, the identity and
-        the lanes equal to the node's mask.  The orbit has maps / stab
-        sets."""
+    def count(self, d: int, lanes: _Lanes, lag: int) -> int:
+        """Count the sets of deficiency d that a node with lanes `lag`
+        stands for, its orbit under `lanes`, of which its mask S is the
+        largest, in `violations` and `hist[d]`, and return the size of its
+        stabiliser, the identity and the lanes u with uS = S, whose lag is
+        2^n.  The orbit has maps / stab sets."""
         maps = lanes.maps
-        stab = maps - (((rep ^ imgs) - lanes.ones) & lanes.guard).bit_count()
+        stab = maps - ((lag - lanes.ones) & lanes.guard).bit_count()
         orbit = maps // stab
         self.violations += orbit
         self.hist[d] = self.hist.get(d, 0) + orbit
         return stab
 
-    def record(self, d: int, mask: int, lanes: _Lanes, rep: int, imgs: int) -> None:
+    def record(self, d: int, mask: int, lanes: _Lanes, lag: int) -> None:
         """File the sets of deficiency d that the node `mask` stands for:
         `count` them, its orbit under `lanes`, of which `mask` is the
-        largest, with lanes `rep` and `imgs`, and list them.  Once `cap`
-        witnesses are held, a member at or above `below`, the larger of the
-        last witness and `reps[d]`, changes neither; only the max(cap, 1)
-        least members below it are listed, and none when no lane holds one.
-        With no lane the orbit is `mask` alone, filed as itself."""
-        stab = self.count(d, lanes, rep, imgs)
+        largest, and list them from imgs, whose lane for u holds uS, rebuilt
+        from `lag`.  Once `cap` witnesses are held, a member at or above
+        `below`, the larger of the last witness and `reps[d]`, changes
+        neither; only the max(cap, 1) least members below it are listed,
+        and none when no lane holds one; with no lane, `mask` alone."""
+        stab = self.count(d, lanes, lag)
+        imgs = (mask * lanes.ones | lanes.guard) - lag
         held, wit, most = self.reps.get(d, inf), self.witnesses, max(self.cap, 1)
         below = inf if len(wit) < self.cap else max(wit[-1] if wit else 0, held)
         if mask < below:  # the largest member, so every member is below
@@ -254,19 +255,18 @@ class _Lanes:
     covers, deficiencies and generation, so the orbit {uS} of a set S is
     all of one kind; thm4's walk takes none.  A packed int has one lane
     per table, n bits and a guard bit above them.  A node with element
-    mask S carries `imgs`, whose lane for u holds uS, and `rep`, which holds
-    S in every lane with the guard bits set (0 for the empty set).  Adding
-    element e to S ORs `rep1[e]`, e in every lane and the guard bits, into
-    rep and `img1[e]` into imgs.  S is the largest of its orbit exactly
-    when no lane of rep - imgs borrows its guard bit, that is when
-    (rep - imgs) & guard == guard.  With no lane (thm4's walk, Z1, Z2, and
-    the groups whose T(G) is too wide, such as Z2^6 and Z257) every set
-    passes and is its own orbit.  Each walk builds its lanes once.
+    mask S carries `lag`, whose lane for u holds 2^n + S - uS, so S is the
+    largest of its orbit exactly when lag & guard == guard.  The root's
+    lag is `guard`.  A child adds an element e in neither S nor uS, so its
+    lag is lag + step[e], where step[e] holds 2^e - 2^ue in lane u.  With
+    no lane (thm4's walk, Z1, Z2, and the groups whose T(G) is too wide,
+    such as Z2^6 and Z257) lag is 0 and every set passes and is its own
+    orbit.  Each walk builds its lanes once.
     """
 
     def __init__(self, n: int, tables: list[list[int]]):
         self.order = n
-        # each img1[e] from a bytearray, set bit by bit and read once;
+        # the images of each e from a bytearray, set bit by bit and read once;
         # ORing the lanes into a growing int one by one costs 2-3 times as
         # much at a hundred lanes or more
         bufs = [bytearray(((n + 1) * len(tables) + 7) // 8) for _ in range(n)]
@@ -275,13 +275,12 @@ class _Lanes:
             for buf, ue in zip(bufs, table):
                 b = base + ue
                 buf[b >> 3] |= 1 << (b & 7)
-        self.img1 = [int.from_bytes(buf, "little") for buf in bufs]
         self.maps = len(tables) + 1
         # a 1 at the foot of every lane; "0" when there is no lane
         self.ones = int(("0" * n + "1") * len(tables) or "0", 2)
         self.guard = self.ones << n
         self.lane = (1 << n) - 1
-        self.rep1 = [self.guard | self.ones << e for e in range(n)]
+        self.step = [(self.ones << e) - int.from_bytes(buf, "little") for e, buf in enumerate(bufs)]
 
     def under(self, imgs: int, t: int) -> int:
         """The guard bits of the lanes of `imgs` that hold a mask below t."""
@@ -379,14 +378,14 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
     neg = G.neg_table
     stats = ScanStats(cap)
     free, nfree, halves = _cover_tables(G, 1)
-    lanes = guard = rep1 = img1 = None
+    lanes = guard = step = None
     upper = [0] * G.order
 
-    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, rep: int, imgs: int, live: int) -> None:
-        nonlocal lanes, guard, rep1, img1
+    def rec(j: int, bound: int, dp1: int, dp2: int, n1: int, lag: int, live: int) -> None:
+        nonlocal lanes, guard, step
         cover = dp1 | dp2
         if j == 0:
-            stats.record(G.order - cover.bit_count(), dp1, lanes, rep, imgs)
+            stats.record(G.order - cover.bit_count(), dp1, lanes, lag)
             return
         avail = free[bound]
         navail = nfree[bound]
@@ -403,9 +402,10 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
                 both = ok & tr(navail, x) & ~halves[x]
                 slack = size - (both.bit_count() >> 1) - j
                 if slack >= 0:
-                    if rep1 is None:
+                    if step is None:  # at the root, whose lag is guard
                         lanes = _Lanes(G.order, _lane_tables(G))
-                        guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
+                        lag = guard = lanes.guard
+                        step = lanes.step
                         for c in range(G.order):  # c is upper for x = c + d, d below c
                             for y in bit_indices(tr((1 << c) - 1, c)):
                                 upper[y] |= 1 << c
@@ -420,16 +420,16 @@ def _scan_pair_cover(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
             live ^= low
         if forced:
             for e in bit_indices(forced):
-                rep, imgs = rep | rep1[e], imgs | img1[e]
-            if (rep - imgs) & guard == guard:
-                stats.record(1, dp1 | forced, lanes, rep, imgs)
+                lag += step[e]
+            if lag & guard == guard:
+                stats.record(1, dp1 | forced, lanes, lag)
             return
         for e in bit_indices(kids):
-            r, i = rep | rep1[e], imgs | img1[e]
-            if (r - i) & guard == guard:
-                rec(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
+            kid = lag + step[e]
+            if kid & guard == guard:
+                rec(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), kid, live)
 
-    rec(k, G.order, 0, 0, 0, 0, 0, G.full_mask)
+    rec(k, G.order, 0, 0, 0, 0, G.full_mask)
     return stats
 
 
@@ -460,7 +460,7 @@ def _scan_three_fold(G: AbelianGroup, *, k: int, cap: int, targets: int | None =
 
     def rec3(j: int, bound: int, dp1: int, dp2: int, dp3: int, n1: int, n2: int) -> None:
         if j == 0:
-            stats.record(G.order - dp3.bit_count(), dp1, lanes, 0, 0)
+            stats.record(G.order - dp3.bit_count(), dp1, lanes, 0)
             return
         avail = free[bound]
         uncovered = targets & ~dp3
@@ -502,10 +502,10 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
 
     A node's subtree adds elements below its `bound` and is the contiguous
     mask interval it tiles, visited node first and in mask order.  It
-    enters only a set that is the largest of its orbit under the
-    automorphisms of `_Lanes` and files it for its whole orbit.  A node's
-    loop calls a child, with sums `a`, only when none of these drops it and
-    its subtree:
+    enters only a set that is the largest of its orbit under `_Lanes`,
+    tested before a child's sums are taken, and files it for its whole
+    orbit.  A node's loop calls a child, with sums `a`, only when none of
+    these drops it and its subtree:
 
     - the sums saturate (a = G), since every superset then meets the bound
       trivially, generates, and can be neither a violation nor an equality
@@ -535,24 +535,24 @@ def _scan_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
     stats, eq = ScanStats(cap), ScanStats(cap)
     generates = cache(lambda acc: is_generating(G, GroupSubset(G, acc)))
     lanes = _Lanes(G.order, _lane_tables(G))
-    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
+    guard, step = lanes.guard, lanes.step
 
-    def rec(mask: int, size: int, bound: int, acc: int, rep: int, imgs: int) -> None:
+    def rec(mask: int, size: int, bound: int, acc: int, lag: int) -> None:
         got = acc.bit_count()
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, mask, lanes, rep, imgs)
+                stats.record(need - got, mask, lanes, lag)
             elif got == need and generates(acc):
-                eq.record(0, mask, lanes, rep, imgs)
+                eq.record(0, mask, lanes, lag)
         for e in range(max(1, min_size - size, (got + 1) // 2 - size), bound):
-            a = acc | tr(acc, e) | (1 << e)
-            if a != full and a.bit_count() <= 2 * (size + e):
-                r, i = rep | rep1[e], imgs | img1[e]
-                if (r - i) & guard == guard:
-                    rec(mask | (1 << e), size + 1, e, a, r, i)
+            kid = lag + step[e]
+            if kid & guard == guard:
+                a = acc | tr(acc, e) | (1 << e)
+                if a != full and a.bit_count() <= 2 * (size + e):
+                    rec(mask | (1 << e), size + 1, e, a, kid)
 
-    rec(0, 0, order, 0, 0, 0)
+    rec(0, 0, order, 0, guard)
     return stats, eq
 
 
@@ -560,36 +560,36 @@ def _scan_sigma_lattice(G: AbelianGroup) -> ScanStats:
     """Every nonempty subset of G \\ {0} whose subset-sum set misses part
     of G, counted under its size; only `reps` of the largest size is read.
 
-    The walk is the one of `_scan_bound_sweep`, with its orbit rule.  A
-    child whose running subset-sum set saturates is not called, since it
-    and every superset cover G.  `top` is the largest size filed so far: a
-    node of that size or larger is filed, a smaller one only counted.  As
-    `top` only grows, every node of the final largest size is filed, and
-    `reps` of that size is the least failing set of the size.  No witness
-    is listed.
+    The walk is the one of `_scan_bound_sweep`, but a child takes its sums
+    before its lane test, so a saturated child, not called since it and
+    every superset cover G, costs no addition of the wide lanes.  `top` is
+    the largest size filed so far: a node of that size or larger is filed,
+    a smaller one only counted.  As `top` only grows, every node of the
+    final largest size is filed, and `reps` of that size is the least
+    failing set of the size.  No witness is listed.
     """
     tr = G.translator()
     full = G.full_mask
     stats = ScanStats(0)
     lanes = _Lanes(G.order, _lane_tables(G))
-    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1
+    guard, step = lanes.guard, lanes.step
     top = 1  # the root, of size 0, is not filed
 
-    def rec(mask: int, size: int, bound: int, acc: int, rep: int, imgs: int) -> None:
+    def rec(mask: int, size: int, bound: int, acc: int, lag: int) -> None:
         nonlocal top
         if size >= top:
             top = size
-            stats.record(size, mask, lanes, rep, imgs)
+            stats.record(size, mask, lanes, lag)
         elif size:
-            stats.count(size, lanes, rep, imgs)
+            stats.count(size, lanes, lag)
         for e in range(1, bound):
             a = acc | tr(acc, e) | (1 << e)
             if a != full:
-                r, i = rep | rep1[e], imgs | img1[e]
-                if (r - i) & guard == guard:
-                    rec(mask | (1 << e), size + 1, e, a, r, i)
+                kid = lag + step[e]
+                if kid & guard == guard:
+                    rec(mask | (1 << e), size + 1, e, a, kid)
 
-    rec(0, 0, G.order, 0, 0, 0)
+    rec(0, 0, G.order, 0, guard)
     return stats
 
 

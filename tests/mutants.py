@@ -64,6 +64,8 @@ ROOT_TRANSLATES = "tests/test_verify.py::test_a_settled_root_makes_two_translate
 EXACT = "tests/test_verify.py::test_pair_cover_walk_is_exact"
 THM5_TOP = "tests/test_verify.py::test_thm5_lists_only_at_the_largest_size"
 KNOWN_CRITICAL = "tests/test_verify.py::test_known_critical_values_match_the_walk_on_even_orders"
+LAG = "tests/test_verify.py::test_lag_packs_the_orbit_rule"
+TRANSLATES = "tests/test_verify.py::test_lattice_translator_calls"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -88,7 +90,7 @@ _LEMMA2_CHECKS = """    if m < 3:
 """
 _THM4_DOMAIN = 'raise _OutsideDomain(f"need even m >= 12, got {m}")'
 _THM1_TESTS = """            if got < need and generates(acc):
-                stats.record(need - got, mask, lanes, rep, imgs)
+                stats.record(need - got, mask, lanes, lag)
             elif got == need and generates(acc):
 """
 _REC_SIZE = """            if size >= j:
@@ -96,31 +98,33 @@ _REC_SIZE = """            if size >= j:
 """
 _BOTH = "both = ok & tr(navail, x) & ~halves[x]"
 _FORCED = "forced = 0 if forced is not None or both or slack else ok"
-_FORCED_FILE = """            if (rep - imgs) & guard == guard:
-                stats.record(1, dp1 | forced, lanes, rep, imgs)
+_FORCED_FILE = """            if lag & guard == guard:
+                stats.record(1, dp1 | forced, lanes, lag)
 """
 _THM5_FILE = """        if size >= top:
             top = size
 """
-_CANONICAL = "                if (r - i) & guard == guard:\n"
-_LATTICE_CHILD = _CANONICAL + """                    rec(mask | (1 << e), size + 1, e, a, r, i)
+_CANONICAL = "if kid & guard == guard:"
+_LATTICE_CHILD = """                    rec(mask | (1 << e), size + 1, e, a, kid)
 """
 _THM1_START = "range(max(1, min_size - size, (got + 1) // 2 - size), bound)"
 _THM1_SIZE = "a.bit_count() <= 2 * (size + e)"
 _THM1_CHILD = """        for e in """ + _THM1_START + """:
-            a = acc | tr(acc, e) | (1 << e)
-            if a != full and """ + _THM1_SIZE + """:
-                r, i = rep | rep1[e], imgs | img1[e]
+            kid = lag + step[e]
+            """ + _CANONICAL + """
+                a = acc | tr(acc, e) | (1 << e)
+                if a != full and """ + _THM1_SIZE + """:
 """ + _LATTICE_CHILD
 _THM5_CHILD = """        for e in range(1, bound):
             a = acc | tr(acc, e) | (1 << e)
             if a != full:
-                r, i = rep | rep1[e], imgs | img1[e]
+                kid = lag + step[e]
+                """ + _CANONICAL + """
 """ + _LATTICE_CHILD
 _REC_CHILD = """        for e in bit_indices(kids):
-            r, i = rep | rep1[e], imgs | img1[e]
-            if (r - i) & guard == guard:
-                rec(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), r, i, live)
+            kid = lag + step[e]
+            """ + _CANONICAL + """
+                rec(j - 1, e, dp1 | (1 << e), dp2 | tr(dp1, e), n1 | (1 << neg[e]), kid, live)
 """
 _SLACK = "slack = size - (both.bit_count() >> 1) - j"
 _UPPER = """                        for c in range(G.order):  # c is upper for x = c + d, d below c
@@ -194,8 +198,8 @@ MUTANTS = [
            _REC_CHILD, _REC_CHILD.replace("rec(j - 1, e,", "rec(j - 1, e - 1,"),
            COVER_BRUTE),
     Mutant("the pair-cover root leaves out the pool's top element", VERIFY,
-           "    rec(k, G.order, 0, 0, 0, 0, 0, G.full_mask)\n",
-           "    rec(k, G.order - 1, 0, 0, 0, 0, 0, G.full_mask)\n",
+           "    rec(k, G.order, 0, 0, 0, 0, G.full_mask)\n",
+           "    rec(k, G.order - 1, 0, 0, 0, 0, G.full_mask)\n",
            COVER_BRUTE),
     Mutant("the pair-cover scan builds n1 from e instead of -e", VERIFY,
            _REC_CHILD, _REC_CHILD.replace("n1 | (1 << neg[e])", "n1 | (1 << e)"),
@@ -269,7 +273,7 @@ MUTANTS = [
            _FORCED, _FORCED.replace("forced is not None or ", ""),
            COVER_BRUTE),
     Mutant("the forced set skips the lane test", VERIFY,
-           _FORCED_FILE, _FORCED_FILE.replace("(rep - imgs) & guard == guard", "True"),
+           _FORCED_FILE, _FORCED_FILE.replace("lag & guard == guard", "True"),
            COVER_BRUTE),
     # -- the known critical values of thm5
     Mutant("the known critical value is k + 1 up to order 10", VERIFY,
@@ -435,32 +439,56 @@ MUTANTS = [
            "p ** (e * (k - c)) * p ** ((e - 1) * (k - d + 1))",
            AUT),
     Mutant("the thm1 walk enters every set", VERIFY,
-           _THM1_CHILD, _THM1_CHILD.replace(_CANONICAL, "                if True:\n"),
+           _THM1_CHILD, _THM1_CHILD.replace(_CANONICAL, "if True:"),
            LATTICE_BRUTE),
     Mutant("the thm5 walk enters every set", VERIFY,
-           _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "                if True:\n"),
+           _THM5_CHILD, _THM5_CHILD.replace(_CANONICAL, "if True:"),
            LATTICE_BRUTE),
     Mutant("the pair-cover walk enters every set", VERIFY,
-           _REC_CHILD, _REC_CHILD.replace("if (r - i) & guard == guard:", "if True:"),
+           _REC_CHILD, _REC_CHILD.replace(_CANONICAL, "if True:"),
            COVER_BRUTE),
     Mutant("the thm5 walk enters a set only if it is greater than every other image", VERIFY,
            _THM5_CHILD,
-           _THM5_CHILD.replace(_CANONICAL, "                if (r - i - lanes.ones) & guard == guard:\n"),
+           _THM5_CHILD.replace(_CANONICAL, "if (kid - lanes.ones) & guard == guard:"),
            ORBIT),
     Mutant("the pair-cover walk enters a set only if it is greater than every other image", VERIFY,
            _REC_CHILD,
-           _REC_CHILD.replace("if (r - i) & guard == guard:", "if (r - i - lanes.ones) & guard == guard:"),
+           _REC_CHILD.replace(_CANONICAL, "if (kid - lanes.ones) & guard == guard:"),
            COVER_BRUTE),
     Mutant("the pair-cover scan builds its lanes before its root's look-ahead", VERIFY,
-           "    lanes = guard = rep1 = img1 = None\n",
+           "    lanes = guard = step = None\n",
            "    lanes = _Lanes(G.order, _lane_tables(G))\n"
-           "    guard, rep1, img1 = lanes.guard, lanes.rep1, lanes.img1\n",
+           "    guard, step = lanes.guard, lanes.step\n",
            LANES),
-    # the walk then files each leaf under rep = imgs = 0 with lanes, so as an
-    # orbit of every map, |Aut(G)| sets
+    # the walk then files each leaf under lag = 0 with lanes, which `count`
+    # reads as a stabiliser of 2 when there are two lanes or more
     Mutant("thm4's walk files under the lane group instead of no lane", VERIFY,
            "    lanes = _Lanes(G.order, [])\n", "    lanes = _Lanes(G.order, _lane_tables(G))\n",
            COVER_BRUTE),
+    # -- the packed orbit value, lag = 2^n + S - uS in each lane
+    Mutant("step[e] has its sign flipped", VERIFY,
+           'self.step = [(self.ones << e) - int.from_bytes(buf, "little") for e, buf in enumerate(bufs)]',
+           'self.step = [int.from_bytes(buf, "little") - (self.ones << e) for e, buf in enumerate(bufs)]',
+           LAG),
+    Mutant("the pair-cover root's lag stays 0 when its lanes are built", VERIFY,
+           "                        lag = guard = lanes.guard\n", "                        guard = lanes.guard\n",
+           COVER_BRUTE),
+    Mutant("the stabiliser counts lanes with the guard bit of lag, not of lag - ones", VERIFY,
+           "stab = maps - ((lag - lanes.ones) & lanes.guard).bit_count()",
+           "stab = maps - (lag & lanes.guard).bit_count()",
+           LAG),
+    Mutant("record rebuilds imgs without the guard bits", VERIFY,
+           "imgs = (mask * lanes.ones | lanes.guard) - lag", "imgs = mask * lanes.ones - lag",
+           LAG),
+    # no certificate changes, but each child the lane test drops costs a translate
+    Mutant("the thm1 walk takes a child's sums before its lane test", VERIFY,
+           _THM1_CHILD, """        for e in """ + _THM1_START + """:
+            a = acc | tr(acc, e) | (1 << e)
+            if a != full and """ + _THM1_SIZE + """:
+                kid = lag + step[e]
+                """ + _CANONICAL + """
+""" + _LATTICE_CHILD,
+           TRANSLATES),
     Mutant("an orbit counts as one set", VERIFY,
            "orbit = maps // stab", "orbit = 1",
            LATTICE_BRUTE),

@@ -504,7 +504,7 @@ def plain_cover_scan(G: AbelianGroup, *, k: int, cap: int) -> ScanStats:
         if cover == full:
             return
         if j == 0:
-            stats.record(G.order - cover.bit_count(), dp1, lanes, 0, 0)
+            stats.record(G.order - cover.bit_count(), dp1, lanes, 0)
             return
         avail = free[bound]
         navail = nfree[bound]
@@ -544,9 +544,9 @@ def plain_bound_sweep(G: AbelianGroup, *, min_size: int, cap: int) -> tuple[Scan
         if size >= min_size:
             need = order if 2 * size >= order else 2 * size
             if got < need and generates(acc):
-                stats.record(need - got, pmask << 1, lanes, 0, 0)
+                stats.record(need - got, pmask << 1, lanes, 0)
             elif got == need < order and generates(acc):
-                eq.record(0, pmask << 1, lanes, 0, 0)
+                eq.record(0, pmask << 1, lanes, 0)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))
@@ -566,7 +566,7 @@ def plain_sigma_lattice(G: AbelianGroup) -> ScanStats:
         if acc == full:
             return
         if size:
-            stats.record(size, pmask << 1, lanes, 0, 0)
+            stats.record(size, pmask << 1, lanes, 0)
         for p in range(limit):
             e = p + 1
             rec(pmask | (1 << p), size + 1, p, acc | tr(acc, e) | (1 << e))

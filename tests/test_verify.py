@@ -29,7 +29,7 @@ from groupsums import (
     verify_subset_sum_bound,
     verify_three_fold_cover,
 )
-from groupsums.groups import MAX_ORDER, GroupSpecError, automorphism_count, automorphism_tables
+from groupsums.groups import MAX_ORDER, GroupSpecError, automorphism_count, automorphism_tables, bit_indices
 from groupsums.verify import (
     DEFAULT_WITNESS_CAP,
     MAX_JOBS,
@@ -692,6 +692,63 @@ def test_lanes_are_built_once_and_only_past_the_root(monkeypatch):
     assert built == [(12, 3)]
 
 
+class _SpyLanes(_Lanes):
+    """Lanes that keep each imgs `ScanStats.record` lists from."""
+
+    def under(self, imgs: int, t: int) -> int:
+        self.seen.append(imgs)
+        return super().under(imgs, t)
+
+
+def test_lag_packs_the_orbit_rule():
+    """A node's `lag`, guard plus step[e] for each e of its mask S, holds
+    2^n + S - uS in the lane of each map u.  On every abelian group of
+    order <= 16 under its `_lane_tables`, for 40 seeded random masks and
+    the largest of each one's orbit: the lane test passes exactly when S is
+    the largest of {uS}; then `count` returns the number of maps, the
+    identity included, that fix S, and `record` lists from imgs holding uS
+    in the lane of u."""
+    rng, tested = random.Random(33), 0
+    for G in all_groups_up_to(16):
+        n, tables = G.order, _lane_tables(G)
+        lanes = _SpyLanes(n, tables)
+        for mask in [rng.getrandbits(n) for _ in range(40)]:
+            for S in (mask, max(sum(1 << t[e] for e in bit_indices(mask)) for t in [range(n), *tables])):
+                images = [sum(1 << t[e] for e in bit_indices(S)) for t in tables]
+                lag = lanes.guard + sum(lanes.step[e] for e in bit_indices(S))
+                largest = max(images, default=0) <= S
+                assert (lag & lanes.guard == lanes.guard) == largest, (G.spec, S)
+                if largest:
+                    assert ScanStats(0).count(0, lanes, lag) == 1 + images.count(S), (G.spec, S)
+                    lanes.seen = []
+                    ScanStats(1).record(0, S, lanes, lag)
+                    assert [lanes.seen[0] >> (n + 1) * i & (2 << n) - 1 for i in range(len(tables))] == images
+                    tested += 1
+    assert tested > 1_000
+
+
+def test_lattice_translator_calls():
+    """The thm1 walk tests a child's lanes before it takes the child's sums,
+    and the thm5 walk takes the sums first, so that a saturated child costs
+    no addition of its lanes, which on Z2xZ2xZ6 are 8,400 bits wide.  The
+    translator calls of the bench's lattice certificates, the same on every
+    machine: thm1 Z28 and Z2xZ14 make 24,855 and 8,911 (37,718 and 18,105
+    with the sums first), thm5 Z24, Z2xZ2xZ6 and Z28 38,696, 2,979 and
+    101,779 (25,107, 1,062 and 69,022 with the lanes first)."""
+    for spec, run, want in (
+        ("Z28", verify_subset_sum_bound, 24_855),
+        ("Z2xZ14", verify_subset_sum_bound, 8_911),
+        ("Z24", critical_number, 38_696),
+        ("Z2xZ2xZ6", critical_number, 2_979),
+        ("Z28", critical_number, 101_779),
+    ):
+        G = parse_group_spec(spec)
+        tr, calls = G.translator(), []
+        G._translator = lambda bits, g: calls.append(g) or tr(bits, g)
+        run(G, budget=28)
+        assert len(calls) == want, (spec, run.__name__)
+
+
 def test_lane_less_filing_in_any_order():
     """With no lane (Z2^6 has none, and thm4's walk takes none) every mask
     is its own orbit, and `record` keeps the exact counts, the least mask
@@ -706,7 +763,7 @@ def test_lane_less_filing_in_any_order():
             rng.shuffle(masks)
             stats = ScanStats(cap)
             for mask in masks:
-                stats.record(deficits[mask], mask, lanes, 0, 0)
+                stats.record(deficits[mask], mask, lanes, 0)
             got = {key: getattr(stats, key) for key in ("violations", "hist", "reps", "witnesses")}
             assert got == _expected_cover_stats(deficits, cap), cap
 
@@ -739,9 +796,10 @@ def test_jobs_is_checked_and_changes_nothing():
 def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
     """On every abelian group of order <= 36 the lane tables are
     automorphisms, table[a + b] = table[a] + table[b] and one-to-one, no two
-    equal and none the identity, and `img1` holds table i in lane i.  Up to
-    the bound they are all of Aut(G), one per automorphism but the identity
-    by the count of Hillar and Rhea, and a cyclic group's are its unit
+    equal and none the identity, and `step[e]` holds 2^e - 2^table[e] in
+    lane i: (ones << e) - step[e] holds the image of e there.  Up to the
+    bound they are all of Aut(G), one per automorphism but the identity by
+    the count of Hillar and Rhea, and a cyclic group's are its unit
     scalings in the order of u.  Above it Aut(G) is never listed and the
     lanes are T(G): the maps of its definition, as many as the product
     formula says, and closed under composition, since the maps among them
@@ -761,7 +819,7 @@ def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
             assert sorted(table) == list(range(n)), (G.spec, i)
             assert all([table[s] for s in add[a]] == [add[table[a]][t] for t in table]
                        for a in range(n)), (G.spec, i)
-            assert all(lanes.img1[e] >> (n + 1) * i & (2 << n) - 1 == 1 << table[e]
+            assert all((lanes.ones << e) - lanes.step[e] >> (n + 1) * i & (2 << n) - 1 == 1 << table[e]
                        for e in range(n)), (G.spec, i)
         maps = {tuple(t) for t in tables} | {tuple(range(n))}
         assert len(maps) == lanes.maps == automorphism_count(G, G.spec in above), G.spec
