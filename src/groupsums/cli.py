@@ -1,5 +1,8 @@
 """Command-line front end: set computations, constructions, verifiers, sweeps.
 
+Each command returns its exit code, its JSON payload and its text form, and
+`main` alone prints them; a command that reports an error returns neither.
+
 Exit codes: 0 = computed / all statements verified; 1 = a refutation was
 found and reported (expected for the even-order counterexample searches);
 2 = usage or precondition error; 3 = search budget exceeded; 141 = stdout
@@ -60,7 +63,7 @@ def parse_element_list(G: AbelianGroup, text: str) -> GroupSubset:
     return A
 
 
-def _set_command(args, operation: str) -> int:
+def _set_command(args, operation: str):
     from .subsets import h_hat, pair_cover, sigma
 
     G = parse_group_spec(args.group)
@@ -80,15 +83,11 @@ def _set_command(args, operation: str) -> int:
     }
     if operation == "hhat":
         payload["h"] = args.h
-    if args.json:
-        print(dumps(payload))
-    else:
-        inside = ", ".join(map(str, result.indices()))
-        print(f"{operation} over {G.spec}: {{{inside}}} ({result.cardinality} elements)")
-    return 0
+    inside = ", ".join(map(str, result.indices()))
+    return 0, payload, f"{operation} over {G.spec}: {{{inside}}} ({result.cardinality} elements)"
 
 
-def _construct_command(args) -> int:
+def _construct_command(args):
     from .constructions import (
         ConstructionError,
         even_counterexample,
@@ -114,7 +113,7 @@ def _construct_command(args) -> int:
             params["pair_cover_missing"] = list(pair_cover(A).complement().indices())
     except ConstructionError as exc:
         print(f"counterexample to a construction claim: {exc}", file=sys.stderr)
-        return 1
+        return 1, None, ""
     payload = {
         "construction": args.kind,
         "group": G.spec,
@@ -123,26 +122,17 @@ def _construct_command(args) -> int:
         "generates": is_generating(G, A),
         "params": params,
     }
-    if args.json:
-        print(dumps(payload))
-    else:
-        inside = ", ".join(map(str, A.indices()))
-        extras = " ".join(f"{k}={v}" for k, v in params.items())
-        print(f"{args.kind} in {G.spec}: {{{inside}}} ({A.cardinality} elements) {extras}")
-    return 0
+    inside = ", ".join(map(str, A.indices()))
+    extras = " ".join(f"{k}={v}" for k, v in params.items())
+    return 0, payload, f"{args.kind} in {G.spec}: {{{inside}}} ({A.cardinality} elements) {extras}"
 
 
-def _groups_command(args) -> int:
-    groups = enumerate_groups_of_order(args.n)
-    if args.json:
-        print(dumps({"order": args.n, "groups": [g.spec for g in groups]}))
-    else:
-        for g in groups:
-            print(g.spec)
-    return 0
+def _groups_command(args):
+    specs = [g.spec for g in enumerate_groups_of_order(args.n)]
+    return 0, {"order": args.n, "groups": specs}, "\n".join(specs)
 
 
-def _verify_command(args) -> int:
+def _verify_command(args):
     from .verify import REFUTED, STATEMENTS, BudgetExceededError, sweep
 
     statement = STATEMENTS[args.statement]
@@ -158,30 +148,22 @@ def _verify_command(args) -> int:
             payload = verdicts[0].to_dict()
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.json:
-        print(dumps(payload))
-    else:
-        for v in verdicts:
-            print(render_verdict(v))
-    return 1 if any(v.status == REFUTED for v in verdicts) else 0
+        return 3, None, ""
+    code = 1 if any(v.status == REFUTED for v in verdicts) else 0
+    return code, payload, "\n".join(map(render_verdict, verdicts))
 
 
 def render_verdict(v) -> str:
-    decorations = []
-    for key in ("violations", "critical_number", "subset_size", "threshold_size",
-                "min_size", "equality_count", "matches_known"):
-        if key in v.params and v.params[key] is not None:
-            decorations.append(f"{key}={v.params[key]}")
+    keys = ("violations", "critical_number", "subset_size", "threshold_size",
+            "min_size", "equality_count", "matches_known")
+    decorations = [f"{key}={v.params[key]}" for key in keys if v.params.get(key) is not None]
     head = (
         f"{v.statement} {v.group}: {v.status}  checked={v.checked}  "
         + "  ".join(decorations)
         + f"  [{v.elapsed_ms} ms]"
     )
-    lines = [head]
-    for w in v.witnesses:
-        lines.append(f"  witness {{{', '.join(map(str, w))}}}")
-    return "\n".join(lines)
+    witnesses = [f"  witness {{{', '.join(map(str, w))}}}" for w in v.witnesses]
+    return "\n".join([head, *witnesses])
 
 
 def _add_set_args(p: argparse.ArgumentParser, op: str) -> None:
@@ -269,9 +251,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; each handler imports the modules it needs, so a call
-    loads `verify`, `subsets` or `constructions` only if its command runs
-    them."""
+    """Run one command and print its result: the payload as JSON under
+    `--json`, else the text form unless it is empty.  Each handler imports
+    the modules it needs, so a call loads `verify`, `subsets` or
+    `constructions` only if its command runs them."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)
@@ -280,8 +263,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        code, payload, text = args.func(args)
+        if payload is not None and args.json:
+            text = dumps(payload)
+        if text:
+            print(text, flush=True)
         return code
     except BrokenPipeError:
         # devnull under stdout, so that the flush at exit does not fail again

@@ -43,8 +43,7 @@ def h_hat(A: GroupSubset, h: int) -> GroupSubset:
     for a in A.indices():
         seen += 1
         for j in range(min(seen, h), 0, -1):
-            if dp[j - 1]:
-                dp[j] |= tr(dp[j - 1], a)
+            dp[j] |= tr(dp[j - 1], a)
     return GroupSubset(G, dp[h])
 
 

@@ -56,6 +56,9 @@ SWEEP_SKIPS = "tests/test_verify.py::test_sweep_skips_out_of_domain_orders"
 CLI = "src/groupsums/cli.py"
 CLI_REJECTS = "tests/test_cli.py::test_verify_rejects_flags_it_would_drop"
 CLI_GIVEN = "tests/test_cli.py::test_verify_passes_only_the_flags_given"
+CLI_JSON = "tests/test_cli.py::test_every_command_json_round_trips"
+CLI_EMPTY = "tests/test_cli.py::test_empty_sweep_text_prints_nothing"
+CLI_BUDGET = "tests/test_cli.py::test_budget_exit_three"
 THRESHOLD_Z5 = "tests/test_verify.py::test_threshold_z5"
 THREE_FOLD_COUNTS = "tests/test_verify.py::test_three_fold_cover_counts"
 LEMMA2_Z7 = "tests/test_verify.py::test_lemma2_m7_verified"
@@ -528,6 +531,16 @@ MUTANTS = [
            'p.add_argument("--budget", type=int, default=argparse.SUPPRESS,',
            'p.add_argument("--budget", type=int, default=24,',
            CLI_GIVEN),
+    # -- the CLI's one print site
+    Mutant("main prints the text form under --json", CLI,
+           "text = dumps(payload)", "text = text",
+           CLI_JSON),
+    Mutant("main prints a line for a result with empty text", CLI,
+           "        if text:\n            print(text, flush=True)\n", "        print(text, flush=True)\n",
+           CLI_EMPTY),
+    Mutant("main prints the missing payload of an error under --json", CLI,
+           "if payload is not None and args.json:", "if args.json:",
+           CLI_BUDGET),
 ]
 
 

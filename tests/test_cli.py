@@ -177,6 +177,26 @@ def test_sweep_json_round_trip(capsys):
     assert {v["status"] for v in payload} <= {"verified", "vacuous"}
 
 
+@pytest.mark.parametrize("argv", [
+    "hhat --group Z6 --set 1,2,3 --h 2",
+    "sigma --group Z2xZ4 --set (1,0),(0,2)",
+    "paircover --group Z6 --set 1,3,4",
+    "construct tight --k 3",
+    "construct even-ce --m 8",
+    "construct mod4-ce --m 10",
+    "construct near-tight --group Z2xZ4",
+    "groups 8",
+    "verify thm5 --group Z8",
+    "verify sweep --statement lemma2-search --order-range 3..6",
+])
+def test_every_command_json_round_trips(capsys, argv):
+    """Each command path prints under `--json` exactly the bytes that
+    `dumps` gives for the payload it prints, and nothing on stderr."""
+    code, out, err = run(capsys, *argv.split(), "--json")
+    assert code in (0, 1) and err == "", argv
+    assert dumps(json.loads(out)) + "\n" == out, argv
+
+
 # (group, checked, threshold_size, torsion_size, available_nonzero or None)
 _PROP3_SWEEP_3_8 = [
     ("Z3", 1, 2, 1, None), ("Z4", 1, 3, 2, None), ("Z2 x Z2", 0, 4, 4, 3),
@@ -245,9 +265,18 @@ def test_construction_error_exits_one(capsys, monkeypatch):
         raise constructions.ConstructionError(f"tight example for k={k} misses a sum")
 
     monkeypatch.setattr(constructions, "tight_example", fail)
-    code, out, err = run(capsys, "construct", "tight", "--k", "3")
-    assert (code, out) == (1, "")
-    assert err == "counterexample to a construction claim: tight example for k=3 misses a sum\n"
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "construct", "tight", "--k", "3", *json_flag)
+        assert (code, out) == (1, ""), json_flag
+        assert err == "counterexample to a construction claim: tight example for k=3 misses a sum\n"
+
+
+def test_empty_sweep_text_prints_nothing(capsys):
+    """A text sweep with no group in the statement's domain prints no line
+    at all, not even an empty one; its `--json` form prints an empty list."""
+    argv = ("verify", "sweep", "--statement", "thm4", "--order-range", "3..8")
+    assert run(capsys, *argv) == (0, "", "")
+    assert run(capsys, *argv, "--json") == (0, "[]\n", "")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -281,9 +310,10 @@ def test_bad_jobs_and_witness_cap_exit_two(capsys):
 
 
 def test_budget_exit_three(capsys):
-    code, _, err = run(capsys, "verify", "lemma2", "--group", "Z40")
-    assert code == 3
-    assert "budget" in err
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "verify", "lemma2", "--group", "Z40", *json_flag)
+        assert (code, out) == (3, ""), json_flag
+        assert "budget" in err
 
 
 @pytest.mark.parametrize("argv", ["groups 12", "verify thm1 --group Z12 --json"])
