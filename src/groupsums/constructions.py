@@ -7,7 +7,7 @@ before returning and raises ConstructionError if a claim fails, so a returned
 
 from __future__ import annotations
 
-from .groups import AbelianGroup, GroupSubset, is_generating, torsion_two
+from .groups import AbelianGroup, GroupSubset, is_generating, mask_of, torsion_two
 from .subsets import pair_cover, sigma
 
 
@@ -70,26 +70,16 @@ def near_tight_construction(G: AbelianGroup) -> GroupSubset:
 
     Take every involution plus one representative of each pair {x, -x} of
     non-involutions, which realises 2|A| = |G| + |G_2| - 2.  Any partition
-    of the non-involutions into K and -K works; the representative chosen
-    here is the pair member with the smaller index, so certificates are
-    reproducible.
+    of the non-involutions into K and -K works; the one taken here is the
+    set {x != 0 : x <= -x by index}, the involutions being the x = -x, so
+    each pair is represented by its member with the smaller index and
+    certificates are reproducible.
     """
     if G.order < 2:
         raise ValueError("group must have at least 2 elements")
-    involutions = torsion_two(G)
-    bits = involutions.bits & ~1
-    seen = 0
-    # ascending scan: the first unseen member of each {x, -x} pair is the
-    # smaller-index one, so it becomes the representative
-    for x in range(G.order):
-        here = 1 << x
-        if seen & here or involutions.bits & here:
-            continue
-        bits |= here
-        seen |= here | 1 << G.neg_table[x]
-    A = GroupSubset(G, bits)
+    A = GroupSubset(G, mask_of([x for x, y in enumerate(G.neg_table) if 0 < x <= y], G.order))
     _require(
-        2 * A.cardinality == G.order + involutions.cardinality - 2,
+        2 * A.cardinality == G.order + torsion_two(G).cardinality - 2,
         "size does not meet the threshold minus one",
     )
     _require(pair_cover(A).bits != G.full_mask, "pair cover unexpectedly covers G")

@@ -8,11 +8,16 @@ tuple (x1, ..., xk) with 0 <= xi < di, identified with the mixed-radix index
     x1 + d1*(x2 + d2*(x3 + ...))
 
 in which the first factor varies fastest.  A subset of a group is a length-|G|
-bit-vector over element indices, stored as an arbitrary-precision integer;
-translating a subset by a group element is then one masked shift per
-nonzero coordinate (a plain rotation in the cyclic case), looked up per
-element, which is what keeps the search loops in `groupsums.verify`
-branch-free and fast.
+bit-vector over element indices, stored as an arbitrary-precision integer.
+Each of the three bit-vector primitives has one home here:
+
+- iterate: `bit_indices` lists the set bits of a mask;
+- build: `mask_of`, its inverse, makes a mask from indices in one linear
+  pass, where ORing bits into a growing int one at a time is quadratic;
+- translate: `AbelianGroup.translator` shifts a subset by a group element
+  with one masked shift per nonzero coordinate (a plain rotation in the
+  cyclic case), looked up per element, which is what keeps the search
+  loops in `groupsums.verify` branch-free and fast.
 
 Negation and doubling tables are built on first use, so element negation,
 2-torsion and halving counts are table lookups while constructing a large
@@ -60,6 +65,27 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def mask_of(indices: Iterable[int], n: int) -> int:
+    """The n-bit mask whose set bits are `indices`: the inverse of `bit_indices`.
+
+    The order of the indices and any repeats do not matter.  Each index
+    sets one byte of a bytearray, which is read once as a binary numeral,
+    so the cost is linear in n.  An index outside range(n) is a ValueError.
+
+    >>> mask_of([4, 1, 2, 1], 5) == 0b10110
+    True
+    """
+    flags = bytearray(n)
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"index {i} out of range for a {n}-bit mask")
+        flags[i] = 1
+    return int(flags[::-1].translate(_BINARY_DIGITS) or b"0", 2)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -140,7 +166,6 @@ class AbelianGroup:
         "_neg_table",
         "_double_table",
         "_strides",
-        "_mask_cache",
         "_translator",
     )
 
@@ -164,7 +189,6 @@ class AbelianGroup:
             strides.append(s)
             s *= d
         self._strides = tuple(strides)
-        self._mask_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._translator = None
         self._neg_table: list[int] | None = None
         self._double_table: list[int] | None = None
@@ -264,73 +288,54 @@ class AbelianGroup:
 
     # -- bit-vector translation ----------------------------------------------
 
-    def _axis_masks(self, axis: int, r: int) -> tuple[int, int, int, int]:
-        """(low_mask, high_mask, up, down) for adding r to coordinate `axis`.
-
-        Within every block of B = stride*d consecutive indices, coordinates
-        below d-r move up by `up` = r*stride bits and the rest wrap down by
-        `down` = B - up; the masks select the two parts in every block at
-        once.
-        """
-        key = (axis, r)
-        cached = self._mask_cache.get(key)
-        if cached is not None:
-            return cached
-        d = self.factors[axis]
-        s = self._strides[axis]
-        block = s * d
-        shift = r * s
-        rep = self.full_mask // ((1 << block) - 1)
-        low = ((1 << (block - shift)) - 1) * rep
-        high = (((1 << shift) - 1) << (block - shift)) * rep
-        out = (low, high, shift, block - shift)
-        self._mask_cache[key] = out
-        return out
-
-    def _axis_ops(self, g: int) -> tuple[tuple[int, int, int, int], ...]:
-        """The masked shifts that add element index g, one per nonzero coordinate."""
-        ops = []
-        for axis, (s, d) in enumerate(zip(self._strides, self.factors)):
-            r = g // s % d
-            if r:
-                ops.append(self._axis_masks(axis, r))
-        return tuple(ops)
-
     def translator(self):
         """The (bits, element_index) -> bits function of this group.
 
-        A cyclic group rotates the whole vector.  Any other group looks the
-        element up in a table of its masked shifts, one per nonzero
-        coordinate; the top coordinate's block is the whole vector, so its
-        shift is a rotation too.  Entries are filled on first use, so the
-        table holds only the elements actually translated.  The function is
-        built once and kept on the group.
+        A cyclic group rotates the whole vector.  Any other group adds g one
+        coordinate at a time: adding r to a coordinate with stride s and
+        factor d moves the indices below d - r up by `up` = r*s bits within
+        every block of B = s*d consecutive indices and wraps the rest down by
+        `down` = B - up, and two masks pick the two parts in every block at
+        once.  The top coordinate's block is the whole vector, so its shift
+        is a rotation too.  An element's masked shifts, one per nonzero
+        coordinate, are filled in on its first use, so the table holds only
+        the elements actually translated; the masks of each (coordinate, r)
+        are made once and shared by every element that has r there.  The
+        function is built once and kept on the group.
         """
-        if self._translator is None:
-            self._translator = self._build_translator()
-        return self._translator
-
-    def _build_translator(self):
+        if self._translator is not None:
+            return self._translator
+        m, full = self.order, self.full_mask
         if len(self.factors) == 1:
-            m = self.order
-            mask = self.full_mask
 
             def rotate(bits: int, g: int) -> int:
-                return ((bits << g) | (bits >> (m - g))) & mask
+                return ((bits << g) | (bits >> (m - g))) & full
 
+            self._translator = rotate
             return rotate
+        # per coordinate: stride, factor, and the masked shift for each r once made
+        axes = [(s, d, [None] * d) for s, d in zip(self._strides, self.factors)]
         table: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
-        axis_ops = self._axis_ops
 
         def shift(bits: int, g: int) -> int:
             try:
                 ops = table[g]
             except KeyError:
-                ops = table[g] = axis_ops(g)
+                ops = []
+                for s, d, made in axes:
+                    if r := g // s % d:
+                        if made[r] is None:
+                            block, up = s * d, r * s
+                            rep = full // ((1 << block) - 1)  # a 1 at the foot of every block
+                            low = ((1 << (block - up)) - 1) * rep
+                            made[r] = (low, full ^ low, up, block - up)
+                        ops.append(made[r])
+                ops = table[g] = tuple(ops)
             for low, high, up, down in ops:
                 bits = ((bits & low) << up) | ((bits & high) >> down)
             return bits
 
+        self._translator = shift
         return shift
 
 
@@ -351,10 +356,7 @@ class GroupSubset:
 
     @classmethod
     def from_indices(cls, group: AbelianGroup, indices: Iterable[int]) -> "GroupSubset":
-        bits = 0
-        for i in indices:
-            bits |= 1 << group._index_of(i)
-        return cls(group, bits)
+        return cls(group, mask_of(map(group._index_of, indices), group.order))
 
     @property
     def cardinality(self) -> int:
@@ -400,10 +402,8 @@ class GroupSubset:
         return self.map_indices(self.group.neg_table)
 
     def map_indices(self, perm) -> "GroupSubset":
-        out = 0
-        for i in bit_indices(self.bits):
-            out |= 1 << perm[i]
-        return GroupSubset(self.group, out)
+        """The set {perm[a] : a in self}."""
+        return GroupSubset(self.group, mask_of([perm[i] for i in bit_indices(self.bits)], self.group.order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupSubset):
@@ -486,11 +486,7 @@ def enumerate_groups_of_order(n: int) -> list[AbelianGroup]:
 
 def torsion_two(G: AbelianGroup) -> GroupSubset:
     """The subgroup {x : 2x = 0} of elements of order at most 2."""
-    bits = 0
-    for i, d in enumerate(G.double_table):
-        if d == 0:
-            bits |= 1 << i
-    return GroupSubset(G, bits)
+    return GroupSubset(G, mask_of([i for i, d in enumerate(G.double_table) if d == 0], G.order))
 
 
 def automorphism_count(G: AbelianGroup, triangular: bool = False) -> int:

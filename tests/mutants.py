@@ -11,13 +11,15 @@ a row goes stale loudly when the code moves.
 `python tests/mutants.py` runs every row: it copies `src/`, `tests/` and
 `pyproject.toml` to a temporary directory, applies the row there and runs
 its check, one row at a time, after one run of all the checks on an
-unchanged copy.  It prints each row as killed or survived with its time and
-exits 1 if any row ends otherwise than its `survives` field says.  It uses
-the standard library and pytest only, and is not part of the test suite.
+unchanged copy; each pytest process starts with plugin autoloading off.  It
+prints each row as killed or survived with its time and exits 1 if any row
+ends otherwise than its `survives` field says.  It uses the standard
+library and pytest only, and is not part of the test suite.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -69,6 +71,7 @@ THM5_TOP = "tests/test_verify.py::test_thm5_lists_only_at_the_largest_size"
 KNOWN_CRITICAL = "tests/test_verify.py::test_known_critical_values_match_the_walk_on_even_orders"
 LAG = "tests/test_verify.py::test_lag_packs_the_orbit_rule"
 TRANSLATES = "tests/test_verify.py::test_lattice_translator_calls"
+MASK_ROUND_TRIP = "tests/test_groups.py::test_mask_of_inverts_bit_indices"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
@@ -519,6 +522,10 @@ MUTANTS = [
     Mutant("thm1 files its equality cases in the violation record", VERIFY,
            "eq.record(0,", "stats.record(0,",
            LATTICE_BRUTE),
+    # -- the bit-vector builder
+    Mutant("mask_of sets bit i + 1 for index i", GROUPS,
+           "        flags[i] = 1\n", "        flags[(i + 1) % n] = 1\n",
+           MASK_ROUND_TRIP),
     # -- the start-up path
     Mutant("verify.py imports dataclasses again", VERIFY,
            "import json\n", "import dataclasses\nimport json\n",
@@ -545,9 +552,12 @@ MUTANTS = [
 
 
 def _pytest(tree: Path, *checks: str) -> tuple[int, float]:
+    # no check uses a plugin, and importing the installed ones (hypothesis
+    # alone takes about a second) would be most of a row's start-up
+    env = {**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     t0 = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *checks],
-                          cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                          cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return done.returncode, time.perf_counter() - t0
 
 

@@ -84,6 +84,19 @@ def test_criterion_3_pair_cover_threshold():
     _passed("3", f"{statuses.count('verified')} verified / {statuses.count('vacuous')} vacuous, {elapsed:.2f}s")
 
 
+def test_criterion_3_threshold_is_vacuous_on_the_largest_elementary_group():
+    # every element of Z2^20 is an involution, so the threshold size |G| is
+    # past the |G| - 1 nonzero elements; the verdict rests on one 2^20-bit
+    # mask, which takes quadratic time if built by ORing one bit at a time
+    t0 = time.perf_counter()
+    v = verify_pair_cover_threshold(parse_group_spec("Z2^20"))
+    elapsed = time.perf_counter() - t0
+    assert v.status == VACUOUS
+    assert v.params["torsion_size"] == v.params["threshold_size"] == 1 << 20 == 1_048_576
+    assert elapsed < 3.0, f"Z2^20 threshold took {elapsed:.1f}s"
+    _passed("3", f"Z2^20 vacuous with torsion size 1,048,576, {elapsed:.2f}s")
+
+
 def test_criterion_4_subset_sum_bound():
     t0 = time.perf_counter()
     orders_seen = set()

@@ -15,11 +15,13 @@ from groupsums import (
     enumerate_groups_of_order,
     invariant_factors,
     is_generating,
+    near_tight_construction,
     parse_group_spec,
     sigma,
     subgroup_generated,
     torsion_two,
 )
+from groupsums.groups import bit_indices, mask_of
 import groupsums
 
 from property_checks import all_groups_up_to, check_halving_counts
@@ -191,6 +193,9 @@ def test_translator_is_cached_and_filled_lazily():
     assert sigma(GroupSubset.from_indices(G, [1, 2, 4])).cardinality == 7
     (table,) = [c.cell_contents for c in tr.__closure__ if isinstance(c.cell_contents, dict)]
     assert sorted(table) == [1, 2, 4]
+    # the masked shift for each (coordinate, r) is made once, and 7 = 1 + 2 + 4 shares all three
+    tr(1, 7)
+    assert [id(op) for op in table[7]] == [id(table[g][0]) for g in (1, 2, 4)]
 
 
 def test_tables_are_built_on_first_use():
@@ -332,9 +337,16 @@ def test_subset_overlong_bits_rejected():
 
 def test_subset_index_out_of_range_rejected():
     Z6 = parse_group_spec("Z6")
+    A = GroupSubset.from_indices(Z6, [0, 2])
     for bad in (6, -1):
         with pytest.raises(ValueError):
             GroupSubset.from_indices(Z6, [bad])
+    # a bytearray would wrap a negative index without an error
+    for bad in (6, 7, -1, -6):
+        with pytest.raises(ValueError):
+            A.map_indices([0, 1, bad, 3, 4, 5])
+        with pytest.raises(ValueError, match=f"index {bad} out of range"):
+            mask_of([0, bad], 6)
 
 
 @pytest.mark.parametrize("bad", [2.0, 1.5, "1", None])
@@ -343,7 +355,60 @@ def test_non_integer_indices_rejected(bad):
     A = GroupSubset.from_indices(G, [1, 2])
     for use in (lambda: G.tuple_to_index((bad, 0)), lambda: G.tuple_to_index((1, bad)),
                 lambda: GroupSubset.from_indices(G, [bad]), lambda: bad in A,
-                lambda: A.translate(bad), lambda: count_halvings(G, bad)):
+                lambda: A.translate(bad), lambda: count_halvings(G, bad), lambda: mask_of([bad], 12)):
         with pytest.raises(TypeError):
             use()
     assert G.tuple_to_index((True, 2)) == 5 and GroupSubset.from_indices(G, [True]).indices() == (1,)
+
+
+# -- building a mask ----------------------------------------------------------
+
+
+def _per_bit(indices) -> int:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+def test_mask_of_inverts_bit_indices():
+    import random
+
+    rng = random.Random(35)
+    for n in (0, 1, 7, 8, 9, 64, 65, 1000):
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            indices = bit_indices(mask)
+            assert mask_of(indices, n) == mask, (n, mask)
+            # the order of the indices and repeats do not matter
+            shuffled = indices + rng.choices(indices, k=len(indices) // 2)
+            rng.shuffle(shuffled)
+            assert mask_of(iter(shuffled), n) == mask, (n, mask)
+
+
+def _near_tight_per_bit(G: AbelianGroup) -> int:
+    """The near-tight set as an ascending scan builds it: every involution
+    but 0, then the first unseen member of each pair {x, -x}."""
+    involutions = _per_bit(i for i, d in enumerate(G.double_table) if d == 0)
+    bits, seen = involutions & ~1, 0
+    for x in range(G.order):
+        if not (seen | involutions) >> x & 1:
+            bits |= 1 << x
+            seen |= 1 << x | 1 << G.neg_table[x]
+    return bits
+
+
+def test_one_pass_masks_match_per_bit_masks():
+    import random
+
+    rng = random.Random(64)
+    for G in all_groups_up_to(64):
+        n = G.order
+        assert torsion_two(G).bits == _per_bit(i for i in range(n) if G.add_index(i, i) == 0), G.spec
+        if n >= 2:
+            assert near_tight_construction(G).bits == _near_tight_per_bit(G), G.spec
+        indices = rng.choices(range(n), k=rng.randint(0, 2 * n))
+        A = GroupSubset.from_indices(G, indices)
+        assert A.bits == _per_bit(indices), G.spec
+        perm = rng.sample(range(n), n)
+        assert A.map_indices(perm).bits == _per_bit(perm[i] for i in indices), G.spec
+        assert A.negated().bits == _per_bit(G.neg_table[i] for i in indices), G.spec
