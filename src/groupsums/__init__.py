@@ -15,7 +15,7 @@ def dumps(payload) -> str:
 # of its names is first asked for (PEP 562), so a CLI call compiles only the
 # modules its command runs.
 _HOMES = {name: module for module, names in (
-    ("groups", "AbelianGroup GroupSpecError GroupSubset count_halvings enumerate_groups_of_order "
+    ("groups", "AbelianGroup GroupSpecError GroupSubset enumerate_groups_of_order "
                "invariant_factors is_generating parse_group_spec subgroup_generated torsion_two"),
     ("subsets", "h_hat naive_subset_sums pair_cover sigma"),
     ("constructions", "ConstructionError even_counterexample near_tight_construction tight_example "

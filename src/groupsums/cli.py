@@ -6,13 +6,14 @@ Each command returns its exit code, its JSON payload and its text form, and
 Exit codes: 0 = computed / all statements verified; 1 = a refutation was
 found and reported (expected for the even-order counterexample searches);
 2 = usage or precondition error; 3 = search budget exceeded; 141 = stdout
-was closed before the output was written (as `| head` does), the status of
-a process killed by SIGPIPE.
+was closed before the output was written (as `| head` does), or when the
+process started (as `>&-` does), the status of a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -136,8 +137,8 @@ def _verify_command(args):
     from .verify import REFUTED, STATEMENTS, BudgetExceededError, sweep
 
     statement = STATEMENTS[args.statement]
-    # only the flags given, so a flag left out takes the verifier's default;
-    # the verifier checks each value, and `sweep` rejects a stray min_size
+    # only the flags given, so a flag left out takes the library's default;
+    # the library's one frame checks each value and rejects a stray min_size
     options = {k: v for k, v in vars(args).items() if k in ("witness_cap", "jobs", "budget", "min_size")}
     try:
         if args.which == "sweep":
@@ -267,9 +268,13 @@ def main(argv=None) -> int:
         if payload is not None and args.json:
             text = dumps(payload)
         if text:
+            if sys.stdout is None:  # fd 1 was closed at start, and print would drop the text
+                return 141
             print(text, flush=True)
         return code
-    except BrokenPipeError:
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.EBADF):  # a closed pipe, or fd 1 closed since start
+            raise
         # devnull under stdout, so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

@@ -253,13 +253,6 @@ class AbelianGroup:
 
     # -- element encoding --------------------------------------------------
 
-    def index_to_tuple(self, i: int) -> tuple[int, ...]:
-        t = []
-        for d in self.factors:
-            t.append(i % d)
-            i //= d
-        return tuple(t)
-
     def tuple_to_index(self, t: Iterable[int]) -> int:
         t = tuple(map(operator.index, t))
         if len(t) != len(self.factors):
@@ -396,10 +389,6 @@ class GroupSubset:
     def translate(self, g: int) -> "GroupSubset":
         """The set {a + g : a in self}."""
         return GroupSubset(self.group, self.group.translator()(self.bits, self.group._index_of(g)))
-
-    def negated(self) -> "GroupSubset":
-        """The set {-a : a in self}."""
-        return self.map_indices(self.group.neg_table)
 
     def map_indices(self, perm) -> "GroupSubset":
         """The set {perm[a] : a in self}."""
@@ -570,12 +559,6 @@ def automorphism_tables(G: AbelianGroup, triangular: bool = False) -> list[list[
 
     extend(0, [0])
     return tables
-
-
-def count_halvings(G: AbelianGroup, g: int) -> int:
-    """How many x in G satisfy 2x = g; always 0 or the 2-torsion size."""
-    target = G._index_of(g)
-    return sum(1 for d in G.double_table if d == target)
 
 
 def subgroup_generated(G: AbelianGroup, S: GroupSubset) -> GroupSubset:

@@ -13,12 +13,12 @@ and why they are sound:
 - `_scan_pair_cover` (prop3.2 and lemma2-search) checks A with its pair
   sums over the pool G \\ {0}, and `_scan_three_fold` (thm4) the sums of
   three distinct elements over the pool G.  They share only their
-  look-ahead tables (`_cover_tables`).  Each verifier states its pool's
-  size for `checked` and hands the scan's record to `_cover_verdict`,
-  which builds the certificate.
-- thm4 is decided by class representatives: `verify_three_fold_cover`
-  runs the class passes of `_misses_a_class` first, and the full scan,
-  for the exact counts and witnesses, only if one finds a set.
+  look-ahead tables (`_cover_tables`).  Each statement states its pool's
+  size for `checked` and hands the scan's record to `_cover_answer`,
+  which reads the certificate's fields from it.
+- thm4 is decided by class representatives: `_three_fold_cover` runs
+  the class passes of `_misses_a_class` first, and the full scan, for
+  the exact counts and witnesses, only if one finds a set.
 
 The walks that count every set of a kind (the thm1 sweep, the thm5 lattice
 and the pair-cover scan of prop3.2 and lemma2-search) visit one set per
@@ -42,12 +42,18 @@ walk, and those of Z1, Z2 and the groups whose T(G) is too wide, such as
 Z2^6, enter and file every set.
 
 Each statement is a `Statement` in the `STATEMENTS` registry, from which the
-CLI builds its `verify` subcommands and which `sweep` runs.  Every verifier
-and `sweep` take the run options `witness_cap`, `jobs` and `budget`, whose
-defaults are set here alone, and check them first (`_check_run`); the CLI
-passes only the flags it is given.  Each verifier alone knows its domain and
-raises `_OutsideDomain` for a group outside it, which `sweep` skips;
-`_check_budget` then compares the group's order with the budget.
+CLI builds its `verify` subcommands.  `_run` is the one frame of every run:
+`Statement.run`, `sweep` and the public verifiers, which are thin names for
+`run`, all go through it.  It checks the run options `witness_cap`, `jobs`
+and `budget`, whose defaults are set here alone, and the names of the
+statement's own options once, before any group (`_check_run`); the CLI
+passes only the flags it is given.  For each group it starts the clock and
+calls the statement's function, which alone knows its domain: it raises
+`_OutsideDomain` for a group outside it, which `sweep` skips, returns a
+vacuous answer where it has one before any budget check, and otherwise
+names the order to budget, which the frame compares with the budget
+(`_check_budget`), and runs its scan.  The frame builds every `Verdict`,
+with the time since its clock started (`_elapsed_ms`).
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -79,6 +85,7 @@ from .groups import (
 
 DEFAULT_BUDGET = 24
 DEFAULT_WITNESS_CAP = 16
+DEFAULT_MIN_SIZE = 5
 # Every scan walks its whole tree in one pass, in one process: at the orders
 # the default budget allows, splitting a scan over worker processes cost more
 # than it saved.  So `jobs`, checked to lie in 1..MAX_JOBS, changes nothing.
@@ -593,13 +600,11 @@ def _scan_sigma_lattice(G: AbelianGroup) -> ScanStats:
     return stats
 
 
-def _cover_verdict(statement: str, G: AbelianGroup, params: dict, stats: ScanStats, checked: int,
-                   t0: float) -> Verdict:
-    """The certificate of a cover scan's record over `checked` candidate
-    sets: any violation refutes."""
+def _cover_answer(G: AbelianGroup, params: dict, stats: ScanStats, checked: int) -> tuple:
+    """The answer of a cover scan's record over `checked` candidate sets:
+    any violation refutes."""
     params["violations"] = stats.violations
-    return Verdict(statement, G.spec, params, REFUTED if stats.violations else VERIFIED, checked,
-                   _witnesses_with_reps(stats), _elapsed_ms(t0))
+    return G.spec, params, REFUTED if stats.violations else VERIFIED, checked, _witnesses_with_reps(stats)
 
 
 def _misses_a_class(G: AbelianGroup, k: int) -> bool:
@@ -639,43 +644,44 @@ def _elapsed_ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
 
 
-# -- verifiers ----------------------------------------------------------------
+# -- statements ---------------------------------------------------------------
+#
+# A statement's function takes G, the witness cap, `afford` and the
+# statement's own options.  It raises `_OutsideDomain` for a G outside the
+# statement's domain and returns a vacuous answer where it has one; else it
+# calls afford(order) and runs its scan.  Its answer is the certificate's
+# fields from `group` to `witnesses`, which `_run` completes.
 
 
-def verify_pair_cover_threshold(
-    G: AbelianGroup,
-    *,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
-    """Check that every A in G \\ {0} with 2|A| >= |G| + |G_2| pair-covers G.
+def _pair_cover_threshold(G: AbelianGroup, cap: int, afford) -> tuple:
+    """Every A in G \\ {0} with 2|A| >= |G| + |G_2| pair-covers G.
 
     Only the exact threshold size t = (|G| + |G_2|)/2 is enumerated; the
     pair cover grows monotonically with A, so larger sizes follow.  When t
     exceeds the number of nonzero elements no such subset exists and the
-    verdict is vacuous.
+    answer is vacuous.
     """
-    t0 = time.perf_counter()
-    _check_run(jobs, witness_cap, budget)
     g2 = torsion_two(G).cardinality
     threshold = (G.order + g2) // 2
     params: dict = {"threshold_size": threshold, "torsion_size": g2, "violations": 0}
     if threshold > G.order - 1:
         params["available_nonzero"] = G.order - 1
-        return Verdict("prop3.2", G.spec, params, VACUOUS, 0, [], _elapsed_ms(t0))
-    _check_budget(G.order, budget)
-    stats = _scan_pair_cover(G, k=threshold, cap=witness_cap)
-    return _cover_verdict("prop3.2", G, params, stats, comb(G.order - 1, threshold), t0)
+        return G.spec, params, VACUOUS, 0, []
+    afford(G.order)
+    return _cover_answer(G, params, _scan_pair_cover(G, k=threshold, cap=cap), comb(G.order - 1, threshold))
 
 
-def search_lemma2_counterexamples(
-    m: int,
-    *,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
+def _cyclic_order(G: AbelianGroup | int) -> int:
+    """The order m of a cyclic G, given as a group or, by the verifiers that
+    take m, as m itself; a group that is not cyclic is outside the domain."""
+    if not isinstance(G, AbelianGroup):
+        return G
+    if not G.is_cyclic:
+        raise _OutsideDomain(f"the statement is about cyclic groups, got {G.spec}")
+    return G.order
+
+
+def _lemma2_search(G: AbelianGroup | int, cap: int, afford) -> tuple:
     """Hunt for A in Z_m \\ {0} with 2|A| >= m whose pair cover misses
     something.
 
@@ -683,31 +689,23 @@ def search_lemma2_counterexamples(
     is the pair-cover threshold statement in disguise) and fails for every
     even m.  Only the minimal size ceil(m/2) is enumerated, by monotonicity.
     The search is exhaustive: it counts every counterexample of that size by
-    deficiency and lists up to `witness_cap` of them, keeping the first
-    witness of each deficiency.
+    deficiency and lists up to `cap` of them, keeping the first witness of
+    each deficiency.  Z_m is built after the budget check.
     """
-    t0 = time.perf_counter()
-    _check_run(jobs, witness_cap, budget)
+    m = _cyclic_order(G)
     if m < 3:
         raise _OutsideDomain(f"need m >= 3, got {m}")
-    _check_budget(m, budget)
+    afford(m)
     G = AbelianGroup.cyclic(m)
     size = (m + 1) // 2
-    stats = _scan_pair_cover(G, k=size, cap=witness_cap)
+    stats = _scan_pair_cover(G, k=size, cap=cap)
     params = {"subset_size": size, "exhaustive": True,  # always; certificates keep the key
               "deficiency_histogram": {str(d): c for d, c in sorted(stats.hist.items())}}
-    return _cover_verdict("lemma2-search", G, params, stats, comb(m - 1, size), t0)
+    return _cover_answer(G, params, stats, comb(m - 1, size))
 
 
-def verify_subset_sum_bound(
-    G: AbelianGroup,
-    min_size: int = 5,
-    *,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
-    """Check |sigma(S)| >= min(|G|, 2|S|) for every generating S in G \\ {0}
+def _subset_sum_bound(G: AbelianGroup, cap: int, afford, min_size: int = DEFAULT_MIN_SIZE) -> tuple:
+    """|sigma(S)| >= min(|G|, 2|S|) for every generating S in G \\ {0}
     with |S| >= min_size.
 
     The sweep is unconditional over the whole subset lattice, so both the
@@ -716,42 +714,32 @@ def verify_subset_sum_bound(
     extremal witnesses; `checked` counts all size-filtered candidates before
     the generating filter.
     """
-    t0 = time.perf_counter()
-    _check_run(jobs, witness_cap, budget)
     try:
         if operator.index(min_size) < 1:
             raise ValueError(f"need min_size >= 1, got {min_size}")
     except TypeError:
         raise TypeError(f"need an integer min_size, got min_size={min_size}") from None
-    _check_budget(G.order, budget)
+    afford(G.order)
     npool = G.order - 1
-    stats, eq = _scan_bound_sweep(G, min_size=min_size, cap=witness_cap)
+    stats, eq = _scan_bound_sweep(G, min_size=min_size, cap=cap)
     checked = sum(comb(npool, j) for j in range(min_size, npool + 1))
     params = {"min_size": min_size, "violations": stats.violations, "equality_count": eq.violations}
-    return Verdict("thm1", G.spec, params, REFUTED if stats.violations else VERIFIED, checked,
-                   _witnesses_with_reps(stats if stats.violations else eq), _elapsed_ms(t0))
+    return (G.spec, params, REFUTED if stats.violations else VERIFIED, checked,
+            _witnesses_with_reps(stats if stats.violations else eq))
 
 
-def critical_number(
-    G: AbelianGroup,
-    *,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[int, Verdict]:
+def _critical_number(G: AbelianGroup, cap: int, afford) -> tuple:
     """Smallest s such that every size-s subset of G \\ {0} has full
     subset-sum coverage, by one walk of the subset lattice.
 
     Coverage failures propagate downward (a failing set's subsets fail), so
     the failing sizes are exactly 1..s-1 and every smaller size was
-    refutable; the verdict carries the first failing witness in colex order
+    refutable; the answer carries the first failing witness in colex order
     at size s - 1 plus exact failure counts per size.
     """
-    t0 = time.perf_counter()
-    _check_run(jobs, witness_cap, budget)
     if G.order < 3:
         raise _OutsideDomain(f"need |G| >= 3, got {G.order}")
-    _check_budget(G.order, budget)
+    afford(G.order)
     n = G.order
     # Only hist and reps[max(hist)] are read below, so the walk lists no
     # witness and lists least members only at the largest size seen so far.
@@ -770,8 +758,7 @@ def critical_number(
     }
     status = REFUTED if known is not None and answer != known else VERIFIED
     checked = sum(comb(n - 1, s) for s in range(1, answer + 1))
-    witnesses = [bit_indices(stats.reps[answer - 1])] if witness_cap else []
-    return answer, Verdict("thm5", G.spec, params, status, checked, witnesses, _elapsed_ms(t0))
+    return G.spec, params, status, checked, [bit_indices(stats.reps[answer - 1])] if cap else []
 
 
 def _known_critical_value(G: AbelianGroup) -> int | None:
@@ -784,89 +771,104 @@ def _known_critical_value(G: AbelianGroup) -> int | None:
     return k + 1 if k < 5 and G.factors != (2, 2, 2) else k
 
 
-def verify_three_fold_cover(
-    m: int,
-    *,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
-    """Check that for even m >= 12 every subset of Z_m of size m/2 + 1 has
-    three-element sums covering all of Z_m.
+def _three_fold_cover(G: AbelianGroup | int, cap: int, afford) -> tuple:
+    """For even m >= 12 every subset of Z_m of size m/2 + 1 has three-element
+    sums covering all of Z_m.
 
     0 may belong to the subsets here; only the minimal size is enumerated,
     by monotonicity.  The class passes (`_misses_a_class`) run first, and
     the full scan runs for the exact counts and witnesses only if one finds
     a set, which by the theorem does not happen.  `checked` counts all
-    C(m, k) sets either way.
+    C(m, k) sets either way.  Z_m is built after the budget check.
     """
-    t0 = time.perf_counter()
-    _check_run(jobs, witness_cap, budget)
+    m = _cyclic_order(G)
     if m < 12 or m % 2:
         raise _OutsideDomain(f"need even m >= 12, got {m}")
-    _check_budget(m, budget)
+    afford(m)
     G = AbelianGroup.cyclic(m)
     size = m // 2 + 1
-    stats = _scan_three_fold(G, k=size, cap=witness_cap) if _misses_a_class(G, size) else ScanStats(witness_cap)
-    return _cover_verdict("thm4", G, {"subset_size": size}, stats, comb(m, size), t0)
+    stats = _scan_three_fold(G, k=size, cap=cap) if _misses_a_class(G, size) else ScanStats(cap)
+    return _cover_answer(G, {"subset_size": size}, stats, comb(m, size))
 
 
-# -- statement registry ----------------------------------------------------------
+# -- the frame and the registry ---------------------------------------------------
 
 
-def _cyclic_order(G: AbelianGroup) -> int:
-    if not G.is_cyclic:
-        raise _OutsideDomain(f"the statement is about cyclic groups, got {G.spec}")
-    return G.order
-
-
-class Statement:
-    """One statement of the paper.  `run(G, *, witness_cap, jobs, budget,
-    **kw)` checks it on one group, `kw` taking only names in `options`, or
-    raises `_OutsideDomain` if G lies outside the statement's domain."""
-
-    def __init__(self, id: str, alias: str, run: Callable[..., Verdict], options: tuple[str, ...] = ()):
-        self.id = id
-        self.alias = alias
-        self.run = run
-        self.options = options
-
-
-STATEMENTS = {st.id: st for st in (
-    Statement("prop3.2", "prop3", verify_pair_cover_threshold),
-    Statement("lemma2-search", "lemma2", lambda G, **kw: search_lemma2_counterexamples(_cyclic_order(G), **kw)),
-    Statement("thm1", "thm1", verify_subset_sum_bound, ("min_size",)),
-    Statement("thm4", "thm4", lambda G, **kw: verify_three_fold_cover(_cyclic_order(G), **kw)),
-    Statement("thm5", "thm5", lambda G, **kw: critical_number(G, **kw)[1]),
-)}
-
-
-def sweep(
-    statement: str,
-    orders,
-    *,
-    cyclic_only: bool = False,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    **options,
-) -> list[Verdict]:
-    """Run one statement over all abelian (or all cyclic) groups of the
-    given orders but those its verifier refuses with `_OutsideDomain`.
-    `options` are the statement's own keywords (`Statement.options`).
-    Verdicts come back in order, then by isomorphism class."""
-    if statement not in STATEMENTS:
-        raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
-    st = STATEMENTS[statement]
+def _run(st: Statement, groups, skip: bool, *, witness_cap: int = DEFAULT_WITNESS_CAP, jobs: int = 1,
+         budget: int = DEFAULT_BUDGET, **options) -> list[Verdict]:
+    """The frame of every run: the certificates of `st` on `groups`.  It
+    checks the run options and the statement's option names once, before
+    any group, then for each group starts a clock, calls the statement's
+    function with afford(order), the budget check, and builds the
+    `Verdict`.  A group outside the domain raises `_OutsideDomain`, or is
+    left out if `skip`."""
     _check_run(jobs, witness_cap, budget)
     stray = sorted(set(options) - set(st.options))
     if stray:
-        raise ValueError(f"{statement} takes no {', '.join(stray)}")
-    out: list[Verdict] = []
-    for n in orders:
-        for G in [AbelianGroup.cyclic(n)] if cyclic_only else enumerate_groups_of_order(n):
-            try:
-                out.append(st.run(G, witness_cap=witness_cap, jobs=jobs, budget=budget, **options))
-            except _OutsideDomain:
-                pass
+        raise ValueError(f"{st.id} takes no {', '.join(stray)}")
+    afford = lambda order: _check_budget(order, budget)  # noqa: E731
+    out = []
+    for G in groups:
+        t0 = time.perf_counter()
+        try:
+            answer = st.check(G, witness_cap, afford, **options)
+        except _OutsideDomain:
+            if skip:
+                continue
+            raise
+        out.append(Verdict(st.id, *answer, _elapsed_ms(t0)))
     return out
+
+
+class Statement:
+    """One statement of the paper.  `check` is its function, and `options`
+    names the keywords it takes beyond the run options."""
+
+    def __init__(self, id: str, alias: str, check: Callable[..., tuple], options: tuple[str, ...] = ()):
+        self.id = id
+        self.alias = alias
+        self.check = check
+        self.options = options
+
+    def run(self, G: AbelianGroup, **run) -> Verdict:
+        """The certificate on G under the run options and `options` in
+        `run`; `_OutsideDomain` if G lies outside the statement's domain."""
+        return _run(self, [G], False, **run)[0]
+
+
+STATEMENTS = {st.id: st for st in (
+    Statement("prop3.2", "prop3", _pair_cover_threshold),
+    Statement("lemma2-search", "lemma2", _lemma2_search),
+    Statement("thm1", "thm1", _subset_sum_bound, ("min_size",)),
+    Statement("thm4", "thm4", _three_fold_cover),
+    Statement("thm5", "thm5", _critical_number),
+)}
+
+
+def sweep(statement: str, orders, *, cyclic_only: bool = False, **run) -> list[Verdict]:
+    """Run one statement over all abelian (or all cyclic) groups of the
+    given orders but those outside its domain, under the run options and
+    the statement's own keywords (`Statement.options`) in `run`.  Verdicts
+    come back in order, then by isomorphism class."""
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
+    groups = (G for n in orders for G in ([AbelianGroup.cyclic(n)] if cyclic_only else enumerate_groups_of_order(n)))
+    return _run(STATEMENTS[statement], groups, True, **run)
+
+
+# -- the public verifiers: each is its statement's `run`, where lemma2-search
+# and thm4 take m, the order of Z_m, for G; thm1 also takes min_size by
+# position, and thm5 returns the critical number with the certificate
+
+verify_pair_cover_threshold = STATEMENTS["prop3.2"].run
+search_lemma2_counterexamples = STATEMENTS["lemma2-search"].run
+verify_three_fold_cover = STATEMENTS["thm4"].run
+
+
+def verify_subset_sum_bound(G: AbelianGroup, min_size: int = DEFAULT_MIN_SIZE, **run) -> Verdict:
+    return STATEMENTS["thm1"].run(G, min_size=min_size, **run)
+
+
+def critical_number(G: AbelianGroup, **run) -> tuple[int, Verdict]:
+    v = STATEMENTS["thm5"].run(G, **run)
+    return v.params["critical_number"], v

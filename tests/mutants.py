@@ -72,27 +72,38 @@ KNOWN_CRITICAL = "tests/test_verify.py::test_known_critical_values_match_the_wal
 LAG = "tests/test_verify.py::test_lag_packs_the_orbit_rule"
 TRANSLATES = "tests/test_verify.py::test_lattice_translator_calls"
 MASK_ROUND_TRIP = "tests/test_groups.py::test_mask_of_inverts_bit_indices"
+ORDER_OF_CHECKS = "tests/test_verify.py::test_order_of_checks"
+FRAME_CLOCK = "tests/test_verify.py::test_the_frame_times_each_whole_run"
+CLI_CLOSED_AT_START = "tests/test_cli.py::test_stdout_closed_at_start_exits_141"
+CLI_CLOSED_AFTER_START = "tests/test_cli.py::test_stdout_closed_after_start_exits_141"
 
 _PAIR_RULE = "if size - ((ok & tr(nok, y) & ~halves[y]).bit_count() >> 1) < j:"
 _REC3_SIZE = """            if size >= j:
                 # -ok = nfree[bound] minus (A +^ A) - x; y = x - a runs over
 """
 _CLASSES = "for x in ((0, 1) if G.order % 3 == 0 else (0,)))"
-_THM4_SCAN = "_scan_three_fold(G, k=size, cap=witness_cap) if _misses_a_class(G, size) else ScanStats(witness_cap)"
-_THM4_CHECK = """    _check_run(jobs, witness_cap, budget)
-    if m < 12 or m % 2:
-"""
-_THM1_CHECKS = """    _check_run(jobs, witness_cap, budget)
-    try:
+_THM4_SCAN = "_scan_three_fold(G, k=size, cap=cap) if _misses_a_class(G, size) else ScanStats(cap)"
+_FRAME_CHECK = "    _check_run(jobs, witness_cap, budget)\n"
+_FRAME_CALL = "            answer = st.check(G, witness_cap, afford, **options)\n"
+_FRAME_CLOCK = "        t0 = time.perf_counter()\n        try:\n" + _FRAME_CALL
+_FRAME = _FRAME_CHECK + """    stray = sorted(set(options) - set(st.options))
+    if stray:
+        raise ValueError(f"{st.id} takes no {', '.join(stray)}")
+    afford = lambda order: _check_budget(order, budget)  # noqa: E731
+    out = []
+    for G in groups:
+""" + _FRAME_CLOCK
+_FRAME_AFFORD = "afford = lambda order: _check_budget(order, budget)"
+_THM1_CHECKS = """    try:
         if operator.index(min_size) < 1:
             raise ValueError(f"need min_size >= 1, got {min_size}")
     except TypeError:
         raise TypeError(f"need an integer min_size, got min_size={min_size}") from None
-    _check_budget(G.order, budget)
+    afford(G.order)
 """
 _LEMMA2_CHECKS = """    if m < 3:
         raise _OutsideDomain(f"need m >= 3, got {m}")
-    _check_budget(m, budget)
+    afford(m)
 """
 _THM4_DOMAIN = 'raise _OutsideDomain(f"need even m >= 12, got {m}")'
 _THM1_TESTS = """            if got < need and generates(acc):
@@ -304,26 +315,38 @@ MUTANTS = [
            "        uncovered = targets & ~dp3\n", "        uncovered = G.full_mask ^ dp3\n",
            REC3_NODES),
     Mutant("a thm4 verdict trusts its class passes even when one finds a set", VERIFY,
-           _THM4_SCAN, "ScanStats(witness_cap)",
+           _THM4_SCAN, "ScanStats(cap)",
            FAILED_CLASS),
     # no certificate changes, since the full scan finds what the class passes
     # would, but a verified thm4 Z28 then enters 1,992 nodes instead of 757
     Mutant("the thm4 verifier skips its class passes and always runs the full scan", VERIFY,
-           _THM4_SCAN, "_scan_three_fold(G, k=size, cap=witness_cap)",
+           _THM4_SCAN, "_scan_three_fold(G, k=size, cap=cap)",
            REC3_NODES),
     Mutant("the thm4 verifier counts its sets in Z_m \\ {0}", VERIFY,
            "comb(m, size)", "comb(m - 1, size)",
            THREE_FOLD_COUNTS),
-    Mutant("a verified thm4 never checks its run options", VERIFY,
-           _THM4_CHECK, _THM4_CHECK.replace("    _check_run(jobs, witness_cap, budget)\n", ""),
+    # -- the frame of every run
+    Mutant("the frame never checks the run options", VERIFY,
+           _FRAME_CHECK, "",
            CHECKS),
+    # `verify thm1 --group Z6 --budget 0` then exits 3, not 2
+    Mutant("the frame checks the run options only after the statement has run", VERIFY,
+           _FRAME, _FRAME.replace(_FRAME_CHECK, "").replace(_FRAME_CALL, _FRAME_CALL + "        " + _FRAME_CHECK),
+           CLI_REJECTS),
+    Mutant("the frame skips the budget check", VERIFY,
+           _FRAME_AFFORD, "afford = lambda order: None",
+           ORDER_OF_CHECKS),
+    # every certificate then reads 0 ms, whatever its scan took
+    Mutant("the frame starts its clock after the scan", VERIFY,
+           _FRAME_CLOCK, "        try:\n" + _FRAME_CALL + "            t0 = time.perf_counter()\n",
+           FRAME_CLOCK),
     # sweep("thm4", range(1, 5), budget=0) then returns [] with no error
     Mutant("the run check lets any budget through", VERIFY,
            " or operator.index(budget) < 1:", ":",
            SWEEP_CHECKS),
-    # `verify thm1 --group Z6 --budget 0` then exits 3, not 2
-    Mutant("thm1 compares its order with the budget before checking the budget", VERIFY,
-           _THM1_CHECKS, "    _check_budget(G.order, budget)\n" + _THM1_CHECKS.replace("    _check_budget(G.order, budget)\n", ""),
+    # `verify thm1 --group Z30 --min-size 0` then exits 3, not 2
+    Mutant("thm1 compares its order with the budget before checking min_size", VERIFY,
+           _THM1_CHECKS, "    afford(G.order)\n" + _THM1_CHECKS.replace("    afford(G.order)\n", ""),
            CLI_REJECTS),
     # critical_number(Z12, witness_cap=0.5) then lists a witness
     Mutant("the witness cap is compared as it stands, a float included", VERIFY,
@@ -333,7 +356,7 @@ MUTANTS = [
     # domain with `_OutsideDomain`, and `sweep` skips exactly those groups
     # sweep("thm1", range(1, 5), min_size=0) then returns [] with no error
     Mutant("sweep skips a group on any ValueError, not only a domain error", VERIFY,
-           "            except _OutsideDomain:\n", "            except ValueError:\n",
+           "        except _OutsideDomain:\n", "        except ValueError:\n",
            SWEEP_CHECKS),
     # sweep("thm4", range(4, 17)) then stops at Z4 with an error
     Mutant("thm4's domain check raises a plain ValueError", VERIFY,
@@ -345,7 +368,7 @@ MUTANTS = [
            SWEEP_SKIPS),
     # sweep("lemma2-search", range(1, 3), budget=1) then exceeds the budget on Z2
     Mutant("lemma2 compares its order with the budget before checking its domain", VERIFY,
-           _LEMMA2_CHECKS, "    _check_budget(m, budget)\n" + _LEMMA2_CHECKS.replace("    _check_budget(m, budget)\n", ""),
+           _LEMMA2_CHECKS, "    afford(m)\n" + _LEMMA2_CHECKS.replace("    afford(m)\n", ""),
            SWEEP_SKIPS),
     # -- the thm1 sweep
     Mutant("an equality case need not generate G", VERIFY,
@@ -543,8 +566,15 @@ MUTANTS = [
            "text = dumps(payload)", "text = text",
            CLI_JSON),
     Mutant("main prints a line for a result with empty text", CLI,
-           "        if text:\n            print(text, flush=True)\n", "        print(text, flush=True)\n",
+           "        if text:\n", "        if True:\n",
            CLI_EMPTY),
+    # print then drops the text, and the call exits 0
+    Mutant("main writes to a stdout closed at start", CLI,
+           "            if sys.stdout is None:", "            if False:",
+           CLI_CLOSED_AT_START),
+    Mutant("main takes EBADF from a stdout closed after start for an error", CLI,
+           "(errno.EPIPE, errno.EBADF)", "(errno.EPIPE,)",
+           CLI_CLOSED_AFTER_START),
     Mutant("main prints the missing payload of an error under --json", CLI,
            "if payload is not None and args.json:", "if args.json:",
            CLI_BUDGET),

@@ -334,6 +334,29 @@ def test_closed_stdout_exits_141(argv):
     assert (child.returncode, err) == (141, ""), err
 
 
+@pytest.mark.parametrize("argv", ["sigma --group Z9 --set 1,3,6", "verify thm1 --group Z12 --json"])
+def test_stdout_closed_at_start_exits_141(argv):
+    """A process started with fd 1 closed, as `>&-` starts it, has no
+    `sys.stdout`, and print would drop the result without an error: the
+    call exits 141, as for a closed pipe, with nothing on stderr."""
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-B", "-m", "groupsums.cli",
+                           *argv.split()], stderr=subprocess.PIPE, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (done.returncode, done.stderr) == (141, ""), done.stderr
+
+
+@pytest.mark.parametrize("argv", ["sigma --group Z9 --set 1,3,6", "verify thm1 --group Z12 --json"])
+def test_stdout_closed_after_start_exits_141(argv):
+    """When fd 1 is closed after start, the write fails with EBADF, not
+    with a broken pipe: the call exits 141 all the same, with no
+    traceback."""
+    script = (f"import os, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from groupsums.cli import main; "
+              f"os.close(1); sys.exit(main({argv.split()!r}))")
+    done = subprocess.run([sys.executable, "-B", "-c", script], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (141, ""), done.stderr
+
+
 def test_budget_flag_lifts_the_cap(capsys):
     code, out, _ = run(capsys, "verify", "lemma2", "--group", "Z26", "--budget", "26")
     assert code == 1
@@ -350,6 +373,7 @@ def test_budget_flag_lifts_the_cap(capsys):
     "verify sweep --statement lemma2-search --group Z8 --cyclic",
     "verify thm1 --group Z6 --budget -5",
     "verify thm1 --group Z6 --budget 0",
+    "verify thm1 --group Z30 --min-size 0",
     "verify prop3 --group Z2^3 --budget 0",
     "verify sweep --statement thm1 --order-range 3..4 --symmetry",
     "verify sweep --statement prop3.2 --order-range 3..4 --min-size 3",

@@ -793,6 +793,52 @@ def test_jobs_is_checked_and_changes_nothing():
     assert compared == 11
 
 
+def test_public_verifiers_are_their_statements_runs():
+    """Over each statement's sweep of orders 8 and 12, its public verifier
+    and `STATEMENTS[id].run` give the sweep's certificate core on every
+    group in the domain, and `critical_number`'s answer is the one in its
+    certificate."""
+    public = {
+        "prop3.2": verify_pair_cover_threshold,
+        "lemma2-search": lambda G: search_lemma2_counterexamples(G.order),
+        "thm1": verify_subset_sum_bound,
+        "thm4": lambda G: verify_three_fold_cover(G.order),
+        "thm5": lambda G: critical_number(G)[1],
+    }
+    compared = 0
+    for st in STATEMENTS.values():
+        for v in sweep(st.id, [8, 12]):
+            G = parse_group_spec(v.group)
+            cores = [dumps(x.core()) for x in (v, st.run(G), public[st.id](G))]
+            assert cores[0] == cores[1] == cores[2], (st.id, G.spec)
+            compared += 1
+            if st.id == "thm5":
+                answer, verdict = critical_number(G)
+                assert answer == verdict.params["critical_number"] == v.params["critical_number"], G.spec
+    assert compared == 18
+
+
+def test_the_frame_times_each_whole_run(monkeypatch):
+    """A certificate's `elapsed_ms` runs from the frame's clock start,
+    before the statement's function, to its `Verdict`, one clock per
+    certificate.  On a fake clock that only a 2 s scan moves, each
+    certificate that scans reads 2000 ms, and a vacuous one 0 ms."""
+    import groupsums.verify as verify
+
+    now = [0.0]
+    scan = verify._scan_pair_cover
+
+    def slow_scan(*args, **kwargs):
+        now[0] += 2.0
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(verify, "_scan_pair_cover", slow_scan)
+    assert verify_pair_cover_threshold(parse_group_spec("Z5")).elapsed_ms == 2000
+    assert [v.elapsed_ms for v in sweep("lemma2-search", range(1, 9))] == [2000] * 6
+    assert verify_pair_cover_threshold(parse_group_spec("Z2^3")).elapsed_ms == 0
+
+
 def test_lanes_hold_a_group_of_automorphisms(monkeypatch):
     """On every abelian group of order <= 36 the lane tables are
     automorphisms, table[a + b] = table[a] + table[b] and one-to-one, no two
