@@ -134,12 +134,12 @@ def _groups_command(args):
 
 
 def _verify_command(args):
-    from .verify import REFUTED, STATEMENTS, BudgetExceededError, sweep
+    from .verify import OPTIONS, REFUTED, STATEMENTS, BudgetExceededError, sweep
 
     statement = STATEMENTS[args.statement]
     # only the flags given, so a flag left out takes the library's default;
-    # the library's one frame checks each value and rejects a stray min_size
-    options = {k: v for k, v in vars(args).items() if k in ("witness_cap", "jobs", "budget", "min_size")}
+    # the library's one frame checks each value and rejects a stray option
+    options = {k: v for k, v in vars(args).items() if k in OPTIONS}
     try:
         if args.which == "sweep":
             verdicts = sweep(statement.id, parse_order_range(args.order_range), cyclic_only=args.cyclic, **options)
@@ -151,20 +151,7 @@ def _verify_command(args):
         print(f"error: {exc}", file=sys.stderr)
         return 3, None, ""
     code = 1 if any(v.status == REFUTED for v in verdicts) else 0
-    return code, payload, "\n".join(map(render_verdict, verdicts))
-
-
-def render_verdict(v) -> str:
-    keys = ("violations", "critical_number", "subset_size", "threshold_size",
-            "min_size", "equality_count", "matches_known")
-    decorations = [f"{key}={v.params[key]}" for key in keys if v.params.get(key) is not None]
-    head = (
-        f"{v.statement} {v.group}: {v.status}  checked={v.checked}  "
-        + "  ".join(decorations)
-        + f"  [{v.elapsed_ms} ms]"
-    )
-    witnesses = [f"  witness {{{', '.join(map(str, w))}}}" for w in v.witnesses]
-    return "\n".join([head, *witnesses])
+    return code, payload, "\n".join(v.to_text() for v in verdicts)
 
 
 def _add_set_args(p: argparse.ArgumentParser, op: str) -> None:
@@ -186,21 +173,18 @@ def _add_construct_args(c: argparse.ArgumentParser, _: str) -> None:
         p.set_defaults(func=_construct_command)
 
 
-def _add_verify_flags(p: argparse.ArgumentParser, options) -> None:
-    from .verify import MAX_JOBS
+def _add_verify_flags(p: argparse.ArgumentParser, names) -> None:
+    from .verify import OPTIONS
 
-    p.add_argument("--witness-cap", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                   help=f"accepted from 1 to {MAX_JOBS} and ignored: every scan runs in one process")
-    p.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="largest group order to exhaust")
-    if "min_size" in options:
-        p.add_argument("--min-size", type=int, default=argparse.SUPPRESS,
-                       help="minimum subset size for the sum-count bound (default 5)")
+    for name in names:
+        default, least, greatest, text = OPTIONS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+                       help=f"{text} (default {default}, from {least} to {greatest})")
     p.add_argument("--json", action="store_true")
 
 
 def _add_verify_args(v: argparse.ArgumentParser, _: str) -> None:
-    from .verify import STATEMENTS
+    from .verify import OPTIONS, STATEMENTS
 
     vsub = v.add_subparsers(dest="which", required=True)
     for statement in STATEMENTS.values():
@@ -212,7 +196,7 @@ def _add_verify_args(v: argparse.ArgumentParser, _: str) -> None:
     p.add_argument("--statement", required=True, choices=STATEMENTS)
     p.add_argument("--order-range", required=True, help="inclusive order range, e.g. 3..16")
     p.add_argument("--cyclic", action="store_true", help="sweep cyclic groups only")
-    _add_verify_flags(p, ("min_size",))
+    _add_verify_flags(p, OPTIONS)
     p.set_defaults(func=_verify_command)
 
 

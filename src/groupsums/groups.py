@@ -44,13 +44,13 @@ class GroupSpecError(ValueError):
     """Raised for malformed group descriptions or out-of-range orders."""
 
 
-def _factor(d) -> int:
-    """An invariant factor as an int; anything that is not an integer, such
-    as 2.5, 6.0 or "6", is an error, never truncated or parsed."""
+def _factor(d, what: str = "invariant factor") -> int:
+    """An invariant factor, or the `what` named, as an int; anything not an
+    integer, such as 2.5, 6.0 or "6", is an error, never truncated or parsed."""
     try:
         return operator.index(d)
     except TypeError:
-        raise GroupSpecError(f"invariant factor {d!r} is not an integer") from None
+        raise GroupSpecError(f"{what} {d!r} is not an integer") from None
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -460,6 +460,7 @@ def enumerate_groups_of_order(n: int) -> list[AbelianGroup]:
     >>> [g.factors for g in enumerate_groups_of_order(12)]
     [(12,), (2, 6)]
     """
+    n = _factor(n, "order")
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > MAX_ORDER:

@@ -41,19 +41,19 @@ its subtree is dropped.  With no lane, each set is its own orbit: thm4's
 walk, and those of Z1, Z2 and the groups whose T(G) is too wide, such as
 Z2^6, enter and file every set.
 
-Each statement is a `Statement` in the `STATEMENTS` registry, from which the
-CLI builds its `verify` subcommands.  `_run` is the one frame of every run:
-`Statement.run`, `sweep` and the public verifiers, which are thin names for
-`run`, all go through it.  It checks the run options `witness_cap`, `jobs`
-and `budget`, whose defaults are set here alone, and the names of the
-statement's own options once, before any group (`_check_run`); the CLI
-passes only the flags it is given.  For each group it starts the clock and
-calls the statement's function, which alone knows its domain: it raises
-`_OutsideDomain` for a group outside it, which `sweep` skips, returns a
-vacuous answer where it has one before any budget check, and otherwise
-names the order to budget, which the frame compares with the budget
-(`_check_budget`), and runs its scan.  The frame builds every `Verdict`,
-with the time since its clock started (`_elapsed_ms`).
+Each statement is a `Statement` in the `STATEMENTS` registry, and each
+option has a row in `OPTIONS`: its default, bounds and help line.  The CLI
+builds its `verify` subcommands and flags from the two.  `_run` is the one
+frame of every run: `Statement.run`, `sweep` and the public verifiers,
+which are thin names for `run`, all go through it.  Once, before any
+group, it rejects an option that the statement does not take
+(`Statement.options`) and reads each value as an integer within its
+bounds; the CLI passes only the flags it is given.  For each group it
+starts the clock and calls the statement's function, which alone knows
+its domain: it raises `_OutsideDomain` for a group outside it, which
+`sweep` skips, returns a vacuous answer where it has one before any
+budget check, and otherwise names the order to `afford`, which compares
+it with the budget, and runs its scan.
 
 `checked` in a certificate is the number of candidate subsets implied by the
 parameters (a binomial count, computed arithmetically); violation and
@@ -67,6 +67,7 @@ from __future__ import annotations
 import json
 import operator
 import time
+from collections import namedtuple
 from collections.abc import Callable
 from functools import cache
 from math import comb, inf
@@ -83,13 +84,19 @@ from .groups import (
     torsion_two,
 )
 
-DEFAULT_BUDGET = 24
-DEFAULT_WITNESS_CAP = 16
-DEFAULT_MIN_SIZE = 5
-# Every scan walks its whole tree in one pass, in one process: at the orders
-# the default budget allows, splitting a scan over worker processes cost more
-# than it saved.  So `jobs`, checked to lie in 1..MAX_JOBS, changes nothing.
-MAX_JOBS = 64
+Option = namedtuple("Option", "default least greatest help")
+# The run options, which every statement takes.
+RUN_OPTIONS = {
+    "witness_cap": Option(16, 0, inf, "most witnesses listed in a certificate"),
+    # Every scan walks its whole tree in one pass, in one process: at the
+    # orders the default budget allows, splitting a scan over worker
+    # processes cost more than it saved.  So `jobs` changes nothing.
+    "jobs": Option(1, 1, 64, "ignored: every scan runs in one process"),
+    "budget": Option(24, 1, inf, "largest group order to exhaust"),
+}
+# Every verifier option: the run options and the statements' own.
+OPTIONS = {**RUN_OPTIONS, "min_size": Option(5, 1, inf, "minimum subset size for the sum-count bound")}
+
 # `_lane_tables` takes Aut(G) when its lane ints, |Aut(G)|(|G| + 1) bits,
 # have at most this many bits, else T(G) when its ints fit, else none.
 # Wider ints cost more per node than the smaller orbits save: thm1 and thm5
@@ -173,6 +180,14 @@ class Verdict:
 
     def to_json(self) -> str:
         return dumps(self.to_dict())
+
+    def to_text(self) -> str:
+        """The CLI's text form: a head line, then one line per witness."""
+        keys = ("violations", "critical_number", "subset_size", "threshold_size",
+                "min_size", "equality_count", "matches_known")
+        shown = "  ".join(f"{key}={self.params[key]}" for key in keys if self.params.get(key) is not None)
+        head = f"{self.statement} {self.group}: {self.status}  checked={self.checked}  {shown}  [{self.elapsed_ms} ms]"
+        return "\n".join([head, *(f"  witness {{{', '.join(map(str, w))}}}" for w in self.witnesses)])
 
     @classmethod
     def from_dict(cls, d: dict) -> Verdict:
@@ -626,22 +641,13 @@ def _witnesses_with_reps(stats: ScanStats) -> list[list[int]]:
     return [bit_indices(m) for m in sorted(protected.union(others))[:stats.cap]]
 
 
-def _check_run(jobs: int, cap: int, budget: int) -> None:
-    got = f"got jobs={jobs}, witness_cap={cap} and budget={budget}"
+def _integer(name: str, value) -> int:
+    """`value` as an int; anything else, such as 2.5 or "2", is a TypeError
+    that names it, never truncated or parsed."""
     try:
-        if not 1 <= operator.index(jobs) <= MAX_JOBS or operator.index(cap) < 0 or operator.index(budget) < 1:
-            raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, witness_cap >= 0 and budget >= 1, {got}")
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"need integer run options, {got}") from None
-
-
-def _check_budget(order: int, budget: int) -> None:
-    if order > budget:
-        raise BudgetExceededError(f"group order {order} exceeds the search budget {budget}")
-
-
-def _elapsed_ms(t0: float) -> int:
-    return int(round((time.perf_counter() - t0) * 1000))
+        raise TypeError(f"need an integer {name}, got {name}={value!r}") from None
 
 
 # -- statements ---------------------------------------------------------------
@@ -675,7 +681,7 @@ def _cyclic_order(G: AbelianGroup | int) -> int:
     """The order m of a cyclic G, given as a group or, by the verifiers that
     take m, as m itself; a group that is not cyclic is outside the domain."""
     if not isinstance(G, AbelianGroup):
-        return G
+        return _integer("m", G)
     if not G.is_cyclic:
         raise _OutsideDomain(f"the statement is about cyclic groups, got {G.spec}")
     return G.order
@@ -704,7 +710,7 @@ def _lemma2_search(G: AbelianGroup | int, cap: int, afford) -> tuple:
     return _cover_answer(G, params, stats, comb(m - 1, size))
 
 
-def _subset_sum_bound(G: AbelianGroup, cap: int, afford, min_size: int = DEFAULT_MIN_SIZE) -> tuple:
+def _subset_sum_bound(G: AbelianGroup, cap: int, afford, min_size: int) -> tuple:
     """|sigma(S)| >= min(|G|, 2|S|) for every generating S in G \\ {0}
     with |S| >= min_size.
 
@@ -714,11 +720,6 @@ def _subset_sum_bound(G: AbelianGroup, cap: int, afford, min_size: int = DEFAULT
     extremal witnesses; `checked` counts all size-filtered candidates before
     the generating filter.
     """
-    try:
-        if operator.index(min_size) < 1:
-            raise ValueError(f"need min_size >= 1, got {min_size}")
-    except TypeError:
-        raise TypeError(f"need an integer min_size, got min_size={min_size}") from None
     afford(G.order)
     npool = G.order - 1
     stats, eq = _scan_bound_sweep(G, min_size=min_size, cap=cap)
@@ -794,45 +795,54 @@ def _three_fold_cover(G: AbelianGroup | int, cap: int, afford) -> tuple:
 # -- the frame and the registry ---------------------------------------------------
 
 
-def _run(st: Statement, groups, skip: bool, *, witness_cap: int = DEFAULT_WITNESS_CAP, jobs: int = 1,
-         budget: int = DEFAULT_BUDGET, **options) -> list[Verdict]:
-    """The frame of every run: the certificates of `st` on `groups`.  It
-    checks the run options and the statement's option names once, before
-    any group, then for each group starts a clock, calls the statement's
-    function with afford(order), the budget check, and builds the
-    `Verdict`.  A group outside the domain raises `_OutsideDomain`, or is
-    left out if `skip`."""
-    _check_run(jobs, witness_cap, budget)
+def _run(st: Statement, groups, skip: bool, **options) -> list[Verdict]:
+    """The frame of every run: the certificates of `st` on `groups`.  Once,
+    before any group, it rejects an option `st` does not take and reads
+    each of the others, or its default, as an integer within its row of
+    `OPTIONS`.  Then for each group it starts a clock, calls the
+    statement's function with afford(order), the budget check, and builds
+    the `Verdict`.  A group outside the domain raises `_OutsideDomain`, or
+    is left out if `skip`."""
     stray = sorted(set(options) - set(st.options))
     if stray:
         raise ValueError(f"{st.id} takes no {', '.join(stray)}")
-    afford = lambda order: _check_budget(order, budget)  # noqa: E731
+    for name in st.options:
+        default, least, greatest, _ = OPTIONS[name]
+        value = options[name] = _integer(name, options.get(name, default))
+        if not least <= value <= greatest:
+            raise ValueError(f"need {least} <= {name} <= {greatest}, got {name}={value}")
+    run = {name: options.pop(name) for name in RUN_OPTIONS}
+
+    def afford(order: int) -> None:
+        if order > run["budget"]:
+            raise BudgetExceededError(f"group order {order} exceeds the search budget {run['budget']}")
+
     out = []
     for G in groups:
         t0 = time.perf_counter()
         try:
-            answer = st.check(G, witness_cap, afford, **options)
+            answer = st.check(G, run["witness_cap"], afford, **options)
         except _OutsideDomain:
             if skip:
                 continue
             raise
-        out.append(Verdict(st.id, *answer, _elapsed_ms(t0)))
+        out.append(Verdict(st.id, *answer, int(round((time.perf_counter() - t0) * 1000))))
     return out
 
 
 class Statement:
     """One statement of the paper.  `check` is its function, and `options`
-    names the keywords it takes beyond the run options."""
+    names every keyword it takes: the run options, then its own."""
 
     def __init__(self, id: str, alias: str, check: Callable[..., tuple], options: tuple[str, ...] = ()):
         self.id = id
         self.alias = alias
         self.check = check
-        self.options = options
+        self.options = (*RUN_OPTIONS, *options)
 
     def run(self, G: AbelianGroup, **run) -> Verdict:
-        """The certificate on G under the run options and `options` in
-        `run`; `_OutsideDomain` if G lies outside the statement's domain."""
+        """The certificate on G under the `options` in `run`;
+        `_OutsideDomain` if G lies outside the statement's domain."""
         return _run(self, [G], False, **run)[0]
 
 
@@ -847,9 +857,9 @@ STATEMENTS = {st.id: st for st in (
 
 def sweep(statement: str, orders, *, cyclic_only: bool = False, **run) -> list[Verdict]:
     """Run one statement over all abelian (or all cyclic) groups of the
-    given orders but those outside its domain, under the run options and
-    the statement's own keywords (`Statement.options`) in `run`.  Verdicts
-    come back in order, then by isomorphism class."""
+    given orders but those outside its domain, under the options in `run`
+    (`Statement.options`).  Verdicts come back in order, then by
+    isomorphism class."""
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}")
     groups = (G for n in orders for G in ([AbelianGroup.cyclic(n)] if cyclic_only else enumerate_groups_of_order(n)))
@@ -865,7 +875,7 @@ search_lemma2_counterexamples = STATEMENTS["lemma2-search"].run
 verify_three_fold_cover = STATEMENTS["thm4"].run
 
 
-def verify_subset_sum_bound(G: AbelianGroup, min_size: int = DEFAULT_MIN_SIZE, **run) -> Verdict:
+def verify_subset_sum_bound(G: AbelianGroup, min_size: int = OPTIONS["min_size"].default, **run) -> Verdict:
     return STATEMENTS["thm1"].run(G, min_size=min_size, **run)
 
 

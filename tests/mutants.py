@@ -45,6 +45,7 @@ REC3_NODES = "tests/test_verify.py::test_three_fold_scan_node_count"
 CLASSES = "tests/test_verify.py::test_class_passes_agree_with_the_full_scan"
 FAILED_CLASS = "tests/test_verify.py::test_a_failed_class_pass_runs_the_full_scan"
 CHECKS = "tests/test_verify.py::test_jobs_and_witness_cap_validated"
+OPTION_ROWS = "tests/test_cli.py::test_each_option_row_bounds_every_run"
 LATTICE_COUNTS = "tests/test_verify.py::test_lattice_scan_counts"
 ORBIT = "tests/test_verify.py::test_orbit_walks_match_plain_walks"
 LANES = "tests/test_verify.py::test_lanes_are_built_once_and_only_past_the_root"
@@ -55,6 +56,7 @@ GOLDEN = "tests/test_golden_cores.py::test_golden_cores_are_unchanged"
 IMPORTS = "tests/test_cli.py::test_import_leaves_out_unneeded_modules"
 SWEEP_CHECKS = "tests/test_verify.py::test_sweep_checks_its_inputs_before_its_loop"
 SWEEP_SKIPS = "tests/test_verify.py::test_sweep_skips_out_of_domain_orders"
+SWEEP_DOMAIN_ONLY = "tests/test_verify.py::test_sweep_skips_only_domain_errors"
 CLI = "src/groupsums/cli.py"
 CLI_REJECTS = "tests/test_cli.py::test_verify_rejects_flags_it_would_drop"
 CLI_GIVEN = "tests/test_cli.py::test_verify_passes_only_the_flags_given"
@@ -72,6 +74,7 @@ KNOWN_CRITICAL = "tests/test_verify.py::test_known_critical_values_match_the_wal
 LAG = "tests/test_verify.py::test_lag_packs_the_orbit_rule"
 TRANSLATES = "tests/test_verify.py::test_lattice_translator_calls"
 MASK_ROUND_TRIP = "tests/test_groups.py::test_mask_of_inverts_bit_indices"
+NON_INTEGER_ORDERS = "tests/test_groups.py::test_non_integer_orders_rejected"
 ORDER_OF_CHECKS = "tests/test_verify.py::test_order_of_checks"
 FRAME_CLOCK = "tests/test_verify.py::test_the_frame_times_each_whole_run"
 CLI_CLOSED_AT_START = "tests/test_cli.py::test_stdout_closed_at_start_exits_141"
@@ -83,24 +86,38 @@ _REC3_SIZE = """            if size >= j:
 """
 _CLASSES = "for x in ((0, 1) if G.order % 3 == 0 else (0,)))"
 _THM4_SCAN = "_scan_three_fold(G, k=size, cap=cap) if _misses_a_class(G, size) else ScanStats(cap)"
-_FRAME_CHECK = "    _check_run(jobs, witness_cap, budget)\n"
-_FRAME_CALL = "            answer = st.check(G, witness_cap, afford, **options)\n"
-_FRAME_CLOCK = "        t0 = time.perf_counter()\n        try:\n" + _FRAME_CALL
-_FRAME = _FRAME_CHECK + """    stray = sorted(set(options) - set(st.options))
-    if stray:
-        raise ValueError(f"{st.id} takes no {', '.join(stray)}")
-    afford = lambda order: _check_budget(order, budget)  # noqa: E731
-    out = []
-    for G in groups:
-""" + _FRAME_CLOCK
-_FRAME_AFFORD = "afford = lambda order: _check_budget(order, budget)"
-_THM1_CHECKS = """    try:
-        if operator.index(min_size) < 1:
-            raise ValueError(f"need min_size >= 1, got {min_size}")
-    except TypeError:
-        raise TypeError(f"need an integer min_size, got min_size={min_size}") from None
-    afford(G.order)
+_FRAME_BOUNDS = "        if not least <= value <= greatest:\n"
+_FRAME_CHECK = """    for name in st.options:
+        default, least, greatest, _ = OPTIONS[name]
+        value = options[name] = _integer(name, options.get(name, default))
+""" + _FRAME_BOUNDS + """            raise ValueError(f"need {least} <= {name} <= {greatest}, got {name}={value}")
 """
+_FRAME_CALL = """            answer = st.check(G, run["witness_cap"], afford, **options)\n"""
+_FRAME_CLOCK = "        t0 = time.perf_counter()\n        try:\n" + _FRAME_CALL
+_FRAME_LOOP = "    for G in groups:\n"
+_FRAME = _FRAME_CHECK + """    run = {name: options.pop(name) for name in RUN_OPTIONS}
+
+    def afford(order: int) -> None:
+        if order > run["budget"]:
+            raise BudgetExceededError(f"group order {order} exceeds the search budget {run['budget']}")
+
+    out = []
+""" + _FRAME_LOOP + _FRAME_CLOCK
+# a second bounds check, after the statement has run
+_FRAME_LATE = """            for name, value in {**run, **options}.items():
+                if not OPTIONS[name].least <= value <= OPTIONS[name].greatest:
+                    raise ValueError(f"{name}={value}")
+"""
+
+
+def _frame_bounds_late(early: str) -> str:
+    """The frame that checks an option's bounds before any group only where
+    the condition `early` holds, and every option's once the statement has
+    run on a group."""
+    check = _FRAME_BOUNDS.replace("if not", f"if {early} and not")
+    return _FRAME.replace(_FRAME_BOUNDS, check).replace(_FRAME_CALL, _FRAME_CALL + _FRAME_LATE)
+
+
 _LEMMA2_CHECKS = """    if m < 3:
         raise _OutsideDomain(f"need m >= 3, got {m}")
     afford(m)
@@ -326,38 +343,56 @@ MUTANTS = [
            "comb(m, size)", "comb(m - 1, size)",
            THREE_FOLD_COUNTS),
     # -- the frame of every run
-    Mutant("the frame never checks the run options", VERIFY,
-           _FRAME_CHECK, "",
+    Mutant("the frame fills in the defaults but checks no option", VERIFY,
+           _FRAME_CHECK, "    for name in st.options:\n        options.setdefault(name, OPTIONS[name].default)\n",
            CHECKS),
     # `verify thm1 --group Z6 --budget 0` then exits 3, not 2
-    Mutant("the frame checks the run options only after the statement has run", VERIFY,
-           _FRAME, _FRAME.replace(_FRAME_CHECK, "").replace(_FRAME_CALL, _FRAME_CALL + "        " + _FRAME_CHECK),
+    Mutant("the frame checks the run options' bounds only after the statement has run", VERIFY,
+           _FRAME, _frame_bounds_late("name not in RUN_OPTIONS"),
            CLI_REJECTS),
+    # `verify thm1 --group Z30 --min-size 0` then exits 3, not 2
+    Mutant("the frame checks min_size's bounds only after thm1 has compared its order with the budget", VERIFY,
+           _FRAME, _frame_bounds_late("name in RUN_OPTIONS"),
+           CLI_REJECTS),
+    # sweep("thm1", [], min_size=0) then returns [] with no error
+    Mutant("statement options are checked only when a group runs", VERIFY,
+           _FRAME, _FRAME.replace("    for name in st.options:\n", "    for name in RUN_OPTIONS:\n").replace(
+               _FRAME_LOOP, _FRAME_LOOP + "".join("    " + line for line in _FRAME_CHECK.replace(
+                   "st.options", "st.options[len(RUN_OPTIONS):]").splitlines(True))),
+           OPTION_ROWS),
+    # verify_pair_cover_threshold(Z7, jobs=65) then runs
+    Mutant("a bounded option's greatest value goes unchecked", VERIFY,
+           _FRAME_BOUNDS, "        if not least <= value:\n",
+           CHECKS),
+    # sweep("thm1", [], min_size=0) then returns []
+    Mutant("a least bound off by one", VERIFY,
+           _FRAME_BOUNDS, "        if not least - 1 <= value <= greatest:\n",
+           OPTION_ROWS),
     Mutant("the frame skips the budget check", VERIFY,
-           _FRAME_AFFORD, "afford = lambda order: None",
+           '        if order > run["budget"]:\n', "        if False:\n",
            ORDER_OF_CHECKS),
     # every certificate then reads 0 ms, whatever its scan took
     Mutant("the frame starts its clock after the scan", VERIFY,
            _FRAME_CLOCK, "        try:\n" + _FRAME_CALL + "            t0 = time.perf_counter()\n",
            FRAME_CLOCK),
     # sweep("thm4", range(1, 5), budget=0) then returns [] with no error
-    Mutant("the run check lets any budget through", VERIFY,
-           " or operator.index(budget) < 1:", ":",
+    Mutant("the budget has no least value", VERIFY,
+           '"budget": Option(24, 1, inf,', '"budget": Option(24, -inf, inf,',
            SWEEP_CHECKS),
-    # `verify thm1 --group Z30 --min-size 0` then exits 3, not 2
-    Mutant("thm1 compares its order with the budget before checking min_size", VERIFY,
-           _THM1_CHECKS, "    afford(G.order)\n" + _THM1_CHECKS.replace("    afford(G.order)\n", ""),
-           CLI_REJECTS),
     # critical_number(Z12, witness_cap=0.5) then lists a witness
-    Mutant("the witness cap is compared as it stands, a float included", VERIFY,
-           "operator.index(cap) < 0", "cap < 0",
+    Mutant("the integer reader lets a float through", VERIFY,
+           "        return operator.index(value)\n", "        return value\n",
+           CHECKS),
+    # search_lemma2_counterexamples(3.0) then fails in AbelianGroup.cyclic
+    Mutant("lemma2 and thm4 read m by its value", VERIFY,
+           '        return _integer("m", G)\n', "        return G\n",
            CHECKS),
     # -- the domains: a verifier refuses a group outside its statement's
     # domain with `_OutsideDomain`, and `sweep` skips exactly those groups
-    # sweep("thm1", range(1, 5), min_size=0) then returns [] with no error
+    # a ValueError from a scan then drops the group from a sweep
     Mutant("sweep skips a group on any ValueError, not only a domain error", VERIFY,
            "        except _OutsideDomain:\n", "        except ValueError:\n",
-           SWEEP_CHECKS),
+           SWEEP_DOMAIN_ONLY),
     # sweep("thm4", range(4, 17)) then stops at Z4 with an error
     Mutant("thm4's domain check raises a plain ValueError", VERIFY,
            _THM4_DOMAIN, _THM4_DOMAIN.replace("_OutsideDomain", "ValueError"),
@@ -549,6 +584,11 @@ MUTANTS = [
     Mutant("mask_of sets bit i + 1 for index i", GROUPS,
            "        flags[i] = 1\n", "        flags[(i + 1) % n] = 1\n",
            MASK_ROUND_TRIP),
+    # -- reading an order
+    # enumerate_groups_of_order(8.0) then lists the groups of order 8
+    Mutant("enumerate_groups_of_order reads n by its value", GROUPS,
+           '    n = _factor(n, "order")\n', "",
+           NON_INTEGER_ORDERS),
     # -- the start-up path
     Mutant("verify.py imports dataclasses again", VERIFY,
            "import json\n", "import dataclasses\nimport json\n",
@@ -557,9 +597,8 @@ MUTANTS = [
            "from . import dumps\n", "from . import dumps, verify\n",
            IMPORTS),
     # -- the CLI's run flags
-    Mutant("the CLI passes a budget the command line does not give", CLI,
-           'p.add_argument("--budget", type=int, default=argparse.SUPPRESS,',
-           'p.add_argument("--budget", type=int, default=24,',
+    Mutant("the CLI passes a default the command line does not give", CLI,
+           "type=int, default=argparse.SUPPRESS,", "type=int, default=default,",
            CLI_GIVEN),
     # -- the CLI's one print site
     Mutant("main prints the text form under --json", CLI,

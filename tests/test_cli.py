@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -10,7 +11,7 @@ import pytest
 
 from groupsums.cli import build_parser, dumps, main, parse_element_list, parse_order_range
 from groupsums import enumerate_groups_of_order, parse_group_spec
-from groupsums.verify import STATEMENTS, Verdict, sweep
+from groupsums.verify import OPTIONS, RUN_OPTIONS, STATEMENTS, Verdict, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -307,6 +308,46 @@ def test_bad_jobs_and_witness_cap_exit_two(capsys):
         assert code == 2, (flag, value)
         assert out == "" and named in err, (flag, value, err)
     assert run(capsys, "verify", "prop3", "--group", "Z7", "--jobs", "64")[0] == 0
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+def test_each_option_row_bounds_every_run(capsys, name):
+    """Each row of the option table holds on the first statement that takes
+    it, on Z1: through `Statement.run`, through a sweep over no order, and
+    through the CLI.  Its least value passes, and one less, one more than
+    its greatest value and a float fail, naming the option and the value."""
+    row = OPTIONS[name]
+    st = next(st for st in STATEMENTS.values() if name in st.options)
+    flag = "--" + name.replace("_", "-")
+    Z1 = parse_group_spec("Z1")
+    assert st.run(Z1, **{name: row.least}).group == "Z1"
+    assert sweep(st.id, [], **{name: row.least}) == []
+    assert run(capsys, "verify", st.alias, "--group", "Z1", flag, str(row.least))[0] == 0
+    bad = [(row.least - 1, ValueError)]
+    if row.greatest != math.inf:
+        bad.append((row.greatest + 1, ValueError))
+    bad.append((row.least + 0.5, TypeError))
+    for value, error in bad:
+        named = f"{name}={value}"
+        for call in (lambda: st.run(Z1, **{name: value}), lambda: sweep(st.id, [], **{name: value})):
+            with pytest.raises(error, match=re.escape(named)):
+                call()
+        code, out, err = run(capsys, "verify", st.alias, "--group", "Z1", flag, str(value))
+        if error is TypeError:  # argparse reads the flag as an int, and names it
+            named = f"argument {flag}: invalid int value: '{value}'"
+        assert (code, out) == (2, "") and named in err, (value, err)
+
+
+def test_verify_help_lists_the_option_rows(capsys):
+    """`verify <alias> --help` lists the run options' flags and that
+    statement's own, and `verify sweep --help` the flag of every row."""
+    flags = {"--" + name.replace("_", "-"): name for name in OPTIONS}
+    own = {"thm1": ["min_size"]}
+    for path, names in [*((st.alias, [*RUN_OPTIONS, *own.get(st.id, [])]) for st in STATEMENTS.values()),
+                        ("sweep", list(OPTIONS))]:
+        code, out, _ = run(capsys, "verify", path, "--help")
+        listed = [flags[f] for f in dict.fromkeys(re.findall(r"--[a-z-]+", out)) if f in flags]
+        assert (code, listed) == (0, names), path
 
 
 def test_budget_exit_three(capsys):

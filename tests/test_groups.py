@@ -117,6 +117,14 @@ def test_non_integer_factors_rejected(factor):
         AbelianGroup.cyclic(factor)
 
 
+@pytest.mark.parametrize("n", [8.0, 7.0, "8"])
+def test_non_integer_orders_rejected(n):
+    """An order that is not an integer is an error that names it, whether
+    or not its value is a whole number with groups of that order."""
+    with pytest.raises(GroupSpecError, match=f"order {repr(n)} is not an integer"):
+        enumerate_groups_of_order(n)
+
+
 def test_invariant_factors_helper():
     assert invariant_factors([12, 60]) == (12, 60)
     assert invariant_factors([8, 2, 4]) == (2, 4, 8)

@@ -31,8 +31,7 @@ from groupsums import (
 )
 from groupsums.groups import MAX_ORDER, GroupSpecError, automorphism_count, automorphism_tables, bit_indices
 from groupsums.verify import (
-    DEFAULT_WITNESS_CAP,
-    MAX_JOBS,
+    OPTIONS,
     STATEMENTS,
     ScanStats,
     _MAX_LANE_BITS,
@@ -61,6 +60,8 @@ from property_checks import (
     triangular_maps,
 )
 
+MAX_JOBS = OPTIONS["jobs"].greatest
+DEFAULT_WITNESS_CAP = OPTIONS["witness_cap"].default
 
 # The walks of the scans: `rec` inside `_scan_pair_cover`, `_scan_bound_sweep`
 # and `_scan_sigma_lattice`, and `rec3` inside `_scan_three_fold`.  Each walk
@@ -296,7 +297,7 @@ def test_jobs_and_witness_cap_validated(monkeypatch):
         with pytest.raises(ValueError):
             run(MAX_JOBS + 1)
     assert verify_pair_cover_threshold(parse_group_spec("Z7"), jobs=MAX_JOBS).status == VERIFIED
-    # jobs, the witness cap, the budget and min_size are read through
+    # every option, and the m that lemma2 and thm4 take, is read through
     # `operator.index`: a float is a `TypeError` before any walk runs, and
     # it names its value
     for scan in ("_scan_pair_cover", "_scan_three_fold", "_scan_bound_sweep", "_scan_sigma_lattice"):
@@ -313,6 +314,8 @@ def test_jobs_and_witness_cap_validated(monkeypatch):
         (lambda: sweep("thm1", [4], min_size=2.5), "min_size=2.5"),
         (lambda: search_lemma2_counterexamples(12, jobs=2.0), "jobs=2.0"),
         (lambda: sweep("thm5", [12], witness_cap=1.0), "witness_cap=1.0"),
+        (lambda: search_lemma2_counterexamples(3.0), "m=3.0"),
+        (lambda: verify_three_fold_cover(12.0), "m=12.0"),
     ):
         with pytest.raises(TypeError, match=named):
             run()
@@ -926,6 +929,17 @@ def test_sweep_checks_its_inputs_before_its_loop():
     # a bad min_size is no domain error: the sweep raises, not skips
     with pytest.raises(ValueError, match="min_size"):
         sweep("thm1", range(1, 5), min_size=0)
+    # an order is read as an integer, as a group's factors are
+    with pytest.raises(GroupSpecError, match="order 8.0 is not an integer"):
+        sweep("thm1", [8.0])
+
+
+def test_sweep_skips_only_domain_errors(monkeypatch):
+    """Any other error raised while a statement runs on a group, here a
+    ValueError from the scan, stops the sweep."""
+    monkeypatch.setattr("groupsums.verify._scan_bound_sweep", mock.Mock(side_effect=ValueError("a scan failed")))
+    with pytest.raises(ValueError, match="a scan failed"):
+        sweep("thm1", [4])
 
 
 def test_sweep_unknown_statement():
