@@ -19,7 +19,7 @@ import re
 import sys
 
 from . import dumps
-from .groups import AbelianGroup, GroupSpecError, GroupSubset, enumerate_groups_of_order, is_generating, parse_group_spec, torsion_two
+from .groups import AbelianGroup, GroupSubset, enumerate_groups_of_order, is_generating, parse_group_spec, torsion_two
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)$")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         # devnull under stdout, so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (GroupSpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import cached_property
 from math import prod
 from collections.abc import Iterable, Iterator
 
@@ -159,16 +160,6 @@ def invariant_factors(cyclic_orders: Iterable[int]) -> tuple[int, ...]:
 class AbelianGroup:
     """A finite abelian group Z_d1 x ... x Z_dk in invariant-factor form."""
 
-    __slots__ = (
-        "factors",
-        "order",
-        "full_mask",
-        "_neg_table",
-        "_double_table",
-        "_strides",
-        "_translator",
-    )
-
     def __init__(self, factors: Iterable[int]):
         factors = tuple(map(_factor, factors))
         for d in factors:
@@ -190,22 +181,16 @@ class AbelianGroup:
             s *= d
         self._strides = tuple(strides)
         self._translator = None
-        self._neg_table: list[int] | None = None
-        self._double_table: list[int] | None = None
 
-    @property
+    @cached_property
     def neg_table(self) -> list[int]:
         """neg_table[i] is the index of -x for the element x of index i."""
-        if self._neg_table is None:
-            self._neg_table = self._coordinatewise_table(lambda x, d: -x % d)
-        return self._neg_table
+        return self._coordinatewise_table(lambda x, d: -x % d)
 
-    @property
+    @cached_property
     def double_table(self) -> list[int]:
         """double_table[i] is the index of 2x for the element x of index i."""
-        if self._double_table is None:
-            self._double_table = self._coordinatewise_table(lambda x, d: 2 * x % d)
-        return self._double_table
+        return self._coordinatewise_table(lambda x, d: 2 * x % d)
 
     def _coordinatewise_table(self, op) -> list[int]:
         """Index table of the map applying op(x, d) to every coordinate.
@@ -229,9 +214,6 @@ class AbelianGroup:
 
     def __hash__(self) -> int:
         return hash(self.factors)
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"AbelianGroup({self.factors})"

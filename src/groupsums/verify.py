@@ -140,37 +140,20 @@ def _fresh(data):
     return data
 
 
-class Verdict:
+_Certificate = namedtuple("Verdict", "statement group params status checked witnesses elapsed_ms toolchain_version",
+                          defaults=(0, __version__))
+
+
+class Verdict(_Certificate):
     """Outcome of one verification job, serializable as a certificate.
     `to_dict` gives the certificate, the `KEYS`, with fresh copies of
-    `params` and `witnesses`; two verdicts are equal when their
-    certificates are."""
+    `params` and `witnesses`; two verdicts are equal when their fields are."""
 
-    KEYS = ("statement", "group", "params", "status", "checked", "witnesses", "elapsed_ms",
-            "toolchain_version")
-
-    def __init__(self, statement: str, group: str, params: dict, status: str, checked: int,
-                 witnesses: list[list[int]], elapsed_ms: int = 0,
-                 toolchain_version: str = __version__):
-        self.statement = statement
-        self.group = group
-        self.params = params
-        self.status = status
-        self.checked = checked
-        self.witnesses = witnesses
-        self.elapsed_ms = elapsed_ms
-        self.toolchain_version = toolchain_version
-
-    def __eq__(self, other):
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:
-        return f"Verdict({', '.join(f'{k}={getattr(self, k)!r}' for k in self.KEYS)})"
+    __slots__ = ()
+    KEYS = _Certificate._fields
 
     def to_dict(self) -> dict:
-        return {k: _fresh(getattr(self, k)) for k in self.KEYS}
+        return {k: _fresh(v) for k, v in zip(self.KEYS, self)}
 
     def core(self) -> dict:
         """Everything except the timing; two runs of the same job agree here."""

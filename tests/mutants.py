@@ -75,6 +75,8 @@ LAG = "tests/test_verify.py::test_lag_packs_the_orbit_rule"
 TRANSLATES = "tests/test_verify.py::test_lattice_translator_calls"
 MASK_ROUND_TRIP = "tests/test_groups.py::test_mask_of_inverts_bit_indices"
 NON_INTEGER_ORDERS = "tests/test_groups.py::test_non_integer_orders_rejected"
+TABLES = "tests/test_groups.py::test_tables_are_built_on_first_use"
+VERDICT_COPY = "tests/test_verify.py::test_verdict_dict_is_a_copy"
 ORDER_OF_CHECKS = "tests/test_verify.py::test_order_of_checks"
 FRAME_CLOCK = "tests/test_verify.py::test_the_frame_times_each_whole_run"
 CLI_CLOSED_AT_START = "tests/test_cli.py::test_stdout_closed_at_start_exits_141"
@@ -589,6 +591,14 @@ MUTANTS = [
     Mutant("enumerate_groups_of_order reads n by its value", GROUPS,
            '    n = _factor(n, "order")\n', "",
            NON_INTEGER_ORDERS),
+    # -- the records
+    # each read of neg_table then builds a new table
+    Mutant("neg_table is a plain property", GROUPS,
+           "    @cached_property\n    def neg_table(", "    @property\n    def neg_table(",
+           TABLES),
+    Mutant("to_dict shares params and witnesses with the verdict", VERIFY,
+           "{k: _fresh(v) for k, v in zip(self.KEYS, self)}", "dict(zip(self.KEYS, self))",
+           VERDICT_COPY),
     # -- the start-up path
     Mutant("verify.py imports dataclasses again", VERIFY,
            "import json\n", "import dataclasses\nimport json\n",

@@ -202,8 +202,9 @@ def test_translator_is_cached_and_filled_lazily():
 
 def test_tables_are_built_on_first_use():
     G = parse_group_spec("Z2^16")
-    assert G._neg_table is None and G._double_table is None
-    assert G.neg_table[5] == 5 and G._double_table is None
+    assert "neg_table" not in vars(G) and "double_table" not in vars(G)
+    assert G.neg_table[5] == 5 and "double_table" not in vars(G)
+    assert "neg_table" in vars(G) and G.neg_table is G.neg_table
     assert torsion_two(G).cardinality == G.order
     for H in all_groups_up_to(24):
         for i in range(H.order):

@@ -979,22 +979,36 @@ def test_sweep_cyclic_only():
 # -- certificates --------------------------------------------------------------------
 
 
+def _every_certificate():
+    """Every verdict of a sweep over the orders 1..12, for each statement,
+    at witness caps 0 and 16."""
+    return [v for st in STATEMENTS for cap in (0, 16) for v in sweep(st, range(1, 13), witness_cap=cap)]
+
+
+def _scribble(data):
+    """Change every dict and list inside JSON-like data in place."""
+    if isinstance(data, dict):
+        for value in data.values():
+            _scribble(value)
+        data["scribbled"] = 99
+    elif isinstance(data, list):
+        for value in data:
+            _scribble(value)
+        data.append(99)
+
+
 def test_verdict_json_round_trip():
-    v = search_lemma2_counterexamples(6)
-    again = Verdict.from_json(v.to_json())
-    assert again == v
-    assert json.loads(v.to_json())["statement"] == "lemma2-search"
+    for v in _every_certificate():
+        again = Verdict.from_json(v.to_json())
+        assert again == v
+        assert json.loads(v.to_json()) == v.to_dict()
 
 
 def test_verdict_dict_is_a_copy():
-    v = search_lemma2_counterexamples(6)
-    before = v.to_json()
-    d = v.to_dict()
-    d["params"]["deficiency_histogram"]["1"] = 99
-    d["params"]["subset_size"] = 0
-    d["witnesses"][0].append(5)
-    d["witnesses"].append([1])
-    assert v.to_json() == before
+    for v in _every_certificate():
+        before = v.to_json()
+        _scribble(v.to_dict())
+        assert v.to_json() == before
 
 
 def test_verdict_from_dict_copies_the_certificate_keys():
@@ -1011,10 +1025,16 @@ def test_verdict_from_dict_copies_the_certificate_keys():
 
 
 def test_verdict_equality_and_repr():
-    v = search_lemma2_counterexamples(6)
-    assert v != Verdict.from_dict({**v.to_dict(), "status": VERIFIED})
-    assert v != v.to_dict()
-    assert repr(v).startswith("Verdict(statement='lemma2-search', group='Z6', params={")
+    for v in _every_certificate():
+        other = REFUTED if v.status == VERIFIED else VERIFIED
+        assert v != Verdict.from_dict({**v.to_dict(), "status": other})
+        assert v != v.to_dict()
+        # a verdict is a tuple of its fields, as an Option is, and unhashable
+        assert v == tuple(v) == tuple(v.to_dict().values())
+        with pytest.raises(TypeError):
+            hash(v)
+        fields = ", ".join(f"{k}={x!r}" for k, x in v.to_dict().items())
+        assert repr(v) == f"Verdict({fields})"
 
 
 def test_verdict_schema_keys():
